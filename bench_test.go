@@ -436,11 +436,10 @@ func BenchmarkProfileCollection(b *testing.B) {
 // at the paper's largest machine size.
 func BenchmarkLoopMachineSearch(b *testing.B) {
 	lh := profile.NewLocalHistory(1, 9)
-	t := &ir.Term{Op: ir.TermBr}
 	x := uint32(1)
 	for i := 0; i < 50_000; i++ {
 		x = x*1664525 + 1013904223
-		lh.Branch(t, x&0x30000 != 0x30000)
+		lh.RecordBranch(0, x&0x30000 != 0x30000)
 	}
 	tab := lh.Table(0)
 	b.ResetTimer()

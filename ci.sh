@@ -39,10 +39,14 @@ stage_fmt() {
 
 stage_build() {
     go build ./...
+    # The benchmark is its own module, which the root ./... never compiles;
+    # vet it here so an internal API change cannot break it unnoticed.
+    (cd cmd/krallperf && go vet ./...)
 }
 
 stage_test() {
     go test ./...
+    (cd cmd/krallperf && go test ./...)
 }
 
 stage_shuffle() {

@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "blc:", err)
 			return 1
 		}
-		m.Hook = tw.Branch
+		m.Hook = interp.BranchHook(tw)
 	}
 	ret, err := m.Run()
 	if err != nil && err != interp.ErrLimit {

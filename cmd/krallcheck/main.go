@@ -185,10 +185,8 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 	targets := trace.NewTargetCounts(nSites)
 	m := interp.New(prog)
 	m.MaxBranches = opts.budget
-	m.Hook = prof.Branch
-	m.SwHook = func(t *ir.Term, outcome int32) {
-		targets.RecordSwitch(t.Orig, outcome)
-	}
+	m.Hook = interp.BranchHook(prof)
+	m.SwHook = interp.SwitchHook(targets)
 	if opts.seed != 0 {
 		// Only workloads declare wseed; ad-hoc programs simply lack it.
 		_ = m.SetGlobal("wseed", opts.seed)

@@ -45,7 +45,7 @@ func profileCounts(prog *ir.Program, nSites int, opts options) (*profile.Profile
 	prof := profile.New(nSites, profile.Options{})
 	m := interp.New(prog)
 	m.MaxBranches = opts.budget
-	m.Hook = prof.Branch
+	m.Hook = interp.BranchHook(prof)
 	if opts.seed != 0 {
 		// Only workloads declare wseed; ad-hoc programs simply lack it.
 		_ = m.SetGlobal("wseed", opts.seed)

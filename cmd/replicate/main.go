@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return m, nil
 	}
 	fmt.Fprintf(stdout, "profiling %s (%d branch sites)...\n", name, nSites)
-	if _, err := execute(prog, prof.Branch); err != nil {
+	if _, err := execute(prog, interp.BranchHook(prof)); err != nil {
 		return fail(err)
 	}
 

@@ -85,7 +85,7 @@ func runCounts(prog *ir.Program, budget uint64) ([][]uint64, *trace.Counts) {
 	counts := trace.NewCounts(n)
 	m := interp.New(prog)
 	m.EnableBlockCounts()
-	m.Hook = counts.Branch
+	m.Hook = interp.BranchHook(counts)
 	m.MaxBranches = budget
 	if err := m.SetGlobal("wscale", 1<<30); err != nil {
 		log.Fatal(err)

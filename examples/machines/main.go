@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/ir"
 	"repro/internal/profile"
 	"repro/internal/statemachine"
 )
@@ -36,12 +35,11 @@ func main() {
 		lh := profile.NewLocalHistory(1, 9)
 		st := &profile.Streams{}
 		*st = *profile.NewStreams(1)
-		t := &ir.Term{Op: ir.TermBr, Site: 0, Orig: 0}
 		const events = 30000
 		for i := 0; i < events; i++ {
 			o := b.outcome(i)
-			lh.Branch(t, o)
-			st.Branch(t, o)
+			lh.RecordBranch(0, o)
+			st.RecordBranch(0, o)
 		}
 		fmt.Printf("\n%s — %s\n", b.name, b.desc)
 		prof := profile.Pair{}

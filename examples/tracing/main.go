@@ -60,13 +60,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rf.Close()
-	events, err := trace.ReadAll(rf)
+	slab, err := trace.ReadSlab(rf, trace.DefaultLimits())
 	if err != nil {
 		log.Fatal(err)
 	}
 	prof := profile.New(c.NSites, profile.Options{})
-	trace.Replay(events, prof)
-	fmt.Printf("replayed %d events from disk\n", len(events))
+	slab.ReplayInto(prof)
+	fmt.Printf("replayed %d events from disk\n", slab.Len())
 
 	show := func(name string, r predict.Result) {
 		fmt.Printf("  %-22s %6.2f%%\n", name, r.Rate())

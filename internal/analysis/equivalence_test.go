@@ -48,7 +48,7 @@ func pipe(t *testing.T, src string, maxStates int) pipeOut {
 	prof := profile.New(n, profile.Options{})
 	ref := interp.New(prog)
 	ref.MaxSteps = 10_000_000
-	ref.Hook = prof.Branch
+	ref.Hook = interp.BranchHook(prof)
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestVerifyCleanOnGeneratedPrograms(t *testing.T) {
 		prof := profile.New(n, profile.Options{})
 		ref := interp.New(prog)
 		ref.MaxSteps = 10_000_000
-		ref.Hook = prof.Branch
+		ref.Hook = interp.BranchHook(prof)
 		if _, err := ref.Run(); err != nil {
 			continue
 		}

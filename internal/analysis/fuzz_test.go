@@ -37,7 +37,7 @@ func FuzzVerify(f *testing.F) {
 		prof := profile.New(n, profile.Options{})
 		ref := interp.New(prog)
 		ref.MaxSteps = 2_000_000
-		ref.Hook = prof.Branch
+		ref.Hook = interp.BranchHook(prof)
 		if _, err := ref.Run(); err != nil {
 			t.Skip()
 		}

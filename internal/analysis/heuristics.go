@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
+	"repro/internal/predict"
 )
 
 // This file implements the program-based (profile-free) half of the static
@@ -210,7 +211,7 @@ func siteHeuristics(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, b *ir.Block) S
 
 	// Condition-shape heuristics need the comparison defining the condition.
 	if cmp := condCmp(b); cmp != nil {
-		if p, ok := comparePrediction(cmp.Op); ok {
+		if p, ok := predict.OpcodePrediction(cmp.Op); ok {
 			fire(HeurOpcode, p == ir.PredTaken)
 		}
 		if p, ok := guardPrediction(cmp); ok {
@@ -301,19 +302,6 @@ func constBefore(b *ir.Block, idx int, reg ir.Reg) (imm int64, isFloat, ok bool)
 		return 0, false, false
 	}
 	return 0, false, false
-}
-
-// comparePrediction is the opcode heuristic over BL's compare opcodes:
-// equality and less-than style tests predict not-taken (their taken side is
-// usually the rare case), the negations predict taken.
-func comparePrediction(op ir.Op) (ir.Prediction, bool) {
-	switch op {
-	case ir.OpEqI, ir.OpEqF, ir.OpLtI, ir.OpLtF, ir.OpLeI, ir.OpLeF:
-		return ir.PredNotTaken, true
-	case ir.OpNeI, ir.OpNeF, ir.OpGtI, ir.OpGtF, ir.OpGeI, ir.OpGeF:
-		return ir.PredTaken, true
-	}
-	return ir.PredNone, false
 }
 
 // guardPrediction fires on guard shapes — comparisons against a constant:

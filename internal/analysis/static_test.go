@@ -221,7 +221,7 @@ func TestSCCPSoundOnExamples(t *testing.T) {
 		prof := profile.New(n, profile.Options{})
 		ref := interp.New(prog)
 		ref.MaxSteps = 2_000_000
-		ref.Hook = prof.Branch
+		ref.Hook = interp.BranchHook(prof)
 		if _, err := ref.Run(); err != nil {
 			t.Fatal(err)
 		}

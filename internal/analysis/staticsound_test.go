@@ -45,7 +45,7 @@ func FuzzStaticSoundness(f *testing.F) {
 		prof := profile.New(n, profile.Options{})
 		ref := interp.New(prog)
 		ref.MaxSteps = 2_000_000
-		ref.Hook = prof.Branch
+		ref.Hook = interp.BranchHook(prof)
 		if _, err := ref.Run(); err != nil {
 			t.Skip() // step limit or runtime trap; no trace to compare against
 		}

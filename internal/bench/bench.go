@@ -168,31 +168,20 @@ func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) 
 	switch len(collectors) {
 	case 0:
 	case 1:
-		m.SetHook(collectors[0].Branch)
+		m.SetHook(interp.BranchHook(collectors[0]))
+		if sc, ok := collectors[0].(trace.SwitchCollector); ok {
+			m.SetSwHook(interp.SwitchHook(sc))
+		}
 	default:
-		// Batch the fan-out: the hot dispatch loop pays one buffer
-		// append per branch instead of one interface call per collector
-		// per branch. Release flushes the tail before the collectors are
-		// read and returns the buffer to the shared pool.
+		// Batch the fan-out: the hot dispatch loop pays one buffer append
+		// per event instead of one interface call per collector per event.
+		// Switches ride the same buffer, so every collector sees the two
+		// kinds in execution order. Release flushes the tail before the
+		// collectors are read and returns the buffer to the shared pool.
 		b := trace.NewBatcher(collectors...)
 		defer b.Release()
-		m.SetHook(b.Branch)
-	}
-	// Switch dispatch events go to the collectors that can consume them
-	// (the branch batcher carries only binary events). Switches are orders
-	// of magnitude rarer than branches, so a direct fan-out is fine.
-	var sws []trace.SwitchCollector
-	for _, c := range collectors {
-		if sc, ok := c.(trace.SwitchCollector); ok {
-			sws = append(sws, sc)
-		}
-	}
-	if len(sws) > 0 {
-		m.SetSwHook(func(t *ir.Term, outcome int32) {
-			for _, sc := range sws {
-				sc.RecordSwitch(t.Orig, outcome)
-			}
-		})
+		m.SetHook(func(t *ir.Term, taken bool) { b.RecordBranch(t.Site, taken) })
+		m.SetSwHook(func(t *ir.Term, outcome int32) { b.RecordSwitch(t.Site, outcome) })
 	}
 	_, err := m.Run()
 	if err != nil && !errors.Is(err, interp.ErrLimit) {

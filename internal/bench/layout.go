@@ -109,7 +109,7 @@ func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, [][]uint64, er
 	}
 	m := ep.NewMachine()
 	m.EnableBlockCounts()
-	m.SetHook(counts.Branch)
+	m.SetHook(interp.BranchHook(counts))
 	m.SetMaxBranches(cfg.Budget)
 	if cfg.Seed != 0 {
 		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {

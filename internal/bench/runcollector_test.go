@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -247,12 +249,10 @@ func FuzzRunCollectorEquivalence(f *testing.F) {
 	})
 }
 
-// TestFusedReplayEncodingProgen pins the fused single-pass fan-out
-// (satellite: Multi fusion) at the byte level over generated programs:
-// re-encoding a slab through a Writer must produce identical bytes
-// whether the Writer is driven event-at-a-time, directly by ReplayInto,
-// or as one member of a nested Multi sharing the decode pass with other
-// collectors.
+// TestFusedReplayEncodingProgen pins the fused single-pass fan-out at the
+// byte level over generated programs: re-encoding a slab through a Writer
+// must reproduce the slab's own encoding whether ReplayInto drives the
+// Writer alone or beside another collector sharing the decode pass.
 func TestFusedReplayEncodingProgen(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		s := slabFromSource(progen.Generate(seed, progen.DefaultConfig()), 50_000)
@@ -266,16 +266,10 @@ func TestFusedReplayEncodingProgen(t *testing.T) {
 			continue
 		}
 
-		var oldBuf, directBuf, multiBuf bytes.Buffer
-		oldW, err := trace.NewWriter(&oldBuf)
-		if err != nil {
+		var want, directBuf, fusedBuf bytes.Buffer
+		if _, err := s.WriteTo(&want); err != nil {
 			t.Fatal(err)
 		}
-		s.ReplayAll(oldW.RecordBranch, oldW.RecordSwitch)
-		if err := oldW.Close(); err != nil {
-			t.Fatal(err)
-		}
-
 		directW, err := trace.NewWriter(&directBuf)
 		if err != nil {
 			t.Fatal(err)
@@ -285,26 +279,72 @@ func TestFusedReplayEncodingProgen(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		multiW, err := trace.NewWriter(&multiBuf)
+		fusedW, err := trace.NewWriter(&fusedBuf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fusedCounts := trace.NewCounts(nsites)
 		soloCounts := trace.NewCounts(nsites)
-		s.ReplayInto(trace.Multi{fusedCounts, trace.Multi{multiW}})
+		s.ReplayInto(fusedCounts, fusedW)
 		s.ReplayInto(soloCounts)
-		if err := multiW.Close(); err != nil {
+		if err := fusedW.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		if !bytes.Equal(oldBuf.Bytes(), directBuf.Bytes()) {
-			t.Fatalf("seed %d: ReplayInto(Writer) bytes differ from event-at-a-time (%d vs %d)",
-				seed, directBuf.Len(), oldBuf.Len())
+		if !bytes.Equal(want.Bytes(), directBuf.Bytes()) {
+			t.Fatalf("seed %d: ReplayInto(Writer) bytes differ from the slab's (%d vs %d)",
+				seed, directBuf.Len(), want.Len())
 		}
-		if !bytes.Equal(oldBuf.Bytes(), multiBuf.Bytes()) {
-			t.Fatalf("seed %d: fused Multi writer bytes differ from event-at-a-time (%d vs %d)",
-				seed, multiBuf.Len(), oldBuf.Len())
+		if !bytes.Equal(want.Bytes(), fusedBuf.Bytes()) {
+			t.Fatalf("seed %d: fused writer bytes differ from the slab's (%d vs %d)",
+				seed, fusedBuf.Len(), want.Len())
 		}
-		compareCounts(t, "fused multi counts", soloCounts, fusedCounts)
+		compareCounts(t, "fused counts", soloCounts, fusedCounts)
+	}
+}
+
+// TestLiveFanOutMatchesSlab pins the live multi-collector path to the
+// recorded trace on the switch-heavy workloads: a Writer run live beside a
+// second collector must emit exactly the bytes the slab records for the
+// same run, so batched branch and switch events keep their execution
+// order and their site keys.
+func TestLiveFanOutMatchesSlab(t *testing.T) {
+	const budget = 20_000
+	for _, w := range IndirectWorkloads() {
+		c, err := Compile(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live bytes.Buffer
+		lw, err := trace.NewWriter(&live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(RunConfig{Budget: budget}, lw, trace.NewCounts(c.NSites)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lw.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		ep, err := c.execProgram(exec.Interp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := ep.NewMachine()
+		m.SetMaxBranches(budget)
+		slab := trace.NewSlab(budget)
+		m.SetRec(slab)
+		if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+			t.Fatal(err)
+		}
+		slab.Seal()
+		var want bytes.Buffer
+		if _, err := slab.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(live.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: live fan-out wrote %d bytes, the slab %d", w.Name, live.Len(), want.Len())
+		}
 	}
 }

@@ -84,7 +84,7 @@ func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	prof := profile.New(nSites, profile.Options{
 		LocalK: cfg.LocalK, GlobalK: cfg.GlobalK, PathM: cfg.PathM,
 	})
-	if _, _, err := execute(prog, cfg, prof.Branch, prof.Switch); err != nil {
+	if _, _, err := execute(prog, cfg, interp.BranchHook(prof), interp.SwitchHook(prof)); err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
 

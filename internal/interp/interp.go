@@ -50,6 +50,18 @@ type BranchFunc func(t *ir.Term, taken bool)
 // stream the trace records.
 type SwitchFunc func(t *ir.Term, outcome int32)
 
+// BranchHook adapts a collector into a live branch hook keyed on t.Site,
+// the key Rec writes into the slab, so a live run and a replay of its
+// trace feed the collector identical events.
+func BranchHook(c trace.Collector) BranchFunc {
+	return func(t *ir.Term, taken bool) { c.RecordBranch(t.Site, taken) }
+}
+
+// SwitchHook is BranchHook for switch dispatch events.
+func SwitchHook(c trace.SwitchCollector) SwitchFunc {
+	return func(t *ir.Term, outcome int32) { c.RecordSwitch(t.Site, outcome) }
+}
+
 // Machine executes one program. A Machine is not safe for concurrent use.
 type Machine struct {
 	// Hook, when non-nil, is invoked for every executed conditional branch.

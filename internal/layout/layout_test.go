@@ -17,7 +17,7 @@ func profileFor(t *testing.T, prog *ir.Program) ([][]uint64, *trace.Counts) {
 	counts := trace.NewCounts(n)
 	m := interp.New(prog)
 	m.EnableBlockCounts()
-	m.Hook = counts.Branch
+	m.Hook = interp.BranchHook(counts)
 	m.MaxSteps = 20_000_000
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestPHNeverWorseOnRandomPrograms(t *testing.T) {
 		counts := trace.NewCounts(n)
 		m := interp.New(prog)
 		m.EnableBlockCounts()
-		m.Hook = counts.Branch
+		m.Hook = interp.BranchHook(counts)
 		m.MaxSteps = 10_000_000
 		if _, err := m.Run(); err != nil {
 			continue // budget exceeded; fine

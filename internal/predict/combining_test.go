@@ -15,15 +15,15 @@ func TestCombiningTracksBetterComponent(t *testing.T) {
 	comb := &Eval{P: mk()}
 	twoBit := &Eval{P: NewTwoBit(4)}
 	twoLevel := &Eval{P: NewTwoLevel(PaperTwoLevel())}
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	x := uint32(3)
 	for i := 0; i < 20000; i++ {
 		o0 := i%2 == 0
 		x = x*1664525 + 1013904223
 		o1 := x%64 != 0
 		for _, e := range []*Eval{comb, twoBit, twoLevel} {
-			e.Branch(t0, o0)
-			e.Branch(t1, o1)
+			e.RecordBranch(t0, o0)
+			e.RecordBranch(t1, o1)
 		}
 	}
 	best := twoBit.Rate()

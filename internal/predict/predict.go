@@ -9,7 +9,7 @@ package predict
 import (
 	"fmt"
 
-	"repro/internal/ir"
+	"repro/internal/trace"
 )
 
 // Predictor is a dynamic branch predictor simulated over the trace: Predict
@@ -35,10 +35,9 @@ type Eval struct {
 	Total  uint64
 }
 
-// Branch implements trace.Collector.
-func (e *Eval) Branch(t *ir.Term, taken bool) { e.RecordBranch(t.Site, taken) }
+var _ trace.Collector = (*Eval)(nil)
 
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Collector.
 func (e *Eval) RecordBranch(site int32, taken bool) {
 	if e.P.Predict(site) != taken {
 		e.Misses++

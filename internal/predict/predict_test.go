@@ -11,14 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-func term(site int32) *ir.Term {
-	return &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-}
-
 func feedString(c trace.Collector, site int32, outcomes string) {
-	t := term(site)
 	for _, ch := range outcomes {
-		c.Branch(t, ch == '1')
+		c.RecordBranch(site, ch == '1')
 	}
 }
 
@@ -82,14 +77,14 @@ func TestTwoLevelLearnsAlternation(t *testing.T) {
 	e := &Eval{P: p}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		e.Branch(term(0), i%2 == 0)
+		e.RecordBranch(0, i%2 == 0)
 	}
 	if e.Rate() > 2.0 {
 		t.Fatalf("two-level on alternation: %.2f%%, want near 0", e.Rate())
 	}
 	tb := &Eval{P: NewTwoBit(1)}
 	for i := 0; i < n; i++ {
-		tb.Branch(term(0), i%2 == 0)
+		tb.RecordBranch(0, i%2 == 0)
 	}
 	if tb.Rate() < 40 {
 		t.Fatalf("2-bit on alternation: %.2f%%, should be terrible", tb.Rate())
@@ -109,9 +104,9 @@ func TestTwoLevelCorrelation(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		x = x*1664525 + 1013904223
 		o := x&0x8000 != 0
-		e.Branch(term(0), o)
+		e.RecordBranch(0, o)
 		before := e.Misses
-		e.Branch(term(1), o)
+		e.RecordBranch(1, o)
 		miss1 += e.Misses - before
 		tot1++
 	}
@@ -129,8 +124,8 @@ func TestTwoLevelAliasing(t *testing.T) {
 	})
 	e := &Eval{P: p}
 	for i := 0; i < 100; i++ {
-		e.Branch(term(0), true)
-		e.Branch(term(17), false)
+		e.RecordBranch(0, true)
+		e.RecordBranch(17, false)
 	}
 	if e.Total != 200 {
 		t.Fatal("eval total wrong")
@@ -141,7 +136,7 @@ func TestGShare(t *testing.T) {
 	p := NewGShare(12)
 	e := &Eval{P: p}
 	for i := 0; i < 4000; i++ {
-		e.Branch(term(3), i%2 == 0)
+		e.RecordBranch(3, i%2 == 0)
 	}
 	if e.Rate() > 2 {
 		t.Fatalf("gshare on alternation: %.2f%%", e.Rate())
@@ -242,16 +237,16 @@ func TestStaticScore(t *testing.T) {
 	c := trace.NewCounts(2)
 	// site 0: 90 taken / 10 not; site 1: 5 taken / 95 not.
 	for i := 0; i < 90; i++ {
-		c.Branch(term(0), true)
+		c.RecordBranch(0, true)
 	}
 	for i := 0; i < 10; i++ {
-		c.Branch(term(0), false)
+		c.RecordBranch(0, false)
 	}
 	for i := 0; i < 5; i++ {
-		c.Branch(term(1), true)
+		c.RecordBranch(1, true)
 	}
 	for i := 0; i < 95; i++ {
-		c.Branch(term(1), false)
+		c.RecordBranch(1, false)
 	}
 	at := AlwaysTaken(2).Score(c)
 	if at.Misses != 10+95 || at.Total != 200 {
@@ -314,7 +309,7 @@ func main() int {
 func runProgram(t *testing.T, prog *ir.Program, c trace.Collector) {
 	t.Helper()
 	m := interp.New(prog)
-	m.Hook = c.Branch
+	m.Hook = interp.BranchHook(c)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -326,11 +321,11 @@ func TestSemiStaticHierarchy(t *testing.T) {
 	c := trace.NewCounts(n)
 	lh := profile.NewLocalHistory(n, 1)
 	gh := profile.NewGlobalHistory(n, 1)
-	multi := trace.Multi{c, lh, gh}
-	tm := term(0)
+	b := trace.NewBatcher(c, lh, gh)
 	for i := 0; i < 1000; i++ {
-		multi.Branch(tm, i%2 == 0)
+		b.RecordBranch(0, i%2 == 0)
 	}
+	b.Release()
 	prof := ProfileResult(c)
 	loop := LoopResult(lh)
 	if prof.Rate() < 45 {
@@ -360,14 +355,15 @@ func TestLoopCorrelationPicksBest(t *testing.T) {
 	c := trace.NewCounts(n)
 	lh := profile.NewLocalHistory(n, 2)
 	gh := profile.NewGlobalHistory(n, 1)
-	multi := trace.Multi{c, lh, gh}
+	b := trace.NewBatcher(c, lh, gh)
 	x := uint32(7)
 	for i := 0; i < 3000; i++ {
 		x = x*1664525 + 1013904223
 		o := x&0x40000 != 0
-		multi.Branch(term(0), o)
-		multi.Branch(term(1), o) // copies previous branch
+		b.RecordBranch(0, o)
+		b.RecordBranch(1, o) // copies previous branch
 	}
+	b.Release()
 	lc, _ := LoopCorrelationResult(lh, gh, c)
 	corr := CorrelationResult(gh)
 	loop := LoopResult(lh)

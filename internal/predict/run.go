@@ -14,7 +14,7 @@ type RunUpdater interface {
 	UpdateRun(site int32, taken bool, n uint64) (misses uint64)
 }
 
-// RecordRun implements trace.RunCollector, taking the predictor's
+// RecordRun implements trace.Collector, taking the predictor's
 // closed-form path when it has one and replaying the run event-at-a-time
 // otherwise (e.g. the Combining meta-predictor, whose selector state
 // depends on each step).

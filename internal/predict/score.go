@@ -19,13 +19,12 @@ type StaticScore struct {
 	Mispredicted uint64
 }
 
-// Branch implements trace.Collector.
-func (s *StaticScore) Branch(t *ir.Term, taken bool) { s.RecordRun(t.Site, taken, 1) }
+var _ trace.Sharded = (*StaticScore)(nil)
 
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Collector.
 func (s *StaticScore) RecordBranch(site int32, taken bool) { s.RecordRun(site, taken, 1) }
 
-// RecordRun implements trace.RunCollector.
+// RecordRun implements trace.Collector.
 func (s *StaticScore) RecordRun(site int32, taken bool, n uint64) {
 	if int(site) >= len(s.Preds) {
 		return
@@ -42,10 +41,10 @@ func (s *StaticScore) RecordRun(site int32, taken bool, n uint64) {
 
 // NewShard implements trace.Sharded: shards share the (read-only)
 // prediction vector and accumulate their own counters.
-func (s *StaticScore) NewShard() trace.RunCollector { return &StaticScore{Preds: s.Preds} }
+func (s *StaticScore) NewShard() trace.Collector { return &StaticScore{Preds: s.Preds} }
 
 // Merge implements trace.Sharded.
-func (s *StaticScore) Merge(shard trace.RunCollector) {
+func (s *StaticScore) Merge(shard trace.Collector) {
 	o := shard.(*StaticScore)
 	s.Predicted += o.Predicted
 	s.Mispredicted += o.Mispredicted

@@ -259,12 +259,13 @@ func BackwardTaken(features []SiteFeatures) *Static {
 	return s
 }
 
-// opcodePrediction is Smith's opcode heuristic adapted to BL's compare
+// OpcodePrediction is Smith's opcode heuristic adapted to BL's compare
 // opcodes: equality and less-than style tests are predicted false (their
 // taken side is usually the rare case: bound checks, sentinel tests),
 // inequality and greater-than style tests are predicted true. The second
-// return value reports applicability.
-func opcodePrediction(op ir.Op) (ir.Prediction, bool) {
+// return value reports applicability. It is the one opcode table shared by
+// the Ball–Larus chain here and the evidence combiner in internal/analysis.
+func OpcodePrediction(op ir.Op) (ir.Prediction, bool) {
 	switch op {
 	case ir.OpEqI, ir.OpEqF, ir.OpLtI, ir.OpLtF, ir.OpLeI, ir.OpLeF:
 		return ir.PredNotTaken, true
@@ -282,7 +283,7 @@ func OpcodeStatic(features []SiteFeatures) *Static {
 		if ft.Switch {
 			continue
 		}
-		if p, ok := opcodePrediction(ft.CmpOp); ok {
+		if p, ok := OpcodePrediction(ft.CmpOp); ok {
 			s.Preds[i] = p
 		} else {
 			s.Preds[i] = ir.PredNotTaken
@@ -332,7 +333,7 @@ func ballLarusSite(ft *SiteFeatures) ir.Prediction {
 		return ir.PredTaken
 	}
 	// Opcode.
-	if p, ok := opcodePrediction(ft.CmpOp); ok {
+	if p, ok := OpcodePrediction(ft.CmpOp); ok {
 		return p
 	}
 	// Return: avoid branches to blocks which return.

@@ -22,18 +22,18 @@ func TestOpcodePredictionTable(t *testing.T) {
 	taken := []ir.Op{ir.OpNeI, ir.OpNeF, ir.OpGtI, ir.OpGtF, ir.OpGeI, ir.OpGeF}
 	notTaken := []ir.Op{ir.OpEqI, ir.OpEqF, ir.OpLtI, ir.OpLtF, ir.OpLeI, ir.OpLeF}
 	for _, op := range taken {
-		p, ok := opcodePrediction(op)
+		p, ok := OpcodePrediction(op)
 		if !ok || p != ir.PredTaken {
 			t.Errorf("%v: want taken", op)
 		}
 	}
 	for _, op := range notTaken {
-		p, ok := opcodePrediction(op)
+		p, ok := OpcodePrediction(op)
 		if !ok || p != ir.PredNotTaken {
 			t.Errorf("%v: want not-taken", op)
 		}
 	}
-	if _, ok := opcodePrediction(ir.OpAddI); ok {
+	if _, ok := OpcodePrediction(ir.OpAddI); ok {
 		t.Error("non-compare must be inapplicable")
 	}
 }

@@ -38,9 +38,9 @@ func TestStreams(t *testing.T) {
 	st := NewStreams(2)
 	outcomes := []bool{true, false, false, true, true}
 	for _, o := range outcomes {
-		st.Branch(term(1), o)
+		st.RecordBranch(1, o)
 	}
-	st.Branch(term(0), true)
+	st.RecordBranch(0, true)
 	if st.Total() != 6 {
 		t.Fatalf("total = %d", st.Total())
 	}
@@ -75,11 +75,11 @@ func TestStreamCrossesWordBoundary(t *testing.T) {
 
 func TestGlobalProjectAndFillRates(t *testing.T) {
 	h := NewGlobalHistory(2, 3)
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	seq := []bool{true, false, true, true, false, true, false, false, true, true}
 	for _, o := range seq {
-		h.Branch(t0, o)
-		h.Branch(t1, !o)
+		h.RecordBranch(t0, o)
+		h.RecordBranch(t1, !o)
 	}
 	proj := h.Project(0, 2)
 	var tot uint64
@@ -128,7 +128,7 @@ func TestHistoryValidationPanics(t *testing.T) {
 	mustPanic(func() { h.Project(0, 4) })
 	mustPanic(func() { h.Project(0, 0) })
 	ph := NewPathHistory(1, 2)
-	ph.Branch(term(0), true)
+	ph.RecordBranch(0, true)
 	mustPanic(func() { ph.ProjectPaths(0, 3) })
 }
 
@@ -139,5 +139,5 @@ func TestPathElemOverflowPanics(t *testing.T) {
 		}
 	}()
 	h := NewPathHistory(1, 2)
-	h.Branch(term(1<<15), true)
+	h.RecordBranch(1<<15, true)
 }

@@ -9,7 +9,6 @@ package profile
 import (
 	"fmt"
 
-	"repro/internal/ir"
 	"repro/internal/trace"
 )
 
@@ -73,6 +72,8 @@ type LocalHistory struct {
 	total uint64
 }
 
+var _ trace.Collector = (*LocalHistory)(nil)
+
 // NewLocalHistory creates tables for nSites branches with K-bit histories.
 // K must be between 1 and 16.
 func NewLocalHistory(nSites, k int) *LocalHistory {
@@ -88,11 +89,7 @@ func NewLocalHistory(nSites, k int) *LocalHistory {
 	}
 }
 
-// Branch implements trace.Collector.
-func (h *LocalHistory) Branch(t *ir.Term, taken bool) { h.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements trace.SiteCollector (the replay-side entry
-// point: a bare site ID, no *ir.Term).
+// RecordBranch implements trace.Collector.
 func (h *LocalHistory) RecordBranch(s int32, taken bool) {
 	if h.seen[s] >= uint32(h.K) {
 		tab := h.tabs[s]
@@ -174,6 +171,8 @@ type GlobalHistory struct {
 	total uint64
 }
 
+var _ trace.Collector = (*GlobalHistory)(nil)
+
 // NewGlobalHistory creates tables for nSites branches with a K-bit global
 // history register.
 func NewGlobalHistory(nSites, k int) *GlobalHistory {
@@ -187,10 +186,7 @@ func NewGlobalHistory(nSites, k int) *GlobalHistory {
 	}
 }
 
-// Branch implements trace.Collector.
-func (h *GlobalHistory) Branch(t *ir.Term, taken bool) { h.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Collector.
 func (h *GlobalHistory) RecordBranch(s int32, taken bool) {
 	if h.seen >= uint32(h.K) {
 		tab := h.tabs[s]
@@ -297,6 +293,8 @@ type PathHistory struct {
 	memoP   []*Pair
 }
 
+var _ trace.Collector = (*PathHistory)(nil)
+
 // NewPathHistory creates path tables for nSites branches and paths of
 // length M (1..4).
 func NewPathHistory(nSites, m int) *PathHistory {
@@ -311,10 +309,7 @@ func NewPathHistory(nSites, m int) *PathHistory {
 	}
 }
 
-// Branch implements trace.Collector.
-func (h *PathHistory) Branch(t *ir.Term, taken bool) { h.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Collector.
 func (h *PathHistory) RecordBranch(s int32, taken bool) {
 	if s >= 1<<15 {
 		panic("profile: site id does not fit in a path element")
@@ -453,6 +448,11 @@ type Profile struct {
 	Targets *trace.TargetCounts
 }
 
+var (
+	_ trace.Collector       = (*Profile)(nil)
+	_ trace.SwitchCollector = (*Profile)(nil)
+)
+
 // Options configures profile collection.
 type Options struct {
 	// LocalK is the local history length (default 9, the paper's choice).
@@ -489,23 +489,17 @@ func New(nSites int, opts Options) *Profile {
 	}
 }
 
-// Switch implements interp's SwitchFunc shape, feeding the target table.
-func (p *Profile) Switch(t *ir.Term, outcome int32) { p.RecordSwitch(t.Site, outcome) }
-
 // RecordSwitch implements trace.SwitchCollector.
 func (p *Profile) RecordSwitch(site, outcome int32) {
 	p.Targets.RecordSwitch(site, outcome)
 }
 
-// RecordSwitchRun implements trace.SwitchRunCollector.
+// RecordSwitchRun implements trace.SwitchCollector.
 func (p *Profile) RecordSwitchRun(site, outcome int32, n uint64) {
 	p.Targets.RecordSwitchRun(site, outcome, n)
 }
 
-// Branch implements trace.Collector, feeding all tables.
-func (p *Profile) Branch(t *ir.Term, taken bool) { p.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements trace.SiteCollector, feeding all tables.
+// RecordBranch implements trace.Collector, feeding all tables.
 func (p *Profile) RecordBranch(site int32, taken bool) {
 	p.Counts.RecordBranch(site, taken)
 	p.Local.RecordBranch(site, taken)

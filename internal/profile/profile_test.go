@@ -4,19 +4,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/ir"
+	"repro/internal/trace"
 )
 
-func term(site int32) *ir.Term {
-	return &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-}
-
-func feed(c interface {
-	Branch(*ir.Term, bool)
-}, site int32, outcomes string) {
-	t := term(site)
+func feed(c trace.Collector, site int32, outcomes string) {
 	for _, ch := range outcomes {
-		c.Branch(t, ch == '1')
+		c.RecordBranch(site, ch == '1')
 	}
 }
 
@@ -95,10 +88,9 @@ func TestProjectConservesCounts(t *testing.T) {
 	check := func(seed uint32, n uint8) bool {
 		h := NewLocalHistory(1, 4)
 		x := seed
-		tm := term(0)
 		for i := 0; i < int(n)+20; i++ {
 			x = x*1664525 + 1013904223
-			h.Branch(tm, x&0x10000 != 0)
+			h.RecordBranch(0, x&0x10000 != 0)
 		}
 		full := h.Table(0)
 		var fullTotal uint64
@@ -126,11 +118,11 @@ func TestGlobalHistoryCorrelation(t *testing.T) {
 	// Branch 1 always repeats branch 0's last outcome. With a 1-bit global
 	// history, branch 1 is perfectly predictable.
 	h := NewGlobalHistory(2, 1)
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	pattern := []bool{true, false, false, true, true, true, false}
 	for _, o := range pattern {
-		h.Branch(t0, o)
-		h.Branch(t1, o)
+		h.RecordBranch(t0, o)
+		h.RecordBranch(t1, o)
 	}
 	misses, total := h.SiteMisses(1)
 	if total == 0 {
@@ -174,11 +166,11 @@ func TestPathHistoryDistinguishesPaths(t *testing.T) {
 	// Branch 2 is taken exactly when branch 1 was taken (immediately
 	// preceding). Path length 1 captures it perfectly.
 	h := NewPathHistory(3, 1)
-	t1, t2 := term(1), term(2)
+	t1, t2 := int32(1), int32(2)
 	outcomes := []bool{true, false, true, true, false, false, true}
 	for _, o := range outcomes {
-		h.Branch(t1, o)
-		h.Branch(t2, o)
+		h.RecordBranch(t1, o)
+		h.RecordBranch(t2, o)
 	}
 	misses, total := h.SiteMisses(2)
 	if total == 0 {
@@ -191,13 +183,13 @@ func TestPathHistoryDistinguishesPaths(t *testing.T) {
 
 func TestPathProjectConserves(t *testing.T) {
 	h := NewPathHistory(2, 3)
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	x := uint32(12345)
 	for i := 0; i < 500; i++ {
 		x = x*1664525 + 1013904223
-		h.Branch(t0, x&4 != 0)
+		h.RecordBranch(t0, x&4 != 0)
 		x = x*1664525 + 1013904223
-		h.Branch(t1, x&8 != 0)
+		h.RecordBranch(t1, x&8 != 0)
 	}
 	var fullTotal uint64
 	for _, p := range h.Table(1) {
@@ -247,9 +239,8 @@ func TestProfileBundle(t *testing.T) {
 	if p.Local.K != 9 || p.Global.K != 9 || p.Path.M != 3 {
 		t.Fatalf("defaults wrong: %d %d %d", p.Local.K, p.Global.K, p.Path.M)
 	}
-	tm := term(1)
 	for i := 0; i < 100; i++ {
-		p.Branch(tm, i%2 == 0)
+		p.RecordBranch(1, i%2 == 0)
 	}
 	if p.Counts.Total(1) != 100 {
 		t.Fatal("counts not fed")
@@ -270,11 +261,10 @@ func TestOptionValidation(t *testing.T) {
 
 func TestSiteMissesMatchesMinority(t *testing.T) {
 	h := NewGlobalHistory(1, 2)
-	tm := term(0)
 	// Feed a fixed sequence; verify misses = sum of per-pattern minorities.
 	seq := "110100111010011101"
 	for _, ch := range seq {
-		h.Branch(tm, ch == '1')
+		h.RecordBranch(0, ch == '1')
 	}
 	tab := h.Table(0)
 	var want uint64

@@ -1,6 +1,6 @@
 package profile
 
-// Run-aware collection: every table implements trace.RunCollector with an
+// Run-aware collection: every table implements trace.Collector with an
 // exact shortcut for runs of identical outcomes. Each method splits a run
 // into warm-up, a bounded transient replayed with the table's usual
 // per-event update (inlined, with the site's register state hoisted into
@@ -10,7 +10,7 @@ package profile
 // (and why the split is exact) is DESIGN.md §7; the bit-identical
 // contract is pinned by FuzzRunCollectorEquivalence.
 
-// RecordRun implements trace.RunCollector. Once site s has warmed up and
+// RecordRun implements trace.Collector. Once site s has warmed up and
 // its history register holds the all-taken (or all-not-taken) pattern, a
 // further identical outcome records into the same table slot and leaves
 // the register unchanged — so the remaining events collapse into one
@@ -60,7 +60,7 @@ func (h *LocalHistory) RecordRun(s int32, taken bool, n uint64) {
 	}
 }
 
-// RecordRun implements trace.RunCollector. Identical reasoning to
+// RecordRun implements trace.Collector. Identical reasoning to
 // LocalHistory, on the single shared history register: within a run every
 // event comes from the same site, so once the register saturates the
 // indexed slot is fixed too.
@@ -107,7 +107,7 @@ func (h *GlobalHistory) RecordRun(s int32, taken bool, n uint64) {
 	}
 }
 
-// RecordRun implements trace.RunCollector. The path key's absorbing value
+// RecordRun implements trace.Collector. The path key's absorbing value
 // under a run at site s is the element (s, dir) repeated in all four
 // slots; from there each further event records into the same path slot
 // and re-produces the same key. The transient is at most 4 recording
@@ -202,15 +202,15 @@ func (s *Stream) AppendRun(taken bool, n uint64) {
 	s.n = end
 }
 
-// RecordRun implements trace.RunCollector.
+// RecordRun implements trace.Collector.
 func (c *Streams) RecordRun(site int32, taken bool, n uint64) {
 	c.sites[site].AppendRun(taken, n)
 	c.total += n
 }
 
-// RecordRun implements trace.RunCollector, feeding all tables.
+// RecordRun implements trace.Collector, feeding all tables.
 func (p *Profile) RecordRun(site int32, taken bool, n uint64) {
-	p.Counts.AddRun(site, taken, n)
+	p.Counts.RecordRun(site, taken, n)
 	p.Local.RecordRun(site, taken, n)
 	p.Global.RecordRun(site, taken, n)
 	p.Path.RecordRun(site, taken, n)

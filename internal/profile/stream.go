@@ -1,6 +1,6 @@
 package profile
 
-import "repro/internal/ir"
+import "repro/internal/trace"
 
 // Stream is a packed per-branch outcome sequence (1 = taken). The
 // state-machine search replays streams to score candidate machines with
@@ -37,15 +37,14 @@ type Streams struct {
 	total uint64
 }
 
+var _ trace.Collector = (*Streams)(nil)
+
 // NewStreams sizes the collector for nSites branch sites.
 func NewStreams(nSites int) *Streams {
 	return &Streams{sites: make([]Stream, nSites)}
 }
 
-// Branch implements trace.Collector.
-func (c *Streams) Branch(t *ir.Term, taken bool) { c.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Collector.
 func (c *Streams) RecordBranch(site int32, taken bool) {
 	c.sites[site].Append(taken)
 	c.total++

@@ -98,7 +98,7 @@ func TestJointPreservesSemanticsOnRandomPrograms(t *testing.T) {
 		prof := profile.New(nSites, profile.Options{})
 		ref := interp.New(prog)
 		ref.MaxSteps = 10_000_000
-		ref.Hook = prof.Branch
+		ref.Hook = interp.BranchHook(prof)
 		refRet, err := ref.Run()
 		if err != nil {
 			continue

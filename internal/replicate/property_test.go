@@ -36,7 +36,7 @@ func TestReplicationPreservesSemanticsOnRandomPrograms(t *testing.T) {
 		prof := profile.New(nSites, profile.Options{})
 		ref := interp.New(prog)
 		ref.MaxSteps = 10_000_000
-		ref.Hook = prof.Branch
+		ref.Hook = interp.BranchHook(prof)
 		refRet, err := ref.Run()
 		if errors.Is(err, interp.ErrLimit) {
 			continue // too long for a unit test; other seeds cover it
@@ -105,7 +105,7 @@ func TestReplicationStacksSafely(t *testing.T) {
 	prof := profile.New(n, profile.Options{})
 	ref := interp.New(prog)
 	ref.MaxSteps = 10_000_000
-	ref.Hook = prof.Branch
+	ref.Hook = interp.BranchHook(prof)
 	refRet, err := ref.Run()
 	if err != nil {
 		t.Skip("seed too long")
@@ -124,7 +124,7 @@ func TestReplicationStacksSafely(t *testing.T) {
 	prof2 := profile.New(n2, profile.Options{})
 	m2 := interp.New(clone)
 	m2.MaxSteps = 40_000_000
-	m2.Hook = prof2.Branch
+	m2.Hook = interp.BranchHook(prof2)
 	if _, err := m2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func runPipeline(t *testing.T, src string, opts statemachine.Options) *pipelineR
 	n := prog.NumberBranches(true)
 	prof := profile.New(n, profile.Options{})
 	m := interp.New(prog)
-	m.Hook = prof.Branch
+	m.Hook = interp.BranchHook(prof)
 	ret, err := m.Run()
 	if err != nil {
 		t.Fatalf("profile run: %v", err)

@@ -97,9 +97,3 @@ func (l *LRU) Len() int {
 
 // Cap is the configured capacity.
 func (l *LRU) Cap() int { return l.cap }
-
-// LRUCached is the typed wrapper over LRU.Do; Cached is the same thing
-// over any Store.
-func LRUCached[V any](l *LRU, key string, fn func() (V, error)) (V, error) {
-	return Cached[V](l, key, fn)
-}

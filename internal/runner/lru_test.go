@@ -12,7 +12,7 @@ func TestLRUBasics(t *testing.T) {
 	l := NewLRU(2)
 	calls := 0
 	get := func(k string) string {
-		v, err := LRUCached(l, k, func() (string, error) {
+		v, err := Cached(l, k, func() (string, error) {
 			calls++
 			return "v:" + k, nil
 		})
@@ -48,7 +48,7 @@ func TestLRURecencyOrder(t *testing.T) {
 	l := NewLRU(2)
 	calls := map[string]int{}
 	get := func(k string) {
-		if _, err := LRUCached(l, k, func() (string, error) {
+		if _, err := Cached(l, k, func() (string, error) {
 			calls[k]++
 			return k, nil
 		}); err != nil {
@@ -81,10 +81,10 @@ func TestLRUErrorsNotCached(t *testing.T) {
 		}
 		return 42, nil
 	}
-	if _, err := LRUCached(l, "k", fn); !errors.Is(err, boom) {
+	if _, err := Cached(l, "k", fn); !errors.Is(err, boom) {
 		t.Fatalf("first call: %v, want boom", err)
 	}
-	v, err := LRUCached(l, "k", fn)
+	v, err := Cached(l, "k", fn)
 	if err != nil || v != 42 {
 		t.Fatalf("retry = %d, %v; want 42, nil", v, err)
 	}
@@ -114,7 +114,7 @@ func TestLRUSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			v, err := LRUCached(l, "shared", func() (int, error) {
+			v, err := Cached(l, "shared", func() (int, error) {
 				computed.Add(1)
 				return 7, nil
 			})
@@ -141,7 +141,7 @@ func TestLRUConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%16)
-				v, err := LRUCached(l, k, func() (string, error) { return "v" + k, nil })
+				v, err := Cached(l, k, func() (string, error) { return "v" + k, nil })
 				if err != nil || v != "v"+k {
 					t.Errorf("key %s: got %q, %v", k, v, err)
 					return

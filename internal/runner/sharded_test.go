@@ -44,7 +44,7 @@ func TestShardedOneShardMatchesLRU(t *testing.T) {
 						return "v:" + key, nil
 					}
 				}
-				ov, oerr := LRUCached(old, key, mk(oldCalls))
+				ov, oerr := Cached(old, key, mk(oldCalls))
 				nv, nerr := Cached[string](neu, key, mk(neuCalls))
 				if ov != nv || (oerr == nil) != (nerr == nil) {
 					t.Fatalf("op %d (%s, mode %d): lru (%q, %v) != sharded (%q, %v)",

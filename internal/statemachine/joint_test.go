@@ -11,10 +11,9 @@ func mkLoopChoice(t *testing.T, site int32, outcomes string, n int) *Choice {
 	t.Helper()
 	lh := profile.NewLocalHistory(1, 9)
 	st := profile.NewStreams(1)
-	tm := term(0)
 	for _, ch := range outcomes {
-		lh.Branch(tm, ch == '1')
-		st.Branch(tm, ch == '1')
+		lh.RecordBranch(0, ch == '1')
+		st.RecordBranch(0, ch == '1')
 	}
 	m := BestLoopMachineExact(lh.Table(0), 9, n, st.Site(0))
 	return &Choice{Site: site, Kind: KindLoop, Loop: m, Hits: m.Hits, Total: m.Total}
@@ -105,9 +104,8 @@ func TestJointIndependentBranchesKeepProduct(t *testing.T) {
 
 func TestJointWithExitMachine(t *testing.T) {
 	lh := profile.NewLocalHistory(1, 9)
-	tm := term(0)
 	for i := 0; i < 500; i++ {
-		lh.Branch(tm, i%5 != 4)
+		lh.RecordBranch(0, i%5 != 4)
 	}
 	em := NewExitMachine(lh.Table(0), 9, 5, false)
 	exitChoice := &Choice{Site: 2, Kind: KindExit, Exit: em, Hits: em.Hits, Total: em.Total}

@@ -19,7 +19,7 @@ func buildProfile(t *testing.T, src string) (*profile.Profile, []predict.SiteFea
 	n := prog.NumberBranches(true)
 	prof := profile.New(n, profile.Options{})
 	m := interp.New(prog)
-	m.Hook = prof.Branch
+	m.Hook = interp.BranchHook(prof)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,20 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/ir"
 	"repro/internal/profile"
 )
-
-func term(site int32) *ir.Term {
-	return &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-}
 
 // localTable builds a k-bit local pattern table from an outcome string.
 func localTable(outcomes string, k int) []profile.Pair {
 	h := profile.NewLocalHistory(1, k)
-	t := term(0)
 	for _, ch := range outcomes {
-		h.Branch(t, ch == '1')
+		h.RecordBranch(0, ch == '1')
 	}
 	return h.Table(0)
 }
@@ -75,10 +69,9 @@ func TestCountTreeConsistency(t *testing.T) {
 	check := func(seed uint32, n uint16) bool {
 		h := profile.NewLocalHistory(1, 5)
 		x := seed
-		tm := term(0)
 		for i := 0; i < int(n)+40; i++ {
 			x = x*1664525 + 1013904223
-			h.Branch(tm, x&0x30000 != 0)
+			h.RecordBranch(0, x&0x30000 != 0)
 		}
 		tree := NewCountTree(h.Table(0), 5)
 		// Every level must conserve the total.
@@ -302,13 +295,13 @@ func TestPathMachinePerfectCorrelation(t *testing.T) {
 	// Site 2 copies site 1's outcome. The path machine with 3 states
 	// (two 1-long paths + catch-all) predicts perfectly.
 	h := profile.NewPathHistory(3, 2)
-	t1, t2 := term(1), term(2)
+	t1, t2 := int32(1), int32(2)
 	x := uint32(5)
 	for i := 0; i < 2000; i++ {
 		x = x*1664525 + 1013904223
 		o := x&0x100 != 0
-		h.Branch(t1, o)
-		h.Branch(t2, o)
+		h.RecordBranch(t1, o)
+		h.RecordBranch(t2, o)
 	}
 	m := BestPathMachine(h, 2, 3, 0)
 	if m.Rate() != 0 {
@@ -330,10 +323,10 @@ func TestPathMachineGreedyStopsWhenNoGain(t *testing.T) {
 	// A perfectly biased branch: extra path states add nothing, greedy
 	// must stop at the catch-all.
 	h := profile.NewPathHistory(2, 2)
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	for i := 0; i < 500; i++ {
-		h.Branch(t0, i%2 == 0)
-		h.Branch(t1, true)
+		h.RecordBranch(t0, i%2 == 0)
+		h.RecordBranch(t1, true)
 	}
 	m := BestPathMachine(h, 1, 5, 0)
 	if len(m.Paths) != 0 {
@@ -346,15 +339,15 @@ func TestPathMachineGreedyStopsWhenNoGain(t *testing.T) {
 
 func TestPathMachineMoreStatesNeverWorse(t *testing.T) {
 	h := profile.NewPathHistory(2, 3)
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	x := uint32(77)
 	for i := 0; i < 3000; i++ {
 		x = x*1664525 + 1013904223
 		a := x&0x1000 != 0
-		h.Branch(t0, a)
+		h.RecordBranch(t0, a)
 		// t1 depends on t0 xor parity — needs path length ≥ 2 for full
 		// accuracy.
-		h.Branch(t1, a != (i%2 == 0))
+		h.RecordBranch(t1, a != (i%2 == 0))
 	}
 	prev := uint64(0)
 	for n := 1; n <= 6; n++ {
@@ -368,12 +361,12 @@ func TestPathMachineMoreStatesNeverWorse(t *testing.T) {
 
 func TestScorePathSetPartition(t *testing.T) {
 	h := profile.NewPathHistory(2, 2)
-	t0, t1 := term(0), term(1)
+	t0, t1 := int32(0), int32(1)
 	x := uint32(9)
 	for i := 0; i < 1000; i++ {
 		x = x*1664525 + 1013904223
-		h.Branch(t0, x&2 != 0)
-		h.Branch(t1, x&4 != 0)
+		h.RecordBranch(t0, x&2 != 0)
+		h.RecordBranch(t1, x&4 != 0)
 	}
 	full := h.Table(1)
 	var want uint64

@@ -16,7 +16,7 @@ func profileFor(t *testing.T, prog *ir.Program) ([][]uint64, *trace.Counts) {
 	counts := trace.NewCounts(n)
 	m := interp.New(prog)
 	m.EnableBlockCounts()
-	m.Hook = counts.Branch
+	m.Hook = interp.BranchHook(counts)
 	m.MaxSteps = 20_000_000
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestFormOnRandomPrograms(t *testing.T) {
 		counts := trace.NewCounts(n)
 		m := interp.New(prog)
 		m.EnableBlockCounts()
-		m.Hook = counts.Branch
+		m.Hook = interp.BranchHook(counts)
 		m.MaxSteps = 10_000_000
 		if _, err := m.Run(); err != nil {
 			continue

@@ -1,44 +1,36 @@
 package trace
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/ir"
-)
-
-// RunCollector is the run-aware collector contract: a maximal RLE run of
-// n identical (site, taken) outcomes arrives as a single call instead of
-// n events. The exactness contract is strict — RecordRun(s, t, n) must
-// leave the collector in a state bit-identical to n consecutive
-// RecordBranch(s, t) calls — so replaying through runs is a pure speedup,
-// never an approximation (pinned by FuzzRunCollectorEquivalence).
-type RunCollector interface {
-	RecordRun(site int32, taken bool, n uint64)
-}
-
-// Sharded is implemented by order-insensitive RunCollectors — those whose
+// Sharded is implemented by order-insensitive collectors — those whose
 // final state does not depend on event order, only on per-(site, taken)
 // totals. Such collectors can consume disjoint segments of a trace in
 // parallel: ReplayPartitioned gives each worker a fresh shard from
 // NewShard and folds the shards back with Merge in stream order.
 type Sharded interface {
-	RunCollector
+	Collector
 	// NewShard returns an empty collector of the same shape, safe to fill
 	// from another goroutine.
-	NewShard() RunCollector
+	NewShard() Collector
 	// Merge folds a NewShard result's accumulated state back in.
-	Merge(shard RunCollector)
+	Merge(shard Collector)
 }
 
-// RecordRun implements RunCollector (an alias of AddRun; Counts is the
-// canonical order-insensitive collector).
-func (c *Counts) RecordRun(site int32, taken bool, n uint64) { c.AddRun(site, taken, n) }
+// RecordRun implements Collector; Counts is the canonical
+// order-insensitive collector.
+func (c *Counts) RecordRun(site int32, taken bool, n uint64) {
+	if taken {
+		c.Taken[site] += n
+	} else {
+		c.NotTaken[site] += n
+	}
+}
 
 // NewShard implements Sharded.
-func (c *Counts) NewShard() RunCollector { return NewCounts(len(c.Taken)) }
+func (c *Counts) NewShard() Collector { return NewCounts(len(c.Taken)) }
 
 // Merge implements Sharded.
-func (c *Counts) Merge(shard RunCollector) {
+func (c *Counts) Merge(shard Collector) {
 	o := shard.(*Counts)
 	for i := range c.Taken {
 		c.Taken[i] += o.Taken[i]
@@ -46,8 +38,8 @@ func (c *Counts) Merge(shard RunCollector) {
 	}
 }
 
-// RecordRun implements RunCollector: Seen counts the whole run even when
-// the cap truncates the stored events, matching n RecordBranch calls.
+// RecordRun implements Collector: Seen counts the whole run even when the
+// cap truncates the stored events, matching n RecordBranch calls.
 func (l *Log) RecordRun(site int32, taken bool, n uint64) {
 	l.Seen += n
 	for ; n > 0; n-- {
@@ -58,9 +50,9 @@ func (l *Log) RecordRun(site int32, taken bool, n uint64) {
 	}
 }
 
-// RecordRun implements RunCollector on the wire encoder: a replayed run
-// folds straight into the Writer's RLE state, so re-encoding a trace
-// through runs emits byte-identical output to event-at-a-time encoding.
+// RecordRun implements Collector on the wire encoder: a replayed run folds
+// straight into the Writer's RLE state, so re-encoding a trace through
+// runs emits byte-identical output to event-at-a-time encoding.
 func (w *Writer) RecordRun(site int32, taken bool, n uint64) {
 	if n == 0 {
 		return
@@ -77,33 +69,6 @@ func (w *Writer) RecordRun(site int32, taken bool, n uint64) {
 	w.run = n - 1
 }
 
-// RecordRun implements RunCollector, fanning the run out to every member
-// at its fastest entry point. Slab replay does not go through this — the
-// fused ReplayInto flattens Multi members into its single decode pass —
-// but live hooks and hand-driven replays may.
-func (m Multi) RecordRun(site int32, taken bool, n uint64) {
-	for _, c := range m {
-		recordRunOn(c, site, taken, n)
-	}
-}
-
-// recordRunOn delivers one run to a collector of unknown concrete type.
-func recordRunOn(c Collector, site int32, taken bool, n uint64) {
-	switch c := c.(type) {
-	case RunCollector:
-		c.RecordRun(site, taken, n)
-	case SiteCollector:
-		for ; n > 0; n-- {
-			c.RecordBranch(site, taken)
-		}
-	default:
-		t := ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-		for ; n > 0; n-- {
-			c.Branch(&t, taken)
-		}
-	}
-}
-
 // MaxSite scans a replay for the highest site ID plus one — the table
 // size a trace of unknown provenance needs. It is order-insensitive, so
 // it shards.
@@ -112,13 +77,15 @@ type MaxSite struct {
 	N int
 }
 
-// Branch implements Collector.
-func (m *MaxSite) Branch(t *ir.Term, taken bool) { m.RecordRun(t.Site, taken, 1) }
+var (
+	_ Sharded         = (*MaxSite)(nil)
+	_ SwitchCollector = (*MaxSite)(nil)
+)
 
-// RecordBranch implements SiteCollector.
+// RecordBranch implements Collector.
 func (m *MaxSite) RecordBranch(site int32, taken bool) { m.RecordRun(site, taken, 1) }
 
-// RecordRun implements RunCollector.
+// RecordRun implements Collector.
 func (m *MaxSite) RecordRun(site int32, _ bool, _ uint64) {
 	if int(site) >= m.N {
 		m.N = int(site) + 1
@@ -129,85 +96,32 @@ func (m *MaxSite) RecordRun(site int32, _ bool, _ uint64) {
 // site space, so they raise the table size too.
 func (m *MaxSite) RecordSwitch(site, _ int32) { m.RecordRun(site, false, 1) }
 
-// RecordSwitchRun implements SwitchRunCollector.
+// RecordSwitchRun implements SwitchCollector.
 func (m *MaxSite) RecordSwitchRun(site, _ int32, _ uint64) { m.RecordRun(site, false, 1) }
 
 // NewShard implements Sharded.
-func (m *MaxSite) NewShard() RunCollector { return &MaxSite{} }
+func (m *MaxSite) NewShard() Collector { return &MaxSite{} }
 
 // Merge implements Sharded.
-func (m *MaxSite) Merge(shard RunCollector) {
+func (m *MaxSite) Merge(shard Collector) {
 	if o := shard.(*MaxSite); o.N > m.N {
 		m.N = o.N
 	}
 }
 
-// replayRunBytes is the run-major decode loop: one pass over an RLE
-// segment, one fn (or sw, for switch events) call per run (a plain event
-// is a run of 1). buf must begin at a self-contained code — a plain event
-// or a switch escape, never a bare run marker — which is true of a whole
-// slab buffer and of every checkpointed segment. The 1- and 2-byte uvarint
-// forms are decoded inline (site IDs are small, so nearly every code
-// takes one or two bytes); longer forms and corruption fall through to
-// decodeUvarint. Run markers repeat whichever event kind came last, so
-// the loop tracks both the branch and the switch state plus which is
-// current.
-func replayRunBytes(buf []byte, fn func(site int32, taken bool, n uint64), sw func(site, outcome int32, n uint64)) {
-	var site int32
-	var taken bool
-	var swSite, swOutcome int32
-	inSwitch := false
-	for i := 0; i < len(buf); {
-		var code uint64
-		if b := buf[i]; b < 0x80 {
-			code = uint64(b)
-			i++
-		} else if i+1 < len(buf) && buf[i+1] < 0x80 {
-			code = uint64(b&0x7f) | uint64(buf[i+1])<<7
-			i += 2
-		} else {
-			code, i = decodeUvarint(buf, i)
-		}
-		if code != 1 {
-			site, taken = int32(code>>1)-1, code&1 == 1
-			inSwitch = false
-			fn(site, taken, 1)
-			continue
-		}
-		var n uint64
-		if i < len(buf) && buf[i] < 0x80 {
-			n = uint64(buf[i])
-			i++
-		} else if i+1 < len(buf) && buf[i] >= 0x80 && buf[i+1] < 0x80 {
-			n = uint64(buf[i]&0x7f) | uint64(buf[i+1])<<7
-			i += 2
-		} else {
-			n, i = decodeUvarint(buf, i)
-		}
-		if n == 0 { // switch escape: uvarint(site+1) uvarint(outcome)
-			var sc, oc uint64
-			sc, i = decodeUvarint(buf, i)
-			oc, i = decodeUvarint(buf, i)
-			swSite, swOutcome = int32(sc-1), int32(oc)
-			inSwitch = true
-			sw(swSite, swOutcome, 1)
-			continue
-		}
-		if inSwitch {
-			sw(swSite, swOutcome, n)
-		} else {
-			fn(site, taken, n)
-		}
-	}
-}
-
-// replayBytes is the split-dispatch decode loop behind ReplayInto: plain
-// single events go to ev — the collector's ordinary per-event entry
-// point, so a trace with no exploitable runs replays at per-event cost —
-// and only genuine RLE runs (the repeat count after the first event) go
-// to run, where run-aware collectors take their O(1) shortcut. Switch
-// events split the same way between sw and swRun. Same segment contract
-// and inline-uvarint fast path as replayRunBytes.
+// replayBytes is the decode loop behind every replay: one pass over an RLE
+// segment, where plain single events go to ev — the collector's ordinary
+// per-event entry point, so a trace with no exploitable runs replays at
+// per-event cost — and only genuine RLE runs (the repeat count after the
+// first event) go to run, where collectors take their O(1) shortcut.
+// Switch events split the same way between sw and swRun. buf must begin at
+// a self-contained code — a plain event or a switch escape, never a bare
+// run marker — which is true of a whole slab buffer and of every
+// checkpointed segment. The 1- and 2-byte uvarint forms are decoded inline
+// (site IDs are small, so nearly every code takes one or two bytes);
+// longer forms and corruption fall through to decodeUvarint. Run markers
+// repeat whichever event kind came last, so the loop tracks both the
+// branch and the switch state plus which is current.
 func replayBytes(buf []byte, ev func(site int32, taken bool), run func(site int32, taken bool, n uint64),
 	sw func(site, outcome int32), swRun func(site, outcome int32, n uint64)) {
 	var site int32
@@ -258,7 +172,7 @@ func replayBytes(buf []byte, ev func(site int32, taken bool), run func(site int3
 	}
 }
 
-// replayCountsBytes is replayRunBytes specialised for *Counts, the
+// replayCountsBytes is replayBytes specialised for *Counts, the
 // service's "profile" scoring strategy and the experiment engine's
 // per-seed count pass: the run lands directly in the slice, with no
 // indirect call per run.
@@ -315,143 +229,59 @@ func replayCountsBytes(buf []byte, c *Counts) {
 	}
 }
 
-// collectorFns is one collector's resolved entry points: ev for single
-// events, run for RLE repeat runs, and sw/swRun for the switch-event
-// equivalents (the drop stubs when the collector has no switch support).
-// Splitting per-event from per-run lets a run-aware collector take its
-// O(1) shortcut on genuine runs while single events — the common case on
-// interleaved traces — keep the lean per-event path.
-type collectorFns struct {
-	ev    func(int32, bool)
-	run   func(int32, bool, uint64)
-	sw    func(int32, int32)
-	swRun func(int32, int32, uint64)
-}
-
-// resolveFns resolves each collector's fastest entry points once, in
-// order: RunCollector, then SiteCollector (runs expanded at the call),
-// then legacy Collector. Multi members are flattened so a fan-out costs
-// one decode, and all legacy collectors share a single synthesised-Term
-// cache for the whole replay instead of allocating one map each.
-func resolveFns(cs []Collector) []collectorFns {
-	fns := make([]collectorFns, 0, len(cs))
-	var terms map[int32]*ir.Term
-	termFor := func(site int32) *ir.Term {
-		t := terms[site]
-		if t == nil {
-			t = &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-			terms[site] = t
-		}
-		return t
-	}
-	var add func(Collector)
-	add = func(c Collector) {
-		if m, ok := c.(Multi); ok {
-			for _, member := range m {
-				add(member)
-			}
-			return
-		}
-		rc, isRun := c.(RunCollector)
-		sc, isSite := c.(SiteCollector)
-		var f collectorFns
-		switch {
-		case isRun && isSite:
-			f = collectorFns{ev: sc.RecordBranch, run: rc.RecordRun}
-		case isRun:
-			f = collectorFns{
-				ev:  func(site int32, taken bool) { rc.RecordRun(site, taken, 1) },
-				run: rc.RecordRun,
-			}
-		case isSite:
-			f = collectorFns{
-				ev: sc.RecordBranch,
-				run: func(site int32, taken bool, n uint64) {
-					for ; n > 0; n-- {
-						sc.RecordBranch(site, taken)
-					}
-				},
-			}
-		default:
-			if terms == nil {
-				terms = make(map[int32]*ir.Term)
-			}
-			f = collectorFns{
-				ev: func(site int32, taken bool) { c.Branch(termFor(site), taken) },
-				run: func(site int32, taken bool, n uint64) {
-					t := termFor(site)
-					for ; n > 0; n-- {
-						c.Branch(t, taken)
-					}
-				},
-			}
-		}
-		if swc, ok := c.(SwitchCollector); ok {
-			f.sw = swc.RecordSwitch
-		} else if swr, ok := c.(SwitchRunCollector); ok {
-			f.sw = func(site, outcome int32) { swr.RecordSwitchRun(site, outcome, 1) }
-		} else {
-			f.sw = dropSwitch
-		}
-		f.swRun = switchRunFn(c)
-		fns = append(fns, f)
-	}
-	for _, c := range cs {
-		add(c)
-	}
-	return fns
-}
-
 // ReplayInto decodes the slab once and fans every event out to all
-// collectors — run-aware collectors get whole RLE runs, the rest get the
-// events expanded at the callback. This replaces the historical
-// per-collector re-decode: N collectors now cost one pass.
+// collectors: single events through RecordBranch, RLE runs through
+// RecordRun, and switch events to the collectors that implement
+// SwitchCollector. N collectors cost one pass.
 func (s *Slab) ReplayInto(cs ...Collector) {
 	s.mustSealed("ReplayInto")
-	if len(cs) == 1 {
-		if c, ok := cs[0].(*Counts); ok {
-			replayCountsBytes(s.buf, c)
+	replayInto(s.buf, cs)
+}
+
+// replayInto is ReplayInto over one segment. A lone collector is
+// dispatched straight to its methods, and a lone *Counts takes the
+// specialised loop, so pooled request paths keep to a couple of fixed
+// allocations per replay.
+func replayInto(buf []byte, cs []Collector) {
+	switch len(cs) {
+	case 0:
+		return
+	case 1:
+		c := cs[0]
+		if counts, ok := c.(*Counts); ok {
+			replayCountsBytes(buf, counts)
 			return
 		}
-		// A lone collector with both fine- and run-grained entry points
-		// needs none of the resolveFns scaffolding; dispatching straight
-		// to its methods keeps pooled request paths at a couple of fixed
-		// allocations per replay.
-		if rc, ok := cs[0].(RunCollector); ok {
-			if sc, ok := cs[0].(SiteCollector); ok {
-				sw := dropSwitch
-				if swc, ok := cs[0].(SwitchCollector); ok {
-					sw = swc.RecordSwitch
-				}
-				replayBytes(s.buf, sc.RecordBranch, rc.RecordRun, sw, switchRunFn(cs[0]))
-				return
-			}
+		sw, swRun := dropSwitch, dropSwitchRun
+		if sc, ok := c.(SwitchCollector); ok {
+			sw, swRun = sc.RecordSwitch, sc.RecordSwitchRun
+		}
+		replayBytes(buf, c.RecordBranch, c.RecordRun, sw, swRun)
+		return
+	}
+	var sws []SwitchCollector
+	for _, c := range cs {
+		if sc, ok := c.(SwitchCollector); ok {
+			sws = append(sws, sc)
 		}
 	}
-	fns := resolveFns(cs)
-	switch len(fns) {
-	case 0:
-	case 1:
-		replayBytes(s.buf, fns[0].ev, fns[0].run, fns[0].sw, fns[0].swRun)
-	default:
-		replayBytes(s.buf, func(site int32, taken bool) {
-			for _, f := range fns {
-				f.ev(site, taken)
-			}
-		}, func(site int32, taken bool, n uint64) {
-			for _, f := range fns {
-				f.run(site, taken, n)
-			}
-		}, func(site, outcome int32) {
-			for _, f := range fns {
-				f.sw(site, outcome)
-			}
-		}, func(site, outcome int32, n uint64) {
-			for _, f := range fns {
-				f.swRun(site, outcome, n)
-			}
-		})
-	}
+	replayBytes(buf, func(site int32, taken bool) {
+		for _, c := range cs {
+			c.RecordBranch(site, taken)
+		}
+	}, func(site int32, taken bool, n uint64) {
+		for _, c := range cs {
+			c.RecordRun(site, taken, n)
+		}
+	}, func(site, outcome int32) {
+		for _, sc := range sws {
+			sc.RecordSwitch(site, outcome)
+		}
+	}, func(site, outcome int32, n uint64) {
+		for _, sc := range sws {
+			sc.RecordSwitchRun(site, outcome, n)
+		}
+	})
 }
 
 // minPartition is the slab size (in events) below which ReplayPartitioned
@@ -490,10 +320,10 @@ func (s *Slab) ReplayPartitioned(workers int, cs ...Collector) {
 		s.ReplayInto(cs...)
 		return
 	}
-	shards := make([][]RunCollector, len(segs))
+	shards := make([][]Collector, len(segs))
 	var wg sync.WaitGroup
 	for pi := range segs {
-		local := make([]RunCollector, len(sharded))
+		local := make([]Collector, len(sharded))
 		for ci, sh := range sharded {
 			local[ci] = sh.NewShard()
 		}
@@ -502,27 +332,7 @@ func (s *Slab) ReplayPartitioned(workers int, cs ...Collector) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if len(local) == 1 {
-				if c, ok := local[0].(*Counts); ok {
-					replayCountsBytes(seg, c)
-					return
-				}
-				replayRunBytes(seg, local[0].RecordRun, switchRunFn(local[0]))
-				return
-			}
-			swFns := make([]func(int32, int32, uint64), len(local))
-			for i, rc := range local {
-				swFns[i] = switchRunFn(rc)
-			}
-			replayRunBytes(seg, func(site int32, taken bool, n uint64) {
-				for _, rc := range local {
-					rc.RecordRun(site, taken, n)
-				}
-			}, func(site, outcome int32, n uint64) {
-				for _, fn := range swFns {
-					fn(site, outcome, n)
-				}
-			})
+			replayInto(seg, local)
 		}()
 	}
 	wg.Wait()

@@ -3,61 +3,9 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"repro/internal/ir"
 )
-
-// termCapture implements only the legacy Collector interface and records
-// the Term pointers it is handed, so tests can observe the fallback
-// path's Term-synthesis cache.
-type termCapture struct {
-	events []Event
-	terms  map[int32]*ir.Term
-}
-
-func (l *termCapture) Branch(t *ir.Term, taken bool) {
-	l.events = append(l.events, Event{Site: t.Site, Taken: taken})
-	if l.terms == nil {
-		l.terms = map[int32]*ir.Term{}
-	}
-	l.terms[t.Site] = t
-}
-
-// TestReplayIntoLegacyFallback pins the non-SiteCollector fallback: a
-// legacy collector sees the full ordered stream, and all legacy
-// collectors in one replay share a single synthesised-Term cache — the
-// same *ir.Term per site across both collectors — instead of one map
-// each.
-func TestReplayIntoLegacyFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	events := genEvents(rng, 3000)
-	s := recordSlab(events)
-
-	var a, b termCapture
-	s.ReplayInto(&a, &b)
-	for _, l := range []*termCapture{&a, &b} {
-		if len(l.events) != len(events) {
-			t.Fatalf("legacy collector saw %d events, want %d", len(l.events), len(events))
-		}
-		for i, ev := range l.events {
-			if ev != events[i] {
-				t.Fatalf("event %d = %+v, want %+v", i, ev, events[i])
-			}
-		}
-	}
-	if len(a.terms) == 0 {
-		t.Fatal("no terms captured")
-	}
-	for site, ta := range a.terms {
-		if tb := b.terms[site]; tb != ta {
-			t.Fatalf("site %d: collectors got distinct Term pointers %p / %p — term cache not shared", site, ta, tb)
-		}
-		if ta.Op != ir.TermBr || ta.Site != site || ta.Orig != site {
-			t.Fatalf("site %d: bad synthesised term %+v", site, ta)
-		}
-	}
-}
 
 // TestRunCollectorsMatchEventAtATime drives every trace-package collector
 // both event-at-a-time (RecordBranch) and run-at-a-time (RecordRun from
@@ -116,47 +64,26 @@ func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 	}
 }
 
-// TestMultiFusedIntoSinglePass pins satellite "fuse Multi fan-out":
-// passing a Multi (even nested) to ReplayInto must behave exactly like
-// passing the members individually, and a run-aware member inside the
-// Multi must end bit-identical to a directly-replayed twin.
-func TestMultiFusedIntoSinglePass(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	events := genEvents(rng, 4000)
-	s := recordSlab(events)
+// TestReplayIntoFanOutMatchesSolo: collectors sharing one fused
+// ReplayInto pass must each end bit-identical to a twin replayed alone.
+func TestReplayIntoFanOutMatchesSolo(t *testing.T) {
+	events := mixedEvents(4000, 23)
+	s := NewSlab(0)
+	recordAll(s, events)
 
-	viaMulti := []Collector{NewCounts(40), &Log{}, &termCapture{}}
-	direct := []Collector{NewCounts(40), &Log{}, &termCapture{}}
-	s.ReplayInto(Multi{viaMulti[0], Multi{viaMulti[1], viaMulti[2]}})
-	s.ReplayInto(direct...)
-
-	mc, dc := viaMulti[0].(*Counts), direct[0].(*Counts)
-	for i := range mc.Taken {
-		if mc.Taken[i] != dc.Taken[i] || mc.NotTaken[i] != dc.NotTaken[i] {
-			t.Fatalf("site %d: counts diverge through Multi", i)
-		}
+	fused := []Collector{NewCounts(8), &Log{}, NewTargetCounts(0), &MaxSite{}}
+	solo := []Collector{NewCounts(8), &Log{}, NewTargetCounts(0), &MaxSite{}}
+	s.ReplayInto(fused...)
+	for _, c := range solo {
+		s.ReplayInto(c)
 	}
-	ml, dl := viaMulti[1].(*Log), direct[1].(*Log)
-	if ml.Seen != dl.Seen || len(ml.Events) != len(dl.Events) {
-		t.Fatalf("log shape diverges through Multi")
-	}
-	for i := range ml.Events {
-		if ml.Events[i] != dl.Events[i] {
-			t.Fatalf("log event %d diverges through Multi", i)
-		}
-	}
-	mt, dt := viaMulti[2].(*termCapture), direct[2].(*termCapture)
-	if len(mt.events) != len(dt.events) {
-		t.Fatalf("legacy member saw %d events through Multi, want %d", len(mt.events), len(dt.events))
-	}
-	for i := range mt.events {
-		if mt.events[i] != dt.events[i] {
-			t.Fatalf("legacy event %d diverges through Multi", i)
-		}
+	if !reflect.DeepEqual(fused, solo) {
+		t.Fatal("fused fan-out diverges from solo replays")
 	}
 }
 
-// TestMaxSite covers the site-scan collector on all three entry points.
+// TestMaxSite covers the site-scan collector on its branch, run and switch
+// entry points.
 func TestMaxSite(t *testing.T) {
 	var m MaxSite
 	if m.N != 0 {
@@ -164,7 +91,7 @@ func TestMaxSite(t *testing.T) {
 	}
 	m.RecordBranch(3, true)
 	m.RecordRun(7, false, 100)
-	m.Branch(&ir.Term{Op: ir.TermBr, Site: 5}, true)
+	m.RecordSwitch(5, 2)
 	if m.N != 8 {
 		t.Fatalf("MaxSite = %d, want 8", m.N)
 	}
@@ -248,7 +175,8 @@ func TestSlabSegmentsCoverStream(t *testing.T) {
 			if seg[0] < 0x80 && seg[0] == 1 {
 				t.Fatalf("workers=%d: segment %d starts with a run marker", workers, si)
 			}
-			replayRunBytes(seg, func(_ int32, _ bool, n uint64) { total += n }, func(_, _ int32, n uint64) { total += n })
+			replayBytes(seg, func(int32, bool) { total++ }, func(_ int32, _ bool, n uint64) { total += n },
+				func(int32, int32) { total++ }, func(_, _ int32, n uint64) { total += n })
 			off += len(seg)
 		}
 		if off != len(s.buf) {

@@ -5,20 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"repro/internal/ir"
 )
 
-// SiteCollector is the replay-side collector contract: events arrive as a
-// bare (site, taken) pair with no *ir.Term. Every collector in this
-// repository implements it next to Collector; replaying through
-// RecordBranch skips both the Term synthesis and the interface indirection
-// of the live hook path.
-type SiteCollector interface {
-	RecordBranch(site int32, taken bool)
-}
-
-// RecordBranch implements SiteCollector.
+// RecordBranch implements Collector.
 func (l *Log) RecordBranch(site int32, taken bool) {
 	l.Seen++
 	if l.Max != 0 && len(l.Events) >= l.Max {
@@ -36,7 +25,7 @@ func (l *Log) RecordSwitch(site, outcome int32) {
 	l.Events = append(l.Events, Event{Site: site, Switch: true, Outcome: outcome})
 }
 
-// RecordSwitchRun implements SwitchRunCollector; Seen counts the whole run
+// RecordSwitchRun implements SwitchCollector; Seen counts the whole run
 // even when the cap truncates the stored events.
 func (l *Log) RecordSwitchRun(site, outcome int32, n uint64) {
 	l.Seen += n
@@ -48,53 +37,12 @@ func (l *Log) RecordSwitchRun(site, outcome int32, n uint64) {
 	}
 }
 
-// RecordBranch implements SiteCollector.
+// RecordBranch implements Collector.
 func (c *Counts) RecordBranch(site int32, taken bool) {
 	if taken {
 		c.Taken[site]++
 	} else {
 		c.NotTaken[site]++
-	}
-}
-
-// AddRun accumulates a run of n identical outcomes at once (the run-length
-// fast path used when replaying a Slab into plain counts).
-func (c *Counts) AddRun(site int32, taken bool, n uint64) {
-	if taken {
-		c.Taken[site] += n
-	} else {
-		c.NotTaken[site] += n
-	}
-}
-
-// RecordBranch implements SiteCollector, fanning out to every member. For
-// sustained multi-collector streams prefer a Batcher, which resolves each
-// member's fast path once instead of per event.
-func (m Multi) RecordBranch(site int32, taken bool) {
-	for _, c := range m {
-		if sc, ok := c.(SiteCollector); ok {
-			sc.RecordBranch(site, taken)
-		} else {
-			t := ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-			c.Branch(&t, taken)
-		}
-	}
-}
-
-// RecordSwitch implements SwitchCollector, fanning the event out to the
-// members that understand switch events; the rest see only branches.
-func (m Multi) RecordSwitch(site, outcome int32) {
-	for _, c := range m {
-		if sw, ok := c.(SwitchCollector); ok {
-			sw.RecordSwitch(site, outcome)
-		}
-	}
-}
-
-// RecordSwitchRun implements SwitchRunCollector.
-func (m Multi) RecordSwitchRun(site, outcome int32, n uint64) {
-	for _, c := range m {
-		recordSwitchRunOn(c, site, outcome, n)
 	}
 }
 
@@ -226,60 +174,31 @@ func decodeUvarint(buf []byte, i int) (uint64, int) {
 }
 
 // Replay feeds every recorded conditional-branch event, in order, to fn;
-// switch events are skipped. Use ReplayAll when both kinds matter.
+// switch events are skipped.
 func (s *Slab) Replay(fn func(site int32, taken bool)) {
 	s.mustSealed("Replay")
-	replayRunBytes(s.buf, func(site int32, taken bool, n uint64) {
+	replayBytes(s.buf, fn, func(site int32, taken bool, n uint64) {
 		for ; n > 0; n-- {
 			fn(site, taken)
 		}
-	}, dropSwitchRun)
-}
-
-// ReplayAll feeds every recorded event, in order: conditional branches to
-// fn and switch events to sw.
-func (s *Slab) ReplayAll(fn func(site int32, taken bool), sw func(site, outcome int32)) {
-	s.mustSealed("ReplayAll")
-	replayRunBytes(s.buf, func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			fn(site, taken)
-		}
-	}, func(site, outcome int32, n uint64) {
-		for ; n > 0; n-- {
-			sw(site, outcome)
-		}
-	})
+	}, dropSwitch, dropSwitchRun)
 }
 
 // ReplayRuns feeds the branch events as (site, taken, count) runs — the
 // run-length fast path for order-insensitive consumers such as Counts.
 // Consecutive calls may repeat the same (site, taken) pair. Switch events
-// are skipped; use ReplayAllRuns for both kinds.
+// are skipped.
 func (s *Slab) ReplayRuns(fn func(site int32, taken bool, n uint64)) {
 	s.mustSealed("ReplayRuns")
-	replayRunBytes(s.buf, fn, dropSwitchRun)
-}
-
-// ReplayAllRuns is ReplayRuns with switch runs delivered to sw.
-func (s *Slab) ReplayAllRuns(fn func(site int32, taken bool, n uint64), sw func(site, outcome int32, n uint64)) {
-	s.mustSealed("ReplayAllRuns")
-	replayRunBytes(s.buf, fn, sw)
+	replayBytes(s.buf, func(site int32, taken bool) { fn(site, taken, 1) }, fn, dropSwitch, dropSwitchRun)
 }
 
 // Events decodes the whole slab (tests and small consumers).
 func (s *Slab) Events() []Event {
-	out := make([]Event, 0, s.n)
 	s.mustSealed("Events")
-	replayRunBytes(s.buf, func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			out = append(out, Event{Site: site, Taken: taken})
-		}
-	}, func(site, outcome int32, n uint64) {
-		for ; n > 0; n-- {
-			out = append(out, Event{Site: site, Switch: true, Outcome: outcome})
-		}
-	})
-	return out
+	l := &Log{Events: make([]Event, 0, s.n)}
+	s.ReplayInto(l)
+	return l.Events
 }
 
 // WriteTo serialises the slab in the on-disk trace format (header, events,
@@ -339,50 +258,27 @@ func (l *Log) Release() {
 
 // Batcher is the live-path answer to per-branch fan-out cost: it buffers
 // events and flushes them collector-by-collector in batches, so a hot
-// interpreter loop pays one append per branch instead of one interface
-// call per collector per branch. Event order per collector is preserved,
-// and collectors are independent, so results are identical to unbatched
-// Multi dispatch. Flush must be called after the run (bench.runProgram
+// interpreter loop pays one append per event instead of one interface
+// call per collector per event. Branch and switch events share the buffer,
+// so each collector sees them in execution order, exactly as if it were
+// the only one. Flush must be called after the run (bench.runCompiled
 // does); Release returns the buffer to the shared pool.
 type Batcher struct {
-	fns   []func(int32, bool)
-	swFns []func(int32, int32)
-	buf   []Event
+	cs  []Collector
+	sws []SwitchCollector // sws[i] is cs[i]'s switch entry point, or nil
+	buf []Event
 }
 
-// NewBatcher wraps the collectors, resolving each one's fast path once.
+// NewBatcher wraps the collectors.
 func NewBatcher(cs ...Collector) *Batcher {
-	b := &Batcher{buf: eventPool.Get().([]Event)[:0]}
-	b.fns = make([]func(int32, bool), len(cs))
-	b.swFns = make([]func(int32, int32), len(cs))
+	b := &Batcher{cs: cs, sws: make([]SwitchCollector, len(cs)), buf: eventPool.Get().([]Event)[:0]}
 	for i, c := range cs {
-		if sc, ok := c.(SiteCollector); ok {
-			b.fns[i] = sc.RecordBranch
-		} else {
-			c := c
-			terms := map[int32]*ir.Term{}
-			b.fns[i] = func(site int32, taken bool) {
-				t := terms[site]
-				if t == nil {
-					t = &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-					terms[site] = t
-				}
-				c.Branch(t, taken)
-			}
-		}
-		if sw, ok := c.(SwitchCollector); ok {
-			b.swFns[i] = sw.RecordSwitch
-		} else {
-			b.swFns[i] = dropSwitch
-		}
+		b.sws[i], _ = c.(SwitchCollector)
 	}
 	return b
 }
 
-// Branch implements Collector.
-func (b *Batcher) Branch(t *ir.Term, taken bool) { b.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements SiteCollector.
+// RecordBranch buffers one conditional-branch event.
 func (b *Batcher) RecordBranch(site int32, taken bool) {
 	b.buf = append(b.buf, Event{Site: site, Taken: taken})
 	if len(b.buf) >= batchSize {
@@ -390,8 +286,8 @@ func (b *Batcher) RecordBranch(site int32, taken bool) {
 	}
 }
 
-// RecordSwitch implements SwitchCollector: switch events ride the same
-// buffer, so per-collector order across the two kinds is preserved.
+// RecordSwitch buffers one switch event; collectors without switch support
+// skip it at flush.
 func (b *Batcher) RecordSwitch(site, outcome int32) {
 	b.buf = append(b.buf, Event{Site: site, Switch: true, Outcome: outcome})
 	if len(b.buf) >= batchSize {
@@ -401,13 +297,13 @@ func (b *Batcher) RecordSwitch(site, outcome int32) {
 
 // Flush drains the buffer into every collector.
 func (b *Batcher) Flush() {
-	for ci, fn := range b.fns {
-		sw := b.swFns[ci]
-		for i := range b.buf {
-			if b.buf[i].Switch {
-				sw(b.buf[i].Site, b.buf[i].Outcome)
-			} else {
-				fn(b.buf[i].Site, b.buf[i].Taken)
+	for ci, c := range b.cs {
+		sw := b.sws[ci]
+		for _, ev := range b.buf {
+			if !ev.Switch {
+				c.RecordBranch(ev.Site, ev.Taken)
+			} else if sw != nil {
+				sw.RecordSwitch(ev.Site, ev.Outcome)
 			}
 		}
 	}

@@ -3,9 +3,8 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"repro/internal/ir"
 )
 
 // genEvents produces a stream with long runs (loop-shaped) and random
@@ -144,11 +143,11 @@ func TestSlabReplayInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	events := genEvents(rng, 2000)
 	s := recordSlab(events)
-	// One SiteCollector, one Collector-only consumer: both must see the
-	// full ordered stream.
+	// Two collectors sharing one decode pass: both must see the full
+	// ordered stream.
 	counts := NewCounts(40)
-	var termOnly termLog
-	s.ReplayInto(counts, &termOnly)
+	var log Log
+	s.ReplayInto(counts, &log)
 	var wantTaken, wantNot uint64
 	for _, ev := range events {
 		if ev.Taken {
@@ -165,65 +164,45 @@ func TestSlabReplayInto(t *testing.T) {
 	if gotTaken != wantTaken || gotNot != wantNot {
 		t.Fatalf("counts %d/%d, want %d/%d", gotTaken, gotNot, wantTaken, wantNot)
 	}
-	if len(termOnly.events) != len(events) {
-		t.Fatalf("term-only collector saw %d events, want %d", len(termOnly.events), len(events))
+	if len(log.Events) != len(events) {
+		t.Fatalf("log saw %d events, want %d", len(log.Events), len(events))
 	}
-	for i, ev := range termOnly.events {
+	for i, ev := range log.Events {
 		if ev != events[i] {
 			t.Fatalf("event %d = %+v, want %+v", i, ev, events[i])
 		}
 	}
 }
 
-// termLog implements only the legacy Collector interface, exercising the
-// Term-synthesis fallback of ReplayInto and Batcher.
-type termLog struct {
-	events []Event
-}
-
-func (l *termLog) Branch(t *ir.Term, taken bool) {
-	l.events = append(l.events, Event{Site: t.Site, Taken: taken})
-}
-
+// TestBatcherEquivalentToMulti: batching must be invisible. Every
+// collector behind a Batcher ends in the state a direct, unbatched fan-out
+// to multiple collectors leaves, and sees branch and switch events in
+// their interleaved order.
 func TestBatcherEquivalentToMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	events := genEvents(rng, 3*batchSize+17) // cross several flush boundaries
-	nSites := int32(40)
-
-	direct := []Collector{NewCounts(int(nSites)), &Log{}, &termLog{}}
-	batched := []Collector{NewCounts(int(nSites)), &Log{}, &termLog{}}
-	multi := Multi(direct)
+	events := mixedEvents(3*batchSize+17, 12) // cross several flush boundaries
+	direct := []Collector{NewCounts(8), &Log{}, NewTargetCounts(0)}
+	batched := []Collector{NewCounts(8), &Log{}, NewTargetCounts(0)}
 	b := NewBatcher(batched...)
 	for _, ev := range events {
-		tm := ir.Term{Op: ir.TermBr, Site: ev.Site, Orig: ev.Site}
-		multi.Branch(&tm, ev.Taken)
-		b.Branch(&tm, ev.Taken)
+		for _, c := range direct {
+			if !ev.Switch {
+				c.RecordBranch(ev.Site, ev.Taken)
+			} else if sc, ok := c.(SwitchCollector); ok {
+				sc.RecordSwitch(ev.Site, ev.Outcome)
+			}
+		}
+		if ev.Switch {
+			b.RecordSwitch(ev.Site, ev.Outcome)
+		} else {
+			b.RecordBranch(ev.Site, ev.Taken)
+		}
 	}
 	b.Release()
-
-	dc, bc := direct[0].(*Counts), batched[0].(*Counts)
-	for i := range dc.Taken {
-		if dc.Taken[i] != bc.Taken[i] || dc.NotTaken[i] != bc.NotTaken[i] {
-			t.Fatalf("site %d: counts diverge", i)
-		}
+	if !reflect.DeepEqual(direct, batched) {
+		t.Fatal("batched collectors diverge from direct dispatch")
 	}
-	dl, bl := direct[1].(*Log), batched[1].(*Log)
-	if len(dl.Events) != len(bl.Events) {
-		t.Fatalf("log lengths diverge: %d vs %d", len(dl.Events), len(bl.Events))
-	}
-	for i := range dl.Events {
-		if dl.Events[i] != bl.Events[i] {
-			t.Fatalf("log event %d diverges", i)
-		}
-	}
-	dt, bt := direct[2].(*termLog), batched[2].(*termLog)
-	if len(dt.events) != len(bt.events) {
-		t.Fatalf("term log lengths diverge: %d vs %d", len(dt.events), len(bt.events))
-	}
-	for i := range dt.events {
-		if dt.events[i] != bt.events[i] {
-			t.Fatalf("term log event %d diverges", i)
-		}
+	if l := batched[1].(*Log); !reflect.DeepEqual(l.Events, events) {
+		t.Fatal("batched log lost the interleaved event order")
 	}
 }
 

@@ -1,59 +1,22 @@
 package trace
 
-import "repro/internal/ir"
-
-// SwitchCollector consumes one N-way dispatch event at a time: site is the
-// switch's prediction site (dense with conditional-branch sites) and
-// outcome the selected successor index — case index v for 0 <= v <
-// len(Targets), len(Targets) for the default arm. Collectors that do not
-// implement it simply never see switch events.
+// SwitchCollector consumes N-way dispatch events: site is the switch's
+// prediction site (dense with conditional-branch sites) and outcome the
+// selected successor index — case index v for 0 <= v < len(Targets),
+// len(Targets) for the default arm. RecordSwitchRun(s, o, n) must leave
+// the collector in a state identical to n consecutive RecordSwitch(s, o)
+// calls. A Collector that does not implement it simply never sees switch
+// events.
 type SwitchCollector interface {
 	RecordSwitch(site, outcome int32)
-}
-
-// SwitchRunCollector is the run-aware switch contract, mirroring
-// RunCollector: RecordSwitchRun(s, o, n) must leave the collector in a
-// state identical to n consecutive RecordSwitch(s, o) calls.
-type SwitchRunCollector interface {
 	RecordSwitchRun(site, outcome int32, n uint64)
 }
 
-// dropSwitch and dropSwitchRun are the resolved entry points for
-// collectors without switch support; the decode loops still track switch
-// state (for run markers) but the events go nowhere.
+// dropSwitch and dropSwitchRun are the switch entry points for collectors
+// without switch support; the decode loops still track switch state (for
+// run markers) but the events go nowhere.
 func dropSwitch(int32, int32)            {}
 func dropSwitchRun(int32, int32, uint64) {}
-
-// recordSwitchRunOn delivers one switch run to a collector of unknown
-// concrete type, silently dropping it when the collector has no switch
-// entry point.
-func recordSwitchRunOn(c Collector, site, outcome int32, n uint64) {
-	switch c := c.(type) {
-	case SwitchRunCollector:
-		c.RecordSwitchRun(site, outcome, n)
-	case SwitchCollector:
-		for ; n > 0; n-- {
-			c.RecordSwitch(site, outcome)
-		}
-	}
-}
-
-// switchRunFn resolves a value's fastest switch-run entry point, or the
-// drop stub when it has none. The replay fan-outs resolve once per
-// collector instead of type-switching per event.
-func switchRunFn(v any) func(site, outcome int32, n uint64) {
-	switch c := v.(type) {
-	case SwitchRunCollector:
-		return c.RecordSwitchRun
-	case SwitchCollector:
-		return func(site, outcome int32, n uint64) {
-			for ; n > 0; n-- {
-				c.RecordSwitch(site, outcome)
-			}
-		}
-	}
-	return dropSwitchRun
-}
 
 // TargetCounts accumulates per-site switch outcome histograms — the
 // profiling requirement of the case-clustering transform, which needs the
@@ -66,19 +29,22 @@ type TargetCounts struct {
 	Sites [][]uint64
 }
 
+var (
+	_ Sharded         = (*TargetCounts)(nil)
+	_ SwitchCollector = (*TargetCounts)(nil)
+)
+
 // NewTargetCounts sizes the outer table for nSites prediction sites; rows
 // still grow on demand, and sites beyond the hint grow the table.
 func NewTargetCounts(nSites int) *TargetCounts {
 	return &TargetCounts{Sites: make([][]uint64, nSites)}
 }
 
-// Branch implements Collector as a no-op: only switch events matter here.
-func (c *TargetCounts) Branch(*ir.Term, bool) {}
-
-// RecordBranch implements SiteCollector as a no-op.
+// RecordBranch implements Collector as a no-op: only switch events matter
+// here.
 func (c *TargetCounts) RecordBranch(int32, bool) {}
 
-// RecordRun implements RunCollector as a no-op.
+// RecordRun implements Collector as a no-op.
 func (c *TargetCounts) RecordRun(int32, bool, uint64) {}
 
 // RecordSwitch implements SwitchCollector.
@@ -86,7 +52,7 @@ func (c *TargetCounts) RecordSwitch(site, outcome int32) {
 	c.RecordSwitchRun(site, outcome, 1)
 }
 
-// RecordSwitchRun implements SwitchRunCollector.
+// RecordSwitchRun implements SwitchCollector.
 func (c *TargetCounts) RecordSwitchRun(site, outcome int32, n uint64) {
 	for int(site) >= len(c.Sites) {
 		c.Sites = append(c.Sites, nil)
@@ -100,10 +66,10 @@ func (c *TargetCounts) RecordSwitchRun(site, outcome int32, n uint64) {
 }
 
 // NewShard implements Sharded.
-func (c *TargetCounts) NewShard() RunCollector { return NewTargetCounts(len(c.Sites)) }
+func (c *TargetCounts) NewShard() Collector { return NewTargetCounts(len(c.Sites)) }
 
 // Merge implements Sharded.
-func (c *TargetCounts) Merge(shard RunCollector) {
+func (c *TargetCounts) Merge(shard Collector) {
 	o := shard.(*TargetCounts)
 	for site, row := range o.Sites {
 		for outcome, n := range row {

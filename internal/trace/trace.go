@@ -13,24 +13,19 @@ import (
 	"io"
 	"math"
 	"sync"
-
-	"repro/internal/ir"
 )
 
-// Collector consumes one branch event at a time. The *ir.Term identifies
-// the site; implementations must not retain it across program transforms.
+// Collector consumes conditional-branch events keyed on the dense site
+// number, the only identity a trace records. RecordRun delivers a maximal
+// RLE run of n identical outcomes as one call, and the contract is strict:
+// RecordRun(s, t, n) must leave the collector in a state bit-identical to
+// n consecutive RecordBranch(s, t) calls, so replaying through runs is a
+// pure speedup, never an approximation (pinned by
+// FuzzRunCollectorEquivalence). Live interpreter hooks reach a Collector
+// through interp.BranchHook.
 type Collector interface {
-	Branch(t *ir.Term, taken bool)
-}
-
-// Multi fans one event stream out to several collectors.
-type Multi []Collector
-
-// Branch implements Collector.
-func (m Multi) Branch(t *ir.Term, taken bool) {
-	for _, c := range m {
-		c.Branch(t, taken)
-	}
+	RecordBranch(site int32, taken bool)
+	RecordRun(site int32, taken bool, n uint64)
 }
 
 // Event is one recorded branch outcome. Switch marks an N-way dispatch
@@ -52,8 +47,10 @@ type Log struct {
 	Seen uint64
 }
 
-// Branch implements Collector.
-func (l *Log) Branch(t *ir.Term, taken bool) { l.RecordBranch(t.Site, taken) }
+var (
+	_ Collector       = (*Log)(nil)
+	_ SwitchCollector = (*Log)(nil)
+)
 
 // Counts accumulates per-site taken/not-taken totals, the "profile"
 // strategy's entire data requirement.
@@ -62,13 +59,12 @@ type Counts struct {
 	NotTaken []uint64
 }
 
+var _ Sharded = (*Counts)(nil)
+
 // NewCounts sizes the tables for nSites branch sites.
 func NewCounts(nSites int) *Counts {
 	return &Counts{Taken: make([]uint64, nSites), NotTaken: make([]uint64, nSites)}
 }
-
-// Branch implements Collector.
-func (c *Counts) Branch(t *ir.Term, taken bool) { c.RecordBranch(t.Site, taken) }
 
 // Total returns the number of events recorded for site s.
 func (c *Counts) Total(s int32) uint64 { return c.Taken[s] + c.NotTaken[s] }
@@ -121,6 +117,11 @@ type Writer struct {
 	closed bool
 }
 
+var (
+	_ Collector       = (*Writer)(nil)
+	_ SwitchCollector = (*Writer)(nil)
+)
+
 // NewWriter writes the header and returns a streaming writer.
 func NewWriter(w io.Writer) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -136,10 +137,7 @@ func (w *Writer) putUvarint(v uint64) {
 	w.w.Write(buf[:n]) // errors surface at Close via Flush
 }
 
-// Branch implements Collector.
-func (w *Writer) Branch(t *ir.Term, taken bool) { w.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements SiteCollector.
+// RecordBranch implements Collector.
 func (w *Writer) RecordBranch(site int32, taken bool) {
 	code := (uint64(site)+1)<<1 | b2u(taken)
 	w.total++
@@ -172,7 +170,7 @@ func (w *Writer) RecordSwitch(site, outcome int32) {
 	w.RecordSwitchRun(site, outcome, 1)
 }
 
-// RecordSwitchRun implements SwitchRunCollector on the wire encoder.
+// RecordSwitchRun implements SwitchCollector on the wire encoder.
 func (w *Writer) RecordSwitchRun(site, outcome int32, n uint64) {
 	if n == 0 {
 		return
@@ -390,30 +388,5 @@ func ReadAll(r io.Reader) ([]Event, error) {
 			return nil, err
 		}
 		out = append(out, ev)
-	}
-}
-
-// Replay feeds a decoded trace into a collector, synthesising Term values
-// for the site IDs. Sites must be consistent with the program the collector
-// was sized for.
-func Replay(events []Event, c Collector) {
-	// One Term per site is enough: collectors read only Site.
-	terms := map[int32]*ir.Term{}
-	sw, _ := c.(SwitchCollector)
-	for _, ev := range events {
-		if ev.Switch {
-			// Switch events reach collectors that understand them; the
-			// rest see only the conditional-branch stream.
-			if sw != nil {
-				sw.RecordSwitch(ev.Site, ev.Outcome)
-			}
-			continue
-		}
-		t := terms[ev.Site]
-		if t == nil {
-			t = &ir.Term{Op: ir.TermBr, Site: ev.Site, Orig: ev.Site}
-			terms[ev.Site] = t
-		}
-		c.Branch(t, ev.Taken)
 	}
 }

@@ -6,13 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/ir"
 )
-
-func term(site int32) *ir.Term {
-	return &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-}
 
 func TestRoundTripSimple(t *testing.T) {
 	var buf bytes.Buffer
@@ -22,7 +16,7 @@ func TestRoundTripSimple(t *testing.T) {
 	}
 	events := []Event{{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 1, Taken: false}, {Site: 0, Taken: true}, {Site: 2, Taken: true}, {Site: 2, Taken: true}, {Site: 2, Taken: true}}
 	for _, ev := range events {
-		w.Branch(term(ev.Site), ev.Taken)
+		w.RecordBranch(ev.Site, ev.Taken)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -73,7 +67,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for _, ev := range events {
-			w.Branch(term(ev.Site), ev.Taken)
+			w.RecordBranch(ev.Site, ev.Taken)
 		}
 		if err := w.Close(); err != nil {
 			return false
@@ -103,10 +97,9 @@ func TestRunLengthCompresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := term(5)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		w.Branch(tm, true)
+		w.RecordBranch(5, true)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -136,7 +129,7 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		w.Branch(term(int32(i)), i%2 == 0)
+		w.RecordBranch(int32(i), i%2 == 0)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -163,7 +156,7 @@ func TestFooterCountMismatchDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Branch(term(0), true)
+	w.RecordBranch(0, true)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +186,7 @@ func TestFooterCountMismatchDetected(t *testing.T) {
 func TestLogCapAndSeen(t *testing.T) {
 	l := &Log{Max: 3}
 	for i := 0; i < 10; i++ {
-		l.Branch(term(1), true)
+		l.RecordBranch(1, true)
 	}
 	if len(l.Events) != 3 {
 		t.Fatalf("len = %d, want 3", len(l.Events))
@@ -205,10 +198,10 @@ func TestLogCapAndSeen(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	c := NewCounts(3)
-	c.Branch(term(0), true)
-	c.Branch(term(0), true)
-	c.Branch(term(0), false)
-	c.Branch(term(2), false)
+	c.RecordBranch(0, true)
+	c.RecordBranch(0, true)
+	c.RecordBranch(0, false)
+	c.RecordBranch(2, false)
 	if c.Taken[0] != 2 || c.NotTaken[0] != 1 {
 		t.Fatalf("site 0 counts = %d/%d", c.Taken[0], c.NotTaken[0])
 	}
@@ -223,21 +216,21 @@ func TestCounts(t *testing.T) {
 	}
 }
 
+// TestMultiFansOut: one replay pass with multiple collectors delivers the
+// whole stream to each of them.
 func TestMultiFansOut(t *testing.T) {
 	a := NewCounts(1)
 	b := &Log{}
-	m := Multi{a, b}
-	m.Branch(term(0), true)
-	m.Branch(term(0), false)
+	recordSlab([]Event{{Site: 0, Taken: true}, {Site: 0, Taken: false}}).ReplayInto(a, b)
 	if a.Total(0) != 2 || len(b.Events) != 2 {
-		t.Fatal("multi did not fan out")
+		t.Fatal("replay did not fan out")
 	}
 }
 
 func TestReplay(t *testing.T) {
 	events := []Event{{Site: 0, Taken: true}, {Site: 1, Taken: false}, {Site: 0, Taken: false}}
 	c := NewCounts(2)
-	Replay(events, c)
+	recordSlab(events).ReplayInto(c)
 	if c.Taken[0] != 1 || c.NotTaken[0] != 1 || c.NotTaken[1] != 1 {
 		t.Fatalf("replay counts wrong: %+v", c)
 	}
