@@ -432,8 +432,8 @@ func BenchmarkProfileCollection(b *testing.B) {
 	}
 }
 
-// BenchmarkLoopMachineSearch measures the exhaustive suffix-closed search
-// at the paper's largest machine size.
+// BenchmarkLoopMachineSearch measures the paper-counting loop-machine
+// search at the paper's largest machine size.
 func BenchmarkLoopMachineSearch(b *testing.B) {
 	lh := profile.NewLocalHistory(1, 9)
 	x := uint32(1)

@@ -90,6 +90,8 @@ stage_fuzz() {
     go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s ./internal/analysis
     go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/vm
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
+    # The loop-machine tree DP must score like the exhaustive enumeration.
+    go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine
     # Indirect family: clustered switch programs must stay observably
     # identical to their originals on both backends.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect

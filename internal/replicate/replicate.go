@@ -156,6 +156,7 @@ func ApplyOpts(prog *ir.Program, choices []statemachine.Choice, profilePreds []i
 	}
 	Annotate(prog, profilePreds)
 	branchy := branchyFuncs(prog)
+	loops := loopForests{}
 	// Apply in decreasing gain density (correct predictions gained per
 	// instruction added) — the ordering rule of the paper's §5 figures.
 	// Costs are estimated on the untransformed program.
@@ -181,7 +182,7 @@ func ApplyOpts(prog *ir.Program, choices []statemachine.Choice, profilePreds []i
 			for _, f := range prog.Funcs {
 				for _, b := range f.Blocks {
 					if b.Term.Op == ir.TermBr && !b.Term.SwTest && b.Term.Orig == c.Site {
-						if est := estimateLoopGrowth(f, b, c.NumStates()); est > 0 {
+						if est := loops.growth(f, b, c.NumStates()); est > 0 {
 							cost += float64(est)
 						}
 					}
@@ -228,7 +229,7 @@ func ApplyOpts(prog *ir.Program, choices []statemachine.Choice, profilePreds []i
 					continue
 				}
 				if c.Kind == statemachine.KindLoop || c.Kind == statemachine.KindExit {
-					if cur+estimateLoopGrowth(s.f, s.b, c.NumStates()) > budget {
+					if cur+loops.growth(s.f, s.b, c.NumStates()) > budget {
 						st.Skipped++
 						continue
 					}
@@ -237,12 +238,12 @@ func ApplyOpts(prog *ir.Program, choices []statemachine.Choice, profilePreds []i
 			var err error
 			switch c.Kind {
 			case statemachine.KindLoop:
-				err = replicateLoop(s.f, s.b, loopM{c.Loop}, st.Prov)
+				err = replicateLoop(s.f, s.b, loops.innermost(s.f, s.b), loopM{c.Loop}, st.Prov)
 				if err == nil {
 					st.LoopApplied++
 				}
 			case statemachine.KindExit:
-				err = replicateLoop(s.f, s.b, exitM{c.Exit}, st.Prov)
+				err = replicateLoop(s.f, s.b, loops.innermost(s.f, s.b), exitM{c.Exit}, st.Prov)
 				if err == nil {
 					st.ExitApplied++
 				}
@@ -252,6 +253,8 @@ func ApplyOpts(prog *ir.Program, choices []statemachine.Choice, profilePreds []i
 				st.PathEdgesCatchAll += catch
 				st.PathApplied++
 			}
+			// Both transforms rewrite s.f and no other function.
+			delete(loops, s.f)
 			if err != nil {
 				st.Skipped++
 			}
@@ -282,13 +285,25 @@ func verify(st *Stats, prog *ir.Program, choices []statemachine.Choice, profileP
 	return nil
 }
 
-// estimateLoopGrowth bounds the instruction growth of replicating the
-// innermost loop of block b into n state copies (pruning can only shrink
-// the real figure).
-func estimateLoopGrowth(f *ir.Func, b *ir.Block, n int) int {
-	g := cfg.Build(f)
-	lf := cfg.FindLoops(g)
-	l := lf.InnermostLoop(b)
+// loopForests memoises each function's loop forest for one ApplyOpts run.
+// A transform invalidates only the function it rewrites, whose entry the
+// caller drops.
+type loopForests map[*ir.Func]*cfg.LoopForest
+
+// innermost returns the innermost natural loop of f containing b, or nil.
+func (lfs loopForests) innermost(f *ir.Func, b *ir.Block) *cfg.Loop {
+	lf, ok := lfs[f]
+	if !ok {
+		lf = cfg.FindLoops(cfg.Build(f))
+		lfs[f] = lf
+	}
+	return lf.InnermostLoop(b)
+}
+
+// growth bounds the instruction growth of replicating the innermost loop
+// of block b into n state copies (pruning can only shrink the real figure).
+func (lfs loopForests) growth(f *ir.Func, b *ir.Block, n int) int {
+	l := lfs.innermost(f, b)
 	if l == nil {
 		return 0
 	}
@@ -296,19 +311,16 @@ func estimateLoopGrowth(f *ir.Func, b *ir.Block, n int) int {
 }
 
 // replicateLoop materialises a state machine for the branch in block b by
-// copying its innermost natural loop once per state (Figure 1): all edges
-// stay within their copy except the replicated branch, whose taken and
-// not-taken successors jump into the copies designated by the transition
-// function. Entries into the loop go to the initial state's copy; exits
-// leave unchanged; unreachable copies are pruned.
-func replicateLoop(f *ir.Func, b *ir.Block, m machine, prov *analysis.Provenance) error {
+// copying l, b's innermost natural loop, once per state (Figure 1): all
+// edges stay within their copy except the replicated branch, whose taken
+// and not-taken successors jump into the copies designated by the
+// transition function. Entries into the loop go to the initial state's
+// copy; exits leave unchanged; unreachable copies are pruned.
+func replicateLoop(f *ir.Func, b *ir.Block, l *cfg.Loop, m machine, prov *analysis.Provenance) error {
 	n := m.NumStates()
 	if n < 2 {
 		return nil
 	}
-	g := cfg.Build(f)
-	lf := cfg.FindLoops(g)
-	l := lf.InnermostLoop(b)
 	if l == nil {
 		return fmt.Errorf("replicate: branch block %s is not in a loop", b)
 	}

@@ -364,13 +364,20 @@ type MachinesResponse struct {
 	Choices    []ChoiceJSON `json:"choices"`
 }
 
+// maxStates caps a request's machine size at the paper's largest (Table 5
+// sweeps 2..10). The replay-scored loop search enumerates every
+// suffix-closed set and grows about 3.7× per extra state without polling
+// the request context, so a larger size would keep a core busy long after
+// the deadline.
+const maxStates = 10
+
 func (req *Request) machineOpts() (states, pathLen int, err error) {
 	states = req.States
 	if states == 0 {
 		states = 5
 	}
-	if states < 2 || states > 64 {
-		return 0, 0, badRequest("states %d out of range [2,64]", states)
+	if states < 2 || states > maxStates {
+		return 0, 0, badRequest("states %d out of range [2,%d]", states, maxStates)
 	}
 	pathLen = req.MaxPathLen
 	if pathLen == 0 {

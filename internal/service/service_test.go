@@ -212,6 +212,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown_field", "profile", `{"workload":"cc","nope":1}`, 400},
 		{"budget_over_cap", "profile", `{"workload":"cc","budget":999999999}`, 400},
 		{"states_out_of_range", "machines", `{"workload":"cc","states":1}`, 400},
+		{"states_too_large", "replicate", `{"workload":"cc","states":11}`, 400},
 		{"path_len_out_of_range", "machines", `{"workload":"cc","max_path_len":9}`, 400},
 		{"size_factor_range", "replicate", `{"workload":"cc","max_size_factor":0.5}`, 400},
 		{"bad_strategy", "score", `{"workload":"cc","strategy":"oracle"}`, 400},

@@ -127,8 +127,9 @@ func scoreStates(t *CountTree, states []Pattern) (hits, total uint64, preds []bo
 	return hits, total, preds
 }
 
-// scoreStatesFast computes only the hit count, allocation-free; the search
-// inner loop uses it before materialising full machines for the leaders.
+// scoreStatesFast computes only the hit count, allocation-free; the exact
+// search's inner loop uses it before materialising full machines for the
+// leaders.
 func scoreStatesFast(t *CountTree, states []Pattern) (hits uint64) {
 	inSet := func(q Pattern) bool {
 		for _, s := range states {
@@ -153,54 +154,212 @@ func scoreStatesFast(t *CountTree, states []Pattern) (hits uint64) {
 	return hits
 }
 
-// BestLoopMachine searches exhaustively for the n-state machine with the
-// most correct predictions for one branch, given its k-bit pattern table
-// (tab may be nil for a never-profiled branch, in which case the machine
-// degenerates to catch-all states with zero counts). Machines are built
-// over two bases, both drawn in the paper: the two 1-bit catch-all states
-// (Figure 2) and, when n ≥ 4, the four 2-bit catch-all states (Figure 3);
-// each base grows by suffix-closed extension up to history length
-// min(n-1, k).
-//
-// n must be at least 2. A 2-state machine is exactly the 1-bit history
-// scheme.
-func BestLoopMachine(tab []profile.Pair, k, n int) *LoopMachine {
+// The two bases every loop machine grows from, both drawn in the paper: the
+// two 1-bit catch-all states (Figure 2) and the four 2-bit ones (Figure 3).
+var (
+	base1 = []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
+	base2 = []Pattern{
+		{Bits: 0, Len: 2}, {Bits: 1, Len: 2},
+		{Bits: 2, Len: 2}, {Bits: 3, Len: 2},
+	}
+)
+
+// searchBounds validates a loop-machine request and returns the state
+// count clamped to the complete suffix tree over k-bit histories
+// (2^(k+1)−2 states, the largest suffix-closed set there is) and the
+// longest pattern the machine may use, min(n−1, k).
+func searchBounds(k, n int) (states, maxLen int) {
 	if n < 2 {
 		panic(fmt.Sprintf("statemachine: loop machine needs >= 2 states, got %d", n))
 	}
 	if k < 1 {
 		panic("statemachine: history length must be >= 1")
 	}
+	n = min(n, 1<<(k+1)-2)
+	return n, min(n-1, k)
+}
+
+// BestLoopMachine finds the machine of n states (fewer only when n exceeds
+// the complete 2^(k+1)−2-state tree) with the most correct predictions for
+// one branch under the paper's longest-match counting, given its k-bit
+// pattern table (tab may be nil for a never-profiled branch, in which case
+// the machine degenerates to catch-all states with zero counts). Machines
+// grow from base1 or, when n ≥ 4, from base2 by suffix-closed extension up
+// to history length min(n−1, k).
+//
+// The search is an exact dynamic program over the count tree (loopDP): it
+// scores as well as the best of every suffix-closed set. Among sets that
+// score equally it prefers base1 over base2 and then, at every state, the
+// split that puts fewer states under the not-taken extension.
+//
+// n must be at least 2. A 2-state machine is exactly the 1-bit history
+// scheme.
+func BestLoopMachine(tab []profile.Pair, k, n int) *LoopMachine {
+	n, maxLen := searchBounds(k, n)
 	t := NewCountTree(tab, k)
-	maxLen := n - 1
-	if maxLen > k {
-		maxLen = k
-	}
-
-	var best *LoopMachine
-	consider := func(states []Pattern) {
-		hits := scoreStatesFast(t, states)
-		if best == nil || hits > best.Hits {
-			cp := make([]Pattern, len(states))
-			copy(cp, states)
-			sortPatterns(cp)
-			// Rescore in sorted order so PredTaken aligns with States.
-			h2, t2, p2 := scoreStates(t, cp)
-			best = &LoopMachine{States: cp, PredTaken: p2, Hits: h2, Total: t2}
+	d := newLoopDP(t, n, maxLen)
+	// base1 always fits: searchBounds clamps n to its complete tree.
+	hits, sizes, _ := d.split(base1, n)
+	roots := base1
+	if n >= 4 && maxLen >= 2 {
+		if h2, s2, ok := d.split(base2, n); ok && h2 > hits {
+			roots, sizes = base2, s2
 		}
 	}
-
-	base1 := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
-	enumerateSuffixClosed(base1, n, maxLen, consider)
-	if n >= 4 && maxLen >= 2 && k >= 2 {
-		base2 := []Pattern{
-			{Bits: 0, Len: 2}, {Bits: 1, Len: 2},
-			{Bits: 2, Len: 2}, {Bits: 3, Len: 2},
-		}
-		enumerateSuffixClosed(base2, n, maxLen, consider)
+	states := make([]Pattern, 0, n)
+	for i, r := range roots {
+		states = d.grow(states, r, sizes[i])
 	}
-	best.Init = initialState(t, best.States)
-	return best
+	sortPatterns(states)
+	h, tot, preds := scoreStates(t, states)
+	return &LoopMachine{States: states, PredTaken: preds, Init: initialState(t, states), Hits: h, Total: tot}
+}
+
+// loopDP is the search behind BestLoopMachine. Longest-match counting
+// splits over a suffix-closed set: state p keeps the events of cnt(p) that
+// none of its children (its one-bit-older extensions c0, c1) claims as a
+// state, so p's score depends only on which children are states. Hence
+// the best score f(p, m) of an m-state suffix-closed subtree rooted at p is
+//
+//	f(p, 1) = Hits(cnt p)
+//	f(p, m) = max over m0 + m1 = m−1 of f(c0, m0) + f(c1, m1) + Hits(eff p)
+//
+// with f(c, 0) = 0 for a child that is not a state, and eff p = cnt c1 when
+// only c0 is a state, cnt c0 when only c1 is, and nothing when both are
+// (cnt p = cnt c0 + cnt c1 below the profile's history length). The table
+// holds f for every pattern up to maxLen, filled bottom up in
+// O(Σ_l 2^l·(n−l)²) steps, about 6k for n = 10 and k = 9. Patterns with no
+// profiled events score 0 at every size and are skipped.
+type loopDP struct {
+	t *CountTree
+	// width[l] is the largest size a subtree rooted at length l can take:
+	// the complete subtree of 2^(maxLen−l+1)−1 states, or n−l, since the
+	// root's l−1 ancestors and at least one other base state lie outside.
+	width []int
+	// f[l][bits*width[l]+m−1] is f(p, m) for the length-l pattern p.
+	f [][]uint64
+}
+
+func newLoopDP(t *CountTree, n, maxLen int) *loopDP {
+	d := &loopDP{t: t, width: make([]int, maxLen+1), f: make([][]uint64, maxLen+1)}
+	cells := 0
+	for l := 1; l <= maxLen; l++ {
+		d.width[l] = min(n-l, 1<<(maxLen-l+1)-1)
+		cells += d.width[l] << l
+	}
+	flat := make([]uint64, cells)
+	for l := maxLen; l >= 1; l-- {
+		w := d.width[l]
+		d.f[l], flat = flat[:w<<l], flat[w<<l:]
+		for b := range 1 << l {
+			p := Pattern{Bits: uint32(b), Len: uint8(l)}
+			if t.Count(p).Total() == 0 {
+				continue
+			}
+			for m := 1; m <= w; m++ {
+				d.f[l][b*w+m-1], _ = d.best(p, m)
+			}
+		}
+	}
+	return d
+}
+
+// at returns f(p, m), with f(p, 0) = 0 for an absent subtree.
+func (d *loopDP) at(p Pattern, m int) uint64 {
+	if m == 0 {
+		return 0
+	}
+	return d.f[p.Len][int(p.Bits)*d.width[p.Len]+m-1]
+}
+
+// best evaluates f(p, m) from the children's entries and returns it with
+// the number of states m0 it places under c0 (the other m−1−m0 go under
+// c1). Splits are tried with m0 ascending and only a strictly better one
+// replaces the incumbent, so ties keep the smallest m0.
+func (d *loopDP) best(p Pattern, m int) (hits uint64, m0 int) {
+	if m == 1 {
+		return d.t.Count(p).Hits(), 0
+	}
+	c0, c1 := p.Extend(false), p.Extend(true)
+	w := d.width[c0.Len]
+	m0 = -1
+	for k0 := max(0, m-1-w); k0 <= min(m-1, w); k0++ {
+		k1 := m - 1 - k0
+		h := d.at(c0, k0) + d.at(c1, k1)
+		switch {
+		case k0 == 0:
+			h += d.t.Count(c0).Hits()
+		case k1 == 0:
+			h += d.t.Count(c1).Hits()
+		}
+		if m0 < 0 || h > hits {
+			hits, m0 = h, k0
+		}
+	}
+	return hits, m0
+}
+
+// split distributes n states over the base roots, at least one each, to
+// maximise Σ f(root, size); ok is false when no distribution fits. Ties
+// keep the distribution that gives earlier roots fewer states.
+func (d *loopDP) split(roots []Pattern, n int) (hits uint64, sizes []int, ok bool) {
+	w := d.width[roots[0].Len]
+	r := len(roots)
+	// g[i][m] is the best score of roots[i:] with m states in all; feasible
+	// marks the m that some distribution reaches.
+	g := make([][]uint64, r+1)
+	feasible := make([][]bool, r+1)
+	for i := range g {
+		g[i] = make([]uint64, n+1)
+		feasible[i] = make([]bool, n+1)
+	}
+	feasible[r][0] = true
+	// pick returns the best size for roots[i] when roots[i:] share m states,
+	// or 0 when none fits.
+	pick := func(i, m int) (best uint64, size int) {
+		for k := 1; k <= min(w, m); k++ {
+			if !feasible[i+1][m-k] {
+				continue
+			}
+			if h := d.at(roots[i], k) + g[i+1][m-k]; size == 0 || h > best {
+				best, size = h, k
+			}
+		}
+		return best, size
+	}
+	for i := r - 1; i >= 0; i-- {
+		for m := 1; m <= n; m++ {
+			if h, k := pick(i, m); k > 0 {
+				g[i][m], feasible[i][m] = h, true
+			}
+		}
+	}
+	if !feasible[0][n] {
+		return 0, nil, false
+	}
+	sizes = make([]int, r)
+	for i, m := 0, n; i < r; i++ {
+		_, sizes[i] = pick(i, m)
+		m -= sizes[i]
+	}
+	return g[0][n], sizes, true
+}
+
+// grow appends the best m-state subtree rooted at p, replaying best's
+// choices.
+func (d *loopDP) grow(states []Pattern, p Pattern, m int) []Pattern {
+	states = append(states, p)
+	if m == 1 {
+		return states
+	}
+	_, m0 := d.best(p, m)
+	if m0 > 0 {
+		states = d.grow(states, p.Extend(false), m0)
+	}
+	if m1 := m - 1 - m0; m1 > 0 {
+		states = d.grow(states, p.Extend(true), m1)
+	}
+	return states
 }
 
 // delta builds the dense transition table of the machine.
@@ -241,20 +400,17 @@ func (m *LoopMachine) Rescore(st *profile.Stream) {
 	}
 }
 
-// BestLoopMachineExact searches like BestLoopMachine but scores the top
-// candidate sets by exact stream replay (Rescore) and returns the machine
-// that is actually best when realised as replicated code. The table-based
-// score is used as the search heuristic; the topK (here 12) candidates are
-// replayed.
+// BestLoopMachineExact searches the same state sets as BestLoopMachine but
+// scores the top candidates by exact stream replay (Rescore) and returns
+// the machine that is actually best when realised as replicated code. It
+// enumerates every suffix-closed set, ranks them by the table-based score,
+// and replays the topK (here 12).
 func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *LoopMachine {
 	if st == nil || st.Len() == 0 {
 		return BestLoopMachine(tab, k, n)
 	}
+	n, maxLen := searchBounds(k, n)
 	t := NewCountTree(tab, k)
-	maxLen := n - 1
-	if maxLen > k {
-		maxLen = k
-	}
 	const topK = 12
 	type cand struct {
 		hits   uint64
@@ -281,13 +437,8 @@ func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *Loo
 			top = top[:topK]
 		}
 	}
-	base1 := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
 	enumerateSuffixClosed(base1, n, maxLen, consider)
-	if n >= 4 && maxLen >= 2 && k >= 2 {
-		base2 := []Pattern{
-			{Bits: 0, Len: 2}, {Bits: 1, Len: 2},
-			{Bits: 2, Len: 2}, {Bits: 3, Len: 2},
-		}
+	if n >= 4 && maxLen >= 2 {
 		enumerateSuffixClosed(base2, n, maxLen, consider)
 	}
 	// The table score is an optimistic proxy; the realizable optimum is

@@ -4,8 +4,8 @@
 // paper's taxonomy:
 //
 //   - intra-loop machines: states are local-history patterns forming a
-//     suffix-closed set (generalising Figures 2–4), found by exhaustive
-//     search over the pattern table;
+//     suffix-closed set (generalising Figures 2–4), found by an exact
+//     dynamic program over the pattern table;
 //   - loop-exit machines: iteration-count chains with a saturating top
 //     state (Figure 5);
 //   - correlated machines: sets of branch paths with a catch-all state,

@@ -6,8 +6,8 @@
 // with branch tracing, the paper's profiling infrastructure (local,
 // global, and path pattern tables), a branch predictor zoo (static
 // heuristics, dynamic two-level predictors, semi-static strategies), the
-// branch prediction state machines of section 4 with exhaustive and
-// greedy searches, and the code replication transforms of section 5 —
+// branch prediction state machines of section 4 with exact and greedy
+// searches, and the code replication transforms of section 5 —
 // plus the benchmark harness that regenerates every table and figure of
 // the evaluation.
 //
