@@ -95,6 +95,9 @@ stage_fuzz() {
     # Indirect family: clustered switch programs must stay observably
     # identical to their originals on both backends.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect
+    # The shared dominator core, through cfg.Graph and ssa.Build, against
+    # the naive set-based dominator oracle.
+    go test -run='^$' -fuzz=FuzzDominators -fuzztime=10s ./internal/cfg
 }
 
 stage_check() {

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/loadgen"
 	"repro/internal/service"
 )
 
@@ -54,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		budget     = fs.Uint64("budget", 200_000, "default branch budget per run")
 		maxBudget  = fs.Uint64("maxbudget", 5_000_000, "hard cap on requested budgets")
 		cacheSize  = fs.Int("cache", 128, "artifact store entries")
-		shards     = fs.Int("shards", 0, "artifact store shards, rounded up to a power of two (0 = 8)")
+		shards     = fs.Int("shards", 0, "artifact store shards, rounded up to a power of two, at most 4096 (0 = 8)")
 		maxBatch   = fs.Int("maxbatch", 0, "max items per /v1/batch request (0 = 64)")
 		backend    = fs.String("backend", "interp", "execution backend: interp or vm")
 		diskDir    = fs.String("disk", "", "disk artifact tier directory (empty = memory only)")
@@ -152,7 +153,7 @@ func runSelfcheck(cfg service.Config, drain time.Duration, metricsOut string, st
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, l, drain) }()
 
-	report, lerr := service.Load(context.Background(), base, service.LoadOptions{
+	report, lerr := loadgen.Load(context.Background(), base, loadgen.LoadOptions{
 		Budget: 20_000,
 	})
 	if report != nil {

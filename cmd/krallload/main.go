@@ -44,6 +44,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/loadgen"
 	"repro/internal/results"
 	"repro/internal/service"
 )
@@ -112,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *workloads != "" {
 			names = strings.Split(*workloads, ",")
 		}
-		return runClusterBench(ctx, *nodes, *nodeRPS, service.ThroughputOptions{
+		return runClusterBench(ctx, *nodes, *nodeRPS, loadgen.ThroughputOptions{
 			Workloads:   names,
 			Budget:      *budget,
 			Requests:    *requests,
@@ -140,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *throughput {
-		return runThroughput(ctx, base, service.ThroughputOptions{
+		return runThroughput(ctx, base, loadgen.ThroughputOptions{
 			Workloads:   names,
 			Budget:      *budget,
 			BatchSize:   *batch,
@@ -152,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *concurrency == 0 {
 		*concurrency = 8
 	}
-	report, err := service.Load(ctx, base, service.LoadOptions{
+	report, err := loadgen.Load(ctx, base, loadgen.LoadOptions{
 		Workloads:   names,
 		Budget:      *budget,
 		Repeats:     *repeats,
@@ -191,8 +192,8 @@ func bootLocal(quiet bool, stderr io.Writer, base *string) (func(), chan error, 
 
 // runThroughput runs the throughput harness, prints the two phases, and
 // optionally merges the service section into a results document.
-func runThroughput(ctx context.Context, base string, opts service.ThroughputOptions, benchjson string, quiet bool, stdout io.Writer) error {
-	svc, err := service.Throughput(ctx, base, opts)
+func runThroughput(ctx context.Context, base string, opts loadgen.ThroughputOptions, benchjson string, quiet bool, stdout io.Writer) error {
+	svc, err := loadgen.Throughput(ctx, base, opts)
 	if err != nil {
 		return err
 	}

@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/loadgen"
 	"repro/internal/results"
 	"repro/internal/service"
 )
@@ -164,7 +165,7 @@ func loopback() (*net.TCPListener, string, error) {
 
 // runClusterBench is the parent side of -nodes: measure one capped node,
 // tear it down, measure n capped nodes, and report the scaling.
-func runClusterBench(ctx context.Context, n int, nodeRPS float64, opts service.ThroughputOptions, benchjson string, quiet bool, stdout, stderr io.Writer) error {
+func runClusterBench(ctx context.Context, n int, nodeRPS float64, opts loadgen.ThroughputOptions, benchjson string, quiet bool, stdout, stderr io.Writer) error {
 	if n < 2 {
 		return fmt.Errorf("-nodes needs at least 2 nodes, got %d", n)
 	}
@@ -201,7 +202,7 @@ func runClusterBench(ctx context.Context, n int, nodeRPS float64, opts service.T
 		if err := waitReady(ctx, url1); err != nil {
 			return nil, err
 		}
-		return service.ClusterThroughput(ctx, []string{url1}, opts)
+		return loadgen.ClusterThroughput(ctx, []string{url1}, opts)
 	}()
 	if err != nil {
 		return fmt.Errorf("single-node phase: %w", err)
@@ -243,7 +244,7 @@ func runClusterBench(ctx context.Context, n int, nodeRPS float64, opts service.T
 			return err
 		}
 	}
-	multi, err := service.ClusterThroughput(ctx, urls, opts)
+	multi, err := loadgen.ClusterThroughput(ctx, urls, opts)
 	if err != nil {
 		return fmt.Errorf("%d-node phase: %w", n, err)
 	}

@@ -88,7 +88,7 @@ func TestHeuristicSitesLoop(t *testing.T) {
 				t.Fatalf("equality guard site must predict not-taken, got p=%g (fired %v)", sh.Prob, sh.Fired)
 			}
 		}
-		if got := sh.Confidence(); got < 0 || got > 1 {
+		if got := sh.Confidence; got < 0 || got > 1 {
 			t.Fatalf("confidence %g out of range", got)
 		}
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/ir"
@@ -64,47 +65,42 @@ type StaticReport struct {
 // its heuristic probability (it never executes, so any direction scores
 // identically) but is flagged for the report.
 func BuildStaticReport(prog *ir.Program) (*StaticReport, error) {
-	c := NewContext(prog)
-	hs := HeuristicSites(c)
+	r := &StaticReport{Sites: HeuristicSites(NewContext(prog))}
 	sccp, err := SCCP(prog)
 	if err != nil {
 		return nil, err
 	}
-	r := &StaticReport{Sites: make([]SiteReport, len(hs))}
-	for i := range hs {
-		h := &hs[i]
+	for i := range r.Sites {
 		s := &r.Sites[i]
-		*s = SiteReport{
-			Site:      h.Site,
-			Func:      h.Func,
-			Prob:      h.Prob,
-			Fired:     h.Fired,
-			LoopDepth: h.LoopDepth,
-			Pred:      h.Prediction(),
-			Switch:    h.Switch,
-		}
 		if i < len(sccp.Facts) {
 			s.Fact = sccp.Facts[i]
 		}
 		if !s.Switch {
 			switch s.Fact {
 			case FactAlwaysTaken:
-				s.Prob, s.Pred = 1, ir.PredTaken
+				s.Prob = 1
 			case FactNeverTaken:
-				s.Prob, s.Pred = 0, ir.PredNotTaken
+				s.Prob = 0
 			}
 		}
-		s.Confidence = abs2(s.Prob)
+		s.settle()
 	}
 	return r, nil
 }
 
-func abs2(p float64) float64 {
-	d := p - 0.5
-	if d < 0 {
-		d = -d
+// settle derives the direction and confidence from Prob. Strictly above one
+// half predicts taken, everything else not-taken (the repository-wide tie
+// convention); switch sites have no two-way direction and predict nothing.
+func (s *SiteReport) settle() {
+	s.Confidence = math.Abs(s.Prob-0.5) * 2
+	switch {
+	case s.Switch:
+		s.Pred = ir.PredNone
+	case s.Prob > 0.5:
+		s.Pred = ir.PredTaken
+	default:
+		s.Pred = ir.PredNotTaken
 	}
-	return d * 2
 }
 
 // Predictions returns the per-site static directions, indexed by site ID —

@@ -442,9 +442,9 @@ func classify(d *WorkloadData) siteClass {
 		}
 		ft := d.C.Features[i]
 		switch {
-		case ft.InLoop && !ft.TakenExits && !ft.ElseExits:
+		case ft.LoopDepth > 0 && !ft.TakenExits && !ft.ElseExits:
 			sc.intra = append(sc.intra, int32(i))
-		case ft.InLoop:
+		case ft.LoopDepth > 0:
 			sc.exit = append(sc.exit, int32(i))
 		default:
 			sc.other = append(sc.other, int32(i))

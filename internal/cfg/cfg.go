@@ -1,5 +1,5 @@
 // Package cfg provides the control-flow analyses the paper's pipeline needs:
-// predecessor maps, reverse postorder, dominator trees (the Cooper–Harvey–
+// predecessor lists, reverse postorder, dominator trees (the Cooper–Harvey–
 // Kennedy iterative algorithm), and natural-loop detection with a loop
 // nesting forest, following the classical construction the paper cites
 // ([ASU86], "Natural loop analysis").
@@ -7,6 +7,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -14,162 +15,196 @@ import (
 
 // Graph is the analysed view of one function's CFG. It is immutable with
 // respect to the function it was built from: rebuilding after a transform is
-// the caller's job.
+// the caller's job. Blocks are identified by their dense ID, as ir.Validate
+// requires.
 type Graph struct {
 	Func *ir.Func
-
-	// Preds maps each block to its predecessors, in block order.
-	Preds map[*ir.Block][]*ir.Block
 
 	// RPO is the blocks reachable from the entry in reverse postorder.
 	RPO []*ir.Block
 
-	// rpoIndex maps each reachable block to its position in RPO.
-	rpoIndex map[*ir.Block]int
-
-	// idom maps each reachable block (except the entry) to its immediate
-	// dominator.
-	idom map[*ir.Block]*ir.Block
+	// blocks snapshots Func.Blocks: the ID→block mapping stays that of
+	// build time even if the function's block list changes later.
+	blocks []*ir.Block
+	// rpoIndex is each block's position in RPO, -1 when unreachable; idom
+	// is its immediate dominator's ID, -1 for the entry and unreachable
+	// blocks. Both are indexed by block ID.
+	rpoIndex []int
+	idom     []int
+	// preds lists each block's reachable predecessors, one entry per edge.
+	preds [][]*ir.Block
 }
 
 // Build computes predecessors, reverse postorder, and dominators for f.
 func Build(f *ir.Func) *Graph {
-	g := &Graph{
-		Func:     f,
-		Preds:    make(map[*ir.Block][]*ir.Block, len(f.Blocks)),
-		rpoIndex: make(map[*ir.Block]int, len(f.Blocks)),
-		idom:     make(map[*ir.Block]*ir.Block, len(f.Blocks)),
+	n := len(f.Blocks)
+	g := &Graph{Func: f, blocks: append([]*ir.Block(nil), f.Blocks...), preds: make([][]*ir.Block, n)}
+	var succs []*ir.Block
+	rpo, idom := Dominators(n, f.Entry.ID, func(v int, buf []int) []int {
+		succs = g.blocks[v].Succs(succs[:0])
+		for _, s := range succs {
+			if i := g.index(s); i >= 0 {
+				buf = append(buf, i)
+				g.preds[i] = append(g.preds[i], g.blocks[v])
+			}
+		}
+		return buf
+	})
+	g.idom = idom
+	g.RPO = make([]*ir.Block, len(rpo))
+	g.rpoIndex = make([]int, n)
+	for i := range g.rpoIndex {
+		g.rpoIndex[i] = -1
 	}
-	g.computeRPO()
-	g.computePreds()
-	g.computeDominators()
+	for i, v := range rpo {
+		g.RPO[i] = g.blocks[v]
+		g.rpoIndex[v] = i
+	}
 	return g
 }
 
-func (g *Graph) computeRPO() {
-	f := g.Func
-	seen := make(map[*ir.Block]bool, len(f.Blocks))
-	var post []*ir.Block
-	// Iterative DFS with an explicit stack of (block, nextSuccIndex).
-	type frame struct {
-		b     *ir.Block
-		succs []*ir.Block
-		next  int
+// index returns b's ID when b is one of the graph's blocks, else -1.
+func (g *Graph) index(b *ir.Block) int {
+	if b != nil && b.ID >= 0 && b.ID < len(g.blocks) && g.blocks[b.ID] == b {
+		return b.ID
 	}
+	return -1
+}
+
+// Dominators computes the reverse postorder and immediate dominators of a
+// graph over the dense node indices 0..n-1 with the Cooper–Harvey–Kennedy
+// iterative algorithm: a fixpoint over the reverse postorder that
+// intersects dominator paths. It is the one dominator routine behind both
+// Graph and the SSA builder. succs appends node v's successors to buf in
+// edge order and returns it; it is called once per reachable node, and the
+// depth-first search visits successors in that order. rpo lists the nodes
+// reachable from entry, entry first; idom[v] is v's immediate dominator,
+// -1 for the entry and unreachable nodes.
+func Dominators(n, entry int, succs func(v int, buf []int) []int) (rpo, idom []int) {
+	// Iterative depth-first search. num is -1 until a node is reached,
+	// then its reverse-postorder number.
+	num := make([]int, n)
+	for i := range num {
+		num[i] = -1
+	}
+	preds := make([][]int, n)
+	type frame struct{ v, next, end int }
+	var edges []int
 	var stack []frame
-	push := func(b *ir.Block) {
-		seen[b] = true
-		stack = append(stack, frame{b: b, succs: b.Succs(nil)})
+	push := func(v int) {
+		num[v] = 0
+		lo := len(edges)
+		edges = succs(v, edges)
+		for _, s := range edges[lo:] {
+			preds[s] = append(preds[s], v)
+		}
+		stack = append(stack, frame{v, lo, len(edges)})
 	}
-	push(f.Entry)
-	for len(stack) > 0 {
+	for push(entry); len(stack) > 0; {
 		top := &stack[len(stack)-1]
-		if top.next < len(top.succs) {
-			s := top.succs[top.next]
-			top.next++
-			if !seen[s] {
-				push(s)
-			}
+		if top.next == top.end {
+			rpo = append(rpo, top.v)
+			stack = stack[:len(stack)-1]
 			continue
 		}
-		post = append(post, top.b)
-		stack = stack[:len(stack)-1]
-	}
-	g.RPO = make([]*ir.Block, len(post))
-	for i, b := range post {
-		g.RPO[len(post)-1-i] = b
-	}
-	for i, b := range g.RPO {
-		g.rpoIndex[b] = i
-	}
-}
-
-func (g *Graph) computePreds() {
-	var succs []*ir.Block
-	for _, b := range g.RPO {
-		succs = b.Succs(succs[:0])
-		for _, s := range succs {
-			g.Preds[s] = append(g.Preds[s], b)
+		s := edges[top.next]
+		top.next++
+		if num[s] < 0 {
+			push(s)
 		}
 	}
-}
+	slices.Reverse(rpo)
+	for i, v := range rpo {
+		num[v] = i
+	}
 
-// computeDominators runs the Cooper–Harvey–Kennedy iterative dominator
-// algorithm over the reverse postorder.
-func (g *Graph) computeDominators() {
-	entry := g.Func.Entry
-	g.idom[entry] = entry
-	changed := true
-	for changed {
+	// The fixpoint, over RPO numbers: doms[i] is the RPO number of i's
+	// immediate dominator, -1 while unknown. An immediate dominator
+	// precedes its node in RPO, so intersecting walks toward 0.
+	doms := make([]int, len(rpo))
+	for i := range doms {
+		doms[i] = -1
+	}
+	doms[0] = 0
+	for changed := true; changed; {
 		changed = false
-		for _, b := range g.RPO {
-			if b == entry {
-				continue
-			}
-			var newIdom *ir.Block
-			for _, p := range g.Preds[b] {
-				if g.idom[p] == nil {
-					continue // not yet processed
+		for i := 1; i < len(rpo); i++ {
+			d := -1
+			for _, p := range preds[rpo[i]] {
+				p = num[p]
+				if doms[p] < 0 {
+					continue // not yet processed this sweep
 				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = g.intersect(p, newIdom)
+				for d >= 0 && p != d {
+					for p > d {
+						p = doms[p]
+					}
+					for d > p {
+						d = doms[d]
+					}
 				}
+				d = p
 			}
-			if newIdom != nil && g.idom[b] != newIdom {
-				g.idom[b] = newIdom
+			if doms[i] != d {
+				doms[i] = d
 				changed = true
 			}
 		}
 	}
-	g.idom[entry] = nil // the entry has no immediate dominator
-}
-
-func (g *Graph) intersect(a, b *ir.Block) *ir.Block {
-	for a != b {
-		for g.rpoIndex[a] > g.rpoIndex[b] {
-			a = g.idom[a]
-		}
-		for g.rpoIndex[b] > g.rpoIndex[a] {
-			b = g.idom[b]
-		}
+	idom = make([]int, n)
+	for i := range idom {
+		idom[i] = -1
 	}
-	return a
+	for i := 1; i < len(rpo); i++ {
+		idom[rpo[i]] = rpo[doms[i]]
+	}
+	return rpo, idom
 }
 
 // Idom returns the immediate dominator of b, or nil for the entry block and
 // unreachable blocks.
-func (g *Graph) Idom(b *ir.Block) *ir.Block { return g.idom[b] }
+func (g *Graph) Idom(b *ir.Block) *ir.Block {
+	if i := g.index(b); i >= 0 && g.idom[i] >= 0 {
+		return g.blocks[g.idom[i]]
+	}
+	return nil
+}
+
+// Preds returns b's reachable predecessors, one entry per edge.
+func (g *Graph) Preds(b *ir.Block) []*ir.Block {
+	if i := g.index(b); i >= 0 {
+		return g.preds[i]
+	}
+	return nil
+}
 
 // Dominates reports whether a dominates b (reflexively).
 func (g *Graph) Dominates(a, b *ir.Block) bool {
-	if _, ok := g.rpoIndex[b]; !ok {
+	i, j := g.index(a), g.index(b)
+	if i < 0 || j < 0 || g.rpoIndex[j] < 0 {
 		return false
 	}
-	for {
-		if a == b {
+	for ; j >= 0; j = g.idom[j] {
+		if i == j {
 			return true
 		}
-		next := g.idom[b]
-		if next == nil {
-			return false
-		}
-		b = next
 	}
+	return false
 }
 
 // Reachable reports whether b is reachable from the entry.
 func (g *Graph) Reachable(b *ir.Block) bool {
-	_, ok := g.rpoIndex[b]
+	_, ok := g.RPOIndex(b)
 	return ok
 }
 
 // RPOIndex returns b's reverse-postorder index; blocks earlier in RPO come
 // first on any path from the entry in a reducible region.
 func (g *Graph) RPOIndex(b *ir.Block) (int, bool) {
-	i, ok := g.rpoIndex[b]
-	return i, ok
+	if i := g.index(b); i >= 0 && g.rpoIndex[i] >= 0 {
+		return g.rpoIndex[i], true
+	}
+	return 0, false
 }
 
 // IsBackEdge reports whether the edge from→to is a back edge, i.e. its
@@ -182,7 +217,7 @@ func (g *Graph) IsBackEdge(from, to *ir.Block) bool {
 func (g *Graph) String() string {
 	s := fmt.Sprintf("cfg %s: %d reachable blocks\n", g.Func.Name, len(g.RPO))
 	for _, b := range g.RPO {
-		s += fmt.Sprintf("  %s idom=%v preds=%v\n", b, g.idom[b], g.Preds[b])
+		s += fmt.Sprintf("  %s idom=%v preds=%v\n", b, g.Idom(b), g.Preds(b))
 	}
 	return s
 }
@@ -267,7 +302,7 @@ func FindLoops(g *Graph) *LoopForest {
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, p := range g.Preds[b] {
+			for _, p := range g.Preds(b) {
 				if !l.members[p] && g.Reachable(p) {
 					l.members[p] = true
 					stack = append(stack, p)

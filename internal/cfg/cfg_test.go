@@ -194,11 +194,11 @@ func TestRPOOrder(t *testing.T) {
 func TestPredsComputed(t *testing.T) {
 	f := mkFunc(t, 4, map[int][]int{0: {1, 2}, 1: {3}, 2: {3}})
 	g := Build(f)
-	preds := g.Preds[f.Blocks[3]]
+	preds := g.Preds(f.Blocks[3])
 	if len(preds) != 2 {
 		t.Fatalf("join preds = %v", preds)
 	}
-	if len(g.Preds[f.Blocks[0]]) != 0 {
+	if len(g.Preds(f.Blocks[0])) != 0 {
 		t.Fatal("entry must have no preds")
 	}
 }

@@ -195,7 +195,7 @@ func main() int {
 		t.Fatalf("features = %d, want 1", len(fts))
 	}
 	ft := fts[0]
-	if !ft.InLoop {
+	if ft.LoopDepth == 0 {
 		t.Fatal("loop branch not marked in-loop")
 	}
 	// while-head branch: taken stays in loop, not-taken exits.

@@ -6,17 +6,22 @@ import (
 	"repro/internal/trace"
 )
 
-// SiteFeatures captures the static properties of one branch site that the
-// static heuristics of [Smi81] and [BL93] consult. BL has no pointers, so
-// the Ball–Larus "Pointer" heuristic has no applicable sites (documented
-// substitution in DESIGN.md).
+// SiteFeatures captures the static properties of one branch site: the one
+// per-site fact vector behind every static heuristic in the repository. It
+// has two readings — the first-match chains here (BallLarus, BackwardTaken,
+// OpcodeStatic, after [Smi81] and [BL93]) and the Dempster–Shafer fold of
+// analysis.HeuristicSites — which consult the same facts in different
+// orders. BL has no pointers, so the Ball–Larus "Pointer" heuristic has no
+// applicable sites (documented substitution in DESIGN.md).
 type SiteFeatures struct {
 	Site int32
+	// Func names the function containing the site.
+	Func string
 
-	// Switch marks a TermSwitch dispatch site. The two-way heuristics below
-	// do not apply to switches; they emit PredNone for such sites and the
-	// indirect clustering family predicts them from profiled target
-	// frequencies instead.
+	// Switch marks a TermSwitch dispatch site. The two-way facts below
+	// stay zero for switches; both readings emit no two-way prediction for
+	// them, and the indirect clustering family predicts them from profiled
+	// target frequencies instead.
 	Switch bool
 
 	// CmpOp is the comparison opcode that defines the branch condition in
@@ -26,15 +31,25 @@ type SiteFeatures struct {
 	// CmpA and CmpB are the comparison's operand registers (valid when
 	// CmpOp is set).
 	CmpA, CmpB ir.Reg
+	// GuardOp and GuardImm describe a comparison against a constant: when
+	// exactly one operand is defined by a constant earlier in the branch
+	// block, the comparison oriented as "variable GuardOp GuardImm".
+	// GuardOp is ir.OpInvalid otherwise.
+	GuardOp  ir.Op
+	GuardImm int64
 
 	// TakenBack/ElseBack: the edge is a back edge (its target dominates
 	// the branch block).
 	TakenBack, ElseBack bool
-	// InLoop: the branch block belongs to a natural loop.
-	InLoop bool
+	// LoopDepth is the nesting depth of the innermost natural loop
+	// containing the branch block (0 = not in a loop).
+	LoopDepth int
 	// TakenExits/ElseExits: the edge leaves the innermost loop containing
 	// the branch.
 	TakenExits, ElseExits bool
+	// TakenEnters/ElseEnters: the edge enters a loop that does not contain
+	// the branch (its target is that loop's header).
+	TakenEnters, ElseEnters bool
 	// TakenCall/ElseCall: the successor block contains a call.
 	TakenCall, ElseCall bool
 	// TakenRet/ElseRet: the successor block returns from the function.
@@ -46,11 +61,20 @@ type SiteFeatures struct {
 	TakenUses, ElseUses bool
 }
 
-// Analyze extracts the features of every prediction site in the program.
-// Sites must be numbered (branches and switches share one site space). The
-// returned slice is indexed by site ID; switch sites carry only the Switch
-// marker, since the two-way feature set does not describe an N-way dispatch.
+// Analyze extracts the features of every prediction site in the program,
+// building each function's CFG and loop forest afresh. Sites must be
+// numbered (branches and switches share one site space). The returned slice
+// is indexed by site ID.
 func Analyze(prog *ir.Program) []SiteFeatures {
+	return AnalyzeWith(prog, func(f *ir.Func) (*cfg.Graph, *cfg.LoopForest) {
+		g := cfg.Build(f)
+		return g, cfg.FindLoops(g)
+	})
+}
+
+// AnalyzeWith is Analyze over caller-supplied CFGs and loop forests, so a
+// caller that already caches them (analysis.Context) does not rebuild them.
+func AnalyzeWith(prog *ir.Program, graphs func(*ir.Func) (*cfg.Graph, *cfg.LoopForest)) []SiteFeatures {
 	n := 0
 	for _, f := range prog.Funcs {
 		for _, b := range f.Blocks {
@@ -62,27 +86,28 @@ func Analyze(prog *ir.Program) []SiteFeatures {
 	}
 	out := make([]SiteFeatures, n)
 	for _, f := range prog.Funcs {
-		g := cfg.Build(f)
-		lf := cfg.FindLoops(g)
+		g, lf := graphs(f)
 		for _, b := range f.Blocks {
 			if b.Term.Op == ir.TermSwitch {
-				out[b.Term.Site] = SiteFeatures{Site: b.Term.Site, Switch: true}
+				out[b.Term.Site] = SiteFeatures{Site: b.Term.Site, Func: f.Name, Switch: true}
 				continue
 			}
 			if b.Term.Op != ir.TermBr || b.Term.SwTest {
 				continue
 			}
 			ft := &out[b.Term.Site]
-			ft.Site = b.Term.Site
-			ft.CmpOp, ft.CmpA, ft.CmpB = condCompare(b)
+			ft.Site, ft.Func = b.Term.Site, f.Name
+			condCompare(ft, b)
 			then, els := b.Term.Then, b.Term.Else
 			ft.TakenBack = g.IsBackEdge(b, then)
 			ft.ElseBack = g.IsBackEdge(b, els)
 			if l := lf.InnermostLoop(b); l != nil {
-				ft.InLoop = true
+				ft.LoopDepth = l.Depth
 				ft.TakenExits = !l.Contains(then)
 				ft.ElseExits = !l.Contains(els)
 			}
+			ft.TakenEnters = entersLoop(lf, b, then)
+			ft.ElseEnters = entersLoop(lf, b, els)
 			ft.TakenCall = blockCalls(then)
 			ft.ElseCall = blockCalls(els)
 			ft.TakenRet = then.Term.Op == ir.TermRet
@@ -99,24 +124,85 @@ func Analyze(prog *ir.Program) []SiteFeatures {
 }
 
 // condCompare finds the comparison instruction defining the branch
-// condition within the branch block.
-func condCompare(b *ir.Block) (ir.Op, ir.Reg, ir.Reg) {
+// condition within the branch block (through mov chains) and, when exactly
+// one of its operands is a constant defined earlier in the block, its guard
+// shape.
+func condCompare(ft *SiteFeatures, b *ir.Block) {
 	cond := b.Term.Cond
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		in := &b.Instrs[i]
 		if !in.Op.HasDst() || in.Dst != cond {
 			continue
 		}
-		if in.Op.IsCompare() {
-			return in.Op, in.A, in.B
-		}
 		if in.Op == ir.OpMov {
 			cond = in.A
 			continue
 		}
-		return ir.OpInvalid, 0, 0
+		if !in.Op.IsCompare() {
+			return
+		}
+		ft.CmpOp, ft.CmpA, ft.CmpB = in.Op, in.A, in.B
+		aImm, aConst := constBefore(b, i, in.A)
+		bImm, bConst := constBefore(b, i, in.B)
+		switch {
+		case bConst && !aConst:
+			ft.GuardOp, ft.GuardImm = in.Op, bImm
+		case aConst && !bConst:
+			ft.GuardOp, ft.GuardImm = swapCompare(in.Op), aImm
+		}
+		return
 	}
-	return ir.OpInvalid, 0, 0
+}
+
+// constBefore scans backward from instruction idx for the most recent
+// definition of reg inside the block; a const definition yields its bits.
+func constBefore(b *ir.Block, idx int, reg ir.Reg) (imm int64, ok bool) {
+	for i := idx - 1; i >= 0; i-- {
+		in := &b.Instrs[i]
+		if !in.Op.HasDst() || in.Dst != reg {
+			continue
+		}
+		if in.Op == ir.OpConstI || in.Op == ir.OpConstF {
+			return in.Imm, true
+		}
+		return 0, false
+	}
+	return 0, false
+}
+
+// swapCompare mirrors a comparison so its operands can be swapped:
+// c OP v  ==  v OP' c.
+func swapCompare(op ir.Op) ir.Op {
+	switch op {
+	case ir.OpLtI:
+		return ir.OpGtI
+	case ir.OpLeI:
+		return ir.OpGeI
+	case ir.OpGtI:
+		return ir.OpLtI
+	case ir.OpGeI:
+		return ir.OpLeI
+	case ir.OpLtF:
+		return ir.OpGtF
+	case ir.OpLeF:
+		return ir.OpGeF
+	case ir.OpGtF:
+		return ir.OpLtF
+	case ir.OpGeF:
+		return ir.OpLeF
+	}
+	return op
+}
+
+// entersLoop reports whether the edge b→succ enters a natural loop that does
+// not contain b (succ is such a loop's header).
+func entersLoop(lf *cfg.LoopForest, b, succ *ir.Block) bool {
+	for l := lf.InnermostLoop(succ); l != nil; l = l.Parent {
+		if l.Header == succ && !l.Contains(b) {
+			return true
+		}
+	}
+	return false
 }
 
 func blockCalls(b *ir.Block) bool {
@@ -248,9 +334,9 @@ func BackwardTaken(features []SiteFeatures) *Static {
 			s.Preds[i] = ir.PredTaken
 		case ft.ElseBack && !ft.TakenBack:
 			s.Preds[i] = ir.PredNotTaken
-		case ft.InLoop && ft.TakenExits && !ft.ElseExits:
+		case ft.LoopDepth > 0 && ft.TakenExits && !ft.ElseExits:
 			s.Preds[i] = ir.PredNotTaken
-		case ft.InLoop && ft.ElseExits && !ft.TakenExits:
+		case ft.LoopDepth > 0 && ft.ElseExits && !ft.TakenExits:
 			s.Preds[i] = ir.PredTaken
 		default:
 			s.Preds[i] = ir.PredNotTaken
@@ -319,7 +405,7 @@ func ballLarusSite(ft *SiteFeatures) ir.Prediction {
 		}
 		return ir.PredNotTaken
 	}
-	if ft.InLoop && ft.TakenExits != ft.ElseExits {
+	if ft.LoopDepth > 0 && ft.TakenExits != ft.ElseExits {
 		if ft.TakenExits {
 			return ir.PredNotTaken
 		}

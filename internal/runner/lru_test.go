@@ -8,8 +8,11 @@ import (
 	"testing"
 )
 
+// The TestLRU tests pin the per-shard policy on a one-shard store, where
+// the whole store is a single least-recently-used list.
+
 func TestLRUBasics(t *testing.T) {
-	l := NewLRU(2)
+	l := NewSharded(2, 1)
 	calls := 0
 	get := func(k string) string {
 		v, err := Cached(l, k, func() (string, error) {
@@ -45,7 +48,7 @@ func TestLRUBasics(t *testing.T) {
 // TestLRURecencyOrder pins that hitting an entry protects it from the next
 // eviction.
 func TestLRURecencyOrder(t *testing.T) {
-	l := NewLRU(2)
+	l := NewSharded(2, 1)
 	calls := map[string]int{}
 	get := func(k string) {
 		if _, err := Cached(l, k, func() (string, error) {
@@ -68,10 +71,10 @@ func TestLRURecencyOrder(t *testing.T) {
 	}
 }
 
-// TestLRUErrorsNotCached is the service-facing divergence from Cache: a
-// failed (e.g. cancelled) computation must be retryable.
+// TestLRUErrorsNotCached pins the store's error policy: a failed (e.g.
+// cancelled) computation must be retryable.
 func TestLRUErrorsNotCached(t *testing.T) {
-	l := NewLRU(4)
+	l := NewSharded(4, 1)
 	calls := 0
 	boom := errors.New("boom")
 	fn := func() (int, error) {
@@ -93,9 +96,9 @@ func TestLRUErrorsNotCached(t *testing.T) {
 	}
 }
 
-// TestLRUPanicBecomesError mirrors Cache's protect behaviour.
+// TestLRUPanicBecomesError pins that a panicking fill surfaces as an error.
 func TestLRUPanicBecomesError(t *testing.T) {
-	l := NewLRU(4)
+	l := NewSharded(4, 1)
 	_, err := l.Do("k", func() (any, error) { panic("kaboom") })
 	if err == nil {
 		t.Fatal("panicking fn returned nil error")
@@ -105,7 +108,7 @@ func TestLRUPanicBecomesError(t *testing.T) {
 // TestLRUSingleFlight hammers one key from many goroutines: the value must
 // be computed exactly once and shared.
 func TestLRUSingleFlight(t *testing.T) {
-	l := NewLRU(8)
+	l := NewSharded(8, 1)
 	var computed atomic.Int64
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -133,7 +136,7 @@ func TestLRUSingleFlight(t *testing.T) {
 // TestLRUConcurrentChurn runs many goroutines over a keyspace larger than
 // the capacity — the race detector's target.
 func TestLRUConcurrentChurn(t *testing.T) {
-	l := NewLRU(4)
+	l := NewSharded(4, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -3,14 +3,18 @@
 // jobs (one per workload × strategy × parameter point), executes them
 // across a bounded worker pool, and merges the results deterministically:
 // results are placed by job index, never by completion order, so the
-// output of a parallel run is byte-identical to a sequential one. A keyed
-// artifact cache (see Cache) with single-flight population lets repeated
-// cells of a sweep reuse profiled pattern tables, alternate-dataset runs,
-// and strategy selections instead of recomputing them.
+// output of a parallel run is byte-identical to a sequential one. One store
+// type, Sharded, holds every keyed artifact with single-flight population:
+// the engine's unbounded instance lets repeated cells of a sweep reuse
+// profiled pattern tables, alternate-dataset runs, and strategy selections
+// instead of recomputing them, and kralld's bounded instance is its memory
+// tier. Errors are never cached, so a failed fill is retried on the next
+// request.
 package runner
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -24,7 +28,7 @@ import (
 // caller's goroutine.
 type Engine struct {
 	workers int
-	cache   *Cache
+	cache   *Sharded
 	jobs    atomic.Int64
 	jobNS   atomic.Int64
 
@@ -63,15 +67,15 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{workers: workers, cache: NewCache()}
+	return &Engine{workers: workers, cache: NewSharded(math.MaxInt, workers)}
 }
 
 // Workers is the configured worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// Cache is the engine's artifact cache. Suites sharing an engine share
-// profiles, decoded traces, and selection sweeps through it.
-func (e *Engine) Cache() *Cache { return e.cache }
+// Cache is the engine's unbounded artifact store. Suites sharing an engine
+// share profiles, decoded traces, and selection sweeps through it.
+func (e *Engine) Cache() *Sharded { return e.cache }
 
 // Stats is a snapshot of an engine's counters.
 type Stats struct {

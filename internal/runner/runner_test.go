@@ -105,7 +105,7 @@ func TestMapPanicBecomesError(t *testing.T) {
 }
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewCache()
+	c := New(4).Cache()
 	var calls atomic.Int64
 	const goroutines = 32
 	var wg sync.WaitGroup
@@ -143,23 +143,30 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-func TestCacheErrorsAreCached(t *testing.T) {
-	c := NewCache()
-	var calls int
-	fail := func() (int, error) { calls++; return 0, errors.New("nope") }
-	if _, err := Cached(c, "bad", fail); err == nil {
-		t.Fatal("want error")
+// TestCacheErrorsNotCached pins why the engine can share the service's
+// error policy: a failed fill is retried, and because cached functions are
+// pure every retry fails identically, so Map still reports the
+// lowest-index job's error.
+func TestCacheErrorsNotCached(t *testing.T) {
+	e := New(4)
+	var calls atomic.Int64
+	items := make([]int, 16)
+	_, err := Map(e, items, func(i, _ int) (int, error) {
+		return Cached(e.Cache(), "bad", func() (int, error) {
+			calls.Add(1)
+			return 0, errors.New("nope")
+		})
+	})
+	if err == nil || err.Error() != "nope" {
+		t.Fatalf("Map error = %v, want nope", err)
 	}
-	if _, err := Cached(c, "bad", fail); err == nil || err.Error() != "nope" {
-		t.Fatalf("second call: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("populate ran %d times, want 1", calls)
+	if calls.Load() < 1 || e.Cache().Len() != 0 {
+		t.Fatalf("calls = %d, resident = %d; want >= 1 call and no cached error", calls.Load(), e.Cache().Len())
 	}
 }
 
 func TestCachePanicUnblocksWaiters(t *testing.T) {
-	c := NewCache()
+	c := New(2).Cache()
 	done := make(chan error, 2)
 	for g := 0; g < 2; g++ {
 		go func() {

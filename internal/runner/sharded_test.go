@@ -3,32 +3,76 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestShardedOneShardMatchesLRU is the property test pinning the refactor:
-// a Sharded store with one shard must be indistinguishable from the old
-// LRU — same values, same errors-not-cached retry behaviour, same
-// evictions (observed as recomputation), same hit/miss counters — over
-// randomized op sequences of gets, failures, and panics.
+// lruModel is a reference least-recently-used store for sequential use:
+// a recency slice (most recent first); failed fills are dropped.
+type lruModel struct {
+	cap          int
+	order        []string
+	vals         map[string]string
+	hits, misses int64
+}
+
+func (m *lruModel) do(key string, fn func() (string, error)) (v string, err error) {
+	for i, k := range m.order {
+		if k == key {
+			copy(m.order[1:i+1], m.order[:i])
+			m.order[0] = key
+			m.hits++
+			return m.vals[key], nil
+		}
+	}
+	// A miss claims the front slot (evicting if full) before computing, so
+	// even a failed fill evicts.
+	m.misses++
+	m.order = append([]string{key}, m.order...)
+	if len(m.order) > m.cap {
+		delete(m.vals, m.order[m.cap])
+		m.order = m.order[:m.cap]
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		v, err = fn()
+	}()
+	if err != nil {
+		m.order = m.order[1:]
+		return v, err
+	}
+	m.vals[key] = v
+	return v, nil
+}
+
+// TestShardedOneShardMatchesLRU is the property test pinning the store's
+// policy: a Sharded store with one shard must be indistinguishable from a
+// reference LRU model — same values, same errors-not-cached retry
+// behaviour, same evictions (observed as recomputation), same hit/miss
+// counters — over randomized op sequences of gets, failures, and panics.
 func TestShardedOneShardMatchesLRU(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			capacity := 1 + rng.Intn(6)
-			old := NewLRU(capacity)
+			ref := &lruModel{cap: capacity, vals: map[string]string{}}
 			neu := NewSharded(capacity, 1)
-			if neu.Cap() != old.Cap() {
-				t.Fatalf("Cap: sharded %d, lru %d", neu.Cap(), old.Cap())
+			if neu.Cap() != capacity {
+				t.Fatalf("Cap: sharded %d, want %d", neu.Cap(), capacity)
 			}
 			// Call counts per key observe eviction: a key recomputes only
 			// after it was evicted, so identical eviction order means
 			// identical counts at every step.
-			oldCalls, neuCalls := map[string]int{}, map[string]int{}
+			refCalls, neuCalls := map[string]int{}, map[string]int{}
 			for op := 0; op < 400; op++ {
 				key := fmt.Sprintf("k%d", rng.Intn(capacity*3))
 				mode := rng.Intn(10) // 0 = error, 1 = panic, else success
@@ -44,23 +88,22 @@ func TestShardedOneShardMatchesLRU(t *testing.T) {
 						return "v:" + key, nil
 					}
 				}
-				ov, oerr := Cached(old, key, mk(oldCalls))
+				rv, rerr := ref.do(key, mk(refCalls))
 				nv, nerr := Cached[string](neu, key, mk(neuCalls))
-				if ov != nv || (oerr == nil) != (nerr == nil) {
-					t.Fatalf("op %d (%s, mode %d): lru (%q, %v) != sharded (%q, %v)",
-						op, key, mode, ov, oerr, nv, nerr)
+				if rv != nv || (rerr == nil) != (nerr == nil) {
+					t.Fatalf("op %d (%s, mode %d): model (%q, %v) != sharded (%q, %v)",
+						op, key, mode, rv, rerr, nv, nerr)
 				}
-				if oldCalls[key] != neuCalls[key] {
-					t.Fatalf("op %d: key %s computed %d times on lru, %d on sharded (eviction drift)",
-						op, key, oldCalls[key], neuCalls[key])
+				if refCalls[key] != neuCalls[key] {
+					t.Fatalf("op %d: key %s computed %d times on the model, %d on sharded (eviction drift)",
+						op, key, refCalls[key], neuCalls[key])
 				}
-				if old.Len() != neu.Len() {
-					t.Fatalf("op %d: Len %d (lru) != %d (sharded)", op, old.Len(), neu.Len())
+				if len(ref.order) != neu.Len() {
+					t.Fatalf("op %d: Len %d (model) != %d (sharded)", op, len(ref.order), neu.Len())
 				}
-				oh, om := old.Counters()
 				nh, nm := neu.Counters()
-				if oh != nh || om != nm {
-					t.Fatalf("op %d: counters %d/%d (lru) != %d/%d (sharded)", op, oh, om, nh, nm)
+				if ref.hits != nh || ref.misses != nm {
+					t.Fatalf("op %d: counters %d/%d (model) != %d/%d (sharded)", op, ref.hits, ref.misses, nh, nm)
 				}
 			}
 		})
@@ -68,7 +111,7 @@ func TestShardedOneShardMatchesLRU(t *testing.T) {
 }
 
 // TestShardedSingleFlight hammers one key from many goroutines across a
-// multi-shard store: dedup must hold exactly as on a single LRU.
+// multi-shard store: dedup must hold exactly as on a single shard.
 func TestShardedSingleFlight(t *testing.T) {
 	s := NewSharded(64, 8)
 	var computed atomic.Int64
@@ -107,6 +150,11 @@ func TestShardedRounding(t *testing.T) {
 		{128, 5, 8, 128},
 		{2, 16, 16, 16}, // every shard holds at least one entry
 		{0, 0, 1, 1},
+		// Rounding capacity up must not overflow: an unbounded store
+		// stays unbounded instead of wrapping to one entry per shard.
+		{math.MaxInt, 16, 16, math.MaxInt},
+		{math.MaxInt, 1, 1, math.MaxInt},
+		{math.MaxInt - 3, 8, 8, math.MaxInt},
 	}
 	for _, tc := range cases {
 		s := NewSharded(tc.capacity, tc.shards)
@@ -114,6 +162,22 @@ func TestShardedRounding(t *testing.T) {
 			t.Errorf("NewSharded(%d, %d): %d shards cap %d, want %d shards cap %d",
 				tc.capacity, tc.shards, s.NumShards(), s.Cap(), tc.wantShards, tc.wantCap)
 		}
+	}
+}
+
+// TestShardedHugeShardCount pins the shard clamp: doubling toward a shard
+// count past 1<<62 used to wrap to zero and never terminate.
+func TestShardedHugeShardCount(t *testing.T) {
+	done := make(chan *Sharded, 1)
+	go func() { done <- NewSharded(128, math.MaxInt) }()
+	select {
+	case s := <-done:
+		if s.NumShards() != maxShards || s.Cap() != maxShards {
+			t.Fatalf("NewSharded(128, MaxInt): %d shards cap %d, want %d shards cap %d",
+				s.NumShards(), s.Cap(), maxShards, maxShards)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewSharded(128, MaxInt) did not return")
 	}
 }
 

@@ -233,7 +233,7 @@ func TestBatchConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			body := mkBatch(g)
 			for i := 0; i < 5; i++ {
-				out, _, err := postWithRetry(t.Context(), http.DefaultClient, ts.URL+"/v1/batch", []byte(body))
+				out, err := postRetry(t.Context(), ts.URL+"/v1/batch", []byte(body))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

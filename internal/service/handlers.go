@@ -220,7 +220,7 @@ func runMachine(m exec.Machine) (truncated bool, err error) {
 // under a detached context bounded by the server's RequestTimeout rather
 // than the first requester's: one client disconnecting must not fail every
 // concurrent waiter sharing the entry. Failed recordings are not cached
-// (LRU drops errors), so a retry after a timeout starts clean.
+// (the store drops errors), so a retry after a timeout starts clean.
 func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*artifact, error) {
 	key := artifactKey(c.key, budget, req)
 	return runner.Cached(s.store, key, func() (*artifact, error) {

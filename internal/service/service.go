@@ -75,8 +75,8 @@ type Config struct {
 	TraceLimits trace.Limits
 	// CacheEntries sizes the content-addressed artifact store (default 128);
 	// CacheShards splits it into independently locked shards (rounded up to
-	// a power of two; default 8). One shard reproduces the old single-mutex
-	// LRU exactly.
+	// a power of two, at most 4096; default 8). One shard is a single
+	// least-recently-used list.
 	CacheEntries int
 	CacheShards  int
 	// MaxBatchItems caps the sub-requests accepted in one /v1/batch call

@@ -14,11 +14,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/trace"
@@ -325,48 +323,6 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v, deadline is not reaching the run loop", elapsed)
-	}
-}
-
-// TestConcurrentClients is the race-detector test: many goroutines hammer
-// all endpoints through the full client, sharing the LRU store and engine
-// counters, while /metrics is scraped concurrently.
-func TestConcurrentClients(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheEntries: 8})
-	done := make(chan struct{})
-	var scrape sync.WaitGroup
-	scrape.Add(1)
-	go func() {
-		defer scrape.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			resp, err := http.Get(ts.URL + "/metrics")
-			if err == nil {
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}
-	}()
-	report, err := Load(context.Background(), ts.URL, LoadOptions{
-		Workloads:   []string{"cc", "predict", "compress"},
-		Budget:      5_000,
-		Concurrency: 12,
-		Repeats:     4,
-	})
-	close(done)
-	scrape.Wait()
-	if err != nil {
-		t.Fatalf("load: %v (report: %v)", err, report)
-	}
-	// Six distinct calls per workload: analyze, profile, machines,
-	// replicate, score, and the uploaded-trace score — plus one indirect
-	// replicate per dispatch workload.
-	if want := (3*6 + len(bench.IndirectWorkloads())) * 4; report.Requests != want {
-		t.Fatalf("Requests = %d, want %d", report.Requests, want)
 	}
 }
 

@@ -98,9 +98,7 @@ func buildFunc(irf *ir.Func) (*Func, error) {
 		}
 	}
 
-	order := computeRPO(f)
-	computeDominators(f, order)
-	computeFrontiers(order)
+	computeFrontiers(dominatorTree(f))
 
 	b.placePhis()
 	if err := b.rename(); err != nil {

@@ -1,48 +1,36 @@
 package ssa
 
-// Dominator-tree construction in the Cooper/Harvey/Kennedy style: a
-// reverse-postorder fixpoint over intersecting dominator paths. The IR
-// guarantees reducible-friendly shapes (structured loops from the BL front
-// end, replication clones of the same), so the fixpoint converges in two or
-// three sweeps; the algorithm is correct on arbitrary graphs regardless.
+// Dominator tree and dominance frontiers. The tree itself comes from
+// cfg.Dominators, the one Cooper–Harvey–Kennedy routine in the repository,
+// run over the SSA blocks' dense IDs.
 
-import "repro/internal/ir"
+import (
+	"repro/internal/cfg"
+	"repro/internal/ir"
+)
 
-// computeRPO numbers f's blocks in reverse postorder from the entry and
-// returns them in that order (entry first). Unreachable blocks keep rpo -1.
-func computeRPO(f *Func) []*Block {
-	for _, b := range f.Blocks {
-		b.rpo = -1
-	}
-	var post []*Block
-	seen := make([]bool, len(f.Blocks))
-	// Iterative DFS; the explicit stack carries (block, next-successor).
-	type frame struct {
-		b *Block
-		i int
-	}
-	stack := []frame{{f.Entry, 0}}
-	seen[f.Entry.ID] = true
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		succs := top.b.succs()
-		if top.i < len(succs) {
-			s := succs[top.i]
-			top.i++
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				stack = append(stack, frame{s, 0})
-			}
-			continue
+// dominatorTree fills Idom and Kids for every block reachable from the
+// entry and returns those blocks in reverse postorder (entry first).
+func dominatorTree(f *Func) []*Block {
+	rpo, idom := cfg.Dominators(len(f.Blocks), f.Entry.ID, func(v int, buf []int) []int {
+		for _, s := range f.Blocks[v].succs() {
+			buf = append(buf, s.ID)
 		}
-		post = append(post, top.b)
-		stack = stack[:len(stack)-1]
+		return buf
+	})
+	order := make([]*Block, len(rpo))
+	for i, v := range rpo {
+		b := f.Blocks[v]
+		order[i], b.Idom, b.Kids = b, nil, nil
+		if idom[v] >= 0 {
+			b.Idom = f.Blocks[idom[v]]
+		}
 	}
-	order := make([]*Block, len(post))
-	for i, b := range post {
-		j := len(post) - 1 - i
-		order[j] = b
-		b.rpo = j
+	// Children in RPO keeps the renaming walk deterministic.
+	for _, b := range order {
+		if b.Idom != nil {
+			b.Idom.Kids = append(b.Idom.Kids, b)
+		}
 	}
 	return order
 }
@@ -62,59 +50,6 @@ func (b *Block) succs() []*Block {
 		return append(out, b.Term.Else)
 	}
 	return nil
-}
-
-// computeDominators fills Idom and Kids for every block reachable from the
-// entry. order must be the reverse postorder from computeRPO.
-func computeDominators(f *Func, order []*Block) {
-	entry := f.Entry
-	entry.Idom = entry // sentinel during the fixpoint
-	for {
-		changed := false
-		for _, b := range order[1:] {
-			var idom *Block
-			for _, p := range b.Preds {
-				if p.Idom == nil {
-					continue // not yet processed this sweep
-				}
-				if idom == nil {
-					idom = p
-				} else {
-					idom = intersect(idom, p)
-				}
-			}
-			if idom != nil && b.Idom != idom {
-				b.Idom = idom
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	entry.Idom = nil
-	for _, b := range order {
-		b.Kids = nil
-	}
-	// Children in RPO keeps the renaming walk deterministic.
-	for _, b := range order {
-		if b.Idom != nil {
-			b.Idom.Kids = append(b.Idom.Kids, b)
-		}
-	}
-}
-
-// intersect walks two dominator paths up to their common ancestor.
-func intersect(a, b *Block) *Block {
-	for a != b {
-		for a.rpo > b.rpo {
-			a = a.Idom
-		}
-		for b.rpo > a.rpo {
-			b = b.Idom
-		}
-	}
-	return a
 }
 
 // computeFrontiers fills each block's dominance frontier (b.df).

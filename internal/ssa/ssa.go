@@ -143,8 +143,7 @@ type Block struct {
 	Idom *Block
 	Kids []*Block
 
-	rpo int
-	df  []*Block
+	df []*Block
 }
 
 // String returns the diagnostic label of the block.

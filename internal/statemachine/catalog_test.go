@@ -42,7 +42,7 @@ func TestLoopMachineDPMatchesExhaustive(t *testing.T) {
 			}
 			site, busiest := int32(-1), uint64(0)
 			for s := int32(0); int(s) < c.NSites; s++ {
-				if !c.Features[s].InLoop {
+				if c.Features[s].LoopDepth == 0 {
 					continue
 				}
 				var n uint64

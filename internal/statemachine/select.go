@@ -129,7 +129,7 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 		}
 		bestRate := missRate(c.Hits, c.Total)
 		ft := feats[s]
-		inLoop := ft.InLoop
+		inLoop := ft.LoopDepth > 0
 		exits := ft.TakenExits != ft.ElseExits
 
 		if inLoop && !opts.DisableLoop {
