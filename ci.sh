@@ -92,6 +92,8 @@ stage_fuzz() {
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
     # The loop-machine tree DP must score like the exhaustive enumeration.
     go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine
+    # Rescore's run fold must score like the event-by-event replay.
+    go test -run='^$' -fuzz=FuzzRescore -fuzztime=10s ./internal/statemachine
     # Indirect family: clustered switch programs must stay observably
     # identical to their originals on both backends.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect

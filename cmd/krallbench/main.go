@@ -111,6 +111,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *states < 2 {
+		return fmt.Errorf("-states %d out of range: machines need at least 2 states", *states)
+	}
 	if *quiet {
 		// Tables still go to stdout; only the progress/stats chatter is
 		// silenced, so library-style callers get clean streams.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -84,5 +85,21 @@ func TestGoldenParallelInvariance(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("expected error for unknown flag")
+	}
+}
+
+// TestRunRejectsTooFewStates checks that -states below 2 is a usage error
+// reported before any workload is profiled, not a panic in the machine
+// search.
+func TestRunRejectsTooFewStates(t *testing.T) {
+	for _, n := range []string{"1", "0", "-3"} {
+		var out, errOut bytes.Buffer
+		err := run([]string{"-quick", "-budget", "2000", "-measured", "-states", n}, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), "-states "+n) {
+			t.Fatalf("-states %s: got error %v, want a -states usage error", n, err)
+		}
+		if out.Len() != 0 || strings.Contains(errOut.String(), "profiling") {
+			t.Fatalf("-states %s: ran before rejecting the flag\nstdout: %s\nstderr: %s", n, out.String(), errOut.String())
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"repro/internal/predict"
 	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 )
 
 // CrossDataset runs the paper's §6 / [FF92] sensitivity experiment: train
@@ -13,14 +12,13 @@ import (
 // a different one. The replicated rows are *measured* — the transformed
 // program runs in the interpreter with its static annotations — so they
 // also validate the whole pipeline end to end. One parallel job per
-// workload; the alternate-dataset counts and the strategy selection come
-// from the artifact cache.
+// workload; the alternate-dataset counts and the replica come from the
+// artifact cache.
 func (s *Suite) CrossDataset() (*Table, error) {
 	t := &Table{
 		ID:    "crossdataset",
 		Title: "Dataset sensitivity: trained on dataset A, measured on A and on B (%)",
 	}
-	const machineStates = 5
 	type col struct{ profSelf, profCross, replSelf, replCross Cell }
 	cols, err := runner.Map(s.eng, s.Data, func(_ int, d *WorkloadData) (col, error) {
 		var c col
@@ -39,28 +37,10 @@ func (s *Suite) CrossDataset() (*Table, error) {
 
 		// Replication trained on A (realizable machines only), measured on
 		// both datasets by running the transformed program.
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  machineStates,
-			MaxPathLen: 1,
-		})
-		if err != nil {
+		if c.replSelf, err = s.replicaRate(d, replicaStates, s.Cfg.Seed); err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		if _, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3}); err != nil {
-			return col{}, err
-		}
-		c.replSelf, err = s.measuredRate(clone, RunConfig{
-			Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg),
-		})
-		if err != nil {
-			return col{}, err
-		}
-		c.replCross, err = s.measuredRate(clone, RunConfig{
-			Budget: s.Cfg.Budget, Seed: s.Cfg.CrossSeed, Scale: scaleFor(s.Cfg),
-		})
-		if err != nil {
+		if c.replCross, err = s.replicaRate(d, replicaStates, s.Cfg.CrossSeed); err != nil {
 			return col{}, err
 		}
 		return c, nil
@@ -100,7 +80,8 @@ func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
 // MeasuredReplication transforms every workload with realizable machines
 // and measures the misprediction rate and size factor of the transformed
 // programs — the end-to-end validation of the paper's headline claim.
-// One parallel job per workload (transform + two full interpreter runs).
+// One parallel job per workload; the replicated side is the workload's
+// replica, shared with the other execution-bound experiments.
 func (s *Suite) MeasuredReplication(maxStates int) (*Table, error) {
 	t := &Table{
 		ID:    "measured",
@@ -125,24 +106,11 @@ func (s *Suite) MeasuredReplication(maxStates int) (*Table, error) {
 			}
 		}
 
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  maxStates,
-			MaxPathLen: 1,
-		})
+		r, err := s.replicaFor(d, maxStates)
 		if err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		st, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3})
-		if err != nil {
-			return col{}, err
-		}
-		c.repl, err = s.measuredRate(clone, RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)})
-		if err != nil {
-			return col{}, err
-		}
-		c.size = Cell{Value: st.SizeFactor(), Valid: true}
+		c.repl, c.size = r.Rate, r.Size
 		return c, nil
 	})
 	if err != nil {

@@ -102,7 +102,8 @@ func TestReplayMatchesLiveMeasured(t *testing.T) {
 // record-once claim: serving every trace-sufficient experiment costs
 // exactly one recording per workload and zero live interpreter runs;
 // adding the cross-dataset experiment costs exactly one more recording per
-// workload (the alternate dataset) plus the transformed-clone runs.
+// workload (the alternate dataset) plus the replica's two runs, and the
+// other replica-served experiments cost nothing more.
 func TestRecordOncePerWorkload(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Budget = 20_000
@@ -136,11 +137,41 @@ func TestRecordOncePerWorkload(t *testing.T) {
 		t.Fatalf("after cross-dataset: %d live runs, want %d", st.LiveRuns, want)
 	}
 
-	// Repeating any trace-sufficient experiment must not interpret again.
+	// The other execution-bound sections at the replica's size read the
+	// same replica: with cross-dataset they cost 2n live runs in all, one
+	// replica run per workload plus its run on the alternate dataset.
+	replicaSections(t, s)
+	st = s.Engine().Stats()
+	if st.TraceRecords != 2*n || st.LiveRuns != 2*n {
+		t.Fatalf("measured, cross-dataset, layout and scope: %d recordings and %d live runs, want %d and %d",
+			st.TraceRecords, st.LiveRuns, 2*n, 2*n)
+	}
+
+	// Repeating any trace-sufficient or replica-served experiment must not
+	// interpret again.
 	s.Table1()
 	s.Table4()
+	replicaSections(t, s)
+	if _, err := s.CrossDataset(); err != nil {
+		t.Fatal(err)
+	}
 	if st2 := s.Engine().Stats(); st2.TraceRecords != st.TraceRecords || st2.LiveRuns != st.LiveRuns {
-		t.Fatalf("repeated tables re-interpreted: before %+v, after %+v", st, st2)
+		t.Fatalf("repeated sections re-interpreted: before %+v, after %+v", st, st2)
+	}
+}
+
+// replicaSections renders the measured (at the replica's size), layout and
+// scope experiments.
+func replicaSections(t *testing.T, s *Suite) {
+	t.Helper()
+	if _, err := s.MeasuredReplication(replicaStates); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LayoutTable(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ScopeTable(); err != nil {
+		t.Fatal(err)
 	}
 }
 

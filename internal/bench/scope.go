@@ -1,11 +1,7 @@
 package bench
 
 import (
-	"repro/internal/ir"
-	"repro/internal/predict"
-	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 	"repro/internal/superblock"
 )
 
@@ -14,7 +10,8 @@ import (
 // formed along mutually-most-likely edges; the metric is the average
 // number of instructions executed between dynamic trace exits. Replicated
 // branch copies are strongly biased, so traces run longer through them.
-// One parallel job per workload.
+// One parallel job per workload; the replicated side is the workload's
+// replica, shared with the other measured experiments.
 func (s *Suite) ScopeTable() (*Table, error) {
 	t := &Table{
 		ID:    "scope",
@@ -33,33 +30,20 @@ func (s *Suite) ScopeTable() (*Table, error) {
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		} else {
 			s.countLiveRun()
-			so, _, err := scopeStats(d.C.Prog, s.Cfg)
+			counts, bc, _, err := countingRun(d.C.Prog, s.Cfg)
 			if err != nil {
 				return col{}, err
 			}
+			so := superblock.MeasureProgram(d.C.Prog, bc, counts)
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		}
-
-		static := predict.ProfileStatic(d.Prof.Counts)
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  5,
-			MaxPathLen: 1,
-		})
+		r, err := s.replicaFor(d, replicaStates)
 		if err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		if _, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3}); err != nil {
-			return col{}, err
-		}
-		s.countLiveRun()
-		sr, nt, err := scopeStats(clone, s.Cfg)
-		if err != nil {
-			return col{}, err
-		}
+		sr := superblock.MeasureProgram(r.Prog, r.BlockCounts, r.Counts)
 		c.repl = Cell{Value: sr.AvgDynamicLength(), Valid: true}
-		c.traces = countCell(uint64(nt))
+		c.traces = countCell(uint64(sr.Traces))
 		return c, nil
 	})
 	if err != nil {
@@ -76,13 +60,4 @@ func (s *Suite) ScopeTable() (*Table, error) {
 	}
 	t.Rows = append(t.Rows, orig, repl, traces)
 	return t, nil
-}
-
-func scopeStats(prog *ir.Program, cfg ExpConfig) (superblock.Stats, int, error) {
-	counts, bc, err := countingRun(prog, cfg)
-	if err != nil {
-		return superblock.Stats{}, 0, err
-	}
-	st := superblock.MeasureProgram(prog, bc, counts)
-	return st, st.Traces, nil
 }

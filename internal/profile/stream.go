@@ -1,6 +1,10 @@
 package profile
 
-import "repro/internal/trace"
+import (
+	"math/bits"
+
+	"repro/internal/trace"
+)
 
 // Stream is a packed per-branch outcome sequence (1 = taken). The
 // state-machine search replays streams to score candidate machines with
@@ -29,6 +33,33 @@ func (s *Stream) Len() int { return s.n }
 // Get returns outcome i.
 func (s *Stream) Get(i int) bool {
 	return s.words[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// Runs calls fn once per maximal run of equal outcomes, in stream order,
+// with the run's outcome and length. It scans the packed words a run at a
+// time (one TrailingZeros64 per word the run touches), so a consumer whose
+// state stops changing within a run can fold the rest of it in closed form.
+func (s *Stream) Runs(fn func(taken bool, n int)) {
+	for i := 0; i < s.n; {
+		start := i
+		taken := s.Get(i)
+		for i < s.n {
+			w := s.words[i>>6] >> uint(i&63)
+			if taken {
+				w = ^w
+			}
+			// w's low zero bits are the outcomes that continue the run;
+			// the shift leaves at most 64−i%64 of them meaningful.
+			z, avail := bits.TrailingZeros64(w), 64-i&63
+			if z < avail {
+				i += z
+				break
+			}
+			i += avail
+		}
+		i = min(i, s.n)
+		fn(taken, i-start)
+	}
 }
 
 // Streams collects one outcome stream per branch site.

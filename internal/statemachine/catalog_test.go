@@ -65,3 +65,31 @@ func TestLoopMachineDPMatchesExhaustive(t *testing.T) {
 		})
 	}
 }
+
+// TestRescoreChunksMatchEvents requires the run-folding Rescore to score
+// like the event-by-event replay for every machine BestLoopMachineExact
+// replays, at every profiled in-loop site of every catalog workload and
+// every size the experiments use.
+func TestRescoreChunksMatchEvents(t *testing.T) {
+	for _, w := range bench.Workloads() {
+		t.Run(w.Name, func(t *testing.T) {
+			c, err := bench.Compile(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lh := profile.NewLocalHistory(c.NSites, 9)
+			st := profile.NewStreams(c.NSites)
+			if _, err := c.Run(bench.RunConfig{Budget: 20_000, Scale: 1 << 30}, lh, st); err != nil {
+				t.Fatal(err)
+			}
+			for s := int32(0); int(s) < c.NSites; s++ {
+				if c.Features[s].LoopDepth == 0 || st.Site(s).Len() == 0 {
+					continue
+				}
+				for n := 2; n <= 10; n++ {
+					statemachine.CheckExactCandidates(t, lh.Table(s), 9, n, st.Site(s))
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package statemachine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -34,32 +35,27 @@ type JointMachine struct {
 	delta [][][2]int
 }
 
-// jointComponent adapts the two loop-replicable machine kinds.
+// jointComponent is one branch's machine, tabulated: preds[state] is its
+// prediction and next[state][outcome] its transition.
 type jointComponent struct {
-	n    int
-	init int
-	pred func(state int) bool
-	next func(state int, taken bool) int
+	init  int
+	preds []bool
+	next  [][2]int
 }
 
+// componentOf tabulates the two loop-replicable machine kinds.
 func componentOf(c *Choice) (jointComponent, bool) {
 	switch c.Kind {
 	case KindLoop:
 		m := c.Loop
-		return jointComponent{
-			n:    m.NumStates(),
-			init: m.Init,
-			pred: func(s int) bool { return m.PredTaken[s] },
-			next: m.Next,
-		}, true
+		return jointComponent{init: m.Init, preds: m.PredTaken, next: m.delta()}, true
 	case KindExit:
 		m := c.Exit
-		return jointComponent{
-			n:    m.NumStates(),
-			init: 0,
-			pred: func(s int) bool { return m.PredTaken[s] },
-			next: m.Next,
-		}, true
+		next := make([][2]int, m.NumStates())
+		for s := range next {
+			next[s] = [2]int{m.Next(s, false), m.Next(s, true)}
+		}
+		return jointComponent{init: 0, preds: m.PredTaken, next: next}, true
 	}
 	return jointComponent{}, false
 }
@@ -81,53 +77,49 @@ func BuildJoint(choices []*Choice) (*JointMachine, error) {
 		comps[i] = comp
 		sites[i] = c.Site
 	}
-	// Product states: mixed-radix tuples.
+	// Product states are mixed-radix numbers, the first component most
+	// significant: state s holds component i in digit (s / stride[i]) %
+	// n_i, so moving component i from q to q' moves s by (q'−q)·stride[i].
+	k := len(comps)
+	stride := make([]int, k)
 	total := 1
-	for _, c := range comps {
-		total *= c.n
+	for i := k - 1; i >= 0; i-- {
+		stride[i] = total
+		total *= len(comps[i].preds)
 		if total > 1<<20 {
 			return nil, fmt.Errorf("statemachine: product machine too large (>%d states)", 1<<20)
 		}
 	}
-	decode := func(s int) []int {
-		out := make([]int, len(comps))
-		for i := len(comps) - 1; i >= 0; i-- {
-			out[i] = s % comps[i].n
-			s /= comps[i].n
-		}
-		return out
-	}
-	encode := func(t []int) int {
-		s := 0
-		for i, c := range comps {
-			s = s*c.n + t[i]
-		}
-		return s
-	}
+	predRows := make([]bool, total*k)
+	deltaRows := make([][2]int, total*k)
 	preds := make([][]bool, total)
 	delta := make([][][2]int, total)
+	digit := make([]int, k) // s's digits, advanced like an odometer
 	for s := 0; s < total; s++ {
-		tup := decode(s)
-		preds[s] = make([]bool, len(comps))
-		delta[s] = make([][2]int, len(comps))
+		pr := predRows[s*k : (s+1)*k : (s+1)*k]
+		dr := deltaRows[s*k : (s+1)*k : (s+1)*k]
 		for i, c := range comps {
-			preds[s][i] = c.pred(tup[i])
-			for d := 0; d < 2; d++ {
-				nt := make([]int, len(tup))
-				copy(nt, tup)
-				nt[i] = c.next(tup[i], d == 1)
-				delta[s][i][d] = encode(nt)
+			q := digit[i]
+			pr[i] = c.preds[q]
+			base := s - q*stride[i]
+			dr[i] = [2]int{base + c.next[q][0]*stride[i], base + c.next[q][1]*stride[i]}
+		}
+		preds[s], delta[s] = pr, dr
+		for i := k - 1; i >= 0; i-- {
+			if digit[i]++; digit[i] < len(comps[i].preds) {
+				break
 			}
+			digit[i] = 0
 		}
 	}
-	initTup := make([]int, len(comps))
+	init := 0
 	for i, c := range comps {
-		initTup[i] = c.init
+		init += c.init * stride[i]
 	}
 	jm := &JointMachine{
 		Branches: sites,
 		States:   total,
-		Init:     encode(initTup),
+		Init:     init,
 		preds:    preds,
 		delta:    delta,
 	}
@@ -148,55 +140,46 @@ func (jm *JointMachine) Next(state, bi int, taken bool) int {
 	return jm.delta[state][bi][d]
 }
 
-// minimize merges Moore-equivalent states by partition refinement.
+// minimize merges Moore-equivalent states by partition refinement. A
+// state's signature is its class followed by the classes of its successors,
+// written as varints into one reused buffer; class IDs are numbered in
+// order of first appearance, so the partition fixes them and refinement
+// stops when a round adds no class.
 func (jm *JointMachine) minimize() {
 	n := jm.States
-	// Initial partition: by prediction vector.
 	class := make([]int, n)
-	sig := map[string]int{}
+	next := make([]int, n)
+	ids := map[string]int{}
+	var key []byte
+	// Initial partition: by prediction vector.
 	for s := 0; s < n; s++ {
-		key := fmt.Sprint(jm.preds[s])
-		id, ok := sig[key]
-		if !ok {
-			id = len(sig)
-			sig[key] = id
+		key = key[:0]
+		for _, p := range jm.preds[s] {
+			if p {
+				key = append(key, 1)
+			} else {
+				key = append(key, 0)
+			}
 		}
-		class[s] = id
+		class[s] = classID(ids, key)
 	}
-	for {
-		next := map[string]int{}
-		newClass := make([]int, n)
+	for classes := len(ids); ; classes = len(ids) {
+		clear(ids)
 		for s := 0; s < n; s++ {
-			key := fmt.Sprint(class[s])
-			for bi := range jm.preds[s] {
-				key += fmt.Sprintf(",%d:%d", class[jm.delta[s][bi][0]], class[jm.delta[s][bi][1]])
+			key = binary.AppendUvarint(key[:0], uint64(class[s]))
+			for _, d := range jm.delta[s] {
+				key = binary.AppendUvarint(key, uint64(class[d[0]]))
+				key = binary.AppendUvarint(key, uint64(class[d[1]]))
 			}
-			id, ok := next[key]
-			if !ok {
-				id = len(next)
-				next[key] = id
-			}
-			newClass[s] = id
+			next[s] = classID(ids, key)
 		}
-		same := true
-		for s := 0; s < n; s++ {
-			if newClass[s] != class[s] {
-				same = false
-				break
-			}
-		}
-		class = newClass
-		if same {
+		class, next = next, class
+		if len(ids) == classes {
 			break
 		}
 	}
 	// Rebuild over classes.
-	nc := 0
-	for s := 0; s < n; s++ {
-		if class[s]+1 > nc {
-			nc = class[s] + 1
-		}
-	}
+	nc := len(ids)
 	rep := make([]int, nc)
 	for i := range rep {
 		rep[i] = -1
@@ -220,6 +203,17 @@ func (jm *JointMachine) minimize() {
 	jm.delta = delta
 	jm.Init = class[jm.Init]
 	jm.States = nc
+}
+
+// classID returns the class numbered for signature key, numbering a new
+// signature after every class seen so far.
+func classID(ids map[string]int, key []byte) int {
+	if id, ok := ids[string(key)]; ok {
+		return id
+	}
+	id := len(ids)
+	ids[string(key)] = id
+	return id
 }
 
 // trimUnreachable drops states the initial state can never reach.

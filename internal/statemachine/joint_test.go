@@ -1,6 +1,9 @@
 package statemachine
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/profile"
@@ -151,6 +154,210 @@ func TestJointNeverExceedsProduct(t *testing.T) {
 		}
 		if jm.Init < 0 || jm.Init >= jm.States {
 			t.Fatalf("bad init %d", jm.Init)
+		}
+	}
+}
+
+// buildJointFmt is the reference BuildJoint is checked against: the product
+// built one allocated tuple per (state, branch, outcome) and minimised with
+// fmt-formatted signatures, the straightforward construction.
+func buildJointFmt(choices []*Choice) *JointMachine {
+	type comp struct {
+		n, init int
+		pred    func(int) bool
+		next    func(int, bool) int
+	}
+	comps := make([]comp, len(choices))
+	sites := make([]int32, len(choices))
+	for i, c := range choices {
+		switch c.Kind {
+		case KindLoop:
+			comps[i] = comp{c.Loop.NumStates(), c.Loop.Init, func(s int) bool { return c.Loop.PredTaken[s] }, c.Loop.Next}
+		case KindExit:
+			comps[i] = comp{c.Exit.NumStates(), 0, func(s int) bool { return c.Exit.PredTaken[s] }, c.Exit.Next}
+		}
+		sites[i] = c.Site
+	}
+	total := 1
+	for _, c := range comps {
+		total *= c.n
+	}
+	decode := func(s int) []int {
+		out := make([]int, len(comps))
+		for i := len(comps) - 1; i >= 0; i-- {
+			out[i] = s % comps[i].n
+			s /= comps[i].n
+		}
+		return out
+	}
+	encode := func(t []int) int {
+		s := 0
+		for i, c := range comps {
+			s = s*c.n + t[i]
+		}
+		return s
+	}
+	preds := make([][]bool, total)
+	delta := make([][][2]int, total)
+	for s := 0; s < total; s++ {
+		tup := decode(s)
+		preds[s] = make([]bool, len(comps))
+		delta[s] = make([][2]int, len(comps))
+		for i, c := range comps {
+			preds[s][i] = c.pred(tup[i])
+			for d := 0; d < 2; d++ {
+				nt := make([]int, len(tup))
+				copy(nt, tup)
+				nt[i] = c.next(tup[i], d == 1)
+				delta[s][i][d] = encode(nt)
+			}
+		}
+	}
+	initTup := make([]int, len(comps))
+	for i, c := range comps {
+		initTup[i] = c.init
+	}
+	jm := &JointMachine{Branches: sites, States: total, Init: encode(initTup), preds: preds, delta: delta}
+	minimizeFmt(jm)
+	jm.trimUnreachable()
+	return jm
+}
+
+// minimizeFmt is Moore partition refinement keyed on fmt-formatted
+// signatures.
+func minimizeFmt(jm *JointMachine) {
+	n := jm.States
+	class := make([]int, n)
+	sig := map[string]int{}
+	for s := 0; s < n; s++ {
+		key := fmt.Sprint(jm.preds[s])
+		id, ok := sig[key]
+		if !ok {
+			id = len(sig)
+			sig[key] = id
+		}
+		class[s] = id
+	}
+	for {
+		next := map[string]int{}
+		newClass := make([]int, n)
+		for s := 0; s < n; s++ {
+			key := fmt.Sprint(class[s])
+			for bi := range jm.preds[s] {
+				key += fmt.Sprintf(",%d:%d", class[jm.delta[s][bi][0]], class[jm.delta[s][bi][1]])
+			}
+			id, ok := next[key]
+			if !ok {
+				id = len(next)
+				next[key] = id
+			}
+			newClass[s] = id
+		}
+		same := true
+		for s := 0; s < n; s++ {
+			if newClass[s] != class[s] {
+				same = false
+				break
+			}
+		}
+		class = newClass
+		if same {
+			break
+		}
+	}
+	nc := 0
+	for s := 0; s < n; s++ {
+		nc = max(nc, class[s]+1)
+	}
+	rep := make([]int, nc)
+	for i := range rep {
+		rep[i] = -1
+	}
+	for s := 0; s < n; s++ {
+		if rep[class[s]] == -1 {
+			rep[class[s]] = s
+		}
+	}
+	preds := make([][]bool, nc)
+	delta := make([][][2]int, nc)
+	for cidx, s := range rep {
+		preds[cidx] = jm.preds[s]
+		delta[cidx] = make([][2]int, len(jm.preds[s]))
+		for bi := range delta[cidx] {
+			delta[cidx][bi][0] = class[jm.delta[s][bi][0]]
+			delta[cidx][bi][1] = class[jm.delta[s][bi][1]]
+		}
+	}
+	jm.preds, jm.delta, jm.Init, jm.States = preds, delta, class[jm.Init], nc
+}
+
+// randomComponent draws a loop choice over a random complete suffix-closed
+// set or an exit choice, with random predictions. Predictions are drawn
+// from few distinct values half the time, so minimisation has states to
+// merge.
+func randomComponent(r *rand.Rand, site int32) *Choice {
+	pred := func(n int) []bool {
+		p := make([]bool, n)
+		uniform := r.IntN(2) == 0
+		for i := range p {
+			p[i] = r.IntN(2) == 0
+			if uniform {
+				p[i] = p[0]
+			}
+		}
+		return p
+	}
+	n := 2 + r.IntN(5)
+	if r.IntN(3) == 0 {
+		em := &ExitMachine{N: n, ExitTaken: r.IntN(2) == 0, PredTaken: pred(n)}
+		return &Choice{Site: site, Kind: KindExit, Exit: em}
+	}
+	states := randomStates(r, n, 1+r.IntN(n-1))
+	m := &LoopMachine{States: states, PredTaken: pred(len(states)), Init: r.IntN(2)}
+	return &Choice{Site: site, Kind: KindLoop, Loop: m}
+}
+
+// TestBuildJointMatchesFmtOracle requires the stride product and the
+// varint-keyed minimisation to build, state for state, the machine the
+// tuple product and fmt-keyed minimisation build, over random sets of one
+// to four loop and exit components. (A lone component matters: with two or
+// more, a state's own predictions reappear in its successors' classes, so
+// only single-component machines catch a signature that drops them.)
+func TestBuildJointMatchesFmtOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(15, 1))
+	for trial := 0; trial < 400; trial++ {
+		choices := make([]*Choice, 1+r.IntN(4))
+		for i := range choices {
+			choices[i] = randomComponent(r, int32(i))
+		}
+		got, err := BuildJoint(choices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := buildJointFmt(choices)
+		if got.States != want.States || got.Init != want.Init ||
+			!reflect.DeepEqual(got.preds, want.preds) || !reflect.DeepEqual(got.delta, want.delta) {
+			t.Fatalf("trial %d: BuildJoint %d states (init %d), oracle %d states (init %d)\npreds %v\nwant  %v\ndelta %v\nwant  %v",
+				trial, got.States, got.Init, want.States, want.Init, got.preds, want.preds, got.delta, want.delta)
+		}
+	}
+}
+
+func BenchmarkBuildJoint(b *testing.B) {
+	r := rand.New(rand.NewPCG(4, 4))
+	choices := make([]*Choice, 4)
+	for i := range choices {
+		states := randomStates(r, 5, 4)
+		pred := make([]bool, len(states))
+		for j := range pred {
+			pred[j] = r.IntN(2) == 0
+		}
+		choices[i] = &Choice{Site: int32(i), Kind: KindLoop, Loop: &LoopMachine{States: states, PredTaken: pred}}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildJoint(choices); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -379,19 +379,34 @@ func (m *LoopMachine) delta() [][2]int {
 // knows as much history as its current state label, so it can idle in a
 // short state while a longer pattern matches the true history. The paper's
 // counting ignores that effect; measured results come from Rescore.
+//
+// The replay folds runs of equal outcomes: within a run the machine walks
+// only until it reaches a state the outcome leaves in place (a run of o
+// converges within maxLen steps to the longest state of all-o history), and
+// the rest of the run counts against that state in one addition.
 func (m *LoopMachine) Rescore(st *profile.Stream) {
 	d := m.delta()
 	counts := make([]profile.Pair, len(m.States))
 	s := m.Init
-	for i, n := 0, st.Len(); i < n; i++ {
-		o := st.Get(i)
-		counts[s].Add(o)
-		if o {
-			s = d[s][1]
-		} else {
-			s = d[s][0]
+	st.Runs(func(taken bool, n int) {
+		o := 0
+		if taken {
+			o = 1
 		}
-	}
+		for ; n > 0; n-- {
+			next := d[s][o]
+			if next == s {
+				if taken {
+					counts[s].Taken += uint64(n)
+				} else {
+					counts[s].NotTaken += uint64(n)
+				}
+				return
+			}
+			counts[s].Add(taken)
+			s = next
+		}
+	})
 	m.Hits, m.Total = 0, 0
 	for i, c := range counts {
 		m.PredTaken[i] = c.MajorityTaken()
@@ -409,8 +424,22 @@ func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *Loo
 	if st == nil || st.Len() == 0 {
 		return BestLoopMachine(tab, k, n)
 	}
-	n, maxLen := searchBounds(k, n)
 	t := NewCountTree(tab, k)
+	var best *LoopMachine
+	for _, m := range exactCandidates(t, k, n) {
+		m.Rescore(st)
+		if best == nil || m.Hits > best.Hits {
+			best = m
+		}
+	}
+	return best
+}
+
+// exactCandidates returns the machines BestLoopMachineExact replays, in
+// replay order: the topK suffix-closed sets by table score, then the
+// canonical chains.
+func exactCandidates(t *CountTree, k, n int) []*LoopMachine {
+	n, maxLen := searchBounds(k, n)
 	const topK = 12
 	type cand struct {
 		hits   uint64
@@ -447,17 +476,12 @@ func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *Loo
 	for _, states := range canonicalSets(n, maxLen) {
 		top = append(top, cand{states: states})
 	}
-	var best *LoopMachine
-	for _, c := range top {
+	out := make([]*LoopMachine, len(top))
+	for i, c := range top {
 		_, _, preds := scoreStates(t, c.states)
-		m := &LoopMachine{States: c.states, PredTaken: preds}
-		m.Init = initialState(t, m.States)
-		m.Rescore(st)
-		if best == nil || m.Hits > best.Hits {
-			best = m
-		}
+		out[i] = &LoopMachine{States: c.states, PredTaken: preds, Init: initialState(t, c.states)}
 	}
-	return best
+	return out
 }
 
 // canonicalSets returns replay-friendly standard state sets of exactly n
