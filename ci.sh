@@ -94,6 +94,9 @@ stage_fuzz() {
     go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine
     # Rescore's run fold must score like the event-by-event replay.
     go test -run='^$' -fuzz=FuzzRescore -fuzztime=10s ./internal/statemachine
+    # A replicated clone walked along its original's trace must count
+    # exactly like a live run of it, and a miswired clone must fail the walk.
+    go test -run='^$' -fuzz=FuzzWalk -fuzztime=10s ./internal/replicate
     # Indirect family: clustered switch programs must stay observably
     # identical to their originals on both backends.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect

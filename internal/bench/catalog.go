@@ -4,8 +4,10 @@ package bench
 // cmd/krallbench. TraceSufficient experiments consume only recorded branch
 // traces and data derived from them, so the replay engine serves them
 // without any live interpreter run; execution-bound experiments measure
-// transformed program clones, whose branch streams the original trace
-// cannot provide.
+// transformed program clones. The suite walks replicated clones along
+// the original's recorded trace (replicate.Walk) instead of running them,
+// so of these only the indirect experiment's clustered clones still run
+// live.
 type Experiment struct {
 	ID              string
 	Title           string

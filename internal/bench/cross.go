@@ -10,10 +10,10 @@ import (
 // CrossDataset runs the paper's §6 / [FF92] sensitivity experiment: train
 // the profile and the replication machines on one dataset, then measure on
 // a different one. The replicated rows are *measured* — the transformed
-// program runs in the interpreter with its static annotations — so they
-// also validate the whole pipeline end to end. One parallel job per
-// workload; the alternate-dataset counts and the replica come from the
-// artifact cache.
+// program is walked along each dataset's recorded trace with its static
+// annotations (or run live under ForceLive) — so they also validate the
+// whole pipeline end to end. One parallel job per workload; the
+// alternate-dataset counts and the replica come from the artifact cache.
 func (s *Suite) CrossDataset() (*Table, error) {
 	t := &Table{
 		ID:    "crossdataset",
@@ -36,7 +36,7 @@ func (s *Suite) CrossDataset() (*Table, error) {
 		c.profCross = rateCell(cr.Misses, cr.Total)
 
 		// Replication trained on A (realizable machines only), measured on
-		// both datasets by running the transformed program.
+		// both datasets by walking the transformed program.
 		if c.replSelf, err = s.replicaRate(d, replicaStates, s.Cfg.Seed); err != nil {
 			return col{}, err
 		}
@@ -63,10 +63,10 @@ func (s *Suite) CrossDataset() (*Table, error) {
 	return t, nil
 }
 
-// measuredRate runs a statically annotated program and returns its real
-// misprediction rate. Transformed clones have no recorded trace — their
-// branch streams differ from the original's — so this is always a live run
-// on the configured backend, counted as such in the engine stats.
+// measuredRate runs a statically annotated program live on the configured
+// backend and returns its real misprediction rate, counted as a live run
+// in the engine stats. It serves ForceLive suites and the runs a walk
+// cannot reproduce (see cloneRate).
 func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
 	s.countLiveRun()
 	m, err := runProgramOn(s.Cfg.backend(), prog, cfg)

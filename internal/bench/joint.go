@@ -11,9 +11,10 @@ import (
 // JointTable runs the §6 joint-machine experiment: the same strategy
 // selection applied sequentially (per-branch machines, same-loop branches
 // multiply copies) versus jointly (one minimised machine per loop), both
-// measured by executing the transformed programs. Joint replication should
-// match the sequential misprediction rate at equal or lower code size.
-// One parallel job per workload.
+// measured by walking the transformed programs along the recorded trace
+// (live under ForceLive). Joint replication should match the sequential
+// misprediction rate at equal or lower code size. One parallel job per
+// workload.
 func (s *Suite) JointTable() (*Table, error) {
 	t := &Table{
 		ID:    "joint",
@@ -31,14 +32,12 @@ func (s *Suite) JointTable() (*Table, error) {
 		if err != nil {
 			return col{}, err
 		}
-		runCfg := RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)}
-
 		seq := ir.CloneProgram(d.C.Prog)
 		seqStats, err := replicate.ApplyOpts(seq, choices, static.Preds, replicate.Options{MaxSizeFactor: 4})
 		if err != nil {
 			return col{}, err
 		}
-		c.seqRate, err = s.measuredRate(seq, runCfg)
+		c.seqRate, err = s.cloneRate(d, seq, s.Cfg.Seed)
 		if err != nil {
 			return col{}, err
 		}
@@ -49,7 +48,7 @@ func (s *Suite) JointTable() (*Table, error) {
 		if err != nil {
 			return col{}, err
 		}
-		c.jointRate, err = s.measuredRate(joint, runCfg)
+		c.jointRate, err = s.cloneRate(d, joint, s.Cfg.Seed)
 		if err != nil {
 			return col{}, err
 		}

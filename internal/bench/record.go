@@ -112,6 +112,12 @@ func (s *Suite) countReplay(events int64) {
 	}
 }
 
+func (s *Suite) countWalk() {
+	if s.eng != nil {
+		s.eng.CountWalk()
+	}
+}
+
 func (s *Suite) countLiveRun() {
 	if s.eng != nil {
 		s.eng.CountLiveRun()

@@ -55,46 +55,48 @@ func TestReplayMatchesLive(t *testing.T) {
 }
 
 // TestReplayMatchesLiveMeasured extends the equivalence to the measured
-// experiments' replay-served rows: the profile-baseline row of
-// MeasuredReplication (scored over the trace instead of annotating and
-// running a clone) and the cross-dataset counts.
+// experiments, whose rows the trace engine serves without running a
+// transformed program: the profile-baseline row of MeasuredReplication
+// (scored over the trace instead of annotating and running a clone), the
+// cross-dataset counts, and every replicated clone — the replica on both
+// datasets, read by the measured, cross-dataset, layout and scope tables,
+// and both joint-table clones — walked along the recorded trace. At one
+// and at eight workers the output must be byte-identical to ForceLive,
+// which runs every clone live.
 func TestReplayMatchesLiveMeasured(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Budget = 30_000
 
-	render := func(forceLive bool) string {
+	render := func(forceLive bool, parallel int) string {
 		cfg.ForceLive = forceLive
+		cfg.Parallel = parallel
 		s, err := NewSuite(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		mt, err := s.MeasuredReplication(5)
-		if err != nil {
-			t.Fatal(err)
+		for _, section := range []func() (*Table, error){
+			func() (*Table, error) { return s.MeasuredReplication(5) },
+			s.CrossDataset, s.LayoutTable, s.ScopeTable, s.JointTable,
+		} {
+			tab, err := section()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(tab.Render())
 		}
-		b.WriteString(mt.Render())
-		ct, err := s.CrossDataset()
-		if err != nil {
-			t.Fatal(err)
+		st := s.Engine().Stats()
+		if !forceLive && st.LiveRuns != 0 {
+			t.Fatalf("parallel=%d: measured sections ran %d clones live, want every one walked", parallel, st.LiveRuns)
 		}
-		b.WriteString(ct.Render())
-		lt, err := s.LayoutTable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(lt.Render())
-		st, err := s.ScopeTable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(st.Render())
 		return b.String()
 	}
 
-	live := render(true)
-	if got := render(false); got != live {
-		t.Fatalf("replay-served measured rows differ from live\nfirst divergence at byte %d", firstDiff(live, got))
+	live := render(true, 1)
+	for _, p := range []int{1, 8} {
+		if got := render(false, p); got != live {
+			t.Fatalf("parallel=%d: trace-served measured rows differ from live\nfirst divergence at byte %d", p, firstDiff(live, got))
+		}
 	}
 }
 
@@ -102,8 +104,9 @@ func TestReplayMatchesLiveMeasured(t *testing.T) {
 // record-once claim: serving every trace-sufficient experiment costs
 // exactly one recording per workload and zero live interpreter runs;
 // adding the cross-dataset experiment costs exactly one more recording per
-// workload (the alternate dataset) plus the replica's two runs, and the
-// other replica-served experiments cost nothing more.
+// workload (the alternate dataset) plus the replica's two walks, one per
+// dataset, and still no live run; the other replica-served experiments
+// cost nothing more.
 func TestRecordOncePerWorkload(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Budget = 20_000
@@ -133,18 +136,18 @@ func TestRecordOncePerWorkload(t *testing.T) {
 	if st.TraceRecords != 2*n {
 		t.Fatalf("after cross-dataset: %d recordings, want %d (two seeds per workload)", st.TraceRecords, 2*n)
 	}
-	if want := 2 * n; st.LiveRuns != want { // replicated clone on both datasets
-		t.Fatalf("after cross-dataset: %d live runs, want %d", st.LiveRuns, want)
+	if st.LiveRuns != 0 || st.Walks != 2*n { // replicated clone on both datasets
+		t.Fatalf("after cross-dataset: %d live runs and %d walks, want 0 and %d", st.LiveRuns, st.Walks, 2*n)
 	}
 
 	// The other execution-bound sections at the replica's size read the
-	// same replica: with cross-dataset they cost 2n live runs in all, one
-	// replica run per workload plus its run on the alternate dataset.
+	// same replica: with cross-dataset they cost 2n walks in all, one
+	// replica walk per workload plus its walk on the alternate dataset.
 	replicaSections(t, s)
 	st = s.Engine().Stats()
-	if st.TraceRecords != 2*n || st.LiveRuns != 2*n {
-		t.Fatalf("measured, cross-dataset, layout and scope: %d recordings and %d live runs, want %d and %d",
-			st.TraceRecords, st.LiveRuns, 2*n, 2*n)
+	if st.TraceRecords != 2*n || st.LiveRuns != 0 || st.Walks != 2*n {
+		t.Fatalf("measured, cross-dataset, layout and scope: %d recordings, %d live runs and %d walks, want %d, 0 and %d",
+			st.TraceRecords, st.LiveRuns, st.Walks, 2*n, 2*n)
 	}
 
 	// Repeating any trace-sufficient or replica-served experiment must not
@@ -155,7 +158,7 @@ func TestRecordOncePerWorkload(t *testing.T) {
 	if _, err := s.CrossDataset(); err != nil {
 		t.Fatal(err)
 	}
-	if st2 := s.Engine().Stats(); st2.TraceRecords != st.TraceRecords || st2.LiveRuns != st.LiveRuns {
+	if st2 := s.Engine().Stats(); st2.TraceRecords != st.TraceRecords || st2.LiveRuns != st.LiveRuns || st2.Walks != st.Walks {
 		t.Fatalf("repeated sections re-interpreted: before %+v, after %+v", st, st2)
 	}
 }
@@ -188,7 +191,7 @@ func TestForceLiveCounters(t *testing.T) {
 	}
 	s.Table1()
 	st := s.Engine().Stats()
-	if st.TraceRecords != 0 || st.Replays != 0 {
+	if st.TraceRecords != 0 || st.Replays != 0 || st.Walks != 0 {
 		t.Fatalf("ForceLive suite touched the trace engine: %+v", st)
 	}
 	if st.LiveRuns != int64(len(Workloads())) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -22,9 +23,9 @@ const replicaStates = 5
 // replica is the run-once product of one workload's replicated program:
 // the transformed clone (realizable machines of at most the requested size,
 // MaxPathLen 1, MaxSizeFactor 3, trained on the suite's dataset) and what
-// one live run of it on that dataset observed. The execution-bound
-// experiments differ only in which of these counters they read, so each
-// (workload, size) replica is built and run once per suite. Replicas are
+// one run of it on that dataset observed. The execution-bound experiments
+// differ only in which of these counters they read, so each (workload,
+// size) replica is built and measured once per suite. Replicas are
 // immutable once cached.
 type replica struct {
 	// Prog is the replicated clone, for runs on other datasets and for
@@ -41,9 +42,9 @@ type replica struct {
 }
 
 // replicaFor builds — or fetches from the single-flight artifact cache —
-// workload d's replica with machines of at most states states. The live
-// run is counted in the engine stats; a ForceLive suite uses replicas too,
-// since the replicated program has no recorded trace either way.
+// workload d's replica with machines of at most states states. The clone
+// is measured by walking the workload's recorded trace, or by a live
+// counting run in a ForceLive suite.
 func (s *Suite) replicaFor(d *WorkloadData, states int) (*replica, error) {
 	key := fmt.Sprintf("%sreplica/%s/n%d", s.prefix, d.C.Workload.Name, states)
 	return runner.Cached(s.eng.Cache(), key, func() (*replica, error) {
@@ -57,24 +58,67 @@ func (s *Suite) replicaFor(d *WorkloadData, states int) (*replica, error) {
 		if err != nil {
 			return nil, err
 		}
+		r := &replica{Prog: clone, Size: Cell{Value: st.SizeFactor(), Valid: true}}
+		res, ok, err := s.walkClone(d, clone, s.Cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			r.Rate, r.Counts, r.BlockCounts = rateCell(res.Mispredicted, res.Predicted), res.Counts, res.BlockCounts
+			return r, nil
+		}
 		s.countLiveRun()
 		counts, bc, mc, err := countingRun(clone, s.Cfg)
 		if err != nil {
 			return nil, err
 		}
-		return &replica{
-			Prog:        clone,
-			Size:        Cell{Value: st.SizeFactor(), Valid: true},
-			Rate:        rateCell(mc.Mispredicted, mc.Predicted),
-			Counts:      counts,
-			BlockCounts: bc,
-		}, nil
+		r.Rate, r.Counts, r.BlockCounts = rateCell(mc.Mispredicted, mc.Predicted), counts, bc
+		return r, nil
 	})
+}
+
+// walkClone measures a transformed clone of workload d on dataset seed by
+// walking it along that dataset's recorded trace (replicate.Walk): the
+// clone follows its original's block path, so the walk observes exactly
+// what a live counting run would, without interpreting anything. ok is
+// false in a ForceLive suite and when the walk cannot reproduce the run's
+// stop; the caller then runs the clone live.
+func (s *Suite) walkClone(d *WorkloadData, prog *ir.Program, seed int64) (res *replicate.WalkResult, ok bool, err error) {
+	if s.Cfg.ForceLive {
+		return nil, false, nil
+	}
+	art, err := s.artifactFor(d.C, seed)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err = replicate.Walk(context.Background(), prog, art.Trace, replicate.WalkLimits{MaxBranches: s.Cfg.Budget})
+	if errors.Is(err, replicate.ErrWalkFallback) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("bench: walking the clone of %s: %w", d.C.Workload.Name, err)
+	}
+	s.countWalk()
+	return res, true, nil
+}
+
+// cloneRate is the measured misprediction rate of a transformed clone of
+// workload d on dataset seed: walked along the recorded trace, or run live
+// when walkClone cannot serve it.
+func (s *Suite) cloneRate(d *WorkloadData, prog *ir.Program, seed int64) (Cell, error) {
+	res, ok, err := s.walkClone(d, prog, seed)
+	if err != nil {
+		return Cell{}, err
+	}
+	if ok {
+		return rateCell(res.Mispredicted, res.Predicted), nil
+	}
+	return s.measuredRate(prog, RunConfig{Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg)})
 }
 
 // replicaRate returns the measured misprediction rate of workload d's
 // replica on dataset seed: the replica's own run on the suite's dataset,
-// otherwise one more live run of its program, memoised per seed.
+// otherwise one more measurement of its program, memoised per seed.
 func (s *Suite) replicaRate(d *WorkloadData, states int, seed int64) (Cell, error) {
 	r, err := s.replicaFor(d, states)
 	if err != nil {
@@ -85,7 +129,7 @@ func (s *Suite) replicaRate(d *WorkloadData, states int, seed int64) (Cell, erro
 	}
 	key := fmt.Sprintf("%sreplica/%s/n%d/seed%d", s.prefix, d.C.Workload.Name, states, seed)
 	return runner.Cached(s.eng.Cache(), key, func() (Cell, error) {
-		return s.measuredRate(r.Prog, RunConfig{Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg)})
+		return s.cloneRate(d, r.Prog, seed)
 	})
 }
 

@@ -50,11 +50,11 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 	// multiplicatively, as in sequential application, but same-loop
 	// branches share one minimised machine).
 	processed := map[*ir.Block]bool{}
+	loops := loopForests{}
 	for pass := 0; pass < 1000; pass++ {
 		progress := false
 		for _, f := range prog.Funcs {
-			g := cfg.Build(f)
-			lf := cfg.FindLoops(g)
+			lf := loops.forest(f)
 			groups := map[*cfg.Loop][]*ir.Block{}
 			var loopOrder []*cfg.Loop
 			for _, b := range f.Blocks {
@@ -139,6 +139,10 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 			if err != nil {
 				st.Skipped += len(blocks)
 				continue
+			}
+			if jm.States >= 2 {
+				// Copying the loop rewrote f's CFG, and no other function's.
+				delete(loops, f)
 			}
 			for _, cb := range clones {
 				processed[cb] = true

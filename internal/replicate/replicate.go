@@ -285,19 +285,24 @@ func verify(st *Stats, prog *ir.Program, choices []statemachine.Choice, profileP
 	return nil
 }
 
-// loopForests memoises each function's loop forest for one ApplyOpts run.
-// A transform invalidates only the function it rewrites, whose entry the
-// caller drops.
+// loopForests memoises each function's loop forest for one ApplyOpts or
+// ApplyJoint run. A transform invalidates only the function it rewrites,
+// whose entry the caller drops.
 type loopForests map[*ir.Func]*cfg.LoopForest
 
-// innermost returns the innermost natural loop of f containing b, or nil.
-func (lfs loopForests) innermost(f *ir.Func, b *ir.Block) *cfg.Loop {
+// forest returns f's loop forest, building it on first use.
+func (lfs loopForests) forest(f *ir.Func) *cfg.LoopForest {
 	lf, ok := lfs[f]
 	if !ok {
 		lf = cfg.FindLoops(cfg.Build(f))
 		lfs[f] = lf
 	}
-	return lf.InnermostLoop(b)
+	return lf
+}
+
+// innermost returns the innermost natural loop of f containing b, or nil.
+func (lfs loopForests) innermost(f *ir.Func, b *ir.Block) *cfg.Loop {
+	return lfs.forest(f).InnermostLoop(b)
 }
 
 // growth bounds the instruction growth of replicating the innermost loop

@@ -34,12 +34,14 @@ type Engine struct {
 
 	// Trace-replay engine counters (see internal/bench): recordings are
 	// interpreter runs that produced a branch trace, replays are trace
-	// playbacks into collectors, and live runs are interpreter executions
-	// that could not be served from a trace (transformed clones).
+	// playbacks into collectors, walks are transformed clones measured by
+	// walking a recorded trace (replicate.Walk), and live runs are
+	// interpreter executions that could be served by neither.
 	records        atomic.Int64
 	recordedEvents atomic.Int64
 	replays        atomic.Int64
 	replayedEvents atomic.Int64
+	walks          atomic.Int64
 	liveRuns       atomic.Int64
 }
 
@@ -57,8 +59,12 @@ func (e *Engine) CountReplay(events int64) {
 	e.replayedEvents.Add(events)
 }
 
+// CountWalk notes one transformed program measured by walking a recorded
+// trace instead of interpreting it.
+func (e *Engine) CountWalk() { e.walks.Add(1) }
+
 // CountLiveRun notes one interpreter execution that could not be served
-// from a recorded trace (typically a transformed program clone).
+// from a recorded trace, by replay or by walk.
 func (e *Engine) CountLiveRun() { e.liveRuns.Add(1) }
 
 // New creates an engine with the given worker count; workers <= 0 selects
@@ -91,19 +97,21 @@ type Stats struct {
 	// TraceRecords is the number of record-mode interpreter runs and
 	// RecordedEvents the branch events they captured; Replays/ReplayedEvents
 	// count trace playbacks serving experiments without re-interpretation;
+	// Walks counts transformed programs measured along a recorded trace;
 	// LiveRuns counts interpreter executions that bypassed the trace path.
 	TraceRecords   int64
 	RecordedEvents int64
 	Replays        int64
 	ReplayedEvents int64
+	Walks          int64
 	LiveRuns       int64
 }
 
 func (s Stats) String() string {
 	return fmt.Sprintf("%d workers, %d jobs (%v job time), cache %d hits / %d misses, "+
-		"%d recordings (%d events), %d replays (%d events), %d live runs",
+		"%d recordings (%d events), %d replays (%d events), %d walks, %d live runs",
 		s.Workers, s.Jobs, s.JobTime.Round(time.Millisecond), s.CacheHits, s.CacheMisses,
-		s.TraceRecords, s.RecordedEvents, s.Replays, s.ReplayedEvents, s.LiveRuns)
+		s.TraceRecords, s.RecordedEvents, s.Replays, s.ReplayedEvents, s.Walks, s.LiveRuns)
 }
 
 // Stats returns the engine's current counters.
@@ -119,6 +127,7 @@ func (e *Engine) Stats() Stats {
 		RecordedEvents: e.recordedEvents.Load(),
 		Replays:        e.replays.Load(),
 		ReplayedEvents: e.replayedEvents.Load(),
+		Walks:          e.walks.Load(),
 		LiveRuns:       e.liveRuns.Load(),
 	}
 }

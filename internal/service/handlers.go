@@ -185,7 +185,7 @@ func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, 
 	m := ep.NewMachine()
 	m.SetContext(ctx, 0)
 	m.SetMaxBranches(budget)
-	m.SetMaxSteps(512 * budget)
+	m.SetMaxSteps(stepBackstop(budget))
 	if req.Seed != 0 {
 		if err := m.SetGlobal("wseed", req.Seed); err != nil {
 			return nil, badRequest("seed override: program %s has no wseed global", c.name)
@@ -203,6 +203,10 @@ func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, 
 	}
 	return m, nil
 }
+
+// stepBackstop is the instruction limit of every run under a branch
+// budget: it bounds even branch-free loops.
+func stepBackstop(budget uint64) uint64 { return 512 * budget }
 
 // runMachine executes m, treating the branch budget as normal completion.
 func runMachine(m exec.Machine) (truncated bool, err error) {
@@ -516,7 +520,7 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 	if sizeFactor < 1 || sizeFactor > 64 {
 		return nil, badRequest("max_size_factor %.2f out of range [1,64]", sizeFactor)
 	}
-	prof, _, err := s.profileFor(ctx, c, req, budget)
+	prof, art, err := s.profileFor(ctx, c, req, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -526,31 +530,18 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 	})
 	preds := predict.ProfileStatic(prof.Counts).Preds
 
-	// Both measuring runs are live executions on the server's backend: the
-	// transformed clone's branch stream is exactly what the recorded trace
-	// cannot provide.
-	measure := func(prog *ir.Program) (MeasuredRun, error) {
-		m, err := s.newMachine(ctx, c, prog, budget, req)
-		if err != nil {
-			return MeasuredRun{}, err
-		}
-		if _, err := runMachine(m); err != nil {
-			return MeasuredRun{}, err
-		}
-		s.eng.CountLiveRun()
-		mc := m.Counters()
-		return MeasuredRun{
-			RateBlock: rateBlock(mc.Mispredicted, mc.Predicted),
-			Checksum:  mc.Checksum,
-		}, nil
+	// The annotated baseline differs from the recorded program only in its
+	// Pred annotations, so its run is the recording: the prediction vector
+	// scored over the trace, with the recording's checksum. StaticScore is
+	// order-insensitive, so folding in the trace's per-site totals — the
+	// profile's counts, replayed from this slab — scores it exactly as a
+	// second replay would.
+	score := &predict.StaticScore{Preds: preds}
+	for site := range prof.Counts.Taken {
+		score.RecordRun(int32(site), true, prof.Counts.Taken[site])
+		score.RecordRun(int32(site), false, prof.Counts.NotTaken[site])
 	}
-
-	baseline := ir.CloneProgram(c.prog)
-	replicate.Annotate(baseline, preds)
-	base, err := measure(baseline)
-	if err != nil {
-		return nil, err
-	}
+	base := MeasuredRun{RateBlock: rateBlock(score.Mispredicted, score.Predicted), Checksum: art.checksum}
 
 	ropts := replicate.Options{MaxSizeFactor: sizeFactor, Verify: req.Check}
 	if req.StaticBudget {
@@ -579,12 +570,21 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 		}
 		return nil, err
 	}
+	if s.mutateClone != nil {
+		s.mutateClone(clone)
+	}
+	repl, err := s.measureClone(ctx, c, clone, st.Verified, art, budget, req)
+	if err != nil {
+		if errors.Is(err, replicate.ErrWalkMismatch) {
+			// The verified clone left the recorded path: the walk refutes
+			// the transform, again a daemon-side fault.
+			s.verifyFail.Add(1)
+			return nil, &httpError{http.StatusInternalServerError, err.Error()}
+		}
+		return nil, err
+	}
 	if st.Verified {
 		s.verifyOK.Add(1)
-	}
-	repl, err := measure(clone)
-	if err != nil {
-		return nil, err
 	}
 
 	resp := &ReplicateResponse{
@@ -612,6 +612,39 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 		resp.IR = clone.String()
 	}
 	return resp, nil
+}
+
+// measureClone measures a transformed clone on the request's dataset. A
+// clone the equivalence verifier proved (verified) is walked along the
+// recorded trace: its bodies are verbatim copies of the original's, so
+// once the walk also confirms the recorded path, its output is the
+// recording's and so is its checksum. Any other clone, and any run whose
+// stop the walk cannot reproduce, runs live. A walk that leaves the
+// recorded path fails with replicate.ErrWalkMismatch.
+func (s *Server) measureClone(ctx context.Context, c *compiled, clone *ir.Program, verified bool,
+	art *artifact, budget uint64, req *Request) (MeasuredRun, error) {
+	if verified {
+		res, err := replicate.Walk(ctx, clone, art.slab, replicate.WalkLimits{
+			MaxBranches: budget, MaxSteps: stepBackstop(budget), Truncated: art.truncated,
+		})
+		if err == nil {
+			s.eng.CountWalk()
+			return MeasuredRun{RateBlock: rateBlock(res.Mispredicted, res.Predicted), Checksum: art.checksum}, nil
+		}
+		if !errors.Is(err, replicate.ErrWalkFallback) {
+			return MeasuredRun{}, err
+		}
+	}
+	m, err := s.newMachine(ctx, c, clone, budget, req)
+	if err != nil {
+		return MeasuredRun{}, err
+	}
+	if _, err := runMachine(m); err != nil {
+		return MeasuredRun{}, err
+	}
+	s.eng.CountLiveRun()
+	mc := m.Counters()
+	return MeasuredRun{RateBlock: rateBlock(mc.Mispredicted, mc.Predicted), Checksum: mc.Checksum}, nil
 }
 
 // --- POST /v1/score -----------------------------------------------------

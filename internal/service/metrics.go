@@ -183,6 +183,7 @@ func (m *metrics) write(w io.Writer, eng runner.Stats, store storeSnapshot, veri
 	fmt.Fprintf(w, "kralld_engine_recorded_events_total %d\n", eng.RecordedEvents)
 	fmt.Fprintf(w, "kralld_engine_replays_total %d\n", eng.Replays)
 	fmt.Fprintf(w, "kralld_engine_replayed_events_total %d\n", eng.ReplayedEvents)
+	fmt.Fprintf(w, "kralld_engine_walks_total %d\n", eng.Walks)
 	fmt.Fprintf(w, "kralld_engine_live_runs_total %d\n", eng.LiveRuns)
 	fmt.Fprintf(w, "kralld_store_entries %d\n", store.entries)
 	fmt.Fprintf(w, "kralld_store_hits_total %d\n", store.hits)

@@ -37,6 +37,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/diskstore"
 	"repro/internal/exec"
+	"repro/internal/ir"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
@@ -178,11 +179,15 @@ type Server struct {
 	// rateLimited counts requests refused by the MaxRPS token bucket.
 	rateLimited atomic.Int64
 
-	// verifyOK/verifyFail count replication-equivalence verifier verdicts
-	// on /v1/replicate requests that asked for checking; both are exported
-	// on /metrics as krallcheck_{verified,failed}_total.
+	// verifyOK/verifyFail count replication-equivalence verdicts on
+	// /v1/replicate requests that asked for checking — the verifier's,
+	// and for a walked clone the walk's too; both are exported on
+	// /metrics as krallcheck_{verified,failed}_total.
 	verifyOK   atomic.Int64
 	verifyFail atomic.Int64
+	// mutateClone, when set, rewrites every /v1/replicate clone after
+	// the transform, so tests can feed the measurement a miswired clone.
+	mutateClone func(*ir.Program)
 
 	// analyzeSites/analyzeDecided count branch sites examined and proven
 	// one-way by /v1/analyze (cold runs only; cache hits recompute
@@ -302,7 +307,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener, drainTimeout time.Du
 		"jobs", stats.Jobs,
 		"cache_hits", stats.CacheHits, "cache_misses", stats.CacheMisses,
 		"recordings", stats.TraceRecords, "replays", stats.Replays,
-		"live_runs", stats.LiveRuns)
+		"walks", stats.Walks, "live_runs", stats.LiveRuns)
 	return err
 }
 

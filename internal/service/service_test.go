@@ -55,6 +55,20 @@ func post(t *testing.T, ts *httptest.Server, endpoint, body string) (int, []byte
 	return resp.StatusCode, out
 }
 
+// stepBoundBody asks /v1/replicate, with the verifier on, about a program
+// that runs over 512 instructions per branch: under its branch budget, its
+// runs stop at the step backstop first.
+var stepBoundBody = func() string {
+	src := "var acc int;\nfunc main() int {\n    for var i int = 0; i < 1000000; i = i + 1 {\n" +
+		strings.Repeat("        acc = (acc * 31 + i) % 1000003;\n", 200) +
+		"        if acc % 7 == 0 {\n            acc = acc + 1;\n        }\n    }\n    print(acc);\n    return acc;\n}\n"
+	out, err := json.Marshal(Request{Source: src, Budget: 2000, Check: true})
+	if err != nil {
+		panic(err)
+	}
+	return string(out)
+}()
+
 // TestGoldenResponses pins the exact response bytes of all four endpoints:
 // the kralld/v1 schema is a compatibility contract, and any drift —
 // field order, number formatting, pipeline results — must show up in
@@ -77,6 +91,9 @@ func TestGoldenResponses(t *testing.T) {
 		{"replicate_compress_static", "replicate", `{"workload":"compress","budget":20000,"states":4,"static_budget":true}`},
 		{"replicate_svm_indirect", "replicate", `{"workload":"svm","budget":20000,"family":"indirect","check":true}`},
 		{"replicate_lex_indirect", "replicate", `{"workload":"lex","budget":20000,"family":"indirect","check":true,"seed":424243}`},
+		{"replicate_compress_check", "replicate", `{"workload":"compress","budget":20000,"states":4,"check":true}`},
+		{"replicate_cc_joint_check", "replicate", `{"workload":"cc","budget":20000,"joint":true,"check":true}`},
+		{"replicate_steps_check", "replicate", stepBoundBody},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
