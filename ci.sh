@@ -103,6 +103,9 @@ stage_fuzz() {
     # The shared dominator core, through cfg.Graph and ssa.Build, against
     # the naive set-based dominator oracle.
     go test -run='^$' -fuzz=FuzzDominators -fuzztime=10s ./internal/cfg
+    # kralld's whole handler on mutated bodies for every endpoint and batch:
+    # never a 5xx, and a 200 asked again answers the same bytes.
+    go test -run='^$' -fuzz=FuzzRequest -fuzztime=10s ./internal/service
 }
 
 stage_check() {

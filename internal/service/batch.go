@@ -51,23 +51,6 @@ type BatchResponse struct {
 	Items   []BatchItemResult `json:"items"`
 }
 
-// pipelineHandler resolves a batch item's endpoint name.
-func (s *Server) pipelineHandler(name string) func(context.Context, *Request) (any, error) {
-	switch name {
-	case "analyze":
-		return s.handleAnalyze
-	case "profile":
-		return s.handleProfile
-	case "machines":
-		return s.handleMachines
-	case "replicate":
-		return s.handleReplicate
-	case "score":
-		return s.handleScore
-	}
-	return nil
-}
-
 // handleBatch is POST /v1/batch: decode once, admit once, then run every
 // item over a bounded worker pool sharing the sharded artifact store.
 // Batching exists to amortise per-request overhead — connection handling,
@@ -167,11 +150,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The envelope is assembled by hand: item bodies are already compact
-	// JSON from the per-item marshal, and routing them through a second
-	// json.Marshal (as RawMessage fields) would re-validate and re-copy
-	// every byte — the dominant per-batch cost for large batches. The
-	// layout mirrors BatchResponse exactly; TestBatchMatchesSingle pins
-	// item bodies byte-identical to the standalone endpoints.
+	// JSON from answer, and routing them through a second json.Marshal (as
+	// RawMessage fields) would re-validate and re-copy every byte — the
+	// dominant per-batch cost for large batches. The layout mirrors
+	// BatchResponse exactly; TestBatchMatchesSingle pins item bodies
+	// byte-identical to the standalone endpoints.
 	var buf bytes.Buffer
 	buf.Grow(size + 64)
 	fmt.Fprintf(&buf, `{"schema":%q,"kind":"batch","ok":%d,"failed":%d,"items":[`, Schema, ok, failed)
@@ -214,28 +197,18 @@ func writeJSONString(buf *bytes.Buffer, s string) {
 	buf.Write(b)
 }
 
-// runBatchItem executes one item exactly as its standalone endpoint
-// would: as a panic-protected engine job, answering the same status and
-// body bytes the single-request path produces.
+// runBatchItem answers one item exactly as its standalone endpoint would,
+// through the same answer path: the same status, and the same body bytes
+// without the trailing newline.
 func (s *Server) runBatchItem(ctx context.Context, item *BatchItem) BatchItemResult {
 	res := BatchItemResult{Endpoint: item.Endpoint}
-	h := s.pipelineHandler(item.Endpoint)
-	if h == nil {
-		res.Status = http.StatusBadRequest
-		res.Error = fmt.Sprintf("unknown endpoint %q (want one of analyze, profile, machines, replicate, score)", item.Endpoint)
+	buf, _, err := s.answer(ctx, item.Endpoint, &item.Request)
+	if err != nil {
+		res.Status = statusFor(err)
+		res.Error = err.Error()
 		return res
 	}
-	out, err := runJob(s.eng, func() (any, error) { return h(ctx, &item.Request) })
-	if err == nil {
-		var buf []byte
-		buf, err = json.Marshal(out)
-		if err == nil {
-			res.Status = http.StatusOK
-			res.Body = buf
-			return res
-		}
-	}
-	res.Status = statusFor(err)
-	res.Error = err.Error()
+	res.Status = http.StatusOK
+	res.Body = buf[:len(buf)-1]
 	return res
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/diskstore"
 	"repro/internal/profile"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 	"repro/internal/trace"
 )
 
@@ -27,9 +26,11 @@ import (
 //
 // All three run inside the memory tier's single-flight slot, so a
 // stampede on a cold key still does the disk read, peer fetch, or
-// recording exactly once. Compiled programs ("prog" keys) are
-// deliberately not persisted: they embed backend code and recompiling is
-// cheap next to re-recording.
+// recording exactly once. Only data is persisted: trace artifacts ("art")
+// and profile bundles ("prof"). Compiled programs ("prog") embed backend
+// code and recompile cheaply next to a re-recording; answers ("resp") are
+// bytes in today's response format, which a persisted copy could outlive
+// across a release, and are recomputed from the persisted data instead.
 type tieredStore struct {
 	mem  *runner.Sharded
 	disk *diskstore.Store
@@ -102,26 +103,6 @@ func (t *tieredStore) loadDisk(key string) (any, bool) {
 			return nil, false
 		}
 		return &p, true
-	case "mach":
-		raw, ok := t.disk.Load(key)
-		if !ok {
-			return nil, false
-		}
-		var cs []statemachine.Choice
-		if err := gobDecode(raw, &cs); err != nil {
-			return nil, false
-		}
-		return cs, true
-	case "score":
-		raw, ok := t.disk.Load(key)
-		if !ok {
-			return nil, false
-		}
-		var w scoreWire
-		if err := gobDecode(raw, &w); err != nil {
-			return nil, false
-		}
-		return scoreEntry{nsites: w.NSites, score: w.Score}, true
 	}
 	return nil, false
 }
@@ -137,14 +118,6 @@ func (t *tieredStore) saveDisk(key string, v any) {
 		if raw, err := gobEncode(val); err == nil {
 			_ = t.disk.Put(key, raw)
 		}
-	case []statemachine.Choice:
-		if raw, err := gobEncode(val); err == nil {
-			_ = t.disk.Put(key, raw)
-		}
-	case scoreEntry:
-		if raw, err := gobEncode(scoreWire{NSites: val.nsites, Score: val.score}); err == nil {
-			_ = t.disk.Put(key, raw)
-		}
 	}
 }
 
@@ -156,12 +129,6 @@ func (t *tieredStore) artifactPayload(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return t.disk.Load(key)
-}
-
-// scoreWire mirrors scoreEntry for gob (its fields are unexported).
-type scoreWire struct {
-	NSites int
-	Score  RateBlock
 }
 
 // encodeArtifact lays out an artifact as run counters followed by the

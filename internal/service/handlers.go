@@ -219,6 +219,17 @@ func runMachine(m exec.Machine) (truncated bool, err error) {
 	return false, nil
 }
 
+// programFault makes a failure of the request's own program a 400: a trap
+// (division by zero, an out-of-bounds index) or an unrunnable main is the
+// client's program at fault, not the daemon. Other errors pass through.
+func programFault(err error) error {
+	var trap *interp.RuntimeError
+	if errors.As(err, &trap) || errors.Is(err, interp.ErrNoMain) || errors.Is(err, interp.ErrMainParams) {
+		return &httpError{http.StatusBadRequest, err.Error()}
+	}
+	return err
+}
+
 // artifactFor records — or fetches from the store — the branch trace of
 // one program cell. Population is single-flight, so the recording runs
 // under a detached context bounded by the server's RequestTimeout rather
@@ -238,7 +249,7 @@ func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, bud
 		m.SetRec(slab)
 		truncated, err := runMachine(m)
 		if err != nil {
-			return nil, err
+			return nil, programFault(err)
 		}
 		slab.Seal()
 		s.eng.CountRecord(int64(slab.Len()))
@@ -410,18 +421,10 @@ func (s *Server) handleMachines(ctx context.Context, req *Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Selection is a pure function of the (memoised) profile and the
-	// request's machine options, so it is content-addressed too.
-	mkey := contentKey("mach", c.key, field(budget, req.Seed, req.Scale, states, pathLen))
-	choices, err := runner.Cached(s.store, mkey, func() ([]statemachine.Choice, error) {
-		return statemachine.Select(prof, c.feats, statemachine.Options{
-			MaxStates:  states,
-			MaxPathLen: pathLen,
-		}), nil
+	choices := statemachine.Select(prof, c.feats, statemachine.Options{
+		MaxStates:  states,
+		MaxPathLen: pathLen,
 	})
-	if err != nil {
-		return nil, err
-	}
 	misses, total := statemachine.Aggregate(choices)
 	r := predict.ProfileResult(prof.Counts)
 	resp := &MachinesResponse{
@@ -667,7 +670,7 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 	}
 
 	var slab *trace.Slab
-	var source, cacheKey string
+	var source string
 	switch {
 	case req.TraceB64 != "":
 		if req.Workload != "" || req.Source != "" {
@@ -700,32 +703,12 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		}
 		slab = art.slab
 		source = c.name
-		// A score of a stored trace is a pure function of the artifact key
-		// and the strategy parameters, so it is memoised too; scoring a hot
-		// program replays nothing. (Uploaded traces have no content key and
-		// are scored directly.)
-		cacheKey = contentKey("score", c.key,
-			field(budget, req.Seed, req.Scale, strategy), field(req.Preds))
 	}
 
-	var nsites int
-	var score RateBlock
-	if cacheKey != "" {
-		ent, err := runner.Cached(s.store, cacheKey, func() (scoreEntry, error) {
-			return s.scoreSlab(slab, strategy, req.Preds)
-		})
-		if err != nil {
-			return nil, err
-		}
-		nsites, score = ent.nsites, ent.score
-	} else {
-		ent, err := s.scoreSlab(slab, strategy, req.Preds)
-		if err != nil {
-			return nil, err
-		}
-		nsites, score = ent.nsites, ent.score
+	nsites, score, err := s.scoreSlab(slab, strategy, req.Preds)
+	if err != nil {
+		return nil, err
 	}
-
 	return &ScoreResponse{
 		SchemaV:  Schema,
 		Kind:     "score",
@@ -737,27 +720,19 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 	}, nil
 }
 
-// scoreEntry is a memoised score: the trace's observed site-table size
-// plus the strategy's misprediction block.
-type scoreEntry struct {
-	nsites int
-	score  RateBlock
-}
-
 // scoreSlab replays one trace against a strategy. Site table sizes come
 // from the trace itself, so uploaded traces need no side channel
 // describing their program. All decode/collector state — the site scan,
 // count tables, predictors, and the prediction vector — comes from the
 // request-scoped scorePool, so the batch pipeline's hottest endpoint
 // allocates nothing proportional to the request rate.
-func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string) (scoreEntry, error) {
+func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string) (nsites int, score RateBlock, err error) {
 	st := scorePool.Get().(*scoreState)
 	defer scorePool.Put(st)
 	st.max.N = 0
 	slab.ReplayInto(&st.max)
-	nsites := st.max.N
+	nsites = st.max.N
 
-	var score RateBlock
 	switch strategy {
 	case "profile":
 		counts := st.countsFor(nsites)
@@ -774,7 +749,7 @@ func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string)
 		score = rateBlock(eval.Misses, eval.Total)
 	case "static":
 		if len(reqPreds) > nsites {
-			return scoreEntry{}, badRequest("preds has %d entries for %d sites", len(reqPreds), nsites)
+			return 0, RateBlock{}, badRequest("preds has %d entries for %d sites", len(reqPreds), nsites)
 		}
 		preds := st.predsFor(nsites)
 		for i, p := range reqPreds {
@@ -786,15 +761,15 @@ func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string)
 			case "none", "":
 				preds[i] = ir.PredNone
 			default:
-				return scoreEntry{}, badRequest("preds[%d]: unknown prediction %q", i, p)
+				return 0, RateBlock{}, badRequest("preds[%d]: unknown prediction %q", i, p)
 			}
 		}
 		fold := predict.StaticScore{Preds: preds}
 		slab.ReplayInto(&fold)
 		score = rateBlock(fold.Mispredicted, fold.Predicted)
 	default:
-		return scoreEntry{}, badRequest("unknown strategy %q (want profile, last, twobit, or static)", strategy)
+		return 0, RateBlock{}, badRequest("unknown strategy %q (want profile, last, twobit, or static)", strategy)
 	}
 	s.eng.CountReplay(int64(slab.Len()))
-	return scoreEntry{nsites: nsites, score: score}, nil
+	return nsites, score, nil
 }

@@ -21,7 +21,12 @@ var latencyBuckets = [...]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 type endpointMetrics struct {
 	inflight atomic.Int64
 	rejected atomic.Int64
-	buckets  [len(latencyBuckets) + 1]atomic.Int64
+	// answerHits/answerMisses count answers served from the answer cache
+	// and answers computed into it; requests that bypass it count in
+	// neither.
+	answerHits   atomic.Int64
+	answerMisses atomic.Int64
+	buckets      [len(latencyBuckets) + 1]atomic.Int64
 
 	mu    sync.Mutex
 	codes map[int]int64
@@ -30,8 +35,8 @@ type endpointMetrics struct {
 }
 
 // metrics is the /metrics registry: per-endpoint request counts by status
-// code, in-flight gauges, 429 rejections, latency histograms, and the
-// per-item outcomes of /v1/batch.
+// code, in-flight gauges, 429 rejections, latency histograms, answer-cache
+// hits and misses, and the per-item outcomes of /v1/batch.
 type metrics struct {
 	endpoints map[string]*endpointMetrics
 	names     []string
@@ -70,6 +75,9 @@ func (m *metrics) inflight(name string, delta int64) {
 func (m *metrics) rejected(name string) {
 	m.endpoints[name].rejected.Add(1)
 }
+
+func (m *metrics) answerHit(name string)  { m.endpoints[name].answerHits.Add(1) }
+func (m *metrics) answerMiss(name string) { m.endpoints[name].answerMisses.Add(1) }
 
 func (m *metrics) observe(name string, code int, elapsed time.Duration) {
 	e := m.endpoints[name]
@@ -154,6 +162,11 @@ func (m *metrics) write(w io.Writer, eng runner.Stats, store storeSnapshot, veri
 		fmt.Fprintf(w, "kralld_request_seconds_count{endpoint=%q} %d\n", name, count)
 		fmt.Fprintf(w, "kralld_inflight{endpoint=%q} %d\n", name, e.inflight.Load())
 		fmt.Fprintf(w, "kralld_rejected_total{endpoint=%q} %d\n", name, e.rejected.Load())
+		if name != batchEndpoint {
+			// Batch items count under their own endpoint.
+			fmt.Fprintf(w, "kralld_answer_cache_hits_total{endpoint=%q} %d\n", name, e.answerHits.Load())
+			fmt.Fprintf(w, "kralld_answer_cache_misses_total{endpoint=%q} %d\n", name, e.answerMisses.Load())
+		}
 	}
 	m.itemMu.Lock()
 	itemEPs := make([]string, 0, len(m.items))

@@ -37,7 +37,7 @@ func TestScoreSlabSteadyStateAllocs(t *testing.T) {
 		strategy := strategy
 		t.Run(strategy, func(t *testing.T) {
 			score := func() {
-				if _, err := srv.scoreSlab(slab, strategy, preds); err != nil {
+				if _, _, err := srv.scoreSlab(slab, strategy, preds); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -60,7 +60,7 @@ func BenchmarkScoreSlab(b *testing.B) {
 		b.Run(strategy, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := srv.scoreSlab(slab, strategy, preds); err != nil {
+				if _, _, err := srv.scoreSlab(slab, strategy, preds); err != nil {
 					b.Fatal(err)
 				}
 			}

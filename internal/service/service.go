@@ -16,7 +16,8 @@
 // intermediates — compiled programs and recorded trace slabs — live in a
 // content-addressed LRU store shared by all endpoints, so a hot program is
 // interpreted once and replayed many times, exactly like the batch
-// engine's record-once/replay-many path.
+// engine's record-once/replay-many path. The same store holds final
+// answers, so a repeated request writes stored bytes (see answer).
 package service
 
 import (
@@ -86,9 +87,9 @@ type Config struct {
 	// may ask for fewer workers than the cap, never more.
 	MaxBatchItems int
 	BatchWorkers  int
-	// DiskDir enables the disk artifact tier: recorded traces, profile
-	// bundles, machine selections, and scores persist under this directory
-	// and survive restarts and memory-tier eviction. Empty = memory only.
+	// DiskDir enables the disk artifact tier: recorded traces and profile
+	// bundles persist under this directory and survive restarts and
+	// memory-tier eviction. Empty = memory only.
 	DiskDir string
 	// DiskMaxBytes budgets the disk tier (default 256 MiB); DiskFsync
 	// forces fsync-before-rename on every disk write.
@@ -241,11 +242,9 @@ func New(cfg Config) (*Server, error) {
 	for _, ep := range metered {
 		s.sems[ep] = make(chan struct{}, cfg.MaxInflight)
 	}
-	s.mux.HandleFunc("/v1/analyze", s.endpoint("analyze", s.handleAnalyze))
-	s.mux.HandleFunc("/v1/profile", s.endpoint("profile", s.handleProfile))
-	s.mux.HandleFunc("/v1/machines", s.endpoint("machines", s.handleMachines))
-	s.mux.HandleFunc("/v1/replicate", s.endpoint("replicate", s.handleReplicate))
-	s.mux.HandleFunc("/v1/score", s.endpoint("score", s.handleScore))
+	for _, ep := range Endpoints {
+		s.mux.HandleFunc("/v1/"+ep, s.endpoint(ep))
+	}
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/internal/artifact/", s.handleInternalArtifact)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -323,12 +322,11 @@ func badRequest(format string, args ...any) error {
 	return &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// endpoint wraps one pipeline handler with the service plumbing: method
+// endpoint wraps one pipeline endpoint with the service plumbing: method
 // check, per-endpoint admission (429 + Retry-After on overload), body
-// limit, request deadline, metrics, structured logging, and stable JSON
-// encoding. The handler body runs as an engine job, so it is
-// panic-protected and counted like any batch job.
-func (s *Server) endpoint(name string, h func(ctx context.Context, req *Request) (any, error)) http.HandlerFunc {
+// limit, request deadline, metrics and structured logging. The answer
+// itself comes from answer, shared with /v1/batch.
+func (s *Server) endpoint(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
@@ -395,36 +393,104 @@ func (s *Server) endpoint(name string, h func(ctx context.Context, req *Request)
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		resp, err := runJob(s.eng, func() (any, error) { return h(ctx, &req) })
+		buf, cached, err := s.answer(ctx, name, &req)
 		if err != nil {
 			s.writeError(w, name, err, start)
 			return
 		}
-		buf, err := json.Marshal(resp)
-		if err != nil {
-			s.writeError(w, name, err, start)
-			return
-		}
-		buf = append(buf, '\n')
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(buf)
 		s.metrics.observe(name, http.StatusOK, time.Since(start))
-		s.log.Debug("request", "endpoint", name, "code", http.StatusOK,
+		s.log.Debug("request", "endpoint", name, "code", http.StatusOK, "cached", cached,
 			"bytes", len(buf), "elapsed", time.Since(start))
 	}
 }
 
-// runJob executes fn as a single engine job: panic-protected, counted in
-// the engine's job/time counters, run inline in the request goroutine.
-func runJob(eng *runner.Engine, fn func() (any, error)) (any, error) {
-	out, err := runner.Map(eng, []struct{}{{}}, func(int, struct{}) (any, error) {
-		return fn()
+// pipelineHandler resolves a pipeline endpoint name (nil if unknown).
+func (s *Server) pipelineHandler(name string) func(context.Context, *Request) (any, error) {
+	switch name {
+	case "analyze":
+		return s.handleAnalyze
+	case "profile":
+		return s.handleProfile
+	case "machines":
+		return s.handleMachines
+	case "replicate":
+		return s.handleReplicate
+	case "score":
+		return s.handleScore
+	}
+	return nil
+}
+
+// answer returns a pipeline endpoint's final JSON answer, trailing newline
+// included, and whether it came from the store. Answers are memoised under
+// the request's canonical encoding — json.Marshal of the decoded body, so
+// whitespace and field order in the client's bytes do not matter — and a
+// hit writes stored bytes without running or encoding anything. The
+// returned bytes are shared and must not be modified.
+//
+// Two kinds of request bypass the cache: /v1/replicate, whose checked
+// requests must each run the verifier and count its verdict, and uploaded
+// traces, which have no content key and whose bodies are too large to be
+// worth hashing into one. A fill runs under a context detached from the
+// first caller and bounded by RequestTimeout, as artifactFor's recording
+// does, so one client disconnecting cannot fail every waiter on the slot;
+// errors are not cached.
+func (s *Server) answer(ctx context.Context, name string, req *Request) ([]byte, bool, error) {
+	h := s.pipelineHandler(name)
+	if h == nil {
+		return nil, false, badRequest("unknown endpoint %q (want one of analyze, profile, machines, replicate, score)", name)
+	}
+	if name == "replicate" || req.TraceB64 != "" {
+		buf, err := s.encode(ctx, h, req)
+		return buf, false, err
+	}
+	key, err := answerKey(name, req)
+	if err != nil {
+		return nil, false, err
+	}
+	miss := false
+	buf, err := runner.Cached(s.store, key, func() ([]byte, error) {
+		miss = true
+		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
+		defer cancel()
+		return s.encode(rctx, h, req)
 	})
+	switch {
+	case miss:
+		s.metrics.answerMiss(name)
+	case err == nil:
+		s.metrics.answerHit(name)
+	}
+	return buf, !miss && err == nil, err
+}
+
+// answerKey is the store key of a request's answer: the endpoint plus the
+// request's canonical encoding, which holds every field that can change
+// the answer.
+func answerKey(name string, req *Request) (string, error) {
+	canonical, err := json.Marshal(req)
+	if err != nil {
+		return "", err
+	}
+	return contentKey("resp", name, string(canonical)), nil
+}
+
+// encode runs one pipeline handler as a single engine job — panic-protected,
+// counted in the engine's job/time counters, run inline in the calling
+// goroutine — and encodes its response, newline included.
+func (s *Server) encode(ctx context.Context, h func(context.Context, *Request) (any, error), req *Request) ([]byte, error) {
+	out, err := runner.Map(s.eng, []struct{}{{}}, func(int, struct{}) (any, error) { return h(ctx, req) })
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	buf, err := json.Marshal(out[0])
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, '\n'), nil
 }
 
 // errorBody is the JSON error envelope.

@@ -69,54 +69,61 @@ var stepBoundBody = func() string {
 	return string(out)
 }()
 
-// TestGoldenResponses pins the exact response bytes of all four endpoints:
-// the kralld/v1 schema is a compatibility contract, and any drift —
-// field order, number formatting, pipeline results — must show up in
-// review. Regenerate with go test ./internal/service -run Golden -update.
+// goldenCases are the requests whose answers are committed under
+// testdata/golden; FuzzRequest seeds from them too.
+var goldenCases = []struct {
+	name     string
+	endpoint string
+	body     string
+}{
+	{"profile_compress", "profile", `{"workload":"compress","budget":20000}`},
+	{"machines_compress", "machines", `{"workload":"compress","budget":20000,"states":4}`},
+	{"replicate_compress", "replicate", `{"workload":"compress","budget":20000,"states":4}`},
+	{"score_compress_twobit", "score", `{"workload":"compress","budget":20000,"strategy":"twobit"}`},
+	{"score_compress_static", "score", `{"workload":"compress","budget":20000,"strategy":"static","preds":["taken","not_taken"]}`},
+	{"machines_scheduler_paths", "machines", `{"workload":"scheduler","budget":20000,"states":6,"max_path_len":2}`},
+	{"replicate_cc_joint", "replicate", `{"workload":"cc","budget":20000,"joint":true}`},
+	{"analyze_compress", "analyze", `{"workload":"compress"}`},
+	{"replicate_compress_static", "replicate", `{"workload":"compress","budget":20000,"states":4,"static_budget":true}`},
+	{"replicate_svm_indirect", "replicate", `{"workload":"svm","budget":20000,"family":"indirect","check":true}`},
+	{"replicate_lex_indirect", "replicate", `{"workload":"lex","budget":20000,"family":"indirect","check":true,"seed":424243}`},
+	{"replicate_compress_check", "replicate", `{"workload":"compress","budget":20000,"states":4,"check":true}`},
+	{"replicate_cc_joint_check", "replicate", `{"workload":"cc","budget":20000,"joint":true,"check":true}`},
+	{"replicate_steps_check", "replicate", stepBoundBody},
+}
+
+// TestGoldenResponses pins the exact response bytes of every endpoint, cold
+// and cached: the kralld/v1 schema is a compatibility contract, and any
+// drift — field order, number formatting, pipeline results — must show up
+// in review. Regenerate with go test ./internal/service -run Golden -update.
 func TestGoldenResponses(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name     string
-		endpoint string
-		body     string
-	}{
-		{"profile_compress", "profile", `{"workload":"compress","budget":20000}`},
-		{"machines_compress", "machines", `{"workload":"compress","budget":20000,"states":4}`},
-		{"replicate_compress", "replicate", `{"workload":"compress","budget":20000,"states":4}`},
-		{"score_compress_twobit", "score", `{"workload":"compress","budget":20000,"strategy":"twobit"}`},
-		{"score_compress_static", "score", `{"workload":"compress","budget":20000,"strategy":"static","preds":["taken","not_taken"]}`},
-		{"machines_scheduler_paths", "machines", `{"workload":"scheduler","budget":20000,"states":6,"max_path_len":2}`},
-		{"replicate_cc_joint", "replicate", `{"workload":"cc","budget":20000,"joint":true}`},
-		{"analyze_compress", "analyze", `{"workload":"compress"}`},
-		{"replicate_compress_static", "replicate", `{"workload":"compress","budget":20000,"states":4,"static_budget":true}`},
-		{"replicate_svm_indirect", "replicate", `{"workload":"svm","budget":20000,"family":"indirect","check":true}`},
-		{"replicate_lex_indirect", "replicate", `{"workload":"lex","budget":20000,"family":"indirect","check":true,"seed":424243}`},
-		{"replicate_compress_check", "replicate", `{"workload":"compress","budget":20000,"states":4,"check":true}`},
-		{"replicate_cc_joint_check", "replicate", `{"workload":"cc","budget":20000,"joint":true,"check":true}`},
-		{"replicate_steps_check", "replicate", stepBoundBody},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, got := post(t, ts, tc.endpoint, tc.body)
-			if code != http.StatusOK {
-				t.Fatalf("status %d: %s", code, got)
-			}
 			path := filepath.Join("testdata", "golden", tc.name+".json")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
+			// The first ask computes the answer, the second is served from
+			// the answer cache (replicate recomputes): both must be golden.
+			for _, pass := range []string{"cold", "cached"} {
+				code, got := post(t, ts, tc.endpoint, tc.body)
+				if code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", pass, code, got)
 				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
+				if *update {
+					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to regenerate)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("response drifted from %s:\n got: %s\nwant: %s", path, got, want)
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run with -update to regenerate)", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s response drifted from %s:\n got: %s\nwant: %s", pass, path, got, want)
+				}
 			}
 		})
 	}
