@@ -74,10 +74,12 @@ stage_static() {
 }
 
 stage_suites() {
-    # Backend conformance + differential + golden-trace suites by name (they
-    # also run inside `go test ./...`; naming them makes the gate explicit
-    # and keeps them from being filtered out by future test pruning).
-    go test -run='Conformance|BackendEquivalence|VMContext' ./internal/vm
+    # Interpreter op-oracle, exec conformance + golden-trace suites by name
+    # (they also run inside `go test ./...`; naming them makes the gate
+    # explicit and keeps them from being filtered out by future test
+    # pruning).
+    go test -run='FullOpMatrix|ConformanceCoversEveryOp|DivisionTraps|FtoIRangeTrap' ./internal/interp
+    go test -run='Conformance' ./internal/vm
     go test -run='GoldenTraces' ./internal/bench
 }
 
@@ -88,7 +90,6 @@ stage_fuzz() {
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.
     go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s ./internal/analysis
-    go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/vm
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
     # The loop-machine tree DP must score like the exhaustive enumeration.
     go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine
@@ -98,7 +99,7 @@ stage_fuzz() {
     # exactly like a live run of it, and a miswired clone must fail the walk.
     go test -run='^$' -fuzz=FuzzWalk -fuzztime=10s ./internal/replicate
     # Indirect family: clustered switch programs must stay observably
-    # identical to their originals on both backends.
+    # identical to their originals.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect
     # The shared dominator core, through cfg.Graph and ssa.Build, against
     # the naive set-based dominator oracle.
@@ -119,8 +120,8 @@ stage_check() {
 
 stage_bench() {
     go test -bench=. -benchtime=1x -run='^$' .
-    # Bench-regression gate: run the sweep (including the interp-vs-vm
-    # execution-backend comparison and the trace-replay throughput modes),
+    # Bench-regression gate: run the sweep (including the interpreter
+    # throughput measurement and the trace-replay throughput modes),
     # the service throughput harness, and the multi-node scaling round into
     # a fresh document, then compare it against the committed baseline
     # (which gates the cluster's aggregate req/s and its scaling factor

@@ -158,8 +158,6 @@ func gatedMetrics(oldDoc, newDoc *results.Document) []gatedMetric {
 	if oldDoc.Exec != nil && newDoc.Exec != nil {
 		add("exec.interp_branches_per_second",
 			&oldDoc.Exec.InterpBranchesPerSecond, &newDoc.Exec.InterpBranchesPerSecond)
-		add("exec.vm_branches_per_second",
-			&oldDoc.Exec.VMBranchesPerSecond, &newDoc.Exec.VMBranchesPerSecond)
 	}
 	if oldDoc.Trace != nil && newDoc.Trace != nil {
 		add("trace.single_pass_events_per_second",

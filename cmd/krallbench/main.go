@@ -21,11 +21,8 @@
 //	              sequential path — output is byte-identical either way)
 //	-forcelive    disable the trace-replay engine (every experiment
 //	              interprets live; identical results, slower)
-//	-backend B    execution backend for live runs: interp (default) or vm,
-//	              the compiled bytecode machine — observably identical,
-//	              pinned by internal/vm's differential tests
-//	-execbench    time identical live runs on both backends and print the
-//	              comparison (also written to -benchjson as "exec")
+//	-execbench    time budgeted live runs on the interpreter and print the
+//	              throughput (also written to -benchjson as "exec")
 //	-tracebench   time trace replay per decode mode (event-at-a-time,
 //	              run-aware, partitioned, profile bundle) and print the
 //	              comparison (also written to -benchjson as "trace")
@@ -63,7 +60,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/exec"
 	"repro/internal/results"
 )
 
@@ -100,8 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiment-engine workers (1 = sequential)")
 		quiet      = fs.Bool("quiet", false, "suppress progress and engine-stats chatter on stderr")
 		forceLive  = fs.Bool("forcelive", false, "disable the trace-replay engine (interpret every experiment live)")
-		backend    = fs.String("backend", "interp", "execution backend for live runs: interp or vm")
-		execbench  = fs.Bool("execbench", false, "time live runs on both backends and print the comparison")
+		execbench  = fs.Bool("execbench", false, "time live runs on the interpreter and print the throughput")
 		tracebench = fs.Bool("tracebench", false, "time trace replay per decode mode and print the comparison")
 		benchjson  = fs.String("benchjson", "", "write machine-readable results (JSON) to `file`")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -110,6 +105,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 	if *states < 2 {
 		return fmt.Errorf("-states %d out of range: machines need at least 2 states", *states)
@@ -152,11 +150,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	cfg.Parallel = *parallel
 	cfg.ForceLive = *forceLive
-	be, err := exec.ByName(*backend)
-	if err != nil {
-		return err
-	}
-	cfg.Backend = be
 	workers := *parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -358,21 +351,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if len(execMs) > 0 {
 			ex := &results.Exec{Budget: execMs[0].Budget, Rounds: execMs[0].Rounds}
-			var iTime, vTime, total float64
+			var iTime, total float64
 			for _, m := range execMs {
 				ex.Workloads = append(ex.Workloads, results.ExecWorkload{
 					Name:                    m.Workload,
 					InterpBranchesPerSecond: m.InterpBranchesPerSec,
-					VMBranchesPerSecond:     m.VMBranchesPerSec,
-					Speedup:                 m.Speedup,
 				})
 				iTime += float64(m.Budget) / m.InterpBranchesPerSec
-				vTime += float64(m.Budget) / m.VMBranchesPerSec
 				total += float64(m.Budget)
 			}
 			ex.InterpBranchesPerSecond = total / iTime
-			ex.VMBranchesPerSecond = total / vTime
-			ex.Speedup = ex.VMBranchesPerSecond / ex.InterpBranchesPerSecond
 			res.Exec = ex
 		}
 		if len(traceMs) > 0 {

@@ -81,10 +81,27 @@ func TestGoldenParallelInvariance(t *testing.T) {
 }
 
 // TestRunBadFlag makes sure flag errors surface as errors, not exits, so
-// the golden harness can't be wedged by a typo.
+// the golden harness can't be wedged by a typo. -backend is gone with the
+// compiled backend and must be unknown too.
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("expected error for unknown flag")
+	for _, args := range [][]string{{"-no-such-flag"}, {"-backend", "vm"}} {
+		if err := run(args, io.Discard, io.Discard); err == nil {
+			t.Fatalf("%q: expected error for unknown flag", args)
+		}
+	}
+}
+
+// TestRunRejectsStrayArguments checks that a positional argument is a
+// usage error: the flag package stops at the first one, so the flags after
+// it would otherwise be silently dropped.
+func TestRunRejectsStrayArguments(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := run([]string{"-quick", "stray", "-table", "1"}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), `unexpected arguments ["stray" "-table" "1"]`) {
+		t.Fatalf("got error %v, want an unexpected-arguments error", err)
+	}
+	if out.Len() != 0 || strings.Contains(errOut.String(), "profiling") {
+		t.Fatalf("ran before rejecting the arguments\nstdout: %s\nstderr: %s", out.String(), errOut.String())
 	}
 }
 

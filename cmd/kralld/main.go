@@ -6,7 +6,7 @@
 //
 //	kralld [-addr :8723] [-workers N] [-limit N] [-timeout 30s]
 //	       [-budget N] [-maxbudget N] [-cache N] [-shards N] [-maxbatch N]
-//	       [-backend interp|vm] [-drain 10s] [-quiet]
+//	       [-drain 10s] [-quiet]
 //	kralld -selfcheck [-metrics-out file]
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: the listener closes
@@ -32,7 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/loadgen"
 	"repro/internal/service"
 )
@@ -57,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cacheSize  = fs.Int("cache", 128, "artifact store entries")
 		shards     = fs.Int("shards", 0, "artifact store shards, rounded up to a power of two, at most 4096 (0 = 8)")
 		maxBatch   = fs.Int("maxbatch", 0, "max items per /v1/batch request (0 = 64)")
-		backend    = fs.String("backend", "interp", "execution backend: interp or vm")
 		diskDir    = fs.String("disk", "", "disk artifact tier directory (empty = memory only)")
 		diskMax    = fs.Int64("disk-max-bytes", 0, "disk tier byte budget (0 = 256 MiB)")
 		fsync      = fs.Bool("fsync", false, "fsync disk-tier writes before rename")
@@ -72,17 +70,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
 
 	level := slog.LevelInfo
 	if *quiet {
 		level = slog.LevelWarn
 	}
 	logger := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level}))
-
-	be, err := exec.ByName(*backend)
-	if err != nil {
-		return err
-	}
 
 	cfg := service.Config{
 		Workers:        *workers,
@@ -93,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		CacheEntries:   *cacheSize,
 		CacheShards:    *shards,
 		MaxBatchItems:  *maxBatch,
-		Backend:        be,
 		DiskDir:        *diskDir,
 		DiskMaxBytes:   *diskMax,
 		DiskFsync:      *fsync,

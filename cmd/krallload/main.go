@@ -86,6 +86,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
 
 	if *servenode {
 		return runServeNode(*self, *peers, *maxRPS, *diskDir, *quiet, stderr)

@@ -8,7 +8,7 @@ import (
 // not marked dead, side-effect-free infinite self-loops, conditional
 // branches with identical arms (an Error, matching ir.Validate's rejection
 // of the degenerate shape — ssa.Build folds it to a jump rather than let it
-// reach the VM), and back edges annotated as predicted against their loop.
+// reach SCCP), and back edges annotated as predicted against their loop.
 // The back-edge finding is advisory (Warning): state-machine replication
 // legitimately predicts against a back edge in exit-biased states, which is
 // exactly why this pass is not part of the Apply-time verification set.

@@ -397,9 +397,6 @@ func (st *sccpState) evalValue(v *ssa.Value) {
 		}
 		st.setVal(v, acc)
 		return
-	case ssa.OpCopy:
-		st.setVal(v, st.val[v.Args[0].ID])
-		return
 	case ssa.OpParam:
 		// Intraprocedural: parameters carry arbitrary caller values.
 		st.setVal(v, bot)

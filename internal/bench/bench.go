@@ -8,7 +8,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/interp"
@@ -66,12 +65,6 @@ type Compiled struct {
 	Prog     *ir.Program
 	NSites   int
 	Features []predict.SiteFeatures
-
-	// mu guards progs, the per-backend compiled-program cache: parallel
-	// experiment jobs running the same workload share one bytecode
-	// compilation instead of re-lowering the IR per run.
-	mu    sync.Mutex
-	progs map[string]exec.Program
 }
 
 // Compile builds a workload.
@@ -101,58 +94,9 @@ type RunConfig struct {
 	Scale int64
 }
 
-// execProgram returns the workload compiled for the backend, compiling at
-// most once per backend.
-func (c *Compiled) execProgram(be exec.Backend) (exec.Program, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ep, ok := c.progs[be.Name()]; ok {
-		return ep, nil
-	}
-	ep, err := be.Compile(c.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("bench: compiling %s for %s: %w", c.Workload.Name, be.Name(), err)
-	}
-	if c.progs == nil {
-		c.progs = make(map[string]exec.Program)
-	}
-	c.progs[be.Name()] = ep
-	return ep, nil
-}
-
-// Run executes the compiled program on the interpreter, feeding every
-// branch event to the collectors, and returns the machine for its counters.
-func (c *Compiled) Run(cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	return c.RunOn(exec.Interp, cfg, collectors...)
-}
-
-// RunOn is Run on a chosen execution backend, reusing the workload's cached
-// compilation for that backend.
-func (c *Compiled) RunOn(be exec.Backend, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	ep, err := c.execProgram(be)
-	if err != nil {
-		return nil, err
-	}
-	return runCompiled(ep, cfg, collectors...)
-}
-
-// runProgram executes any program on the interpreter (used for transformed
-// clones, whose one-shot runs don't benefit from a compilation cache).
-func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	return runProgramOn(exec.Interp, prog, cfg, collectors...)
-}
-
-// runProgramOn compiles and runs a program on the chosen backend.
-func runProgramOn(be exec.Backend, prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	ep, err := be.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("bench: compiling %s for %s: %w", prog.Funcs[0].Name, be.Name(), err)
-	}
-	return runCompiled(ep, cfg, collectors...)
-}
-
-// runCompiled runs one backend-compiled program under the run config.
-func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
+// newMachine prepares an interpreter run of prog under the run config.
+func newMachine(prog *ir.Program, cfg RunConfig) (*exec.Machine, error) {
+	ep, _ := exec.Interp.Compile(prog) // the interpreter's compile never fails
 	m := ep.NewMachine()
 	m.SetMaxBranches(cfg.Budget)
 	if cfg.Seed != 0 {
@@ -164,6 +108,21 @@ func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) 
 		if err := m.SetGlobal("wscale", cfg.Scale); err != nil {
 			return nil, err
 		}
+	}
+	return m, nil
+}
+
+// Run executes the compiled program on the interpreter, feeding every
+// branch event to the collectors, and returns the machine for its counters.
+func (c *Compiled) Run(cfg RunConfig, collectors ...trace.Collector) (*exec.Machine, error) {
+	return runProgram(c.Prog, cfg, collectors...)
+}
+
+// runProgram executes any program on the interpreter under the run config.
+func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (*exec.Machine, error) {
+	m, err := newMachine(prog, cfg)
+	if err != nil {
+		return nil, err
 	}
 	switch len(collectors) {
 	case 0:
@@ -183,15 +142,14 @@ func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) 
 		m.SetHook(func(t *ir.Term, taken bool) { b.RecordBranch(t.Site, taken) })
 		m.SetSwHook(func(t *ir.Term, outcome int32) { b.RecordSwitch(t.Site, outcome) })
 	}
-	_, err := m.Run()
-	if err != nil && !errors.Is(err, interp.ErrLimit) {
-		return nil, fmt.Errorf("bench: running %s: %w", ep.Source().Funcs[0].Name, err)
+	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+		return nil, fmt.Errorf("bench: running %s: %w", prog.Funcs[0].Name, err)
 	}
 	return m, nil
 }
 
 // ProfileRun runs the workload once and returns the full profile bundle.
-func (c *Compiled) ProfileRun(cfg RunConfig, opts profile.Options) (*profile.Profile, exec.Machine, error) {
+func (c *Compiled) ProfileRun(cfg RunConfig, opts profile.Options) (*profile.Profile, *exec.Machine, error) {
 	p := profile.New(c.NSites, opts)
 	m, err := c.Run(cfg, p)
 	if err != nil {

@@ -63,13 +63,13 @@ func (s *Suite) CrossDataset() (*Table, error) {
 	return t, nil
 }
 
-// measuredRate runs a statically annotated program live on the configured
-// backend and returns its real misprediction rate, counted as a live run
-// in the engine stats. It serves ForceLive suites and the runs a walk
-// cannot reproduce (see cloneRate).
+// measuredRate runs a statically annotated program live and returns its
+// real misprediction rate, counted as a live run in the engine stats. It
+// serves ForceLive suites and the runs a walk cannot reproduce (see
+// cloneRate).
 func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
 	s.countLiveRun()
-	m, err := runProgramOn(s.Cfg.backend(), prog, cfg)
+	m, err := runProgram(prog, cfg)
 	if err != nil {
 		return Cell{}, err
 	}

@@ -3,31 +3,22 @@ package bench
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/exec"
 )
 
-// ExecMeasurement is one workload's backend throughput comparison: the
-// same budgeted live run (no collectors attached, the conditions of the
-// suite's measured experiments) timed on the interpreter and on the
-// compiled vm, reporting the best of Rounds rounds per backend.
+// ExecMeasurement is one workload's interpreter throughput: the same
+// budgeted live run (no collectors attached, the conditions of the suite's
+// measured experiments), reporting the best of Rounds rounds.
 type ExecMeasurement struct {
 	Workload string
 	Budget   uint64
 	Rounds   int
-	// InterpBranchesPerSec / VMBranchesPerSec are branch events per
-	// second of wall clock; Speedup is their ratio (vm over interp).
+	// InterpBranchesPerSec is branch events per second of wall clock.
 	InterpBranchesPerSec float64
-	VMBranchesPerSec     float64
-	Speedup              float64
 }
 
-// MeasureExec times every named workload (nil = the whole suite) on both
-// execution backends. Each round runs the workload to its branch budget
-// with no collectors; the best round per backend is kept, damping
-// scheduler and GC noise. The two backends' checksums must agree — a
-// throughput number from a diverged backend would be meaningless — so this
-// doubles as an end-to-end equivalence check.
+// MeasureExec times every named workload (nil = the whole suite) on the
+// interpreter. Each round runs the workload to its branch budget with no
+// collectors; the best round is kept, damping scheduler and GC noise.
 func MeasureExec(names []string, budget uint64, rounds int) ([]ExecMeasurement, error) {
 	if budget == 0 {
 		budget = 500_000
@@ -53,36 +44,20 @@ func MeasureExec(names []string, budget uint64, rounds int) ([]ExecMeasurement, 
 		if err != nil {
 			return nil, err
 		}
-		m := ExecMeasurement{Workload: w.Name, Budget: budget, Rounds: rounds}
-		var sums [2]uint64
-		for bi, be := range []exec.Backend{exec.Interp, exec.VM} {
-			best := time.Duration(1<<63 - 1)
-			for r := 0; r < rounds; r++ {
-				start := time.Now()
-				mach, err := c.RunOn(be, cfg)
-				if err != nil {
-					return nil, fmt.Errorf("bench: exec measurement %s/%s: %w", w.Name, be.Name(), err)
-				}
-				if d := time.Since(start); d < best {
-					best = d
-				}
-				sums[bi] = mach.Counters().Checksum
+		best := time.Duration(1<<63 - 1)
+		for r := 0; r < rounds; r++ {
+			start := time.Now()
+			if _, err := c.Run(cfg); err != nil {
+				return nil, fmt.Errorf("bench: exec measurement %s: %w", w.Name, err)
 			}
-			rate := float64(budget) / best.Seconds()
-			if bi == 0 {
-				m.InterpBranchesPerSec = rate
-			} else {
-				m.VMBranchesPerSec = rate
+			if d := time.Since(start); d < best {
+				best = d
 			}
 		}
-		if sums[0] != sums[1] {
-			return nil, fmt.Errorf("bench: exec measurement %s: backend checksums diverge (interp %#x, vm %#x)",
-				w.Name, sums[0], sums[1])
-		}
-		if m.InterpBranchesPerSec > 0 {
-			m.Speedup = m.VMBranchesPerSec / m.InterpBranchesPerSec
-		}
-		out = append(out, m)
+		out = append(out, ExecMeasurement{
+			Workload: w.Name, Budget: budget, Rounds: rounds,
+			InterpBranchesPerSec: float64(budget) / best.Seconds(),
+		})
 	}
 	return out, nil
 }
@@ -91,17 +66,13 @@ func MeasureExec(names []string, budget uint64, rounds int) ([]ExecMeasurement, 
 func ExecTable(ms []ExecMeasurement) *Table {
 	t := &Table{
 		ID:    "execbench",
-		Title: "Execution backend throughput (million branches/s, live runs)",
+		Title: "Interpreter throughput (million branches/s, live runs)",
 	}
 	interp := Row{Name: "interpreter"}
-	vm := Row{Name: "compiled vm"}
-	speedup := Row{Name: "speedup"}
 	for _, m := range ms {
 		t.Cols = append(t.Cols, m.Workload)
 		interp.Cells = append(interp.Cells, Cell{Value: m.InterpBranchesPerSec / 1e6, Valid: true})
-		vm.Cells = append(vm.Cells, Cell{Value: m.VMBranchesPerSec / 1e6, Valid: true})
-		speedup.Cells = append(speedup.Cells, Cell{Value: m.Speedup, Valid: true})
 	}
-	t.Rows = append(t.Rows, interp, vm, speedup)
+	t.Rows = append(t.Rows, interp)
 	return t
 }

@@ -3,14 +3,10 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/exec"
 )
 
-// TestMeasureExec exercises the backend comparison end to end on a small
-// budget: every row must carry positive rates for both backends (the
-// cross-backend checksum check inside MeasureExec is what pins
-// correctness; a divergence is returned as an error).
+// TestMeasureExec exercises the interpreter throughput measurement end to
+// end on a small budget: every row must carry a positive rate.
 func TestMeasureExec(t *testing.T) {
 	ms, err := MeasureExec([]string{"compress", "cc"}, 20_000, 1)
 	if err != nil {
@@ -20,15 +16,12 @@ func TestMeasureExec(t *testing.T) {
 		t.Fatalf("got %d measurements, want 2", len(ms))
 	}
 	for _, m := range ms {
-		if m.InterpBranchesPerSec <= 0 || m.VMBranchesPerSec <= 0 {
+		if m.InterpBranchesPerSec <= 0 {
 			t.Errorf("%s: non-positive rate: %+v", m.Workload, m)
-		}
-		if m.Speedup <= 0 {
-			t.Errorf("%s: non-positive speedup %v", m.Workload, m.Speedup)
 		}
 	}
 	out := ExecTable(ms).Render()
-	for _, want := range []string{"interpreter", "compiled vm", "speedup", "compress", "cc"} {
+	for _, want := range []string{"interpreter", "compress", "cc"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
@@ -41,10 +34,9 @@ func TestMeasureExecUnknownWorkload(t *testing.T) {
 	}
 }
 
-// BenchmarkExec times identical budgeted live runs (no collectors) on the
-// interpreter and on the compiled vm. The branches/s metric is the number
-// the krallbench -execbench section and the BENCH_results.json exec
-// section report.
+// BenchmarkExec times budgeted live runs (no collectors) on the
+// interpreter. The branches/s metric is the number the krallbench
+// -execbench section and the BENCH_results.json exec section report.
 func BenchmarkExec(b *testing.B) {
 	const budget = 500_000
 	cfg := RunConfig{Budget: budget, Scale: 1 << 30}
@@ -57,16 +49,13 @@ func BenchmarkExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, be := range []exec.Backend{exec.Interp, exec.VM} {
-			be := be
-			b.Run(name+"/"+be.Name(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := c.RunOn(be, cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(cfg); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(budget)*float64(b.N)/b.Elapsed().Seconds(), "branches/s")
+		})
 	}
 }

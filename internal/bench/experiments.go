@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/exec"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/runner"
@@ -39,21 +38,6 @@ type ExpConfig struct {
 	// traces existed. It exists for the replay-equivalence tests; results
 	// are identical either way, only slower.
 	ForceLive bool
-	// Backend selects the execution plane for every live run (recording,
-	// measured clones, layout/scope profiling): nil or exec.Interp is the
-	// reference interpreter, exec.VM the compiled bytecode machine. The two
-	// are observably identical (pinned by internal/vm's differential
-	// harness), so results never depend on this choice — only wall time.
-	Backend exec.Backend
-}
-
-// backend resolves the configured execution backend, defaulting to the
-// interpreter.
-func (cfg ExpConfig) backend() exec.Backend {
-	if cfg.Backend == nil {
-		return exec.Interp
-	}
-	return cfg.Backend
 }
 
 // DefaultConfig is the configuration used by cmd/krallbench.
@@ -203,7 +187,7 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 			GShare: predict.Eval{P: predict.NewGShare(12)},
 		}
 		if s.Cfg.ForceLive {
-			m, err := c.RunOn(s.Cfg.backend(), RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)},
+			m, err := c.Run(RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)},
 				d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
 			if err != nil {
 				return nil, err
@@ -236,7 +220,7 @@ func (s *Suite) countsFor(d *WorkloadData, seed int64) (*trace.Counts, error) {
 	return runner.Cached(s.eng.Cache(), key, func() (*trace.Counts, error) {
 		counts := trace.NewCounts(d.C.NSites)
 		if s.Cfg.ForceLive {
-			if _, err := d.C.RunOn(s.Cfg.backend(), RunConfig{
+			if _, err := d.C.Run(RunConfig{
 				Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg),
 			}, counts); err != nil {
 				return nil, err

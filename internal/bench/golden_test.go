@@ -7,7 +7,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/trace"
 )
@@ -15,12 +14,10 @@ import (
 // Golden-trace regression: one slab per catalog workload, recorded with
 // the reference interpreter at a fixed (budget, seed, scale) cell and
 // pinned by SHA-256 of its serialized (BLTRACE1) bytes. The hashes below
-// were produced by the interpreter and are committed; the test then
-// demands the vm backend reproduce the identical byte stream. This pins
-// the branch-event plane across time (a workload or trace-format change
-// must update the hash deliberately) and across backends (the vm cannot
-// drift from the interpreter without failing here). No network, no
-// timing dependence — the runs are deterministic.
+// were produced by the interpreter and are committed. This pins the
+// branch-event plane across time: a workload or trace-format change must
+// update the hash deliberately. No network, no timing dependence — the
+// runs are deterministic.
 const (
 	goldenBudget = 100_000
 	goldenSeed   = 1
@@ -38,33 +35,25 @@ var goldenTraceSHA256 = map[string]string{
 	"scheduler": "d35f6238980cba7a79db2e90cb7fd5de6d2e45fe7fc7b1dddec6752b9d3357a1",
 }
 
-// goldenRecord runs one workload on the given backend under the golden
-// cell and returns the serialized slab plus the run counters.
-func goldenRecord(t *testing.T, c *Compiled, be exec.Backend) ([]byte, exec.Counters) {
+// goldenRecord runs one workload under the golden cell and returns the
+// serialized slab.
+func goldenRecord(t *testing.T, c *Compiled) []byte {
 	t.Helper()
-	ep, err := c.execProgram(be)
+	m, err := newMachine(c.Prog, RunConfig{Budget: goldenBudget, Seed: goldenSeed, Scale: goldenScale})
 	if err != nil {
-		t.Fatalf("%s: compile on %s: %v", c.Workload.Name, be.Name(), err)
+		t.Fatalf("%s: %v", c.Workload.Name, err)
 	}
-	m := ep.NewMachine()
-	m.SetMaxBranches(goldenBudget)
 	slab := trace.NewSlab(goldenBudget)
 	m.SetRec(slab)
-	if err := m.SetGlobal("wseed", goldenSeed); err != nil {
-		t.Fatalf("%s: wseed: %v", c.Workload.Name, err)
-	}
-	if err := m.SetGlobal("wscale", goldenScale); err != nil {
-		t.Fatalf("%s: wscale: %v", c.Workload.Name, err)
-	}
 	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
-		t.Fatalf("%s: run on %s: %v", c.Workload.Name, be.Name(), err)
+		t.Fatalf("%s: run: %v", c.Workload.Name, err)
 	}
 	slab.Seal()
 	var buf bytes.Buffer
 	if _, err := slab.WriteTo(&buf); err != nil {
 		t.Fatalf("%s: serialize: %v", c.Workload.Name, err)
 	}
-	return buf.Bytes(), m.Counters()
+	return buf.Bytes()
 }
 
 func TestGoldenTraces(t *testing.T) {
@@ -79,17 +68,9 @@ func TestGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ibuf, ic := goldenRecord(t, c, exec.Interp)
-			sum := sha256.Sum256(ibuf)
+			sum := sha256.Sum256(goldenRecord(t, c))
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("interpreter trace hash drifted:\n  got  %s\n  want %s\n(if the workload or trace format changed deliberately, update goldenTraceSHA256)", got, want)
-			}
-			vbuf, vc := goldenRecord(t, c, exec.VM)
-			if !bytes.Equal(ibuf, vbuf) {
-				t.Errorf("vm trace differs from interpreter trace (%d vs %d bytes)", len(ibuf), len(vbuf))
-			}
-			if ic != vc {
-				t.Errorf("counters diverge:\n  interp %+v\n  vm     %+v", ic, vc)
 			}
 		})
 	}

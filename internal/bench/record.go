@@ -36,32 +36,17 @@ type RunArtifact struct {
 // artifactFor records — or fetches from the single-flight artifact cache —
 // the trace of one workload under the given dataset seed. The recording run
 // uses the machine's direct slab hook (SetRec), not the Collector
-// interface, so recording costs one append per branch. It runs on the
-// configured backend: both backends produce byte-identical slabs (pinned by
-// internal/vm's differential and golden-trace tests), so the cache key does
-// not mention the backend.
+// interface, so recording costs one append per branch.
 func (s *Suite) artifactFor(c *Compiled, seed int64) (*RunArtifact, error) {
 	key := fmt.Sprintf("%strace/%s/seed%d", s.prefix, c.Workload.Name, seed)
 	return runner.Cached(s.eng.Cache(), key, func() (*RunArtifact, error) {
-		ep, err := c.execProgram(s.Cfg.backend())
+		m, err := newMachine(c.Prog, RunConfig{Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg)})
 		if err != nil {
 			return nil, err
 		}
-		m := ep.NewMachine()
-		m.SetMaxBranches(s.Cfg.Budget)
 		m.EnableBlockCounts()
 		slab := trace.NewSlab(int(s.Cfg.Budget))
 		m.SetRec(slab)
-		if seed != 0 {
-			if err := m.SetGlobal("wseed", seed); err != nil {
-				return nil, err
-			}
-		}
-		if sc := scaleFor(s.Cfg); sc != 0 {
-			if err := m.SetGlobal("wscale", sc); err != nil {
-				return nil, err
-			}
-		}
 		if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 			return nil, fmt.Errorf("bench: recording %s: %w", c.Workload.Name, err)
 		}

@@ -139,24 +139,12 @@ func (s *Suite) replicaRate(d *WorkloadData, states int, seed int64) (Cell, erro
 func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, [][]uint64, exec.Counters, error) {
 	n := prog.NumberBranches(false)
 	counts := trace.NewCounts(n)
-	ep, err := cfg.backend().Compile(prog)
+	m, err := newMachine(prog, RunConfig{Budget: cfg.Budget, Seed: cfg.Seed, Scale: scaleFor(cfg)})
 	if err != nil {
 		return nil, nil, exec.Counters{}, err
 	}
-	m := ep.NewMachine()
 	m.EnableBlockCounts()
 	m.SetHook(interp.BranchHook(counts))
-	m.SetMaxBranches(cfg.Budget)
-	if cfg.Seed != 0 {
-		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {
-			return nil, nil, exec.Counters{}, err
-		}
-	}
-	if sc := scaleFor(cfg); sc != 0 {
-		if err := m.SetGlobal("wscale", sc); err != nil {
-			return nil, nil, exec.Counters{}, err
-		}
-	}
 	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 		return nil, nil, exec.Counters{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -327,12 +326,10 @@ func TestLiveFanOutMatchesSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		ep, err := c.execProgram(exec.Interp)
+		m, err := newMachine(c.Prog, RunConfig{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := ep.NewMachine()
-		m.SetMaxBranches(budget)
 		slab := trace.NewSlab(budget)
 		m.SetRec(slab)
 		if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -71,17 +70,12 @@ func MeasureTrace(names []string, budget uint64, rounds, workers int) ([]TraceMe
 		if err != nil {
 			return nil, err
 		}
-		ep, err := c.execProgram(exec.Interp)
+		m0, err := newMachine(c.Prog, RunConfig{Budget: budget, Scale: 1 << 30})
 		if err != nil {
 			return nil, err
 		}
-		m0 := ep.NewMachine()
-		m0.SetMaxBranches(budget)
 		slab := trace.NewSlab(int(budget))
 		m0.SetRec(slab)
-		if err := m0.SetGlobal("wscale", 1<<30); err != nil {
-			return nil, err
-		}
 		if _, err := m0.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 			return nil, fmt.Errorf("bench: trace measurement %s: %w", w.Name, err)
 		}

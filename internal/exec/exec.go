@@ -1,167 +1,96 @@
-// Package exec selects between the two execution backends — the reference
-// interpreter (internal/interp) and the compiled bytecode machine
-// (internal/vm) — behind one interface. The two are observably identical:
-// same counters, same branch events in the same order, same trap errors and
-// limit sentinel (both planes return interp.ErrLimit and
-// *interp.RuntimeError), so harnesses pick a backend by name and everything
-// downstream — profiling, replication experiments, the service — is
-// backend-agnostic. The differential-testing harness in internal/vm pins
-// that equivalence.
+// Package exec is the run interface over the reference interpreter
+// (internal/interp): it adapts the interpreter's field-based configuration
+// to setters and reports one counter summary per run. Harnesses (the bench
+// suite, the service, the krallperf mirrors) compile once with
+// Interp.Compile and start one Machine per run.
 package exec
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
-// Counters is the observable execution summary shared by both backends.
-type Counters = vm.Counters
+// Counters is the observable execution summary of one run.
+type Counters struct {
+	Steps        uint64
+	Branches     uint64
+	Predicted    uint64
+	Mispredicted uint64
+	Checksum     uint64
+	Prints       uint64
+}
 
-// Machine is one run of a compiled program. Implementations are not safe
-// for concurrent use; create one per run with Program.NewMachine.
-type Machine interface {
-	// SetHook installs the per-branch observer (nil disables).
-	SetHook(fn func(t *ir.Term, taken bool))
-	// SetSwHook installs the per-switch observer (nil disables): it fires
-	// for every executed switch dispatch and for every taken clustering
-	// test, with the dispatch outcome.
-	SetSwHook(fn func(t *ir.Term, outcome int32))
-	// SetRec directs branch events into a trace slab (nil disables). When
-	// both a hook and a slab are set the slab records first.
-	SetRec(s *trace.Slab)
-	// SetMaxSteps bounds executed instructions (0 = unlimited).
-	SetMaxSteps(n uint64)
-	// SetMaxBranches bounds executed conditional branches (0 = unlimited).
-	SetMaxBranches(n uint64)
-	// SetMaxDepth bounds the call stack (default 100000 frames).
-	SetMaxDepth(n int)
-	// SetContext installs a cancellation context polled every checkEvery
-	// executed blocks (0 = the 4096-block default).
-	SetContext(ctx context.Context, checkEvery uint32)
-	// EnableBlockCounts turns on per-block execution counting, indexed by
-	// the original IR function and block IDs on both backends.
-	EnableBlockCounts()
-	// BlockCounts returns the per-function, per-block counts, or nil.
-	BlockCounts() [][]uint64
-	// SetGlobal overrides a scalar global before a run.
-	SetGlobal(name string, v int64) error
-	// GlobalValue reads a scalar global after a run.
-	GlobalValue(name string) (int64, error)
-	// Run executes func main and returns its value. Limits return
-	// interp.ErrLimit; traps return *interp.RuntimeError.
-	Run() (int64, error)
-	// Counters returns the execution counters.
-	Counters() Counters
+// Interpreter compiles IR programs for the interpreter.
+type Interpreter struct{}
+
+// Interp is the interpreter.
+var Interp Interpreter
+
+// Compile prepares prog for execution. The interpreter runs the IR as it
+// is, so compiling is free and never fails; the error is kept for callers
+// that treat compilation as a fallible step.
+func (Interpreter) Compile(prog *ir.Program) (Program, error) {
+	return Program{prog}, nil
 }
 
 // Program is a compiled program, immutable and safe for concurrent
 // NewMachine calls.
-type Program interface {
-	// Source returns the IR program this was compiled from.
-	Source() *ir.Program
-	// NewMachine creates a fresh machine with globals initialised.
-	NewMachine() Machine
-}
+type Program struct{ prog *ir.Program }
 
-// Backend compiles IR programs for one execution plane.
-type Backend interface {
-	// Name is the backend selector ("interp" or "vm").
-	Name() string
-	// Compile prepares prog for execution. The interpreter's compile is
-	// free; the vm pays SSA construction and register allocation once and
-	// every NewMachine after that is cheap.
-	Compile(prog *ir.Program) (Program, error)
-}
+// NewMachine creates a fresh machine with globals initialised.
+func (p Program) NewMachine() *Machine { return &Machine{interp.New(p.prog)} }
 
-// Interp is the reference interpreter backend.
-var Interp Backend = interpBackend{}
+// Machine is one run of a compiled program. It is not safe for concurrent
+// use; create one per run with Program.NewMachine.
+type Machine struct{ m *interp.Machine }
 
-// VM is the compiled bytecode backend.
-var VM Backend = vmBackend{}
+// SetHook installs the per-branch observer (nil disables).
+func (a *Machine) SetHook(fn func(t *ir.Term, taken bool)) { a.m.Hook = fn }
 
-// Names lists the selectable backends, default first.
-func Names() []string { return []string{"interp", "vm"} }
+// SetSwHook installs the per-switch observer (nil disables): it fires for
+// every executed switch dispatch and for every taken clustering test, with
+// the dispatch outcome.
+func (a *Machine) SetSwHook(fn func(t *ir.Term, outcome int32)) { a.m.SwHook = fn }
 
-// ByName resolves a backend selector; the empty string means the default
-// interpreter.
-func ByName(name string) (Backend, error) {
-	switch name {
-	case "", "interp":
-		return Interp, nil
-	case "vm":
-		return VM, nil
-	}
-	return nil, fmt.Errorf("exec: unknown backend %q (have %v)", name, Names())
-}
+// SetRec directs branch events into a trace slab (nil disables). When both
+// a hook and a slab are set the slab records first.
+func (a *Machine) SetRec(s *trace.Slab) { a.m.Rec = s }
 
-// --- interpreter backend ---
+// SetMaxSteps bounds executed instructions (0 = unlimited).
+func (a *Machine) SetMaxSteps(n uint64) { a.m.MaxSteps = n }
 
-type interpBackend struct{}
+// SetMaxBranches bounds executed conditional branches (0 = unlimited).
+func (a *Machine) SetMaxBranches(n uint64) { a.m.MaxBranches = n }
 
-func (interpBackend) Name() string { return "interp" }
-
-func (interpBackend) Compile(prog *ir.Program) (Program, error) {
-	return interpProgram{prog}, nil
-}
-
-type interpProgram struct{ prog *ir.Program }
-
-func (p interpProgram) Source() *ir.Program { return p.prog }
-func (p interpProgram) NewMachine() Machine { return &interpMachine{interp.New(p.prog)} }
-
-// interpMachine adapts interp.Machine's field-based configuration to the
-// setter interface.
-type interpMachine struct{ m *interp.Machine }
-
-func (a *interpMachine) SetHook(fn func(t *ir.Term, taken bool)) { a.m.Hook = fn }
-func (a *interpMachine) SetSwHook(fn func(t *ir.Term, outcome int32)) {
-	a.m.SwHook = fn
-}
-func (a *interpMachine) SetRec(s *trace.Slab)    { a.m.Rec = s }
-func (a *interpMachine) SetMaxSteps(n uint64)    { a.m.MaxSteps = n }
-func (a *interpMachine) SetMaxBranches(n uint64) { a.m.MaxBranches = n }
-func (a *interpMachine) SetMaxDepth(n int)       { a.m.MaxDepth = n }
-func (a *interpMachine) SetContext(ctx context.Context, every uint32) {
+// SetContext installs a cancellation context polled every checkEvery
+// executed blocks (0 = the 4096-block default).
+func (a *Machine) SetContext(ctx context.Context, checkEvery uint32) {
 	a.m.Ctx = ctx
-	a.m.CtxCheckEvery = every
+	a.m.CtxCheckEvery = checkEvery
 }
-func (a *interpMachine) EnableBlockCounts()                     { a.m.EnableBlockCounts() }
-func (a *interpMachine) BlockCounts() [][]uint64                { return a.m.BlockCounts() }
-func (a *interpMachine) SetGlobal(name string, v int64) error   { return a.m.SetGlobal(name, v) }
-func (a *interpMachine) GlobalValue(name string) (int64, error) { return a.m.GlobalValue(name) }
-func (a *interpMachine) Run() (int64, error)                    { return a.m.Run() }
-func (a *interpMachine) Counters() Counters {
+
+// EnableBlockCounts turns on per-block execution counting, indexed by IR
+// function and block IDs.
+func (a *Machine) EnableBlockCounts() { a.m.EnableBlockCounts() }
+
+// BlockCounts returns the per-function, per-block counts, or nil.
+func (a *Machine) BlockCounts() [][]uint64 { return a.m.BlockCounts() }
+
+// SetGlobal overrides a scalar global before a run.
+func (a *Machine) SetGlobal(name string, v int64) error { return a.m.SetGlobal(name, v) }
+
+// Run executes func main and returns its value. Limits return
+// interp.ErrLimit; traps return *interp.RuntimeError.
+func (a *Machine) Run() (int64, error) { return a.m.Run() }
+
+// Counters returns the execution counters.
+func (a *Machine) Counters() Counters {
 	return Counters{
 		Steps: a.m.Steps, Branches: a.m.Branches,
 		Predicted: a.m.Predicted, Mispredicted: a.m.Mispredicted,
 		Checksum: a.m.Checksum, Prints: a.m.Prints,
 	}
 }
-
-// --- vm backend ---
-
-type vmBackend struct{}
-
-func (vmBackend) Name() string { return "vm" }
-
-func (vmBackend) Compile(prog *ir.Program) (Program, error) {
-	p, err := vm.Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return vmProgram{p}, nil
-}
-
-// vmProgram only re-types NewMachine's concrete *vm.Machine result as a
-// Machine; *vm.Machine itself implements the interface directly.
-type vmProgram struct{ p *vm.Program }
-
-func (p vmProgram) Source() *ir.Program { return p.p.Source() }
-func (p vmProgram) NewMachine() Machine { return p.p.NewMachine() }
-
-var _ Machine = (*vm.Machine)(nil)

@@ -10,8 +10,7 @@
 // a taken clustering test emits the same (site, outcome) switch event the
 // original dispatch would have, and the residual switch keeps the original
 // Site/Orig identity, so clustered programs produce byte-identical traces
-// on both execution backends (pinned by the differential suites and
-// FuzzIndirectEquivalence). Site numbering is also stable: the inserted
+// (pinned by the indirect tests and FuzzIndirectEquivalence). Site numbering is also stable: the inserted
 // blocks sit directly after the original block in walk order and the
 // residual switch occupies the original's site position, so renumbering a
 // clustered program is a no-op.

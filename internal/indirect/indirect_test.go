@@ -11,15 +11,14 @@ import (
 	"repro/internal/lang"
 	"repro/internal/progen"
 	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // The clustering transform's contract is dynamic as well as structural:
 // a clustered program must produce byte-identical traces to the original
-// on complete runs, on both execution backends, because a taken clustering
-// test emits the dispatch's switch event and the residual keeps the site
-// identity. This suite pins that, plus the structural Verify pass, over
-// hand-written dispatch workloads and generated programs.
+// on complete runs, because a taken clustering test emits the dispatch's
+// switch event and the residual keeps the site identity. This suite pins
+// that, plus the structural Verify pass, over hand-written dispatch
+// workloads and generated programs.
 
 const dispatchSrc = `
 var acc int;
@@ -105,33 +104,12 @@ func runInterp(t *testing.T, prog *ir.Program, maxSteps uint64) (obs, error) {
 	return obs{ret, m.Checksum, buf.Bytes(), m.Branches, m.Predicted, m.Mispredicted}, err
 }
 
-func runVM(t *testing.T, prog *ir.Program, maxSteps uint64) (obs, error) {
-	t.Helper()
-	vp, err := vm.Compile(prog)
-	if err != nil {
-		t.Fatalf("vm.Compile: %v", err)
-	}
-	m := vp.NewMachine()
-	m.SetMaxSteps(maxSteps)
-	s := trace.NewSlab(0)
-	m.SetRec(s)
-	ret, rerr := m.Run()
-	s.Seal()
-	var buf bytes.Buffer
-	if _, werr := s.WriteTo(&buf); werr != nil {
-		t.Fatalf("vm slab: %v", werr)
-	}
-	c := m.Counters()
-	return obs{ret, c.Checksum, buf.Bytes(), c.Branches, c.Predicted, c.Mispredicted}, rerr
-}
-
 // diffCluster checks the full dynamic contract between an original program
 // and its clustered version: identical return value, checksum, and trace
-// bytes on the interpreter, and identical observables between the
-// interpreter and the VM on the clustered program itself. Both runs must
-// complete naturally (the clustered program executes more steps and
-// conditional branches, so truncated runs are not comparable); it returns
-// false without failing when the original cannot finish within maxSteps.
+// bytes. Both runs must complete naturally (the clustered program executes
+// more steps and conditional branches, so truncated runs are not
+// comparable); it returns false without failing when the original cannot
+// finish within maxSteps.
 func diffCluster(t *testing.T, orig, clustered *ir.Program, maxSteps uint64) bool {
 	t.Helper()
 	io, oerr := runInterp(t, orig, maxSteps)
@@ -159,32 +137,6 @@ func diffCluster(t *testing.T, orig, clustered *ir.Program, maxSteps uint64) boo
 	}
 	if !bytes.Equal(io.trace, ic.trace) {
 		t.Errorf("trace bytes differ: original %d bytes, clustered %d bytes", len(io.trace), len(ic.trace))
-	}
-	vc, verr := runVM(t, clustered, 4*maxSteps)
-	if (cerr == nil) != (verr == nil) {
-		t.Fatalf("backend error mismatch on clustered program: interp=%v vm=%v", cerr, verr)
-	}
-	if cerr != nil {
-		sentinel := false
-		for _, s := range []error{interp.ErrLimit, interp.ErrNoMain, interp.ErrMainParams} {
-			if errors.Is(cerr, s) != errors.Is(verr, s) {
-				t.Fatalf("backend error identity mismatch on %v: interp=%v vm=%v", s, cerr, verr)
-			}
-			sentinel = sentinel || errors.Is(cerr, s)
-		}
-		if !sentinel && cerr.Error() != verr.Error() {
-			t.Fatalf("backend trap mismatch on clustered program: interp=%v vm=%v", cerr, verr)
-		}
-	}
-	if cerr != nil {
-		ic.ret, vc.ret = 0, 0 // undefined on error
-	}
-	if vc.ret != ic.ret || vc.checksum != ic.checksum ||
-		vc.branches != ic.branches || vc.predicted != ic.predicted || vc.mispredicted != ic.mispredicted {
-		t.Errorf("backend mismatch on clustered program: interp=%+v vm=%+v", ic, vc)
-	}
-	if !bytes.Equal(vc.trace, ic.trace) {
-		t.Errorf("clustered trace bytes differ across backends")
 	}
 	return true
 }
@@ -393,8 +345,8 @@ func TestVerifyCatchesTampering(t *testing.T) {
 // FuzzIndirectEquivalence is the indirect family's differential fuzzer:
 // clustering any BL program the frontend accepts, with any threshold
 // configuration, must leave complete-run observables — return value,
-// checksum, trace bytes — untouched on both backends, and the provenance
-// must satisfy the structural verifier. Seeds are the dispatch workload
+// checksum, trace bytes — untouched, and the provenance must satisfy the
+// structural verifier. Seeds are the dispatch workload
 // and generated switch-heavy programs (plus the committed corpus under
 // testdata/fuzz).
 func FuzzIndirectEquivalence(f *testing.F) {

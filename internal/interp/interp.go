@@ -21,8 +21,8 @@ import (
 var ErrLimit = errors.New("interp: execution limit reached")
 
 // ErrNoMain and ErrMainParams reject degenerate entry points. They are
-// sentinels (wrapped with a backend prefix) so both execution backends
-// report the same condition and differential tests can match by identity.
+// sentinels (wrapped with an "interp:" prefix) so callers can match the
+// condition by identity.
 var (
 	ErrNoMain     = errors.New("program has no main function")
 	ErrMainParams = errors.New("main must take no parameters")

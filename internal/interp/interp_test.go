@@ -253,6 +253,13 @@ func TestDivisionTraps(t *testing.T) {
 	if _, err := runOp(t, pm, 7, 0); err == nil {
 		t.Fatal("modulo by zero must trap")
 	}
+	for _, op := range []ir.Op{ir.OpDivI, ir.OpModI} {
+		for _, viaGlobals := range []bool{true, false} {
+			if _, err := evalOp(t, op, 42, 0, viaGlobals); !errors.As(err, &re) {
+				t.Fatalf("%v by zero (globals=%v): want RuntimeError, got %v", op, viaGlobals, err)
+			}
+		}
+	}
 }
 
 func TestFloatOps(t *testing.T) {
@@ -412,6 +419,14 @@ func TestFtoIRangeTrap(t *testing.T) {
 	}
 	if _, err := New(p).Run(); err == nil {
 		t.Fatal("float->int overflow must trap")
+	}
+	for _, v := range []float64{1e300, -1e300, math.NaN()} {
+		for _, viaGlobals := range []bool{true, false} {
+			var re *RuntimeError
+			if _, err := evalOp(t, ir.OpFtoI, fb(v), 0, viaGlobals); !errors.As(err, &re) {
+				t.Fatalf("ftoi(%v) (globals=%v): want RuntimeError, got %v", v, viaGlobals, err)
+			}
+		}
 	}
 }
 

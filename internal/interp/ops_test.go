@@ -7,20 +7,31 @@ import (
 	"repro/internal/ir"
 )
 
-// evalBin builds and runs "return op(a, b)" with raw bit inputs.
-func evalBin(t *testing.T, op ir.Op, a, b int64) int64 {
+// evalOp builds and runs "return op(a, b)" with raw bit inputs. With
+// viaGlobals the operands load from Init-seeded globals, so the op reads
+// run-time values; otherwise they are constants.
+func evalOp(t *testing.T, op ir.Op, a, b int64, viaGlobals bool) (int64, error) {
 	t.Helper()
 	p := ir.NewProgram()
-	f := &ir.Func{Name: "main", NParams: 0, NRegs: 2, RetType: ir.TInt}
+	f := &ir.Func{Name: "main", RetType: ir.TInt}
 	if err := p.AddFunc(f); err != nil {
 		t.Fatal(err)
 	}
 	bd := ir.NewBuilder(f)
-	ra, rb := ir.Reg(0), ir.Reg(1)
-	f.Entry.Instrs = append(f.Entry.Instrs,
-		ir.Instr{Op: ir.OpConstI, Dst: ra, Imm: a},
-		ir.Instr{Op: ir.OpConstI, Dst: rb, Imm: b},
-	)
+	var ra, rb ir.Reg
+	if viaGlobals {
+		for _, g := range []*ir.Global{
+			{Name: "ga", Type: ir.TInt, Len: 1, Init: []int64{a}},
+			{Name: "gb", Type: ir.TInt, Len: 1, Init: []int64{b}},
+		} {
+			if err := p.AddGlobal(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ra, rb = bd.LoadG(p.Global("ga")), bd.LoadG(p.Global("gb"))
+	} else {
+		ra, rb = bd.ConstI(a), bd.ConstI(b)
+	}
 	var res ir.Reg
 	if op.NumSrc() == 2 {
 		res = bd.Binary(op, ra, rb)
@@ -31,77 +42,115 @@ func evalBin(t *testing.T, op ir.Op, a, b int64) int64 {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	v, err := New(p).Run()
-	if err != nil {
-		t.Fatalf("%v: %v", op, err)
-	}
-	return v
+	return New(p).Run()
 }
 
 func fb(f float64) int64 { return int64(math.Float64bits(f)) }
 func bf(b int64) float64 { return math.Float64frombits(uint64(b)) }
-func bi(cond bool) int64 {
-	if cond {
-		return 1
-	}
-	return 0
+
+// opCases is the per-opcode oracle matrix: every value-producing ir.Op
+// appears at least once, with the edge cases (wrapping arithmetic and
+// division, shift masking, NaN comparisons) where an implementation is
+// most likely to drift from Go's semantics.
+var opCases = []struct {
+	name string
+	op   ir.Op
+	a, b int64
+	want int64
+}{
+	{"mov", ir.OpMov, 42, 0, 42},
+	{"addI", ir.OpAddI, 40, 2, 42},
+	{"addIWrap", ir.OpAddI, math.MaxInt64, 1, math.MinInt64},
+	{"subI", ir.OpSubI, 40, 2, 38},
+	{"mulI", ir.OpMulI, -6, 7, -42},
+	{"divI", ir.OpDivI, 42, 5, 8},
+	{"andI", ir.OpAndI, 0b1100, 0b1010, 0b1000},
+	{"orI", ir.OpOrI, 0b1100, 0b1010, 0b1110},
+	{"xorI", ir.OpXorI, 0b1100, 0b1010, 0b0110},
+	{"shlI", ir.OpShlI, 1, 4, 16},
+	{"shlIMask", ir.OpShlI, 1, 64, 1},
+	{"shrI", ir.OpShrI, -16, 2, -4},
+	{"shrIMask", ir.OpShrI, -16, 66, -4},
+	{"negI", ir.OpNegI, 7, 0, -7},
+	{"notI0", ir.OpNotI, 0, 0, 1},
+	{"notI1", ir.OpNotI, 5, 0, 0},
+	{"addF", ir.OpAddF, fb(1.5), fb(2.25), fb(3.75)},
+	{"subF", ir.OpSubF, fb(5), fb(1.5), fb(3.5)},
+	{"mulF", ir.OpMulF, fb(3), fb(0.5), fb(1.5)},
+	{"divF", ir.OpDivF, fb(1), fb(4), fb(0.25)},
+	{"divFzero", ir.OpDivF, fb(1), fb(0), fb(math.Inf(1))},
+	{"negF", ir.OpNegF, fb(2.5), 0, fb(-2.5)},
+	{"eqI", ir.OpEqI, 3, 3, 1},
+	{"neI", ir.OpNeI, 3, 3, 0},
+	{"ltI", ir.OpLtI, -1, 0, 1},
+	{"leI", ir.OpLeI, 0, 0, 1},
+	{"gtI", ir.OpGtI, 1, 2, 0},
+	{"geI", ir.OpGeI, 2, 2, 1},
+	{"eqF", ir.OpEqF, fb(1.5), fb(1.5), 1},
+	{"neF", ir.OpNeF, fb(1.5), fb(2.5), 1},
+	{"ltF", ir.OpLtF, fb(-3), fb(1), 1},
+	{"leF", ir.OpLeF, fb(1), fb(1), 1},
+	{"gtF", ir.OpGtF, fb(2), fb(1), 1},
+	{"geF", ir.OpGeF, fb(0.5), fb(1), 0},
+	{"nanNe", ir.OpNeF, fb(math.NaN()), fb(math.NaN()), 1},
+	{"nanEq", ir.OpEqF, fb(math.NaN()), fb(math.NaN()), 0},
+	{"nanLt", ir.OpLtF, fb(math.NaN()), fb(1), 0},
+	{"itof", ir.OpItoF, -9, 0, fb(-9)},
+	{"ftoi", ir.OpFtoI, fb(3.99), 0, 3},
+	{"ftoiNeg", ir.OpFtoI, fb(-3.99), 0, -3},
+	{"sqrtF", ir.OpSqrtF, fb(9), 0, fb(3)},
+	{"sqrtFNeg", ir.OpSqrtF, fb(-1), 0, fb(math.Sqrt(-1))},
+	{"absI", ir.OpAbsI, -5, 0, 5},
+	{"absIPos", ir.OpAbsI, 5, 0, 5},
+	{"absF", ir.OpAbsF, fb(-1.25), 0, fb(1.25)},
+	{"minI", ir.OpMinI, 3, -2, -2},
+	{"maxI", ir.OpMaxI, 3, -2, 3},
+	{"minF", ir.OpMinF, fb(1), fb(2), fb(1)},
+	{"maxF", ir.OpMaxF, fb(1), fb(2), fb(2)},
+	{"divWrap", ir.OpDivI, math.MinInt64, -1, math.MinInt64},
+	{"modNegOne", ir.OpModI, math.MinInt64, -1, 0},
+	{"modSign", ir.OpModI, -7, 3, -1},
+	{"divTrunc", ir.OpDivI, -7, 2, -3},
 }
 
+// TestFullOpMatrix checks every opCases row on both operand paths.
 func TestFullOpMatrix(t *testing.T) {
-	cases := []struct {
-		name string
-		op   ir.Op
-		a, b int64
-		want int64
-	}{
-		{"mov", ir.OpMov, 42, 0, 42},
-		{"negI", ir.OpNegI, 7, 0, -7},
-		{"notI0", ir.OpNotI, 0, 0, 1},
-		{"notI1", ir.OpNotI, 5, 0, 0},
-		{"addF", ir.OpAddF, fb(1.5), fb(2.25), fb(3.75)},
-		{"subF", ir.OpSubF, fb(5), fb(1.5), fb(3.5)},
-		{"mulF", ir.OpMulF, fb(3), fb(0.5), fb(1.5)},
-		{"divF", ir.OpDivF, fb(1), fb(4), fb(0.25)},
-		{"divFzero", ir.OpDivF, fb(1), fb(0), fb(math.Inf(1))},
-		{"negF", ir.OpNegF, fb(2.5), 0, fb(-2.5)},
-		{"eqI", ir.OpEqI, 3, 3, 1},
-		{"neI", ir.OpNeI, 3, 3, 0},
-		{"ltI", ir.OpLtI, -1, 0, 1},
-		{"leI", ir.OpLeI, 0, 0, 1},
-		{"gtI", ir.OpGtI, 1, 2, 0},
-		{"geI", ir.OpGeI, 2, 2, 1},
-		{"eqF", ir.OpEqF, fb(1.5), fb(1.5), 1},
-		{"neF", ir.OpNeF, fb(1.5), fb(2.5), 1},
-		{"ltF", ir.OpLtF, fb(-3), fb(1), 1},
-		{"leF", ir.OpLeF, fb(1), fb(1), 1},
-		{"gtF", ir.OpGtF, fb(2), fb(1), 1},
-		{"geF", ir.OpGeF, fb(0.5), fb(1), 0},
-		{"nanNe", ir.OpNeF, fb(math.NaN()), fb(math.NaN()), 1},
-		{"nanEq", ir.OpEqF, fb(math.NaN()), fb(math.NaN()), 0},
-		{"itof", ir.OpItoF, -9, 0, fb(-9)},
-		{"ftoi", ir.OpFtoI, fb(3.99), 0, 3},
-		{"ftoiNeg", ir.OpFtoI, fb(-3.99), 0, -3},
-		{"sqrtF", ir.OpSqrtF, fb(9), 0, fb(3)},
-		{"absI", ir.OpAbsI, -5, 0, 5},
-		{"absIPos", ir.OpAbsI, 5, 0, 5},
-		{"absF", ir.OpAbsF, fb(-1.25), 0, fb(1.25)},
-		{"minF", ir.OpMinF, fb(1), fb(2), fb(1)},
-		{"maxF", ir.OpMaxF, fb(1), fb(2), fb(2)},
-		{"divWrap", ir.OpDivI, math.MinInt64, -1, math.MinInt64},
-		{"modNegOne", ir.OpModI, math.MinInt64, -1, 0},
-		{"modSign", ir.OpModI, -7, 3, -1},
-		{"divTrunc", ir.OpDivI, -7, 2, -3},
-	}
-	for _, c := range cases {
+	for _, c := range opCases {
 		t.Run(c.name, func(t *testing.T) {
-			got := evalBin(t, c.op, c.a, c.b)
-			if got != c.want {
-				t.Fatalf("%v(%d,%d) = %d (%v), want %d (%v)",
-					c.op, c.a, c.b, got, bf(got), c.want, bf(c.want))
+			for _, viaGlobals := range []bool{true, false} {
+				got, err := evalOp(t, c.op, c.a, c.b, viaGlobals)
+				if err != nil {
+					t.Fatalf("%v (globals=%v): %v", c.op, viaGlobals, err)
+				}
+				if got != c.want {
+					t.Fatalf("%v(%d,%d) = %d (%v), want %d (%v) (globals=%v)",
+						c.op, c.a, c.b, got, bf(got), c.want, bf(c.want), viaGlobals)
+				}
 			}
 		})
 	}
-	_ = bi
+}
+
+// TestConformanceCoversEveryOp fails when an ir.Op has no oracle case, so
+// the op tests cannot silently fall behind the instruction set.
+func TestConformanceCoversEveryOp(t *testing.T) {
+	covered := map[ir.Op]bool{
+		// Exercised by the structural tests: TestNopAndStoreGlobal,
+		// TestFloatOps, TestStoreElemAndBounds, TestCallsAndRecursion and
+		// TestChecksumIsOrderSensitive.
+		ir.OpNop: true, ir.OpConstI: true, ir.OpConstF: true,
+		ir.OpLoadG: true, ir.OpStoreG: true,
+		ir.OpLoadElem: true, ir.OpStoreElem: true,
+		ir.OpCall: true, ir.OpPrint: true,
+	}
+	for _, c := range opCases {
+		covered[c.op] = true
+	}
+	for op := ir.Op(1); op.Valid(); op++ {
+		if !covered[op] {
+			t.Errorf("ir.Op %v has no oracle case", op)
+		}
+	}
 }
 
 func TestNopAndStoreGlobal(t *testing.T) {

@@ -24,7 +24,7 @@ var ErrWalkFallback = errors.New("replicate: walk cannot reproduce the run; meas
 // transform, since a correct clone follows its original's path exactly.
 var ErrWalkMismatch = errors.New("replicate: program diverged from the recorded trace")
 
-// maxDepth is both execution backends' default call-depth bound, which
+// maxDepth is the interpreter's default call-depth bound, which
 // every run a walk stands in for keeps.
 const maxDepth = 100000
 
@@ -32,7 +32,7 @@ const maxDepth = 100000
 // the recording being walked ended.
 type WalkLimits struct {
 	// MaxBranches and MaxSteps are the live run's limits, with the
-	// backends' meanings (0 = unlimited).
+	// interpreter's meanings (0 = unlimited).
 	MaxBranches uint64
 	MaxSteps    uint64
 	// Truncated reports that the recording stopped at a limit instead of
@@ -65,7 +65,7 @@ type WalkResult struct {
 // successful walk a trace-level translation validation of the clone.
 //
 // The walk stops where the live run would — at lim.MaxBranches, or when
-// main returns — and polls ctx as the backends do. It returns
+// main returns — and polls ctx as the interpreter does. It returns
 // ErrWalkFallback whenever it cannot reproduce the stop exactly. prog must
 // be valid with its sites numbered, as Apply leaves it; it is not
 // modified.
@@ -193,7 +193,7 @@ func compileWalk(prog *ir.Program) (*walker, error) {
 // walkFrame is a suspended caller: its block and the next call to make.
 type walkFrame struct{ b, call int32 }
 
-// ctxCheckEvery matches the backends' default cancellation polling
+// ctxCheckEvery matches the interpreter's default cancellation polling
 // interval in executed blocks.
 const ctxCheckEvery = 4096
 

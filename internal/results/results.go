@@ -35,8 +35,8 @@ type Document struct {
 	// Service holds the kralld throughput measurement; absent until
 	// krallload -throughput -benchjson has merged one in.
 	Service *Service `json:"service,omitempty"`
-	// Exec holds the execution-backend comparison (interpreter vs the
-	// compiled vm); absent until krallbench -execbench has run.
+	// Exec holds the interpreter throughput measurement; absent until
+	// krallbench -execbench has run.
 	Exec *Exec `json:"exec,omitempty"`
 	// Trace holds the trace-plane replay throughput; absent until
 	// krallbench -tracebench has run.
@@ -125,26 +125,21 @@ type Phase struct {
 	Latency []EndpointLatency `json:"latency,omitempty"`
 }
 
-// Exec is the execution-backend throughput section: identical budgeted
-// live runs timed on the reference interpreter and on the compiled
-// bytecode vm (best of Rounds rounds each, no collectors attached).
+// Exec is the interpreter throughput section: budgeted live runs timed
+// on the interpreter (best of Rounds rounds each, no collectors attached).
 type Exec struct {
 	Budget uint64 `json:"budget"`
 	Rounds int    `json:"rounds"`
-	// The aggregate rates are total branches over total best-round time
-	// across all workloads; Speedup is vm over interpreter.
+	// InterpBranchesPerSecond is total branches over total best-round
+	// time across all workloads.
 	InterpBranchesPerSecond float64        `json:"interp_branches_per_second"`
-	VMBranchesPerSecond     float64        `json:"vm_branches_per_second"`
-	Speedup                 float64        `json:"speedup"`
 	Workloads               []ExecWorkload `json:"workloads"`
 }
 
-// ExecWorkload is one workload's backend comparison.
+// ExecWorkload is one workload's interpreter throughput.
 type ExecWorkload struct {
 	Name                    string  `json:"name"`
 	InterpBranchesPerSecond float64 `json:"interp_branches_per_second"`
-	VMBranchesPerSecond     float64 `json:"vm_branches_per_second"`
-	Speedup                 float64 `json:"speedup"`
 }
 
 // Trace is the trace-plane replay throughput section: the same recorded

@@ -29,8 +29,8 @@ func full() *Document {
 			Single: phase(1), Batch: phase(8), Speedup: 2.5,
 			Cluster: &Cluster{Nodes: 4, PerNodeMaxRPS: 100, SingleNode: phase(1), MultiNode: phase(1), Scaling: 3.9},
 		},
-		Exec: &Exec{Budget: 20000, Rounds: 3, InterpBranchesPerSecond: 1e7, VMBranchesPerSecond: 1.2e7, Speedup: 1.2,
-			Workloads: []ExecWorkload{{Name: "prolog", InterpBranchesPerSecond: 1e7, VMBranchesPerSecond: 1.5e7, Speedup: 1.5}}},
+		Exec: &Exec{Budget: 20000, Rounds: 3, InterpBranchesPerSecond: 1e7,
+			Workloads: []ExecWorkload{{Name: "prolog", InterpBranchesPerSecond: 1e7}}},
 		Trace: &Trace{Budget: 20000, Rounds: 3, Workers: 2, SinglePassEventsPerSecond: 1e8,
 			RunAwareEventsPerSecond: 3e8, PartitionedEventsPerSecond: 4e8, ProfileEventsPerSecond: 5e7, Speedup: 3,
 			Workloads: []TraceWorkload{{Name: "cc", Events: 20000, EncodedBytes: 999, SinglePassEventsPerSecond: 1e8,

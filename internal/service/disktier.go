@@ -27,10 +27,10 @@ import (
 // All three run inside the memory tier's single-flight slot, so a
 // stampede on a cold key still does the disk read, peer fetch, or
 // recording exactly once. Only data is persisted: trace artifacts ("art")
-// and profile bundles ("prof"). Compiled programs ("prog") embed backend
-// code and recompile cheaply next to a re-recording; answers ("resp") are
-// bytes in today's response format, which a persisted copy could outlive
-// across a release, and are recomputed from the persisted data instead.
+// and profile bundles ("prof"). Compiled programs ("prog") recompile
+// cheaply next to a re-recording; answers ("resp") are bytes in today's
+// response format, which a persisted copy could outlive across a release,
+// and are recomputed from the persisted data instead.
 type tieredStore struct {
 	mem  *runner.Sharded
 	disk *diskstore.Store

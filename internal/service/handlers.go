@@ -72,17 +72,13 @@ type Request struct {
 
 // compiled is an immutable compiled program shared across requests via the
 // content-addressed store. Branch sites are numbered once here; downstream
-// transforms always work on clones. ep is the program lowered for the
-// server's execution backend — compiled once when the entry is created, so
-// every cached-program request skips compilation (which the vm backend
-// actually pays for).
+// transforms always work on clones.
 type compiled struct {
 	prog   *ir.Program
 	name   string
 	key    string // content hash of the program, reused in derived keys
 	nsites int
 	feats  []predict.SiteFeatures
-	ep     exec.Program
 }
 
 // artifact is the record-once product of one (program, budget, seed,
@@ -131,11 +127,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 			if err != nil {
 				return nil, err
 			}
-			ep, err := s.cfg.Backend.Compile(c.Prog)
-			if err != nil {
-				return nil, err
-			}
-			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, feats: c.Features, ep: ep}, nil
+			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, feats: c.Features}, nil
 		})
 	case req.Source != "":
 		key := contentKey("prog", "source", req.Source)
@@ -145,11 +137,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
 			}
 			n := prog.NumberBranches(true)
-			ep, err := s.cfg.Backend.Compile(prog)
-			if err != nil {
-				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
-			}
-			return &compiled{prog: prog, name: "source", key: key, nsites: n, feats: predict.Analyze(prog), ep: ep}, nil
+			return &compiled{prog: prog, name: "source", key: key, nsites: n, feats: predict.Analyze(prog)}, nil
 		})
 	default:
 		return nil, badRequest("request needs a workload or source program")
@@ -168,20 +156,13 @@ func (s *Server) budgetFor(req *Request) (uint64, error) {
 	return b, nil
 }
 
-// newMachine prepares a run of prog on the server's backend under the
-// request's dataset knobs. The context is threaded into the run loop, so a
-// disconnected client or an expired deadline stops the machine. The step
-// backstop bounds even branch-free loops. When prog is the cached entry's
-// own program its precompiled form is reused; transformed clones compile
-// fresh.
-func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, budget uint64, req *Request) (exec.Machine, error) {
-	ep := c.ep
-	if prog != c.prog || ep == nil {
-		var err error
-		if ep, err = s.cfg.Backend.Compile(prog); err != nil {
-			return nil, err
-		}
-	}
+// newMachine prepares an interpreter run of prog, which is c's program or
+// a transformed clone of it, under the request's dataset knobs. The context
+// is threaded into the run loop, so a disconnected client or an expired
+// deadline stops the machine. The step backstop bounds even branch-free
+// loops.
+func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, budget uint64, req *Request) (*exec.Machine, error) {
+	ep, _ := exec.Interp.Compile(prog) // the interpreter's compile never fails
 	m := ep.NewMachine()
 	m.SetContext(ctx, 0)
 	m.SetMaxBranches(budget)
@@ -209,7 +190,7 @@ func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, 
 func stepBackstop(budget uint64) uint64 { return 512 * budget }
 
 // runMachine executes m, treating the branch budget as normal completion.
-func runMachine(m exec.Machine) (truncated bool, err error) {
+func runMachine(m *exec.Machine) (truncated bool, err error) {
 	if _, err := m.Run(); err != nil {
 		if errors.Is(err, interp.ErrLimit) {
 			return true, nil

@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/diskstore"
-	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/runner"
 	"repro/internal/trace"
@@ -110,13 +109,6 @@ type Config struct {
 	MaxRPS float64
 	// Logger receives structured request/lifecycle lines (nil = discard).
 	Logger *slog.Logger
-	// Backend selects the execution plane for every program run the server
-	// performs (recording, replicate measurement): nil or exec.Interp is
-	// the reference interpreter, exec.VM the compiled bytecode machine.
-	// Both are observably identical, so responses never depend on the
-	// choice — only service throughput does. cmd/kralld maps its -backend
-	// flag here via exec.ByName.
-	Backend exec.Backend
 }
 
 func (c *Config) setDefaults() {
@@ -152,9 +144,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if c.Backend == nil {
-		c.Backend = exec.Interp
 	}
 }
 

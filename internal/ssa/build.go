@@ -9,9 +9,8 @@ import (
 // Build lowers a validated ir.Program into SSA form: one SSA function per ir
 // function (parallel slices), with dominators computed, phis placed at
 // iterated dominance frontiers, and every register use rewritten to the
-// reaching definition (mem2reg). Unreachable and Dead blocks are dropped —
-// the interpreter never executes them, so the compiled backend need not
-// carry them.
+// reaching definition (mem2reg). Unreachable blocks are dropped: the
+// interpreter never executes them.
 func Build(p *ir.Program) (*Program, error) {
 	sp := &Program{Ir: p, Funcs: make([]*Func, len(p.Funcs))}
 	for i, f := range p.Funcs {
@@ -65,10 +64,10 @@ func buildFunc(irf *ir.Func) (*Func, error) {
 		case ir.TermBr:
 			if ib.Term.Then == ib.Term.Else {
 				// Degenerate cond-br (identical arms): fold to an
-				// unconditional jump so the condition is dead-code-swept
-				// and downstream consumers never see a two-way edge pair
-				// to one target. ir.Validate rejects this shape, but Build
-				// stays defensive for hand-built inputs.
+				// unconditional jump so downstream consumers never see a
+				// two-way edge pair to one target. ir.Validate rejects
+				// this shape, but Build stays defensive for hand-built
+				// inputs.
 				sb.Term.Op = ir.TermJmp
 				sb.Term.Then = b.bmap[ib.Term.Then.ID]
 				sb.Term.Then.Preds = append(sb.Term.Then.Preds, sb)
@@ -166,7 +165,7 @@ func (b *builder) placePhis() {
 					continue
 				}
 				placed[j] = true
-				phi := b.f.NewValue(OpPhi, 0)
+				phi := b.f.newValue(OpPhi, 0)
 				phi.Args = make([]*Value, len(j.Preds))
 				j.Phis = append(j.Phis, phi)
 				b.phiVar[phi] = ir.Reg(r)
@@ -186,17 +185,17 @@ func (b *builder) rename() error {
 
 	// Initial definitions in the entry block: parameters in their slots,
 	// a shared zero constant for everything else (interpreter frames start
-	// zeroed). Unused initials are swept by the dead-code pass.
+	// zeroed).
 	entry := b.f.Entry
 	var zero *Value
 	for r := 0; r < b.ir.NRegs; r++ {
 		var v *Value
 		if r < b.ir.NParams {
-			v = b.f.NewValue(OpParam, int64(r))
+			v = b.f.newValue(OpParam, int64(r))
 			entry.Code = append(entry.Code, v)
 		} else {
 			if zero == nil {
-				zero = b.f.NewValue(FromIR(ir.OpConstI), 0)
+				zero = b.f.newValue(Op(ir.OpConstI), 0)
 				entry.Code = append(entry.Code, zero)
 			}
 			v = zero
@@ -227,7 +226,7 @@ func (b *builder) renameBlock(blk *Block) error {
 		if !in.Op.Valid() {
 			return fmt.Errorf("%s: invalid opcode %s", blk, in.Op)
 		}
-		v := b.f.NewValue(FromIR(in.Op), 0)
+		v := b.f.newValue(Op(in.Op), 0)
 		if in.Op.HasImm() {
 			v.Imm = in.Imm
 		}

@@ -81,16 +81,3 @@ func hasFrontier(b, x *Block) bool {
 	}
 	return false
 }
-
-// Dominates reports whether a dominates b (reflexively).
-func Dominates(a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		if b.Idom == nil {
-			return false
-		}
-		b = b.Idom
-	}
-}

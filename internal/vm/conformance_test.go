@@ -1,29 +1,36 @@
-package vm_test
+// Package vm holds the execution conformance suite. It is a test-only
+// package; the directory keeps the name of the compiled backend the suite
+// was written for, so its test names stay stable.
+package vm
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/vm"
+	"repro/internal/lang"
+	"repro/internal/trace"
 )
 
-// The conformance suite pins the compiled backend to the interpreter one
-// opcode at a time: for every ir.Op it builds a minimal program exercising
-// that op and runs it through runBoth, which compares return value, error
-// identity, all counters, trace bytes, and block counts. Each value case
-// runs twice — once with operands loaded from globals, which the SSA
-// pipeline cannot fold, so the bytecode op really executes at run time; and
-// once with constant operands, so the folded/immediate encodings take the
-// same path. A coverage check at the bottom fails if an ir.Op is added
-// without a conformance case.
+// The conformance suite pins the execution plane (package exec, which the
+// bench suite, the service and the krallperf mirrors run through) to the
+// interpreter one opcode at a time: for every ir.Op it builds a minimal
+// program exercising that op, checks the oracle value, and runs it through
+// runBoth, which compares return value, error identity, all counters, trace
+// bytes, and block counts between an exec.Machine configured by its setters
+// and an interp.Machine configured by its fields. Each value case runs
+// twice — once with operands loaded from globals, so the op reads run-time
+// values, and once with constant operands. A coverage check at the bottom
+// fails if an ir.Op is added without a conformance case.
 
 func fb(f float64) int64 { return int64(math.Float64bits(f)) }
 
 // opProg builds "main: return op(a, b)". With viaGlobals the operands load
-// from mutable globals (Init-seeded) so constant folding cannot touch the
-// op; otherwise they are constants and the folded/immediate forms compile.
+// from mutable globals (Init-seeded); otherwise they are constants.
 func opProg(t *testing.T, op ir.Op, a, b int64, viaGlobals bool) *ir.Program {
 	t.Helper()
 	p := ir.NewProgram()
@@ -69,8 +76,8 @@ type opCase struct {
 
 // opCases is the per-opcode value matrix. Every value-producing ir.Op
 // appears at least once; edge cases (wrapping division, NaN comparisons,
-// shift masking) ride along because they are exactly where a compiled
-// backend would drift from the interpreter.
+// shift masking) ride along because they are exactly where an
+// implementation would drift from Go's semantics.
 var opCases = []opCase{
 	{"mov", ir.OpMov, 42, 0, 42},
 	{"addI", ir.OpAddI, 40, 2, 42},
@@ -127,9 +134,9 @@ var opCases = []opCase{
 	{"maxF", ir.OpMaxF, fb(1), fb(2), fb(2)},
 }
 
-// TestOpConformance runs every opcode case on both backends, on both the
-// runtime (global-operand) and folded (constant-operand) paths, and checks
-// the interpreter oracle value so both backends cannot be wrong together.
+// TestOpConformance runs every opcode case on both the global-operand and
+// the constant-operand path, checks the oracle value, and runs the program
+// through the exec plane.
 func TestOpConformance(t *testing.T) {
 	for _, c := range opCases {
 		c := c
@@ -151,7 +158,7 @@ func TestOpConformance(t *testing.T) {
 }
 
 // trapCases are the opcode executions that must fail, with identical
-// *interp.RuntimeError text on both backends.
+// *interp.RuntimeError text through exec and the interpreter.
 var trapCases = []struct {
 	name string
 	op   ir.Op
@@ -201,9 +208,8 @@ func TestNopConstConformance(t *testing.T) {
 	runBoth(t, p, 0, 0)
 }
 
-// TestGlobalConformance covers OpLoadG/OpStoreG plus the SetGlobal and
-// GlobalValue accessors, which the bench and service layers use on both
-// backends interchangeably.
+// TestGlobalConformance covers OpLoadG/OpStoreG plus the SetGlobal
+// override, which the bench and service layers set through exec.
 func TestGlobalConformance(t *testing.T) {
 	p := ir.NewProgram()
 	for _, g := range []*ir.Global{
@@ -236,25 +242,23 @@ func TestGlobalConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vp, err := vm.Compile(p)
+	ep, err := exec.Interp.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmach := vp.NewMachine()
-	if err := vmach.SetGlobal("x", 7); err != nil {
+	em := ep.NewMachine()
+	if err := em.SetGlobal("x", 7); err != nil {
 		t.Fatal(err)
 	}
-	vret, err := vmach.Run()
+	eret, err := em.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iret != 49 || vret != 49 {
-		t.Fatalf("SetGlobal runs: interp=%d vm=%d, want 49", iret, vret)
+	if iret != 49 || eret != 49 {
+		t.Fatalf("SetGlobal runs: interp=%d exec=%d, want 49", iret, eret)
 	}
-	ig, ierr := im.GlobalValue("y")
-	vg, verr := vmach.GlobalValue("y")
-	if ierr != nil || verr != nil || ig != vg || ig != 49 {
-		t.Fatalf("GlobalValue: interp=%d,%v vm=%d,%v", ig, ierr, vg, verr)
+	if ig, err := im.GlobalValue("y"); err != nil || ig != 49 {
+		t.Fatalf("GlobalValue: %d, %v, want 49", ig, err)
 	}
 }
 
@@ -355,8 +359,8 @@ func main() int {
 	})
 }
 
-// TestBranchConformance covers the raw vBr path (a branch on a value that
-// is not a fused comparison) and prediction scoring in both directions.
+// TestBranchConformance covers a branch on a value that is not a
+// comparison and prediction scoring in both directions.
 func TestBranchConformance(t *testing.T) {
 	prog := compileSrc(t, `
 var bits int = 6;
@@ -403,4 +407,99 @@ func TestConformanceCoversEveryOp(t *testing.T) {
 			t.Errorf("ir.Op %v has no conformance case", op)
 		}
 	}
+}
+
+// runBoth executes prog through the exec plane and on the interpreter
+// directly, under identical limits, and fails unless every observable
+// matches: return value, error identity, all six counters, the encoded
+// branch trace, and the per-block execution counts.
+func runBoth(t *testing.T, prog *ir.Program, maxBranches, maxSteps uint64) {
+	t.Helper()
+
+	im := interp.New(prog)
+	im.MaxBranches = maxBranches
+	im.MaxSteps = maxSteps
+	im.EnableBlockCounts()
+	is := trace.NewSlab(0)
+	im.Rec = is
+	iret, ierr := im.Run()
+	is.Seal()
+
+	ep, err := exec.Interp.Compile(prog)
+	if err != nil {
+		t.Fatalf("exec.Interp.Compile: %v", err)
+	}
+	em := ep.NewMachine()
+	em.SetMaxBranches(maxBranches)
+	em.SetMaxSteps(maxSteps)
+	em.EnableBlockCounts()
+	es := trace.NewSlab(0)
+	em.SetRec(es)
+	eret, eerr := em.Run()
+	es.Seal()
+
+	if (ierr == nil) != (eerr == nil) {
+		t.Fatalf("error mismatch: interp=%v exec=%v", ierr, eerr)
+	}
+	if ierr != nil {
+		sentinel := false
+		for _, s := range []error{interp.ErrLimit, interp.ErrNoMain, interp.ErrMainParams} {
+			if errors.Is(ierr, s) != errors.Is(eerr, s) {
+				t.Fatalf("error identity mismatch on %v: interp=%v exec=%v", s, ierr, eerr)
+			}
+			sentinel = sentinel || errors.Is(ierr, s)
+		}
+		if !sentinel && ierr.Error() != eerr.Error() {
+			t.Fatalf("trap mismatch:\ninterp: %v\nexec:   %v", ierr, eerr)
+		}
+	} else if iret != eret {
+		t.Fatalf("return mismatch: interp=%d exec=%d", iret, eret)
+	}
+
+	ic := exec.Counters{
+		Steps: im.Steps, Branches: im.Branches,
+		Predicted: im.Predicted, Mispredicted: im.Mispredicted,
+		Checksum: im.Checksum, Prints: im.Prints,
+	}
+	if ec := em.Counters(); ic != ec {
+		t.Errorf("counters: interp=%+v exec=%+v", ic, ec)
+	}
+
+	var ibuf, ebuf bytes.Buffer
+	if _, err := is.WriteTo(&ibuf); err != nil {
+		t.Fatalf("interp slab: %v", err)
+	}
+	if _, err := es.WriteTo(&ebuf); err != nil {
+		t.Fatalf("exec slab: %v", err)
+	}
+	if !bytes.Equal(ibuf.Bytes(), ebuf.Bytes()) {
+		t.Errorf("trace bytes differ: interp=%d bytes (%d events), exec=%d bytes (%d events)",
+			ibuf.Len(), is.Len(), ebuf.Len(), es.Len())
+	}
+
+	ib, eb := im.BlockCounts(), em.BlockCounts()
+	if len(ib) != len(eb) {
+		t.Fatalf("block count shape: interp=%d funcs exec=%d funcs", len(ib), len(eb))
+	}
+	for fi := range ib {
+		if len(ib[fi]) != len(eb[fi]) {
+			t.Errorf("func %d block count shape: interp=%d exec=%d", fi, len(ib[fi]), len(eb[fi]))
+			continue
+		}
+		for bi := range ib[fi] {
+			if ib[fi][bi] != eb[fi][bi] {
+				t.Errorf("func %d block %d count: interp=%d exec=%d", fi, bi, ib[fi][bi], eb[fi][bi])
+			}
+		}
+	}
+}
+
+func compileSrc(t *testing.T, src string) *ir.Program {
+	t.Helper()
+	prog, err := lang.Compile(src)
+	if err != nil {
+		t.Fatalf("lang.Compile: %v", err)
+	}
+	prog.NumberBranches(true)
+	return prog
 }
