@@ -85,7 +85,10 @@ stage_suites() {
 
 stage_fuzz() {
     go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/lang
+    # Uploads against the reference decoder, and sealed-slab containers
+    # with recomputed CRCs: never a panic, accepted input replays cleanly.
     go test -run='^$' -fuzz=FuzzReadSlab -fuzztime=10s ./internal/trace
+    go test -run='^$' -fuzz=FuzzOpenSealed -fuzztime=10s ./internal/trace
     go test -run='^$' -fuzz=FuzzVerify -fuzztime=10s ./internal/analysis
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.

@@ -117,30 +117,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 	}
-	var tw *trace.Writer
-	var tf *os.File
+	var slab *trace.Slab
 	if *traceFile != "" {
-		tf, err = os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "blc:", err)
-			return 1
-		}
-		defer tf.Close()
-		tw, err = trace.NewWriter(tf)
-		if err != nil {
-			fmt.Fprintln(stderr, "blc:", err)
-			return 1
-		}
-		m.Hook = interp.BranchHook(tw)
+		// Through the branch hook, not m.Rec: blc's trace files hold
+		// conditional branches only, and Rec would add switch events.
+		slab = trace.NewSlab(int(*budget))
+		m.Hook = interp.BranchHook(slab)
 	}
 	ret, err := m.Run()
 	if err != nil && err != interp.ErrLimit {
 		fmt.Fprintln(stderr, "blc:", err)
 		return 1
 	}
-	if tw != nil {
-		if cerr := tw.Close(); cerr != nil {
-			fmt.Fprintln(stderr, "blc:", cerr)
+	if slab != nil {
+		if werr := writeTrace(*traceFile, slab); werr != nil {
+			fmt.Fprintln(stderr, "blc:", werr)
 			return 1
 		}
 	}
@@ -153,4 +144,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			m.Steps, m.Branches, m.Checksum, m.Prints)
 	}
 	return 0
+}
+
+// writeTrace seals the recorded slab and writes it to path as a BLTRACE1
+// stream.
+func writeTrace(path string, slab *trace.Slab) error {
+	slab.Seal()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := slab.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -88,12 +88,12 @@ func TestTraceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := trace.ReadAll(f)
+	slab, err := trace.ReadSlab(f, trace.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 6 { // 5 taken + 1 exit
-		t.Fatalf("trace has %d events", len(events))
+	if slab.Len() != 6 { // 5 taken + 1 exit
+		t.Fatalf("trace has %d events", slab.Len())
 	}
 }
 

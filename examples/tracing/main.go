@@ -1,17 +1,21 @@
-// Tracing: the profiling-tool workflow of section 3 — run a workload with
-// the trace writer, persist the compressed branch trace to disk, read it
-// back, and rebuild the analyses from the file instead of a live run.
+// Tracing: the profiling-tool workflow of section 3 — run a workload while
+// recording its branch trace into a slab, persist the compressed trace to
+// disk, read it back, and rebuild the analyses from the file instead of a
+// live run.
 //
 //	go run ./examples/tracing
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
 	"repro/internal/bench"
+	"repro/internal/exec"
+	"repro/internal/interp"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -27,23 +31,27 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Record through the interpreter's direct slab hook, then write the
+	// slab out: its bytes are the file's event stream.
+	const budget = 300_000
+	ep, _ := exec.Interp.Compile(c.Prog) // the interpreter's compile never fails
+	m := ep.NewMachine()
+	m.SetMaxBranches(budget)
+	if err := m.SetGlobal("wscale", 1<<30); err != nil {
+		log.Fatal(err)
+	}
+	slab := trace.NewSlab(budget)
+	m.SetRec(slab)
+	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+		log.Fatal(err)
+	}
+	slab.Seal()
 	path := filepath.Join(os.TempDir(), "compress.bltrace")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw, err := trace.NewWriter(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	const budget = 300_000
-	if _, err := c.Run(bench.RunConfig{Budget: budget, Scale: 1 << 30}, tw); err != nil {
-		log.Fatal(err)
-	}
-	if err := tw.Close(); err != nil {
-		log.Fatal(err)
-	}
-	info, err := f.Stat()
+	size, err := slab.WriteTo(f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +60,7 @@ func main() {
 	}
 	fmt.Printf("traced %d branch events of %q to %s\n", budget, w.Name, path)
 	fmt.Printf("trace file: %d bytes (%.2f bits/branch; the paper reports ~1.7)\n",
-		info.Size(), 8*float64(info.Size())/budget)
+		size, 8*float64(size)/budget)
 
 	// Read the trace back and rebuild the analyses offline.
 	rf, err := os.Open(path)
@@ -60,13 +68,13 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rf.Close()
-	slab, err := trace.ReadSlab(rf, trace.DefaultLimits())
+	read, err := trace.ReadSlab(rf, trace.DefaultLimits())
 	if err != nil {
 		log.Fatal(err)
 	}
 	prof := profile.New(c.NSites, profile.Options{})
-	slab.ReplayInto(prof)
-	fmt.Printf("replayed %d events from disk\n", slab.Len())
+	read.ReplayInto(prof)
+	fmt.Printf("replayed %d events from disk\n", read.Len())
 
 	show := func(name string, r predict.Result) {
 		fmt.Printf("  %-22s %6.2f%%\n", name, r.Rate())

@@ -120,7 +120,6 @@ type Provenance struct {
 	origin map[*ir.Block]BlockID
 	auth   map[*ir.Block]predAuth
 	apps   []*MachineApp
-	paths  []*PathApp
 }
 
 // NewProvenance snapshots prog's current block positions as the identity
@@ -186,9 +185,7 @@ func (p *Provenance) NewPathApp(m *statemachine.PathMachine) *PathApp {
 	if p == nil {
 		return nil
 	}
-	papp := &PathApp{prov: p, m: m}
-	p.paths = append(p.paths, papp)
-	return papp
+	return &PathApp{prov: p, m: m}
 }
 
 // Apps returns every machine application recorded so far.
@@ -197,14 +194,6 @@ func (p *Provenance) Apps() []*MachineApp {
 		return nil
 	}
 	return p.apps
-}
-
-// PathApps returns every correlated-machine application recorded so far.
-func (p *Provenance) PathApps() []*PathApp {
-	if p == nil {
-		return nil
-	}
-	return p.paths
 }
 
 func (p *Provenance) authOf(b *ir.Block) predAuth {

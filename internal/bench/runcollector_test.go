@@ -249,9 +249,10 @@ func FuzzRunCollectorEquivalence(f *testing.F) {
 }
 
 // TestFusedReplayEncodingProgen pins the fused single-pass fan-out at the
-// byte level over generated programs: re-encoding a slab through a Writer
-// must reproduce the slab's own encoding whether ReplayInto drives the
-// Writer alone or beside another collector sharing the decode pass.
+// byte level over generated programs: re-encoding a slab into a second
+// slab, as a collector, must reproduce the slab's own encoding whether
+// ReplayInto drives it alone or beside another collector sharing the
+// decode pass.
 func TestFusedReplayEncodingProgen(t *testing.T) {
 	for seed := int64(1); seed <= 16; seed++ {
 		s := slabFromSource(progen.Generate(seed, progen.DefaultConfig()), 50_000)
@@ -269,33 +270,29 @@ func TestFusedReplayEncodingProgen(t *testing.T) {
 		if _, err := s.WriteTo(&want); err != nil {
 			t.Fatal(err)
 		}
-		directW, err := trace.NewWriter(&directBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.ReplayInto(directW)
-		if err := directW.Close(); err != nil {
+		direct := trace.NewSlab(0)
+		s.ReplayInto(direct)
+		direct.Seal()
+		if _, err := direct.WriteTo(&directBuf); err != nil {
 			t.Fatal(err)
 		}
 
-		fusedW, err := trace.NewWriter(&fusedBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fused := trace.NewSlab(0)
 		fusedCounts := trace.NewCounts(nsites)
 		soloCounts := trace.NewCounts(nsites)
-		s.ReplayInto(fusedCounts, fusedW)
+		s.ReplayInto(fusedCounts, fused)
 		s.ReplayInto(soloCounts)
-		if err := fusedW.Close(); err != nil {
+		fused.Seal()
+		if _, err := fused.WriteTo(&fusedBuf); err != nil {
 			t.Fatal(err)
 		}
 
 		if !bytes.Equal(want.Bytes(), directBuf.Bytes()) {
-			t.Fatalf("seed %d: ReplayInto(Writer) bytes differ from the slab's (%d vs %d)",
+			t.Fatalf("seed %d: ReplayInto(Slab) bytes differ from the slab's (%d vs %d)",
 				seed, directBuf.Len(), want.Len())
 		}
 		if !bytes.Equal(want.Bytes(), fusedBuf.Bytes()) {
-			t.Fatalf("seed %d: fused writer bytes differ from the slab's (%d vs %d)",
+			t.Fatalf("seed %d: fused slab bytes differ from the slab's (%d vs %d)",
 				seed, fusedBuf.Len(), want.Len())
 		}
 		compareCounts(t, "fused counts", soloCounts, fusedCounts)
@@ -303,10 +300,10 @@ func TestFusedReplayEncodingProgen(t *testing.T) {
 }
 
 // TestLiveFanOutMatchesSlab pins the live multi-collector path to the
-// recorded trace on the switch-heavy workloads: a Writer run live beside a
-// second collector must emit exactly the bytes the slab records for the
-// same run, so batched branch and switch events keep their execution
-// order and their site keys.
+// recorded trace on the switch-heavy workloads: a slab filled live as a
+// collector beside a second collector must write exactly the bytes the
+// direct slab hook records for the same run, so batched branch and switch
+// events keep their execution order and their site keys.
 func TestLiveFanOutMatchesSlab(t *testing.T) {
 	const budget = 20_000
 	for _, w := range IndirectWorkloads() {
@@ -315,14 +312,12 @@ func TestLiveFanOutMatchesSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 		var live bytes.Buffer
-		lw, err := trace.NewWriter(&live)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lw := trace.NewSlab(budget)
 		if _, err := c.Run(RunConfig{Budget: budget}, lw, trace.NewCounts(c.NSites)); err != nil {
 			t.Fatal(err)
 		}
-		if err := lw.Close(); err != nil {
+		lw.Seal()
+		if _, err := lw.WriteTo(&live); err != nil {
 			t.Fatal(err)
 		}
 

@@ -183,15 +183,6 @@ type Term struct {
 	SwOutcome int32
 }
 
-// NumOutcomes reports the number of dispatch outcomes of a TermSwitch
-// (cases plus the default), or 0 for other terminators.
-func (t *Term) NumOutcomes() int {
-	if t.Op != TermSwitch {
-		return 0
-	}
-	return len(t.Targets) + 1
-}
-
 // Block is a basic block: a straight-line instruction sequence ended by one
 // terminator. Blocks are identified within their function by ID (dense) and
 // carry an optional name for diagnostics.

@@ -205,12 +205,10 @@ func TestScoreUploadTooLarge(t *testing.T) {
 func TestScoreUploadHugeSite(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.RecordBranch(1<<30, true)
-	if err := w.Close(); err != nil {
+	slab := trace.NewSlab(0)
+	slab.Record(1<<30, true)
+	slab.Seal()
+	if _, err := slab.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf(`{"trace_b64":%q}`, base64.StdEncoding.EncodeToString(buf.Bytes()))

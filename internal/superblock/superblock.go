@@ -28,9 +28,6 @@ type Formation struct {
 	next map[*ir.Block]*ir.Block
 }
 
-// OnTraceNext returns the trace successor of b, or nil.
-func (fm *Formation) OnTraceNext(b *ir.Block) *ir.Block { return fm.next[b] }
-
 // edgeWeights mirrors layout's derivation: Jmp edge weight = block count;
 // Br taken from the branch profile; fall-through = remainder.
 func edgeWeight(b *ir.Block, taken bool, blockCounts []uint64, counts *trace.Counts) uint64 {

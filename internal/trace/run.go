@@ -50,25 +50,6 @@ func (l *Log) RecordRun(site int32, taken bool, n uint64) {
 	}
 }
 
-// RecordRun implements Collector on the wire encoder: a replayed run folds
-// straight into the Writer's RLE state, so re-encoding a trace through
-// runs emits byte-identical output to event-at-a-time encoding.
-func (w *Writer) RecordRun(site int32, taken bool, n uint64) {
-	if n == 0 {
-		return
-	}
-	code := (uint64(site)+1)<<1 | b2u(taken)
-	w.total += n
-	if code == w.last {
-		w.run += n
-		return
-	}
-	w.flushRun()
-	w.putUvarint(code)
-	w.last = code
-	w.run = n - 1
-}
-
 // MaxSite scans a replay for the highest site ID plus one — the table
 // size a trace of unknown provenance needs. It is order-insensitive, so
 // it shards.
@@ -290,8 +271,8 @@ func replayInto(buf []byte, cs []Collector) {
 const minPartition = 4 * ckEvery
 
 // ReplayPartitioned replays the slab across up to workers goroutines,
-// splitting the encoded stream at RLE-aligned checkpoints (recorded every
-// ckEvery events by Record) so each segment decodes independently. Every
+// splitting the encoded stream at RLE-aligned checkpoints (placed every
+// ckEvery events by Record or scanEvents) so each segment decodes alone. Every
 // collector must be Sharded — order-insensitive — for the split to be
 // exact; if any is not, or the slab is too small to pay for the fan-out,
 // it degrades to ReplayInto. Shards are merged collector-major in

@@ -9,34 +9,27 @@ import (
 
 // TestRunCollectorsMatchEventAtATime drives every trace-package collector
 // both event-at-a-time (RecordBranch) and run-at-a-time (RecordRun from
-// ReplayRuns) and requires identical final state — including the Writer,
-// whose two paths must produce byte-identical wire encodings.
+// ReplayRuns) and requires identical final state — including the Slab as a
+// collector, whose two paths must produce byte-identical encodings and
+// checkpoints, equal to the recorded slab's own.
 func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, n := range []int{0, 1, 17, 5000} {
+	for _, n := range []int{0, 1, 17, 5000, 3 * ckEvery} {
 		events := genEvents(rng, n)
 		s := recordSlab(events)
 
 		evCounts, runCounts := NewCounts(40), NewCounts(40)
 		evLog, runLog := &Log{Max: n / 2}, &Log{Max: n / 2}
-		var evBuf, runBuf bytes.Buffer
-		evW, err := NewWriter(&evBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runW, err := NewWriter(&runBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		evSlab, runSlab := NewSlab(0), NewSlab(0)
 
 		for _, ev := range events {
 			evCounts.RecordBranch(ev.Site, ev.Taken)
 			evLog.RecordBranch(ev.Site, ev.Taken)
-			evW.RecordBranch(ev.Site, ev.Taken)
+			evSlab.RecordBranch(ev.Site, ev.Taken)
 		}
 		s.ReplayRuns(runCounts.RecordRun)
 		s.ReplayRuns(runLog.RecordRun)
-		s.ReplayRuns(runW.RecordRun)
+		s.ReplayRuns(runSlab.RecordRun)
 
 		for i := range evCounts.Taken {
 			if evCounts.Taken[i] != runCounts.Taken[i] || evCounts.NotTaken[i] != runCounts.NotTaken[i] {
@@ -52,14 +45,13 @@ func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 				t.Fatalf("n=%d: log event %d diverges", n, i)
 			}
 		}
-		if err := evW.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := runW.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(evBuf.Bytes(), runBuf.Bytes()) {
-			t.Fatalf("n=%d: writer encodings diverge (%d vs %d bytes)", n, evBuf.Len(), runBuf.Len())
+		evSlab.Seal()
+		runSlab.Seal()
+		for name, got := range map[string]*Slab{"event": evSlab, "run": runSlab} {
+			if got.Len() != s.Len() || !bytes.Equal(got.buf, s.buf) || !reflect.DeepEqual(got.cks, s.cks) {
+				t.Fatalf("n=%d: %s-at-a-time slab encoding diverges (%d vs %d bytes, %d vs %d checkpoints)",
+					n, name, len(got.buf), len(s.buf), len(got.cks), len(s.cks))
+			}
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"slices"
 )
 
 // sealedMagic heads the sealed-slab container: the varint+RLE event bytes
@@ -27,8 +27,8 @@ const sealedCRCSize = 4
 //	crc32(buf)           4 bytes little-endian, IEEE polynomial
 //
 // Everything is byte-oriented — varints and raw bytes — so a reader may
-// alias the container at any alignment: OpenSealed on an mmap'd file never
-// copies the event stream.
+// alias the container at any alignment: OpenSealed over the disk tier's
+// mapped file never copies the event stream.
 
 // SealedSize returns the encoded size of the sealed container.
 func (s *Slab) SealedSize() int {
@@ -71,18 +71,16 @@ func (s *Slab) AppendSealed(dst []byte) []byte {
 	return dst
 }
 
-// WriteSealedTo writes the sealed-slab container to w.
-func (s *Slab) WriteSealedTo(w io.Writer) (int64, error) {
-	buf := s.AppendSealed(make([]byte, 0, s.SealedSize()))
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
 // OpenSealed reconstructs a sealed Slab from a container produced by
 // AppendSealed, aliasing the event bytes in data — the zero-copy open path
-// of the disk tier. The caller must keep data immutable and alive for as
-// long as the slab is used (a *diskstore.Mapped does both). The decode is
-// alignment-safe: only byte loads touch data.
+// of the disk tier and of artifacts fetched from peers. The caller must
+// keep data immutable and alive for as long as the slab is used (a
+// *diskstore.Mapped does both). The CRC only proves the bytes are the ones
+// written, so the event bytes also go through ReadSlab's validating pass,
+// and the stored event count and checkpoints must equal the ones it
+// recomputes: a container that would panic or mis-split a replay is an
+// error here, never a slab. The decode is alignment-safe: only byte loads
+// touch data.
 func OpenSealed(data []byte) (*Slab, error) {
 	if len(data) < len(sealedMagic) || string(data[:len(sealedMagic)]) != sealedMagic {
 		return nil, fmt.Errorf("trace: sealed slab: bad magic")
@@ -109,9 +107,8 @@ func OpenSealed(data []byte) (*Slab, error) {
 	if nck > uint64(len(data))/2 {
 		return nil, fmt.Errorf("trace: sealed slab: checkpoint count %d exceeds input", nck)
 	}
-	cks := make([]slabCk, 0, nck)
-	var prevOff, prevDone uint64
-	for k := uint64(0); k < nck; k++ {
+	stored := make([]slabCk, nck)
+	for k := range stored {
 		off, err := next("checkpoint offset")
 		if err != nil {
 			return nil, err
@@ -120,11 +117,7 @@ func OpenSealed(data []byte) (*Slab, error) {
 		if err != nil {
 			return nil, err
 		}
-		if k > 0 && (off <= prevOff || done <= prevDone) {
-			return nil, fmt.Errorf("trace: sealed slab: checkpoints not increasing at %d", k)
-		}
-		prevOff, prevDone = off, done
-		cks = append(cks, slabCk{off: int(off), done: done})
+		stored[k] = slabCk{off: int(off), done: done}
 	}
 	blen, err := next("event bytes length")
 	if err != nil {
@@ -139,14 +132,18 @@ func OpenSealed(data []byte) (*Slab, error) {
 	if got := crc32.ChecksumIEEE(buf); got != want {
 		return nil, fmt.Errorf("trace: sealed slab: crc mismatch %08x != %08x", got, want)
 	}
-	for _, ck := range cks {
-		if ck.off >= len(buf) || ck.done >= n {
-			return nil, fmt.Errorf("trace: sealed slab: checkpoint (%d,%d) out of range", ck.off, ck.done)
-		}
+	sc, err := scanEvents(buf, Limits{})
+	if err != nil {
+		return nil, fmt.Errorf("trace: sealed slab: %w", err)
 	}
-	var lastCk uint64
-	if len(cks) > 0 {
-		lastCk = cks[len(cks)-1].done
+	if sc.end != len(buf) {
+		return nil, fmt.Errorf("trace: sealed slab: footer code at byte %d", sc.end)
 	}
-	return &Slab{buf: buf, n: n, sealed: true, cks: cks, lastCk: lastCk}, nil
+	if sc.n != n {
+		return nil, fmt.Errorf("trace: sealed slab: %d events stored, %d decoded", n, sc.n)
+	}
+	if !slices.Equal(stored, sc.cks) {
+		return nil, fmt.Errorf("trace: sealed slab: stored checkpoints differ from the event bytes")
+	}
+	return &Slab{buf: buf, n: n, sealed: true, cks: sc.cks}, nil
 }

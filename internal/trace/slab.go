@@ -46,12 +46,13 @@ func (c *Counts) RecordBranch(site int32, taken bool) {
 	}
 }
 
-// Slab is the record-once/replay-many in-memory branch trace: the event
-// stream of one interpreted run, encoded with the same varint+RLE scheme as
-// the on-disk format (Writer), so two million branch events occupy a few
-// hundred kilobytes to a few megabytes. A Slab is recorded by the
-// interpreter's fast-path hook (interp.Machine.Rec), sealed, cached as an
-// immutable artifact, and then replayed into any number of collectors at
+// Slab is the record-once/replay-many in-memory branch trace and the one
+// BLTRACE1 codec: its buffer holds the event stream of one interpreted run
+// in exactly the wire encoding (see magic), so two million branch events
+// occupy a few hundred kilobytes to a few megabytes. A Slab is recorded by
+// the interpreter's fast-path hook (interp.Machine.Rec) or, as a
+// Collector, through any live hook; it is then sealed, cached as an
+// immutable artifact, and replayed into any number of collectors at
 // memory-bandwidth speed — no interpreter dispatch per event.
 type Slab struct {
 	buf    []byte
@@ -66,9 +67,9 @@ type Slab struct {
 // slabCk is an RLE-aligned replay checkpoint: buf[off:] starts with a
 // self-contained code — a plain event or a switch escape, never a bare run
 // marker, which would need the previous event's state — with done events
-// encoded before it. Record drops one roughly every ckEvery events;
-// ReplayPartitioned splits the stream at them so each segment decodes
-// independently.
+// encoded before it. Record drops one roughly every ckEvery events, and
+// scanEvents recomputes them at the same places for adopted bytes;
+// ReplayPartitioned splits the stream at them.
 type slabCk struct {
 	off  int
 	done uint64
@@ -101,15 +102,7 @@ func (s *Slab) Record(site int32, taken bool) {
 		s.run++
 		return
 	}
-	if s.run > 0 {
-		s.buf = binary.AppendUvarint(s.buf, 1)
-		s.buf = binary.AppendUvarint(s.buf, s.run)
-		s.run = 0
-	}
-	if s.n-1-s.lastCk >= ckEvery {
-		s.cks = append(s.cks, slabCk{off: len(s.buf), done: s.n - 1})
-		s.lastCk = s.n - 1
-	}
+	s.startCode()
 	s.buf = binary.AppendUvarint(s.buf, code)
 	s.last = code
 }
@@ -124,20 +117,59 @@ func (s *Slab) RecordSwitch(site, outcome int32) {
 		s.run++
 		return
 	}
-	if s.run > 0 {
-		s.buf = binary.AppendUvarint(s.buf, 1)
-		s.buf = binary.AppendUvarint(s.buf, s.run)
-		s.run = 0
-	}
-	if s.n-1-s.lastCk >= ckEvery {
-		s.cks = append(s.cks, slabCk{off: len(s.buf), done: s.n - 1})
-		s.lastCk = s.n - 1
-	}
+	s.startCode()
 	s.buf = binary.AppendUvarint(s.buf, 1)
 	s.buf = binary.AppendUvarint(s.buf, 0)
 	s.buf = binary.AppendUvarint(s.buf, uint64(site)+1)
 	s.buf = binary.AppendUvarint(s.buf, uint64(outcome))
 	s.last = key
+}
+
+// startCode prepares for the code of the event just counted: it writes the
+// pending run, then drops a checkpoint if ckEvery events have passed.
+func (s *Slab) startCode() {
+	s.flushRun()
+	if s.n-1-s.lastCk >= ckEvery {
+		s.cks = append(s.cks, slabCk{off: len(s.buf), done: s.n - 1})
+		s.lastCk = s.n - 1
+	}
+}
+
+func (s *Slab) flushRun() {
+	if s.run > 0 {
+		s.buf = binary.AppendUvarint(s.buf, 1)
+		s.buf = binary.AppendUvarint(s.buf, s.run)
+		s.run = 0
+	}
+}
+
+var (
+	_ Collector       = (*Slab)(nil)
+	_ SwitchCollector = (*Slab)(nil)
+)
+
+// RecordBranch implements Collector; it is Record.
+func (s *Slab) RecordBranch(site int32, taken bool) { s.Record(site, taken) }
+
+// RecordRun implements Collector: the run folds into the RLE state, so
+// the slab ends exactly as after n Record calls, checkpoints included.
+func (s *Slab) RecordRun(site int32, taken bool, n uint64) {
+	if n == 0 {
+		return
+	}
+	s.Record(site, taken)
+	s.run += n - 1
+	s.n += n - 1
+}
+
+// RecordSwitchRun implements SwitchCollector, as RecordRun does Collector.
+func (s *Slab) RecordSwitchRun(site, outcome int32, n uint64) {
+	if n == 0 {
+		return
+	}
+	s.RecordSwitch(site, outcome)
+	s.run += n - 1
+	s.n += n - 1
 }
 
 // Seal flushes the pending run and freezes the slab; budget-truncated runs
@@ -148,11 +180,7 @@ func (s *Slab) Seal() {
 	if s.sealed {
 		return
 	}
-	if s.run > 0 {
-		s.buf = binary.AppendUvarint(s.buf, 1)
-		s.buf = binary.AppendUvarint(s.buf, s.run)
-		s.run = 0
-	}
+	s.flushRun()
 	s.sealed = true
 }
 
@@ -162,9 +190,10 @@ func (s *Slab) Len() uint64 { return s.n }
 // EncodedBytes is the size of the encoded event stream.
 func (s *Slab) EncodedBytes() int { return len(s.buf) }
 
-// decodeStep decodes the next code at buf[i:], returning the new offset.
-// A malformed slab is a programming error (slabs are produced in-process
-// by Record), so corruption panics instead of returning an error.
+// decodeUvarint decodes the uvarint at buf[i:], returning the new offset.
+// A malformed slab is a programming error — Record produces well-formed
+// bytes, and ReadSlab and OpenSealed validate bytes from outside before a
+// slab adopts them — so corruption panics instead of returning an error.
 func decodeUvarint(buf []byte, i int) (uint64, int) {
 	v, k := binary.Uvarint(buf[i:])
 	if k <= 0 {
@@ -201,27 +230,21 @@ func (s *Slab) Events() []Event {
 	return l.Events
 }
 
-// WriteTo serialises the slab in the on-disk trace format (header, events,
-// footer); the result round-trips through Reader/ReadAll.
+// WriteTo writes the slab as a BLTRACE1 stream: the header, the event
+// bytes as they are, and the footer. It is the format's only writer, and
+// ReadSlab reads the result back into an identical slab.
 func (s *Slab) WriteTo(w io.Writer) (int64, error) {
 	s.mustSealed("WriteTo")
+	footer := binary.AppendUvarint([]byte{0}, s.n)
 	var total int64
-	n, err := io.WriteString(w, magic)
-	total += int64(n)
-	if err != nil {
-		return total, err
+	for _, part := range [][]byte{[]byte(magic), s.buf, footer} {
+		n, err := w.Write(part)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
 	}
-	n, err = w.Write(s.buf)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	var footer [2 * binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(footer[:], 0)
-	k += binary.PutUvarint(footer[k:], s.n)
-	n, err = w.Write(footer[:k])
-	total += int64(n)
-	return total, err
+	return total, nil
 }
 
 func (s *Slab) mustSealed(op string) {
@@ -230,9 +253,9 @@ func (s *Slab) mustSealed(op string) {
 	}
 }
 
-// eventPool recycles Event slices across runner jobs: Batcher buffers and
-// pooled Logs draw their storage here, so a parallel experiment sweep stops
-// reallocating per-job event storage.
+// eventPool recycles Event slices across runner jobs: Batcher buffers draw
+// their storage here, so a parallel experiment sweep stops reallocating
+// per-job event storage.
 var eventPool = sync.Pool{
 	New: func() any { return make([]Event, 0, batchSize) },
 }
@@ -240,21 +263,6 @@ var eventPool = sync.Pool{
 // batchSize is the Batcher flush threshold: 4096 events (32 KiB) stay well
 // inside L2 while amortising the per-collector dispatch.
 const batchSize = 4096
-
-// NewLog returns a Log whose event slice comes from the shared pool; cap
-// bounds recorded events as Log.Max. Call Release when done with it.
-func NewLog(max int) *Log {
-	return &Log{Events: eventPool.Get().([]Event)[:0], Max: max}
-}
-
-// Release returns the log's event slice to the pool. The Log must not be
-// used afterwards.
-func (l *Log) Release() {
-	if l.Events != nil {
-		eventPool.Put(l.Events[:0])
-		l.Events = nil
-	}
-}
 
 // Batcher is the live-path answer to per-branch fan-out cost: it buffers
 // events and flushes them collector-by-collector in batches, so a hot

@@ -86,45 +86,63 @@ func TestSlabWriteToReaderRoundTrip(t *testing.T) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadAll(&buf)
+		got, err := ReadSlab(&buf, DefaultLimits())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if len(got) != n {
-			t.Fatalf("n=%d: decoded %d events", n, len(got))
+		if got.Len() != uint64(n) || (n > 0 && !reflect.DeepEqual(got.Events(), events)) {
+			t.Fatalf("n=%d: decoded %d events that differ from the recorded ones", n, got.Len())
 		}
-		for i := range events {
-			if got[i] != events[i] {
-				t.Fatalf("n=%d: event %d = %+v, want %+v", n, i, got[i], events[i])
-			}
+		if !bytes.Equal(got.buf, s.buf) || !reflect.DeepEqual(got.cks, s.cks) {
+			t.Fatalf("n=%d: read slab differs from the written one in bytes or checkpoints", n)
 		}
 	}
 }
 
+// TestSlabMatchesWriterEncoding pins the BLTRACE1 wire format to bytes
+// written out by hand, for both kinds of event, a run of each, and a
+// multi-byte code, through Record and through the Collector entry points.
 func TestSlabMatchesWriterEncoding(t *testing.T) {
-	// The slab uses the Writer's exact wire encoding: same events, same
-	// bytes.
-	rng := rand.New(rand.NewSource(10))
-	events := genEvents(rng, 3000)
-	s := recordSlab(events)
-	var slabBuf bytes.Buffer
-	if _, err := s.WriteTo(&slabBuf); err != nil {
-		t.Fatal(err)
+	want := []byte("BLTRACE1")
+	want = append(want,
+		0x03,       // site 0 taken: (0+1)<<1 | 1
+		0x01, 0x02, // run: two more
+		0x04,                   // site 1 not taken: (1+1)<<1
+		0x01, 0x00, 0x03, 0x03, // switch escape: site 2 (+1), outcome 3
+		0x01, 0x01, // run: one more switch event
+		0xdb, 0x04, // site 300 taken: 603 as a two-byte uvarint
+		0x00, 0x07, // footer: seven events
+	)
+	recorded := NewSlab(0)
+	for i := 0; i < 3; i++ {
+		recorded.Record(0, true)
 	}
-	var writerBuf bytes.Buffer
-	w, err := NewWriter(&writerBuf)
+	recorded.Record(1, false)
+	recorded.RecordSwitch(2, 3)
+	recorded.RecordSwitch(2, 3)
+	recorded.Record(300, true)
+	recorded.Seal()
+	collected := NewSlab(0)
+	collected.RecordRun(0, true, 3)
+	collected.RecordBranch(1, false)
+	collected.RecordSwitchRun(2, 3, 2)
+	collected.RecordRun(300, true, 1)
+	collected.Seal()
+	for name, s := range map[string]*Slab{"Record": recorded, "Collector": collected} {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: wrote % x, want % x", name, buf.Bytes(), want)
+		}
+	}
+	got, err := ReadSlab(bytes.NewReader(want), DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range events {
-		w.RecordBranch(ev.Site, ev.Taken)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(slabBuf.Bytes(), writerBuf.Bytes()) {
-		t.Fatalf("slab encoding (%d bytes) differs from Writer encoding (%d bytes)",
-			slabBuf.Len(), writerBuf.Len())
+	if !reflect.DeepEqual(got.Events(), recorded.Events()) {
+		t.Fatalf("hand-encoded stream decodes to %+v", got.Events())
 	}
 }
 
@@ -204,19 +222,4 @@ func TestBatcherEquivalentToMulti(t *testing.T) {
 	if l := batched[1].(*Log); !reflect.DeepEqual(l.Events, events) {
 		t.Fatal("batched log lost the interleaved event order")
 	}
-}
-
-func TestPooledLogRelease(t *testing.T) {
-	l := NewLog(10)
-	for i := 0; i < 20; i++ {
-		l.RecordBranch(int32(i%3), i%2 == 0)
-	}
-	if len(l.Events) != 10 || l.Seen != 20 {
-		t.Fatalf("events=%d seen=%d", len(l.Events), l.Seen)
-	}
-	l.Release()
-	if l.Events != nil {
-		t.Fatal("Release must clear the slice")
-	}
-	l.Release() // idempotent
 }

@@ -55,52 +55,42 @@ func TestSwitchSlabRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSwitchWireRoundTrip pins Writer/Reader round-tripping of switch
-// events and that the Slab's WriteTo output re-decodes identically.
+// TestSwitchWireRoundTrip pins WriteTo/ReadSlab round-tripping of switch
+// events, and that a slab filled through the Collector entry points
+// writes the same stream as one filled by Record.
 func TestSwitchWireRoundTrip(t *testing.T) {
 	events := mixedEvents(3000, 2)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	collected := NewSlab(0)
 	for _, ev := range events {
 		if ev.Switch {
-			w.RecordSwitch(ev.Site, ev.Outcome)
+			collected.RecordSwitchRun(ev.Site, ev.Outcome, 1)
 		} else {
-			w.RecordBranch(ev.Site, ev.Taken)
+			collected.RecordBranch(ev.Site, ev.Taken)
 		}
 	}
-	if err := w.Close(); err != nil {
+	collected.Seal()
+	var buf bytes.Buffer
+	if _, err := collected.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	s, err := ReadSlab(bytes.NewReader(buf.Bytes()), DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, events) {
-		t.Fatalf("wire round-trip mismatch (got %d events, want %d)", len(got), len(events))
+	if !reflect.DeepEqual(s.Events(), events) {
+		t.Fatalf("wire round-trip mismatch (got %d events, want %d)", s.Len(), len(events))
 	}
 
-	// The Slab emits the same byte stream for the same events.
-	s := NewSlab(0)
-	recordAll(s, events)
-	var sb bytes.Buffer
-	if _, err := s.WriteTo(&sb); err != nil {
+	// Record emits the same byte stream for the same events.
+	recorded := NewSlab(0)
+	recordAll(recorded, events)
+	var rb bytes.Buffer
+	if _, err := recorded.WriteTo(&rb); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sb.Bytes(), buf.Bytes()) {
-		t.Fatalf("Slab.WriteTo differs from Writer output (%d vs %d bytes)", sb.Len(), buf.Len())
-	}
-
-	// And ReadSlab reconstructs a byte-identical slab.
-	s2, err := ReadSlab(bytes.NewReader(buf.Bytes()), DefaultLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s2.Events(), events) {
-		t.Fatal("ReadSlab round-trip mismatch")
+	if !bytes.Equal(rb.Bytes(), buf.Bytes()) {
+		t.Fatalf("Record and Collector encodings differ (%d vs %d bytes)", rb.Len(), buf.Len())
 	}
 }
 

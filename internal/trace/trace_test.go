@@ -2,49 +2,35 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
 
+// readEvents decodes a BLTRACE1 stream through ReadSlab under
+// DefaultLimits.
+func readEvents(data []byte) ([]Event, error) {
+	s, err := ReadSlab(bytes.NewReader(data), DefaultLimits())
+	if err != nil {
+		return nil, err
+	}
+	return s.Events(), nil
+}
+
 func TestRoundTripSimple(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	events := []Event{{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 1, Taken: false}, {Site: 0, Taken: true}, {Site: 2, Taken: true}, {Site: 2, Taken: true}, {Site: 2, Taken: true}}
-	for _, ev := range events {
-		w.RecordBranch(ev.Site, ev.Taken)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
+	got, err := readEvents(encodeEvents(t, events))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], events[i])
-		}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("decoded %+v, want %+v", got, events)
 	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(&buf)
+	got, err := readEvents(encodeEvents(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,30 +47,8 @@ func TestRoundTripProperty(t *testing.T) {
 			// Small site range provokes runs.
 			events[i] = Event{Site: int32(rng.Intn(3)), Taken: rng.Intn(2) == 0}
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for _, ev := range events {
-			w.RecordBranch(ev.Site, ev.Taken)
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		got, err := ReadAll(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(events) {
-			return false
-		}
-		for i := range events {
-			if got[i] != events[i] {
-				return false
-			}
-		}
-		return true
+		got, err := readEvents(encodeEvents(t, events))
+		return err == nil && len(got) == len(events) && (len(got) == 0 || reflect.DeepEqual(got, events))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -92,22 +56,20 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestRunLengthCompresses(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 100000
+	s := NewSlab(0)
 	for i := 0; i < n; i++ {
-		w.RecordBranch(5, true)
+		s.RecordBranch(5, true)
 	}
-	if err := w.Close(); err != nil {
+	s.Seal()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() > 64 {
 		t.Fatalf("RLE trace of %d identical events is %d bytes", n, buf.Len())
 	}
-	got, err := ReadAll(&buf)
+	got, err := readEvents(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,68 +79,27 @@ func TestRunLengthCompresses(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
+	if _, err := readEvents([]byte("NOTATRACE")); err == nil {
 		t.Fatal("want error for bad magic")
 	}
 }
 
 func TestTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var events []Event
 	for i := 0; i < 10; i++ {
-		w.RecordBranch(int32(i), i%2 == 0)
+		events = append(events, Event{Site: int32(i), Taken: i%2 == 0})
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(full[:len(full)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			t.Fatal("truncated trace decoded to clean EOF")
-		}
-		if err != nil {
-			return // expected: corruption detected
-		}
+	full := encodeEvents(t, events)
+	if _, err := readEvents(full[:len(full)-3]); err == nil {
+		t.Fatal("truncated trace decoded cleanly")
 	}
 }
 
 func TestFooterCountMismatchDetected(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.RecordBranch(0, true)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	raw := encodeEvents(t, []Event{{Site: 0, Taken: true}})
 	// Corrupt the footer count (last byte is the uvarint count 1 → 7).
-	raw := buf.Bytes()
 	raw[len(raw)-1] = 7
-	r, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawErr bool
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sawErr = true
-			break
-		}
-	}
-	if !sawErr {
+	if _, err := readEvents(raw); err == nil {
 		t.Fatal("footer mismatch not detected")
 	}
 }
