@@ -81,6 +81,9 @@ stage_suites() {
     go test -run='FullOpMatrix|ConformanceCoversEveryOp|DivisionTraps|FtoIRangeTrap' ./internal/interp
     go test -run='Conformance' ./internal/vm
     go test -run='GoldenTraces' ./internal/bench
+    # The exact loop search over the catalog profiles, once, so the
+    # benchmark keeps compiling and running.
+    go test -run '^$' -bench 'BenchmarkSelectCatalog/n5$' -benchtime 1x ./internal/statemachine
 }
 
 stage_fuzz() {
@@ -96,7 +99,8 @@ stage_fuzz() {
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
     # The loop-machine tree DP must score like the exhaustive enumeration.
     go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine
-    # Rescore's run fold must score like the event-by-event replay.
+    # The shared replay pass must score every machine like the
+    # event-by-event replay.
     go test -run='^$' -fuzz=FuzzRescore -fuzztime=10s ./internal/statemachine
     # A replicated clone walked along its original's trace must count
     # exactly like a live run of it, and a miswired clone must fail the walk.

@@ -362,9 +362,10 @@ type MachinesResponse struct {
 
 // maxStates caps a request's machine size at the paper's largest (Table 5
 // sweeps 2..10). The replay-scored loop search enumerates every
-// suffix-closed set and grows about 3.7× per extra state without polling
-// the request context, so a larger size would keep a core busy long after
-// the deadline.
+// suffix-closed set to rank them, and that enumeration, not the replay of
+// the few best in one pass over the stream, is what grows with the state
+// count: about 3.7× per extra state, without polling the request context,
+// so a larger size would keep a core busy long after the deadline.
 const maxStates = 10
 
 func (req *Request) machineOpts() (states, pathLen int, err error) {

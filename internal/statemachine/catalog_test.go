@@ -1,6 +1,7 @@
 package statemachine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -66,9 +67,9 @@ func TestLoopMachineDPMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestRescoreChunksMatchEvents requires the run-folding Rescore to score
-// like the event-by-event replay for every machine BestLoopMachineExact
-// replays, at every profiled in-loop site of every catalog workload and
+// TestRescoreChunksMatchEvents requires the shared replay pass to score
+// every machine BestLoopMachineExact replays like the event-by-event
+// replay, at every profiled in-loop site of every catalog workload and
 // every size the experiments use.
 func TestRescoreChunksMatchEvents(t *testing.T) {
 	for _, w := range bench.Workloads() {
@@ -92,4 +93,68 @@ func TestRescoreChunksMatchEvents(t *testing.T) {
 			}
 		})
 	}
+}
+
+// selectSink keeps BenchmarkSelectCatalog's results live.
+var selectSink []statemachine.Choice
+
+// BenchmarkSelectCatalog times Select with exact loop replay over the 8
+// catalog workloads' profiles (default dataset, 200k-branch budget),
+// recorded outside the timer. n5 is the experiments' machine size; n10 is
+// the service's largest, where enumerating the suffix-closed sets rather
+// than replaying them dominates.
+func BenchmarkSelectCatalog(b *testing.B) {
+	type site struct {
+		prof *profile.Profile
+		c    *bench.Compiled
+	}
+	var cat []site
+	for _, w := range bench.Workloads() {
+		c, err := bench.Compile(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prof, _, err := c.ProfileRun(bench.RunConfig{Budget: 200_000, Scale: 1 << 30}, profile.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cat = append(cat, site{prof, c})
+	}
+	for _, n := range []int{5, 10} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			for range b.N {
+				for _, s := range cat {
+					selectSink = statemachine.Select(s.prof, s.c.Features, statemachine.Options{MaxStates: n})
+				}
+			}
+		})
+	}
+}
+
+// TestTableScoreIsNotABound records why the exact search replays every
+// candidate instead of stopping once the best replay reaches the next
+// candidate's table score: the table score does not bound the replayed
+// hits from above. The local pattern table leaves out each site's first K
+// warm-up events and the replay counts them, so on abalone's site 1 the
+// 2-state machine realises more hits than its table score.
+func TestTableScoreIsNotABound(t *testing.T) {
+	w, err := bench.ByName("abalone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := bench.Compile(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := c.ProfileRun(bench.RunConfig{Budget: 200_000, Scale: 1 << 30}, profile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const site, n = 1, 2
+	table, hits := statemachine.ExactCandidateScores(prof.Local.Table(site), prof.Local.K, n, prof.Streams.Site(site))
+	if hits[0] <= table[0] {
+		t.Fatalf("abalone site %d, %d states: replay %d hits, table score %d; want a replay above its table score",
+			site, n, hits[0], table[0])
+	}
+	t.Logf("abalone site %d, %d states: table score %d, replayed hits %d", site, n, table[0], hits[0])
 }

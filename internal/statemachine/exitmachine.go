@@ -34,13 +34,17 @@ type ExitMachine struct {
 // given k-bit pattern table (raw polarity) whose exit direction is
 // exitTaken. Requires N-1 ≤ k so the top state is observable.
 func NewExitMachine(tab []profile.Pair, k, n int, exitTaken bool) *ExitMachine {
+	return newExitMachine(NewCountTree(tab, k), n, exitTaken)
+}
+
+// newExitMachine is NewExitMachine over the site's count tree.
+func newExitMachine(t *CountTree, n int, exitTaken bool) *ExitMachine {
 	if n < 2 {
 		panic(fmt.Sprintf("statemachine: exit machine needs >= 2 states, got %d", n))
 	}
-	if n-1 > k {
-		panic(fmt.Sprintf("statemachine: %d-state exit machine needs %d-bit history, have %d", n, n-1, k))
+	if n-1 > t.K {
+		panic(fmt.Sprintf("statemachine: %d-state exit machine needs %d-bit history, have %d", n, n-1, t.K))
 	}
-	t := NewCountTree(tab, k)
 	m := &ExitMachine{N: n, ExitTaken: exitTaken, PredTaken: make([]bool, n)}
 	// normalise: "stay" bit value in raw history.
 	stay := uint32(1)

@@ -1,8 +1,9 @@
 package statemachine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/profile"
@@ -195,8 +196,12 @@ func searchBounds(k, n int) (states, maxLen int) {
 // n must be at least 2. A 2-state machine is exactly the 1-bit history
 // scheme.
 func BestLoopMachine(tab []profile.Pair, k, n int) *LoopMachine {
-	n, maxLen := searchBounds(k, n)
-	t := NewCountTree(tab, k)
+	return bestLoopMachine(NewCountTree(tab, k), n)
+}
+
+// bestLoopMachine is BestLoopMachine over the site's count tree.
+func bestLoopMachine(t *CountTree, n int) *LoopMachine {
+	n, maxLen := searchBounds(t.K, n)
 	d := newLoopDP(t, n, maxLen)
 	// base1 always fits: searchBounds clamps n to its complete tree.
 	hits, sizes, _ := d.split(base1, n)
@@ -380,55 +385,42 @@ func (m *LoopMachine) delta() [][2]int {
 // short state while a longer pattern matches the true history. The paper's
 // counting ignores that effect; measured results come from Rescore.
 //
-// The replay folds runs of equal outcomes: within a run the machine walks
-// only until it reaches a state the outcome leaves in place (a run of o
-// converges within maxLen steps to the longest state of all-o history), and
-// the rest of the run counts against that state in one addition.
+// Rescore is the one-machine case of the exact search's shared replay,
+// with runs capped at the machine's longest pattern.
 func (m *LoopMachine) Rescore(st *profile.Stream) {
-	d := m.delta()
-	counts := make([]profile.Pair, len(m.States))
-	s := m.Init
-	st.Runs(func(taken bool, n int) {
-		o := 0
-		if taken {
-			o = 1
-		}
-		for ; n > 0; n-- {
-			next := d[s][o]
-			if next == s {
-				if taken {
-					counts[s].Taken += uint64(n)
-				} else {
-					counts[s].NotTaken += uint64(n)
-				}
-				return
-			}
-			counts[s].Add(taken)
-			s = next
-		}
-	})
-	m.Hits, m.Total = 0, 0
-	for i, c := range counts {
-		m.PredTaken[i] = c.MajorityTaken()
-		m.Hits += c.Hits()
-		m.Total += c.Total()
+	maxLen := 0
+	for _, p := range m.States {
+		maxLen = max(maxLen, int(p.Len))
 	}
+	var r replay
+	r.load(st, maxLen)
+	r.score([]*LoopMachine{m})
 }
 
 // BestLoopMachineExact searches the same state sets as BestLoopMachine but
-// scores the top candidates by exact stream replay (Rescore) and returns
-// the machine that is actually best when realised as replicated code. It
-// enumerates every suffix-closed set, ranks them by the table-based score,
-// and replays the topK (here 12).
+// scores the top candidates by exact stream replay and returns the machine
+// that is actually best when realised as replicated code. It enumerates
+// every suffix-closed set, ranks them by the table-based score, and replays
+// the topK (here 12) and the canonical chains together in one pass over
+// the stream.
 func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *LoopMachine {
+	var r replay
+	return r.bestLoop(NewCountTree(tab, k), n, st)
+}
+
+// bestLoop is BestLoopMachineExact over the site's count tree, replaying
+// with r's buffers. The first candidate with the most hits wins.
+func (r *replay) bestLoop(t *CountTree, n int, st *profile.Stream) *LoopMachine {
 	if st == nil || st.Len() == 0 {
-		return BestLoopMachine(tab, k, n)
+		return bestLoopMachine(t, n)
 	}
-	t := NewCountTree(tab, k)
-	var best *LoopMachine
-	for _, m := range exactCandidates(t, k, n) {
-		m.Rescore(st)
-		if best == nil || m.Hits > best.Hits {
+	_, maxLen := searchBounds(t.K, n)
+	cands := exactCandidates(t, n)
+	r.load(st, maxLen)
+	r.score(cands)
+	best := cands[0]
+	for _, m := range cands[1:] {
+		if m.Hits > best.Hits {
 			best = m
 		}
 	}
@@ -437,9 +429,10 @@ func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *Loo
 
 // exactCandidates returns the machines BestLoopMachineExact replays, in
 // replay order: the topK suffix-closed sets by table score, then the
-// canonical chains.
-func exactCandidates(t *CountTree, k, n int) []*LoopMachine {
-	n, maxLen := searchBounds(k, n)
+// canonical chains that are not among them. Their PredTaken are left for
+// the replay to set.
+func exactCandidates(t *CountTree, n int) []*LoopMachine {
+	n, maxLen := searchBounds(t.K, n)
 	const topK = 12
 	type cand struct {
 		hits   uint64
@@ -470,16 +463,23 @@ func exactCandidates(t *CountTree, k, n int) []*LoopMachine {
 	if n >= 4 && maxLen >= 2 {
 		enumerateSuffixClosed(base2, n, maxLen, consider)
 	}
+	out := make([]*LoopMachine, 0, len(top)+3)
+	add := func(states []Pattern) {
+		for _, m := range out {
+			if slices.Equal(m.States, states) {
+				return
+			}
+		}
+		out = append(out, &LoopMachine{States: states, PredTaken: make([]bool, n), Init: initialState(t, states)})
+	}
+	for _, c := range top {
+		add(c.states)
+	}
 	// The table score is an optimistic proxy; the realizable optimum is
 	// often a chain machine (Figures 2 and 5) that the proxy under-ranks,
 	// so the canonical chains are always replayed too.
 	for _, states := range canonicalSets(n, maxLen) {
-		top = append(top, cand{states: states})
-	}
-	out := make([]*LoopMachine, len(top))
-	for i, c := range top {
-		_, _, preds := scoreStates(t, c.states)
-		out[i] = &LoopMachine{States: c.states, PredTaken: preds, Init: initialState(t, c.states)}
+		add(states)
 	}
 	return out
 }
@@ -546,28 +546,30 @@ func initialState(t *CountTree, states []Pattern) int {
 }
 
 func sortPatterns(ps []Pattern) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Len != ps[j].Len {
-			return ps[i].Len < ps[j].Len
+	slices.SortFunc(ps, func(a, b Pattern) int {
+		if a.Len != b.Len {
+			return cmp.Compare(a.Len, b.Len)
 		}
-		return ps[i].Bits < ps[j].Bits
+		return cmp.Compare(a.Bits, b.Bits)
 	})
 }
 
 // enumerateSuffixClosed enumerates every suffix-closed superset of base
 // with exactly n states and patterns no longer than maxLen, invoking
 // consider on each. Each set is produced exactly once via ordered frontier
-// expansion.
+// expansion. The frontiers share one stack: a level's frontier holds at
+// most two patterns more than its parent's, so n+1 levels of
+// 2·len(base)+n patterns never outgrow it.
 func enumerateSuffixClosed(base []Pattern, n, maxLen int, consider func([]Pattern)) {
 	if len(base) > n {
 		return
 	}
 	set := make([]Pattern, len(base), n)
 	copy(set, base)
-	var frontier []Pattern
+	stack := make([]Pattern, 0, (n+1)*(2*len(base)+n))
 	for _, p := range base {
 		if int(p.Len) < maxLen {
-			frontier = append(frontier, p.Extend(false), p.Extend(true))
+			stack = append(stack, p.Extend(false), p.Extend(true))
 		}
 	}
 	var rec func(frontier []Pattern, remaining int)
@@ -576,16 +578,17 @@ func enumerateSuffixClosed(base []Pattern, n, maxLen int, consider func([]Patter
 			consider(set)
 			return
 		}
+		top := len(stack)
 		for i, cand := range frontier {
 			set = append(set, cand)
-			next := make([]Pattern, 0, len(frontier)-i-1+2)
-			next = append(next, frontier[i+1:]...)
+			stack = append(stack[:top], frontier[i+1:]...)
 			if int(cand.Len) < maxLen {
-				next = append(next, cand.Extend(false), cand.Extend(true))
+				stack = append(stack, cand.Extend(false), cand.Extend(true))
 			}
-			rec(next, remaining-1)
+			rec(stack[top:], remaining-1)
 			set = set[:len(set)-1]
 		}
+		stack = stack[:top]
 	}
-	rec(frontier, n-len(base))
+	rec(stack, n-len(base))
 }

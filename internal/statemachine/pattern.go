@@ -113,19 +113,29 @@ type CountTree struct {
 // NewCountTree folds a K-bit pattern table (len 1<<k, may be nil) into
 // per-length counts.
 func NewCountTree(tab []profile.Pair, k int) *CountTree {
-	t := &CountTree{K: k, levels: make([][]profile.Pair, k)}
-	top := make([]profile.Pair, 1<<uint(k))
-	copy(top, tab)
-	t.levels[k-1] = top
+	t := &CountTree{}
+	t.fill(tab, k)
+	return t
+}
+
+// fill makes t the count tree of tab, reusing t's levels when t already
+// has history length k.
+func (t *CountTree) fill(tab []profile.Pair, k int) {
+	if t.K != k {
+		t.K, t.levels = k, make([][]profile.Pair, k)
+		for l := 1; l <= k; l++ {
+			t.levels[l-1] = make([]profile.Pair, 1<<uint(l))
+		}
+	}
+	top := t.levels[k-1]
+	clear(top[copy(top, tab):])
 	for l := k - 1; l >= 1; l-- {
-		cur := make([]profile.Pair, 1<<uint(l))
-		above := t.levels[l]
-		for b, p := range above {
+		cur := t.levels[l-1]
+		clear(cur)
+		for b, p := range t.levels[l] {
 			cur[b&((1<<uint(l))-1)].Merge(p)
 		}
-		t.levels[l-1] = cur
 	}
-	return t
 }
 
 // Count returns cnt(p). Patterns longer than K have no information and

@@ -117,6 +117,10 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 	}
 	n := prof.NSites
 	out := make([]Choice, n)
+	var (
+		rep  replay
+		tree CountTree
+	)
 	for s := 0; s < n; s++ {
 		c := &out[s]
 		c.Site = int32(s)
@@ -131,13 +135,17 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 		ft := feats[s]
 		inLoop := ft.LoopDepth > 0
 		exits := ft.TakenExits != ft.ElseExits
+		if inLoop {
+			// The loop and exit searches share the site's count tree.
+			tree.fill(prof.Local.Table(int32(s)), prof.Local.K)
+		}
 
 		if inLoop && !opts.DisableLoop {
 			var lm *LoopMachine
 			if opts.PaperCounting {
-				lm = BestLoopMachine(prof.Local.Table(int32(s)), prof.Local.K, opts.MaxStates)
+				lm = bestLoopMachine(&tree, opts.MaxStates)
 			} else {
-				lm = BestLoopMachineExact(prof.Local.Table(int32(s)), prof.Local.K, opts.MaxStates, prof.Streams.Site(int32(s)))
+				lm = rep.bestLoop(&tree, opts.MaxStates, prof.Streams.Site(int32(s)))
 			}
 			if r := missRate(lm.Hits, lm.Total); lm.Total > 0 && r < bestRate {
 				bestRate = r
@@ -150,7 +158,7 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 			if nEx-1 > prof.Local.K {
 				nEx = prof.Local.K + 1
 			}
-			em := NewExitMachine(prof.Local.Table(int32(s)), prof.Local.K, nEx, ft.TakenExits)
+			em := newExitMachine(&tree, nEx, ft.TakenExits)
 			if r := missRate(em.Hits, em.Total); em.Total > 0 && r < bestRate {
 				bestRate = r
 				c.Kind, c.Exit, c.Hits, c.Total = KindExit, em, em.Hits, em.Total
