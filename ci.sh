@@ -84,6 +84,10 @@ stage_suites() {
     # The exact loop search over the catalog profiles, once, so the
     # benchmark keeps compiling and running.
     go test -run '^$' -bench 'BenchmarkSelectCatalog/n5$' -benchtime 1x ./internal/statemachine
+    # The upload layers once each: the static report (SSA + SCCP) over
+    # progen programs, and a 200k-event twobit upload through the handler.
+    go test -run '^$' -bench 'BenchmarkStaticReport$' -benchtime 1x ./internal/analysis
+    go test -run '^$' -bench 'BenchmarkScoreUpload$' -benchtime 1x ./internal/service
 }
 
 stage_fuzz() {
@@ -92,6 +96,9 @@ stage_fuzz() {
     # with recomputed CRCs: never a panic, accepted input replays cleanly.
     go test -run='^$' -fuzz=FuzzReadSlab -fuzztime=10s ./internal/trace
     go test -run='^$' -fuzz=FuzzOpenSealed -fuzztime=10s ./internal/trace
+    # An upload scored inside its decoding pass must answer exactly like
+    # ReadSlab + MaxSite + the strategy's own replay, status codes included.
+    go test -run='^$' -fuzz=FuzzScoreUpload -fuzztime=10s ./internal/service
     go test -run='^$' -fuzz=FuzzVerify -fuzztime=10s ./internal/analysis
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.
@@ -111,6 +118,9 @@ stage_fuzz() {
     # The shared dominator core, through cfg.Graph and ssa.Build, against
     # the naive set-based dominator oracle.
     go test -run='^$' -fuzz=FuzzDominators -fuzztime=10s ./internal/cfg
+    # Generated programs' SSA form: definitions dominate uses, phis match
+    # their predecessors, blocks keep their ir origins (ssa.Verify).
+    go test -run='^$' -fuzz=FuzzSSA -fuzztime=10s ./internal/ssa
     # kralld's whole handler on mutated bodies for every endpoint and batch:
     # never a 5xx, and a 200 asked again answers the same bytes.
     go test -run='^$' -fuzz=FuzzRequest -fuzztime=10s ./internal/service

@@ -80,8 +80,9 @@ func SCCP(prog *ir.Program) (*SCCPResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	var st sccpState
 	for _, f := range sp.Funcs {
-		runSCCP(f, res)
+		runSCCP(&st, f, res)
 	}
 	return res, nil
 }
@@ -197,99 +198,119 @@ type edgeRef struct {
 	idx int
 }
 
+// sccpState is the analysis state of one function. Every table is a flat
+// slice keyed by the dense IDs ssa.Build assigns — values, blocks, and
+// incoming edges numbered at a per-block prefix offset — and SCCP reuses
+// the slices from one function to the next.
 type sccpState struct {
-	f    *ssa.Func
 	val  []lval // by value ID
 	hits []int  // widening counter by value ID
 
 	blockExec []bool // by block ID
-	edgeExec  map[edgeRef]bool
+	// edgeOff[b] numbers block b's incoming edges: edge (b, i) is
+	// edgeExec[edgeOff[b]+i].
+	edgeOff  []int
+	edgeExec []bool
 
-	// thenEdge/elseEdge/jmpEdge give each block's outgoing pred indices in
-	// its successors' Preds lists, reconstructed in build order; swEdge
-	// holds a switch block's indices in Targets-then-Else order.
-	thenEdge, elseEdge, jmpEdge []int
-	swEdge                      map[int][]int
-
-	users map[int][]*ssa.Value // value ID -> values consuming it
-	conds map[int][]*ssa.Block // value ID -> blocks branching on it
-	defIn map[int]*ssa.Block   // value ID -> defining block
+	// users[userOff[v]:userOff[v+1]] are the values consuming value v, and
+	// conds[condOff[v]:condOff[v+1]] the blocks branching on it, both in
+	// block order; defIn maps a value ID to its defining block.
+	userOff, condOff []int
+	users            []*ssa.Value
+	conds            []*ssa.Block
+	defIn            []*ssa.Block
 
 	flowWork []edgeRef
 	ssaWork  []*ssa.Value
+	args     []lval // operand scratch for evalValue
 }
 
 // widenAfter caps how many times a value's interval may grow before its
 // moving bounds are widened to the extremes, bounding the chain height.
 const widenAfter = 8
 
-func runSCCP(f *ssa.Func, res *SCCPResult) {
-	st := &sccpState{
-		f:         f,
-		val:       make([]lval, f.NumValues()),
-		hits:      make([]int, f.NumValues()),
-		blockExec: make([]bool, len(f.Blocks)),
-		edgeExec:  map[edgeRef]bool{},
-		thenEdge:  make([]int, len(f.Blocks)),
-		elseEdge:  make([]int, len(f.Blocks)),
-		jmpEdge:   make([]int, len(f.Blocks)),
-		swEdge:    map[int][]int{},
-		users:     map[int][]*ssa.Value{},
-		conds:     map[int][]*ssa.Block{},
-		defIn:     map[int]*ssa.Block{},
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	// Reconstruct each edge's pred index by replaying Build's append order:
-	// blocks in f.Blocks order, then-arm before else-arm.
-	cursor := map[*ssa.Block]int{}
-	take := func(t *ssa.Block) int {
-		i := cursor[t]
-		cursor[t] = i + 1
-		return i
-	}
-	for _, b := range f.Blocks {
-		switch b.Term.Op {
-		case ir.TermJmp:
-			st.jmpEdge[b.ID] = take(b.Term.Then)
-		case ir.TermBr:
-			st.thenEdge[b.ID] = take(b.Term.Then)
-			st.elseEdge[b.ID] = take(b.Term.Else)
-		case ir.TermSwitch:
-			es := make([]int, 0, len(b.Term.Targets)+1)
-			for _, t := range b.Term.Targets {
-				es = append(es, take(t))
-			}
-			es = append(es, take(b.Term.Else))
-			st.swEdge[b.ID] = es
-		}
-	}
-	// Def sites and use lists.
-	for _, b := range f.Blocks {
-		for _, v := range b.Phis {
-			st.defIn[v.ID] = b
-			for _, a := range v.Args {
-				st.users[a.ID] = append(st.users[a.ID], v)
-			}
-		}
-		for _, v := range b.Code {
-			st.defIn[v.ID] = b
-			for _, a := range v.Args {
-				st.users[a.ID] = append(st.users[a.ID], v)
-			}
-		}
-		if b.Term.Cond != nil {
-			st.conds[b.Term.Cond.ID] = append(st.conds[b.Term.Cond.ID], b)
-		}
-	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
+// reset sizes the tables for f and fills the edge numbering, def sites and
+// use lists.
+func (st *sccpState) reset(f *ssa.Func) {
+	nv, nb := f.NumValues(), len(f.Blocks)
+	st.val = resize(st.val, nv)
+	st.hits = resize(st.hits, nv)
+	st.defIn = resize(st.defIn, nv)
+	st.blockExec = resize(st.blockExec, nb)
+	st.edgeOff = resize(st.edgeOff, nb+1)
+	for _, b := range f.Blocks {
+		st.edgeOff[b.ID+1] = st.edgeOff[b.ID] + len(b.Preds)
+	}
+	st.edgeExec = resize(st.edgeExec, st.edgeOff[nb])
+
+	// Use lists, counted then filled (offsets shifted by one so the fill
+	// cursor ends where the next list starts).
+	st.userOff = resize(st.userOff, nv+2)
+	st.condOff = resize(st.condOff, nv+2)
+	eachUse := func(visit func(user *ssa.Value, arg int)) {
+		for _, b := range f.Blocks {
+			for _, vs := range [2][]*ssa.Value{b.Phis, b.Code} {
+				for _, v := range vs {
+					for _, a := range v.Args {
+						visit(v, a.ID)
+					}
+				}
+			}
+		}
+	}
+	eachUse(func(_ *ssa.Value, a int) { st.userOff[a+2]++ })
+	for _, b := range f.Blocks {
+		if b.Term.Cond != nil {
+			st.condOff[b.Term.Cond.ID+2]++
+		}
+	}
+	for v := 2; v < nv+2; v++ {
+		st.userOff[v] += st.userOff[v-1]
+		st.condOff[v] += st.condOff[v-1]
+	}
+	st.users = resize(st.users, st.userOff[nv+1])
+	st.conds = resize(st.conds, st.condOff[nv+1])
+	eachUse(func(v *ssa.Value, a int) {
+		st.users[st.userOff[a+1]] = v
+		st.userOff[a+1]++
+	})
+	for _, b := range f.Blocks {
+		if b.Term.Cond != nil {
+			c := b.Term.Cond.ID
+			st.conds[st.condOff[c+1]] = b
+			st.condOff[c+1]++
+		}
+		for _, vs := range [2][]*ssa.Value{b.Phis, b.Code} {
+			for _, v := range vs {
+				st.defIn[v.ID] = b
+			}
+		}
+	}
+	st.userOff, st.condOff = st.userOff[:nv+1], st.condOff[:nv+1]
+}
+
+func runSCCP(st *sccpState, f *ssa.Func, res *SCCPResult) {
+	st.reset(f)
 	st.markBlock(f.Entry)
 	for len(st.flowWork) > 0 || len(st.ssaWork) > 0 {
 		for len(st.flowWork) > 0 {
 			e := st.flowWork[len(st.flowWork)-1]
 			st.flowWork = st.flowWork[:len(st.flowWork)-1]
-			if st.edgeExec[e] {
+			if st.edgeExec[st.edgeOff[e.to.ID]+e.idx] {
 				continue
 			}
-			st.edgeExec[e] = true
+			st.edgeExec[st.edgeOff[e.to.ID]+e.idx] = true
 			// New incoming edge: phis see a new operand either way; the
 			// block body runs once on first execution.
 			first := !st.blockExec[e.to.ID]
@@ -332,8 +353,8 @@ func runSCCP(f *ssa.Func, res *SCCPResult) {
 				res.Facts[site] = FactUnreachable
 				continue
 			}
-			thenOK := st.edgeExec[edgeRef{b.Term.Then, st.thenEdge[b.ID]}]
-			elseOK := st.edgeExec[edgeRef{b.Term.Else, st.elseEdge[b.ID]}]
+			thenOK := st.edgeExec[st.edgeOff[b.Term.Then.ID]+b.PredIdx[0]]
+			elseOK := st.edgeExec[st.edgeOff[b.Term.Else.ID]+b.PredIdx[1]]
 			switch {
 			case thenOK && !elseOK:
 				res.Facts[site] = FactAlwaysTaken
@@ -376,8 +397,8 @@ func (st *sccpState) setVal(v *ssa.Value, nv lval) {
 		}
 	}
 	st.val[v.ID] = nv
-	st.ssaWork = append(st.ssaWork, st.users[v.ID]...)
-	for _, cb := range st.conds[v.ID] {
+	st.ssaWork = append(st.ssaWork, st.users[st.userOff[v.ID]:st.userOff[v.ID+1]]...)
+	for _, cb := range st.conds[st.condOff[v.ID]:st.condOff[v.ID+1]] {
 		if st.blockExec[cb.ID] {
 			st.evalTerm(cb)
 		}
@@ -391,7 +412,7 @@ func (st *sccpState) evalValue(v *ssa.Value) {
 		b := st.defIn[v.ID]
 		acc := top
 		for i, a := range v.Args {
-			if i < len(b.Preds) && st.edgeExec[edgeRef{b, i}] {
+			if i < len(b.Preds) && st.edgeExec[st.edgeOff[b.ID]+i] {
 				acc = join(acc, st.val[a.ID])
 			}
 		}
@@ -418,14 +439,15 @@ func (st *sccpState) evalValue(v *ssa.Value) {
 		return
 	}
 	// Any top operand: wait for more information (standard optimistic SCCP).
-	args := make([]lval, len(v.Args))
-	for i, a := range v.Args {
-		args[i] = st.val[a.ID]
-		if args[i].tag == lTop {
+	st.args = st.args[:0]
+	for _, a := range v.Args {
+		av := st.val[a.ID]
+		if av.tag == lTop {
 			return
 		}
+		st.args = append(st.args, av)
 	}
-	st.setVal(v, transfer(op, args))
+	st.setVal(v, transfer(op, st.args))
 }
 
 // evalTerm marks the executable outgoing edges of b given the current
@@ -433,25 +455,24 @@ func (st *sccpState) evalValue(v *ssa.Value) {
 func (st *sccpState) evalTerm(b *ssa.Block) {
 	switch b.Term.Op {
 	case ir.TermJmp:
-		st.pushEdge(edgeRef{b.Term.Then, st.jmpEdge[b.ID]})
+		st.pushEdge(b.Term.Then, b.PredIdx[0])
 	case ir.TermBr:
 		cond := st.val[b.Term.Cond.ID]
 		switch {
 		case cond.tag == lTop:
 			// No executable definition yet; revisited when it lowers.
 		case cond.tag == lIRange && !cond.contains0():
-			st.pushEdge(edgeRef{b.Term.Then, st.thenEdge[b.ID]})
+			st.pushEdge(b.Term.Then, b.PredIdx[0])
 		case cond.tag == lIRange && cond.isConst(): // the constant is 0
-			st.pushEdge(edgeRef{b.Term.Else, st.elseEdge[b.ID]})
+			st.pushEdge(b.Term.Else, b.PredIdx[1])
 		default:
 			// Undecided ranges, floats (whose bit patterns the branch
 			// truthiness test inspects), and bottom: both arms.
-			st.pushEdge(edgeRef{b.Term.Then, st.thenEdge[b.ID]})
-			st.pushEdge(edgeRef{b.Term.Else, st.elseEdge[b.ID]})
+			st.pushEdge(b.Term.Then, b.PredIdx[0])
+			st.pushEdge(b.Term.Else, b.PredIdx[1])
 		}
 	case ir.TermSwitch:
 		cond := st.val[b.Term.Cond.ID]
-		es := st.swEdge[b.ID]
 		n := len(b.Term.Targets)
 		switch {
 		case cond.tag == lTop:
@@ -461,25 +482,27 @@ func (st *sccpState) evalTerm(b *ssa.Block) {
 			// the default needs a range value outside [0, n).
 			for i, t := range b.Term.Targets {
 				if cond.lo <= int64(i) && int64(i) <= cond.hi {
-					st.pushEdge(edgeRef{t, es[i]})
+					st.pushEdge(t, b.PredIdx[i])
 				}
 			}
 			if cond.lo < 0 || cond.hi >= int64(n) {
-				st.pushEdge(edgeRef{b.Term.Else, es[n]})
+				st.pushEdge(b.Term.Else, b.PredIdx[n])
 			}
 		default:
 			// Floats and bottom: every outcome is possible.
 			for i, t := range b.Term.Targets {
-				st.pushEdge(edgeRef{t, es[i]})
+				st.pushEdge(t, b.PredIdx[i])
 			}
-			st.pushEdge(edgeRef{b.Term.Else, es[n]})
+			st.pushEdge(b.Term.Else, b.PredIdx[n])
 		}
 	}
 }
 
-func (st *sccpState) pushEdge(e edgeRef) {
-	if !st.edgeExec[e] {
-		st.flowWork = append(st.flowWork, e)
+// pushEdge queues the edge entering to as its predecessor idx, unless it
+// is already executable.
+func (st *sccpState) pushEdge(to *ssa.Block, idx int) {
+	if !st.edgeExec[st.edgeOff[to.ID]+idx] {
+		st.flowWork = append(st.flowWork, edgeRef{to, idx})
 	}
 }
 

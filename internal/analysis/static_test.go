@@ -9,6 +9,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/profile"
+	"repro/internal/ssa"
 )
 
 func TestCombineDS(t *testing.T) {
@@ -55,7 +56,22 @@ func compileNumbered(t *testing.T, src string) *ir.Program {
 	if prog.NumberBranches(true) == 0 {
 		t.Fatal("no branch sites")
 	}
+	verifySSA(t, prog)
 	return prog
+}
+
+// verifySSA builds the SSA form SCCP analyses and holds it to ssa.Verify.
+func verifySSA(t testing.TB, prog *ir.Program) {
+	t.Helper()
+	sp, err := ssa.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sp.Funcs {
+		if err := ssa.Verify(f); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestHeuristicSitesLoop(t *testing.T) {

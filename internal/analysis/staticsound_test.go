@@ -8,6 +8,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/profile"
 	"repro/internal/progen"
+	"repro/internal/ssa"
 )
 
 // FuzzStaticSoundness is the differential soundness check for the static
@@ -34,6 +35,15 @@ func FuzzStaticSoundness(f *testing.F) {
 		n := prog.NumberBranches(true)
 		if n == 0 {
 			t.Skip()
+		}
+		sp, err := ssa.Build(prog)
+		if err != nil {
+			t.Fatalf("seed %d: ssa.Build: %v", seed, err)
+		}
+		for _, fn := range sp.Funcs {
+			if err := ssa.Verify(fn); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 		}
 		rep, err := analysis.BuildStaticReport(prog)
 		if err != nil {

@@ -101,6 +101,9 @@ func FuzzDominators(f *testing.F) {
 				}
 			}
 			sf := sp.Funcs[fi]
+			if err := ssa.Verify(sf); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
 			if len(sf.Blocks) != len(g.RPO) {
 				t.Fatalf("seed %d %s: ssa has %d blocks, %d reachable", seed, fn.Name, len(sf.Blocks), len(g.RPO))
 			}

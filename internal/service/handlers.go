@@ -651,8 +651,12 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		strategy = "profile"
 	}
 
-	var slab *trace.Slab
-	var source string
+	var (
+		slab   *trace.Slab
+		source string
+		nsites int
+		score  RateBlock
+	)
 	switch {
 	case req.TraceB64 != "":
 		if req.Workload != "" || req.Source != "" {
@@ -662,12 +666,8 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		if err != nil {
 			return nil, badRequest("trace_b64: %v", err)
 		}
-		slab, err = trace.ReadSlab(bytes.NewReader(raw), s.cfg.TraceLimits)
-		if err != nil {
-			if errors.Is(err, trace.ErrTooLarge) {
-				return nil, &httpError{http.StatusRequestEntityTooLarge, err.Error()}
-			}
-			return nil, badRequest("decoding trace: %v", err)
+		if slab, nsites, score, err = s.scoreUpload(raw, strategy, req.Preds); err != nil {
+			return nil, err
 		}
 		source = "upload"
 	default:
@@ -683,13 +683,10 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		slab = art.slab
-		source = c.name
-	}
-
-	nsites, score, err := s.scoreSlab(slab, strategy, req.Preds)
-	if err != nil {
-		return nil, err
+		slab, source = art.slab, c.name
+		if nsites, score, err = s.scoreSlab(slab, strategy, req.Preds); err != nil {
+			return nil, err
+		}
 	}
 	return &ScoreResponse{
 		SchemaV:  Schema,
@@ -702,56 +699,45 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 	}, nil
 }
 
-// scoreSlab replays one trace against a strategy. Site table sizes come
-// from the trace itself, so uploaded traces need no side channel
-// describing their program. All decode/collector state — the site scan,
-// count tables, predictors, and the prediction vector — comes from the
-// request-scoped scorePool, so the batch pipeline's hottest endpoint
-// allocates nothing proportional to the request rate.
+// scoreUpload decodes an uploaded BLTRACE1 stream and scores it in the
+// same pass: the pooled scorer rides trace.ReadSlabInto's validation, so
+// the upload is decoded exactly once and site tables grow with the sites
+// it names. A refused trace answers first (413 past a limit, 400 when
+// malformed), then the strategy and preds are judged.
+func (s *Server) scoreUpload(raw []byte, strategy string, reqPreds []string) (*trace.Slab, int, RateBlock, error) {
+	st := scorePool.Get().(*scoreState)
+	defer scorePool.Put(st)
+	slab, err := trace.ReadSlabInto(bytes.NewReader(raw), s.cfg.TraceLimits, st.prepare(strategy, reqPreds))
+	if err != nil {
+		if errors.Is(err, trace.ErrTooLarge) {
+			return nil, 0, RateBlock{}, &httpError{http.StatusRequestEntityTooLarge, err.Error()}
+		}
+		return nil, 0, RateBlock{}, badRequest("decoding trace: %v", err)
+	}
+	nsites, score, err := s.scored(st, slab, strategy, reqPreds)
+	return slab, nsites, score, err
+}
+
+// scoreSlab replays a stored trace once into the pooled scorer. Site table
+// sizes come from the trace itself, so traces need no side channel
+// describing their program.
 func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string) (nsites int, score RateBlock, err error) {
 	st := scorePool.Get().(*scoreState)
 	defer scorePool.Put(st)
-	st.max.N = 0
-	slab.ReplayInto(&st.max)
-	nsites = st.max.N
+	if c := st.prepare(strategy, reqPreds); c != nil {
+		slab.ReplayInto(c)
+	}
+	return s.scored(st, slab, strategy, reqPreds)
+}
 
-	switch strategy {
-	case "profile":
-		counts := st.countsFor(nsites)
-		slab.ReplayInto(counts)
-		r := predict.ProfileResult(counts)
-		score = rateBlock(r.Misses, r.Total)
-	case "last":
-		eval := predict.Eval{P: st.lastFor(nsites)}
-		slab.ReplayInto(&eval)
-		score = rateBlock(eval.Misses, eval.Total)
-	case "twobit":
-		eval := predict.Eval{P: st.twobitFor(nsites)}
-		slab.ReplayInto(&eval)
-		score = rateBlock(eval.Misses, eval.Total)
-	case "static":
-		if len(reqPreds) > nsites {
-			return 0, RateBlock{}, badRequest("preds has %d entries for %d sites", len(reqPreds), nsites)
-		}
-		preds := st.predsFor(nsites)
-		for i, p := range reqPreds {
-			switch p {
-			case "taken":
-				preds[i] = ir.PredTaken
-			case "not_taken":
-				preds[i] = ir.PredNotTaken
-			case "none", "":
-				preds[i] = ir.PredNone
-			default:
-				return 0, RateBlock{}, badRequest("preds[%d]: unknown prediction %q", i, p)
-			}
-		}
-		fold := predict.StaticScore{Preds: preds}
-		slab.ReplayInto(&fold)
-		score = rateBlock(fold.Mispredicted, fold.Predicted)
-	default:
-		return 0, RateBlock{}, badRequest("unknown strategy %q (want profile, last, twobit, or static)", strategy)
+// scored judges the request against the scored trace and returns its
+// answer.
+func (s *Server) scored(st *scoreState, slab *trace.Slab, strategy string, reqPreds []string) (int, RateBlock, error) {
+	nsites := st.score.Sites()
+	if err := judge(strategy, reqPreds, nsites); err != nil {
+		return 0, RateBlock{}, err
 	}
 	s.eng.CountReplay(int64(slab.Len()))
-	return nsites, score, nil
+	misses, total := st.score.Result()
+	return nsites, rateBlock(misses, total), nil
 }

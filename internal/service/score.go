@@ -8,65 +8,85 @@ import (
 	"repro/internal/trace"
 )
 
-// scoreState is the per-request decode/collector state of /v1/score,
-// recycled through scorePool: the site scan, the count tables, the
-// dynamic predictors, and the prediction vector are all reused across
-// requests (grown monotonically, cleared on take), so the score path of
-// the batch pipeline stops allocating per request. The replay callbacks
-// are methods on long-lived collectors rather than per-request closures.
+// scoreState is the per-request scoring state of /v1/score, recycled
+// through scorePool: the scorer, whose per-site tables grow on a site's
+// first sight and are only truncated between requests, and the prediction
+// vector of the static strategy. An upload is scored inside the validating
+// pass that decodes it (trace.ReadSlabInto), a stored slab by one replay;
+// neither path allocates scoring tables per request or does work
+// proportional to the site cap.
 type scoreState struct {
-	max    trace.MaxSite
-	counts *trace.Counts
-	last   *predict.LastDirection
-	lastN  int
-	twobit *predict.TwoBit
-	twoN   int
-	preds  []ir.Prediction
+	score predict.Scorer
+	preds []ir.Prediction
 }
 
+// scorePool hands each score request, endpoint or batch item, a
+// scoreState of its own for the request's length; the scorer's tables
+// keep the capacity earlier requests grew them to.
 var scorePool = sync.Pool{New: func() any { return new(scoreState) }}
 
-// countsFor returns zeroed count tables covering at least n sites.
-func (st *scoreState) countsFor(n int) *trace.Counts {
-	if st.counts == nil || len(st.counts.Taken) < n {
-		st.counts = trace.NewCounts(n)
-		return st.counts
-	}
-	clear(st.counts.Taken)
-	clear(st.counts.NotTaken)
-	return st.counts
+// scoreKinds maps the strategy names /v1/score accepts.
+var scoreKinds = map[string]predict.ScoreKind{
+	"profile": predict.ScoreProfile,
+	"last":    predict.ScoreLast,
+	"twobit":  predict.ScoreTwoBit,
+	"static":  predict.ScoreStatic,
 }
 
-// lastFor returns a reset last-direction predictor covering at least n
-// sites.
-func (st *scoreState) lastFor(n int) *predict.LastDirection {
-	if st.last == nil || st.lastN < n {
-		st.last = predict.NewLastDirection(n)
-		st.lastN = n
-		return st.last
+// prepare resets the scorer for strategy and returns it as the trace's
+// collector, or nil when the strategy is unknown. The request's strategy
+// and preds are judged only after its trace (see judge), so prepare never
+// fails: a bad preds entry ends the vector early, which changes nothing
+// once judge refuses it.
+func (st *scoreState) prepare(strategy string, reqPreds []string) trace.Collector {
+	kind, ok := scoreKinds[strategy]
+	if !ok {
+		st.score.Reset(predict.ScoreProfile, nil)
+		return nil
 	}
-	st.last.Reset()
-	return st.last
+	st.preds = st.preds[:0]
+	if kind == predict.ScoreStatic {
+		for _, p := range reqPreds {
+			pred, ok := parsePred(p)
+			if !ok {
+				break
+			}
+			st.preds = append(st.preds, pred)
+		}
+	}
+	st.score.Reset(kind, st.preds)
+	return &st.score
 }
 
-// twobitFor returns a reset two-bit predictor covering at least n sites.
-func (st *scoreState) twobitFor(n int) *predict.TwoBit {
-	if st.twobit == nil || st.twoN < n {
-		st.twobit = predict.NewTwoBit(n)
-		st.twoN = n
-		return st.twobit
+// judge refuses what prepare let through, in the order the checks have
+// always run: an unknown strategy, then a preds vector longer than the
+// trace's sites, then its first unknown entry.
+func judge(strategy string, reqPreds []string, nsites int) error {
+	if _, ok := scoreKinds[strategy]; !ok {
+		return badRequest("unknown strategy %q (want profile, last, twobit, or static)", strategy)
 	}
-	st.twobit.Reset()
-	return st.twobit
+	if strategy != "static" {
+		return nil
+	}
+	if len(reqPreds) > nsites {
+		return badRequest("preds has %d entries for %d sites", len(reqPreds), nsites)
+	}
+	for i, p := range reqPreds {
+		if _, ok := parsePred(p); !ok {
+			return badRequest("preds[%d]: unknown prediction %q", i, p)
+		}
+	}
+	return nil
 }
 
-// predsFor returns a PredNone-filled prediction vector of length n.
-func (st *scoreState) predsFor(n int) []ir.Prediction {
-	if cap(st.preds) < n {
-		st.preds = make([]ir.Prediction, n)
-		return st.preds
+func parsePred(p string) (ir.Prediction, bool) {
+	switch p {
+	case "taken":
+		return ir.PredTaken, true
+	case "not_taken":
+		return ir.PredNotTaken, true
+	case "none", "":
+		return ir.PredNone, true
 	}
-	st.preds = st.preds[:n]
-	clear(st.preds)
-	return st.preds
+	return ir.PredNone, false
 }

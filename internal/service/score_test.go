@@ -1,6 +1,10 @@
 package service
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/trace"
@@ -66,5 +70,28 @@ func BenchmarkScoreSlab(b *testing.B) {
 			}
 			b.ReportMetric(float64(slab.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
+	}
+}
+
+// BenchmarkScoreUpload posts a 200k-event twobit upload of a catalog
+// workload through the whole handler: JSON and base64 decoding, the one
+// validating pass that also scores, and the answer's encoding — the score
+// half of the upload workload.
+func BenchmarkScoreUpload(b *testing.B) {
+	b64, err := recordTraceB64("predict", 200_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(fmt.Sprintf(`{"trace_b64":%q,"strategy":"twobit"}`, b64))
+	h := mustNew(b, Config{}).Handler()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }

@@ -12,8 +12,10 @@ import (
 // dominatorTree fills Idom and Kids for every block reachable from the
 // entry and returns those blocks in reverse postorder (entry first).
 func dominatorTree(f *Func) []*Block {
+	var succs []*Block
 	rpo, idom := cfg.Dominators(len(f.Blocks), f.Entry.ID, func(v int, buf []int) []int {
-		for _, s := range f.Blocks[v].succs() {
+		succs = f.Blocks[v].appendSuccs(succs[:0])
+		for _, s := range succs {
 			buf = append(buf, s.ID)
 		}
 		return buf
@@ -35,24 +37,26 @@ func dominatorTree(f *Func) []*Block {
 	return order
 }
 
-// succs returns the successor blocks in deterministic edge order:
-// Then-before-Else for branches, Targets-then-Else for switches. The order
-// matches the Preds wiring in Build, so phi argument i flows over edge i.
-func (b *Block) succs() []*Block {
+// appendSuccs appends the successor blocks to dst in deterministic edge
+// order: Then-before-Else for branches, Targets-then-Else for switches. The
+// order matches the Preds wiring in Build, so edge k enters successor k as
+// its predecessor PredIdx[k].
+func (b *Block) appendSuccs(dst []*Block) []*Block {
 	switch b.Term.Op {
 	case ir.TermJmp:
-		return []*Block{b.Term.Then}
+		return append(dst, b.Term.Then)
 	case ir.TermBr:
-		return []*Block{b.Term.Then, b.Term.Else}
+		return append(dst, b.Term.Then, b.Term.Else)
 	case ir.TermSwitch:
-		out := make([]*Block, 0, len(b.Term.Targets)+1)
-		out = append(out, b.Term.Targets...)
-		return append(out, b.Term.Else)
+		dst = append(dst, b.Term.Targets...)
+		return append(dst, b.Term.Else)
 	}
-	return nil
+	return dst
 }
 
-// computeFrontiers fills each block's dominance frontier (b.df).
+// computeFrontiers fills each block's dominance frontier (b.df). Blocks
+// are joined in order and every append made while joining b appends b, so
+// b is already in runner.df exactly when it is runner.df's last entry.
 func computeFrontiers(order []*Block) {
 	for _, b := range order {
 		b.df = nil
@@ -63,7 +67,7 @@ func computeFrontiers(order []*Block) {
 		}
 		for _, p := range b.Preds {
 			for runner := p; runner != b.Idom; runner = runner.Idom {
-				if hasFrontier(runner, b) {
+				if n := len(runner.df); n > 0 && runner.df[n-1] == b {
 					// An earlier walk already climbed from here.
 					break
 				}
@@ -71,13 +75,4 @@ func computeFrontiers(order []*Block) {
 			}
 		}
 	}
-}
-
-func hasFrontier(b, x *Block) bool {
-	for _, d := range b.df {
-		if d == x {
-			return true
-		}
-	}
-	return false
 }

@@ -35,6 +35,9 @@ func TestBuildFoldsDegenerateBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf := sp.Funcs[0]
+	if err := Verify(sf); err != nil {
+		t.Fatal(err)
+	}
 	entry := sf.Entry
 	if entry.Term.Op != ir.TermJmp {
 		t.Fatalf("degenerate br not folded: terminator is %v", entry.Term.Op)
@@ -71,6 +74,9 @@ func TestBuildKeepsRealBranch(t *testing.T) {
 	b.Term = ir.Term{Op: ir.TermRet, HasVal: true, A: 0}
 	sp, err := Build(p)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(sp.Funcs[0]); err != nil {
 		t.Fatal(err)
 	}
 	term := &sp.Funcs[0].Entry.Term

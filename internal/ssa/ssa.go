@@ -68,6 +68,11 @@ type Block struct {
 	// deterministic edge order; phi argument i flows in over edge i. A block
 	// branching to the same target on both arms appears twice.
 	Preds []*Block
+	// PredIdx numbers the outgoing edges: edge k, to the k-th successor in
+	// edge order (Then before Else; switch Targets, then Else), enters that
+	// successor as its Preds[PredIdx[k]], so its phis take argument
+	// PredIdx[k] over the edge.
+	PredIdx []int
 
 	// Idom is the immediate dominator (nil for the entry block); Kids are
 	// the dominator-tree children in reverse-postorder. Build fills both.
@@ -88,19 +93,6 @@ type Func struct {
 	Blocks []*Block
 
 	nextID int
-}
-
-// newValue creates a fresh value; it does not place it in a block.
-func (f *Func) newValue(op Op, imm int64, args ...*Value) *Value {
-	v := &Value{ID: f.nextID, Op: op, Imm: imm, Args: args}
-	f.nextID++
-	return v
-}
-
-func (f *Func) newBlock(orig *ir.Block) *Block {
-	b := &Block{ID: len(f.Blocks), Orig: orig}
-	f.Blocks = append(f.Blocks, b)
-	return b
 }
 
 // NumValues returns the number of value IDs allocated in the function.

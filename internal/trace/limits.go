@@ -50,7 +50,16 @@ func DefaultLimits() Limits {
 // checkpoints, and the slab then adopts the bytes as its buffer: the wire
 // encoding is the slab encoding, so nothing is re-encoded. Bytes after the
 // footer are ignored.
-func ReadSlab(r io.Reader, lim Limits) (*Slab, error) {
+func ReadSlab(r io.Reader, lim Limits) (*Slab, error) { return ReadSlabInto(r, lim, nil) }
+
+// ReadSlabInto is ReadSlab that also feeds c from the same validating pass,
+// so an upload is decoded exactly once: c receives each event as it is
+// validated, exactly as a later s.ReplayInto(c) would (plain events to
+// RecordBranch, RLE runs to RecordRun, switch events only if c is a
+// SwitchCollector), at one dynamic dispatch per event or run. When the
+// stream is refused, c has seen some prefix of it and its state means
+// nothing. A nil c reads like ReadSlab.
+func ReadSlabInto(r io.Reader, lim Limits, c Collector) (*Slab, error) {
 	if lim.MaxBytes > 0 {
 		r = io.LimitReader(r, lim.MaxBytes)
 	}
@@ -59,16 +68,16 @@ func ReadSlab(r io.Reader, lim Limits) (*Slab, error) {
 		return nil, err
 	}
 	capped := lim.MaxBytes > 0 && int64(len(data)) == lim.MaxBytes
-	s, err := adoptStream(data, lim)
+	s, err := adoptStream(data, lim, c)
 	if capped && errors.Is(err, errShort) {
 		return nil, fmt.Errorf("trace: stream runs past %d input bytes: %w", lim.MaxBytes, ErrTooLarge)
 	}
 	return s, err
 }
 
-// adoptStream validates a whole BLTRACE1 stream and wraps its event bytes
-// in a sealed slab without copying them.
-func adoptStream(data []byte, lim Limits) (*Slab, error) {
+// adoptStream validates a whole BLTRACE1 stream, feeding c, and wraps its
+// event bytes in a sealed slab without copying them.
+func adoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
 	if len(data) < len(magic) {
 		return nil, fmt.Errorf("trace: reading header: %w", errShort)
 	}
@@ -76,7 +85,7 @@ func adoptStream(data []byte, lim Limits) (*Slab, error) {
 		return nil, fmt.Errorf("trace: bad magic %q", data[:len(magic)])
 	}
 	body := data[len(magic):]
-	sc, err := scanEvents(body, lim)
+	sc, err := scanEvents(body, lim, c)
 	if err != nil {
 		return nil, err
 	}
@@ -114,14 +123,23 @@ type scan struct {
 // also records the replay checkpoints exactly where Slab.Record places
 // them: before a plain code or a switch escape, once ckEvery events have
 // passed since the last one.
-func scanEvents(buf []byte, lim Limits) (scan, error) {
+//
+// A non-nil c is fed each event once the checks that event needs have
+// passed, as ReadSlabInto documents; a run marker repeats whichever event
+// kind came last.
+func scanEvents(buf []byte, lim Limits, c Collector) (scan, error) {
 	maxEvents := lim.MaxEvents
 	if maxEvents == 0 {
 		maxEvents = math.MaxUint64
 	}
+	sw, _ := c.(SwitchCollector)
 	var n, lastCk uint64
 	var cks []slabCk
 	var err error
+	// The last event, which a run marker repeats: its site, and either its
+	// direction or, inSwitch, its switch outcome.
+	var site, outcome uint64
+	var taken, inSwitch bool
 	i, end, count, seen := 0, len(buf), len(buf), false
 codes:
 	for i < len(buf) {
@@ -129,10 +147,12 @@ codes:
 		code := uint64(buf[i])
 		if code < 0x80 {
 			i++
+		} else if i+1 < len(buf) && buf[i+1] < 0x80 {
+			code = code&0x7f | uint64(buf[i+1])<<7
+			i += 2
 		} else if code, i, err = uvarintField(buf, i, "event code"); err != nil {
 			break
 		}
-		var site uint64
 		switch code {
 		case 0:
 			end, count = start, i
@@ -152,6 +172,12 @@ codes:
 					break codes
 				}
 				n += run
+				switch {
+				case !inSwitch && c != nil:
+					c.RecordRun(int32(site), taken, run)
+				case inSwitch && sw != nil:
+					sw.RecordSwitchRun(int32(site), int32(outcome), run)
+				}
 				continue
 			}
 			if sc, i, err = uvarintField(buf, i, "switch site"); err != nil {
@@ -168,6 +194,7 @@ codes:
 				err = fmt.Errorf("trace: switch outcome %d overflows int32", oc)
 				break codes
 			}
+			outcome = oc
 		default:
 			if site = code>>1 - 1; site > math.MaxInt32 {
 				err = fmt.Errorf("trace: site %d in code %d overflows int32", site, code)
@@ -185,6 +212,13 @@ codes:
 		}
 		n++
 		seen = true
+		if inSwitch = code == 1; inSwitch {
+			if sw != nil {
+				sw.RecordSwitch(int32(site), int32(outcome))
+			}
+		} else if taken = code&1 == 1; c != nil {
+			c.RecordBranch(int32(site), taken)
+		}
 	}
 	if n > maxEvents {
 		return scan{}, fmt.Errorf("trace: %d events: %w", n, ErrTooLarge)

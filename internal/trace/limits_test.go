@@ -196,6 +196,62 @@ func TestConcurrentReadSlab(t *testing.T) {
 	wg.Wait()
 }
 
+// runLog records what a collector is fed, runs kept as runs, so a test
+// can tell RecordRun from repeated RecordBranch calls.
+type runLog struct{ calls []string }
+
+func (l *runLog) RecordBranch(site int32, taken bool) {
+	l.calls = append(l.calls, fmt.Sprintf("b%d/%v", site, taken))
+}
+func (l *runLog) RecordRun(site int32, taken bool, n uint64) {
+	l.calls = append(l.calls, fmt.Sprintf("r%d/%v*%d", site, taken, n))
+}
+func (l *runLog) RecordSwitch(site, outcome int32) {
+	l.calls = append(l.calls, fmt.Sprintf("s%d/%d", site, outcome))
+}
+func (l *runLog) RecordSwitchRun(site, outcome int32, n uint64) {
+	l.calls = append(l.calls, fmt.Sprintf("S%d/%d*%d", site, outcome, n))
+}
+
+// TestReadSlabIntoFeedsLikeReplay pins ReadSlabInto's contract: the
+// collector riding the validating pass sees exactly the calls a replay of
+// the accepted slab makes, switch events only if it takes them, and the
+// slab itself is ReadSlab's.
+func TestReadSlabIntoFeedsLikeReplay(t *testing.T) {
+	lim := Limits{MaxEvents: 1 << 17, MaxSites: 1 << 12}
+	streams := [][]byte{
+		encodeEvents(t, mixedEvents(3000, 1)),
+		nonCanonicalRepeat, nonCanonicalRuns, nonCanonicalSwitchRun, longStream(),
+	}
+	for i, data := range streams {
+		var fed, replayed runLog
+		s, err := ReadSlabInto(bytes.NewReader(data), lim, &fed)
+		if err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		s.ReplayInto(&replayed)
+		if !reflect.DeepEqual(fed.calls, replayed.calls) {
+			t.Fatalf("stream %d: fed %v\nreplay %v", i, fed.calls, replayed.calls)
+		}
+		ref, err := ReadSlab(bytes.NewReader(data), lim)
+		if err != nil || !bytes.Equal(ref.buf, s.buf) || ref.n != s.n || !reflect.DeepEqual(ref.cks, s.cks) {
+			t.Fatalf("stream %d: ReadSlabInto's slab differs from ReadSlab's (%v)", i, err)
+		}
+		// A branch-only collector skips the switch events.
+		fedCounts, replayCounts := NewCounts(8), NewCounts(8)
+		if _, err := ReadSlabInto(bytes.NewReader(data), lim, fedCounts); err != nil {
+			t.Fatal(err)
+		}
+		s.ReplayInto(replayCounts)
+		if !reflect.DeepEqual(fedCounts, replayCounts) {
+			t.Fatalf("stream %d: counts fed %v, replayed %v", i, fedCounts, replayCounts)
+		}
+	}
+	if _, err := ReadSlabInto(bytes.NewReader(encodeEvents(t, []Event{{Site: 1 << 12}})), lim, &runLog{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("site past the cap: %v", err)
+	}
+}
+
 // Hand-built streams that Record never writes but the format allows.
 var (
 	// Site 0 taken three times without a run marker.

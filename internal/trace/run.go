@@ -52,7 +52,10 @@ func (l *Log) RecordRun(site int32, taken bool, n uint64) {
 
 // MaxSite scans a replay for the highest site ID plus one — the table
 // size a trace of unknown provenance needs. It is order-insensitive, so
-// it shards.
+// it shards. kralld no longer calls it: predict.Scorer learns the bound
+// while it scores. Its remaining callers are the krallperf upload mirror
+// (cmd/krallperf), the run-collector equivalence tests in internal/bench,
+// and the service's reference path in FuzzScoreUpload.
 type MaxSite struct {
 	// N is max(site)+1 over the events seen, 0 before any event.
 	N int

@@ -132,7 +132,7 @@ func OpenSealed(data []byte) (*Slab, error) {
 	if got := crc32.ChecksumIEEE(buf); got != want {
 		return nil, fmt.Errorf("trace: sealed slab: crc mismatch %08x != %08x", got, want)
 	}
-	sc, err := scanEvents(buf, Limits{})
+	sc, err := scanEvents(buf, Limits{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("trace: sealed slab: %w", err)
 	}
