@@ -435,13 +435,13 @@ func BenchmarkProfileCollection(b *testing.B) {
 // BenchmarkLoopMachineSearch measures the paper-counting loop-machine
 // search at the paper's largest machine size.
 func BenchmarkLoopMachineSearch(b *testing.B) {
-	lh := profile.NewLocalHistory(1, 9)
+	st := profile.NewStreams(1)
 	x := uint32(1)
 	for i := 0; i < 50_000; i++ {
 		x = x*1664525 + 1013904223
-		lh.RecordBranch(0, x&0x30000 != 0x30000)
+		st.RecordBranch(0, x&0x30000 != 0x30000)
 	}
-	tab := lh.Table(0)
+	tab := profile.LocalFromStreams(st, 9).Table(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := statemachine.BestLoopMachine(tab, 9, 10)

@@ -81,6 +81,11 @@ stage_suites() {
     go test -run='FullOpMatrix|ConformanceCoversEveryOp|DivisionTraps|FtoIRangeTrap' ./internal/interp
     go test -run='Conformance' ./internal/vm
     go test -run='GoldenTraces' ./internal/bench
+    # Persistence and shutdown faults: a restart over the disk tier answers
+    # byte-identically without re-recording, a writer SIGKILLed mid-Put
+    # leaves no torn entry, and a drain finishes the request in flight.
+    go test -run='^TestRestartWarm$|^TestServeDrainsInFlight$' ./internal/service
+    go test -run='^TestCrashMidWrite$' ./internal/diskstore
     # The exact loop search over the catalog profiles, once, so the
     # benchmark keeps compiling and running.
     go test -run '^$' -bench 'BenchmarkSelectCatalog/n5$' -benchtime 1x ./internal/statemachine
@@ -103,6 +108,9 @@ stage_fuzz() {
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.
     go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s ./internal/analysis
+    # Run-aware collectors must fold exactly like event-at-a-time replay,
+    # and the local tables derived from the streams exactly like the
+    # per-event reference fold.
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
     # The loop-machine tree DP must score like the exhaustive enumeration.
     go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine

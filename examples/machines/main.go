@@ -32,15 +32,12 @@ var behaviours = []struct {
 func main() {
 	fmt.Println("branch prediction state machines for characteristic behaviours")
 	for _, b := range behaviours {
-		lh := profile.NewLocalHistory(1, 9)
-		st := &profile.Streams{}
-		*st = *profile.NewStreams(1)
+		st := profile.NewStreams(1)
 		const events = 30000
 		for i := 0; i < events; i++ {
-			o := b.outcome(i)
-			lh.RecordBranch(0, o)
-			st.RecordBranch(0, o)
+			st.RecordBranch(0, b.outcome(i))
 		}
+		lh := profile.LocalFromStreams(st, 9)
 		fmt.Printf("\n%s — %s\n", b.name, b.desc)
 		prof := profile.Pair{}
 		for _, p := range lh.Project(0, 1) {

@@ -70,9 +70,9 @@ func main() {
 		fmt.Printf("  %-28s  %8.2f\n", name, r.Rate())
 	}
 	show("profile (semi-static)", predict.ProfileResult(prof.Counts))
-	show("9 bit loop (semi-static)", predict.LoopResult(prof.Local))
+	show("9 bit loop (semi-static)", predict.LoopResult(prof.Local()))
 	show("9 bit correlation (s-s)", predict.CorrelationResult(prof.Global))
-	lc, improved := predict.LoopCorrelationResult(prof.Local, prof.Global, prof.Counts)
+	lc, improved := predict.LoopCorrelationResult(prof.Local(), prof.Global, prof.Counts)
 	show("loop-correlation (s-s)", lc)
 	n := 0
 	for _, b := range improved {

@@ -81,11 +81,11 @@ func main() {
 	}
 	fmt.Println("analyses rebuilt from the trace file:")
 	show("profile", predict.ProfileResult(prof.Counts))
-	show("9 bit loop", predict.LoopResult(prof.Local))
+	show("9 bit loop", predict.LoopResult(prof.Local()))
 	show("9 bit correlation", predict.CorrelationResult(prof.Global))
-	lc, _ := predict.LoopCorrelationResult(prof.Local, prof.Global, prof.Counts)
+	lc, _ := predict.LoopCorrelationResult(prof.Local(), prof.Global, prof.Counts)
 	show("loop-correlation", lc)
-	for _, fr := range prof.Local.FillRates() {
+	for _, fr := range prof.Local().FillRates() {
 		if fr.Length == 9 {
 			fmt.Printf("  9-bit table fill rate: %.2f%%\n", fr.Rate())
 		}

@@ -8,9 +8,10 @@ import (
 // all observed the same branch event stream: per-site taken/not-taken counts
 // must equal the recorded outcome streams, and every history table must have
 // recorded exactly the events left after its documented warm-up (K events
-// per site for local history, K events per run for global, M per run for
-// paths). A violation means a collector dropped or double-counted events and
-// every machine built from the profile is suspect.
+// per site for the local tables derived from the streams, K events per run
+// for global, M per run for paths). A violation means a collector dropped
+// or double-counted events and every machine built from the profile is
+// suspect.
 type ProfileConsistency struct{}
 
 // Name implements Pass.
@@ -22,6 +23,7 @@ func (ProfileConsistency) Run(c *Context) {
 	if p == nil {
 		return
 	}
+	local := p.Local()
 	var localWant uint64
 	for s := int32(0); int(s) < p.NSites; s++ {
 		total := p.Counts.Total(s)
@@ -39,15 +41,15 @@ func (ProfileConsistency) Run(c *Context) {
 		if taken != p.Counts.Taken[s] {
 			c.Errorf(Pos{}, "site %d: stream has %d taken outcomes, counts have %d", s, taken, p.Counts.Taken[s])
 		}
-		if total > uint64(p.Local.K) {
-			localWant += total - uint64(p.Local.K)
+		if total > uint64(local.K) {
+			localWant += total - uint64(local.K)
 		}
-		if got := tableTotal(p.Local.Table(s)); got != maxSub(total, uint64(p.Local.K)) {
+		if got := tableTotal(local.Table(s)); got != maxSub(total, uint64(local.K)) {
 			c.Errorf(Pos{}, "site %d: local history table holds %d events, want %d (%d events minus %d warm-up)",
-				s, got, maxSub(total, uint64(p.Local.K)), total, p.Local.K)
+				s, got, maxSub(total, uint64(local.K)), total, local.K)
 		}
 	}
-	if got := p.Local.Recorded(); got != localWant {
+	if got := local.Recorded(); got != localWant {
 		c.Errorf(Pos{}, "local history recorded %d events, per-site warm-up accounting expects %d", got, localWant)
 	}
 	totalAll := p.Counts.TotalAll()

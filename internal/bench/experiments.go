@@ -104,7 +104,7 @@ type WorkloadData struct {
 	C    *Compiled
 	Prof *profile.Profile
 	// Local1/Global1 are the 1-bit history tables for Table 1's 1-bit
-	// rows.
+	// rows; Local1 is derived from Prof's streams.
 	Local1  *profile.LocalHistory
 	Global1 *profile.GlobalHistory
 	// Dynamic predictor scores.
@@ -177,7 +177,6 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 		d := &WorkloadData{
 			C:       c,
 			Prof:    profile.New(c.NSites, profile.Options{LocalK: 9, GlobalK: 9, PathM: 3}),
-			Local1:  profile.NewLocalHistory(c.NSites, 1),
 			Global1: profile.NewGlobalHistory(c.NSites, 1),
 			Last:    predict.Eval{P: predict.NewLastDirection(c.NSites)},
 			TwoBit:  predict.Eval{P: predict.NewTwoBit(c.NSites)},
@@ -188,7 +187,7 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 		}
 		if s.Cfg.ForceLive {
 			m, err := c.Run(RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)},
-				d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
+				d.Prof, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
 			if err != nil {
 				return nil, err
 			}
@@ -196,18 +195,20 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 			mc := m.Counters()
 			d.Branches = mc.Branches
 			d.Steps = mc.Steps
-			return d, nil
+		} else {
+			// Record once, replay into every collector: the profile bundle
+			// and the dynamic predictors see the exact event stream of the
+			// run.
+			art, err := s.artifactFor(c, s.Cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
+			d.Art = art
+			s.replay(art, d.Prof, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
+			d.Branches = art.Branches
+			d.Steps = art.Steps
 		}
-		// Record once, replay into every collector: the profile bundle and
-		// the dynamic predictors see the exact event stream of the run.
-		art, err := s.artifactFor(c, s.Cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		d.Art = art
-		s.replay(art, d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
-		d.Branches = art.Branches
-		d.Steps = art.Steps
+		d.Local1 = profile.LocalFromStreams(d.Prof.Streams, 1)
 		return d, nil
 	})
 }
@@ -346,11 +347,11 @@ func (s *Suite) Table1() *Table {
 		return rateCell(r.Misses, r.Total)
 	})
 	add("9 bit loop", func(d *WorkloadData) Cell {
-		r := predict.LoopResult(d.Prof.Local)
+		r := predict.LoopResult(d.Prof.Local())
 		return rateCell(r.Misses, r.Total)
 	})
 	add("loop-correlation", func(d *WorkloadData) Cell {
-		r, _ := predict.LoopCorrelationResult(d.Prof.Local, d.Prof.Global, d.Prof.Counts)
+		r, _ := predict.LoopCorrelationResult(d.Prof.Local(), d.Prof.Global, d.Prof.Counts)
 		return rateCell(r.Misses, r.Total)
 	})
 	// Fisher–Freudenberger's alternative metric: executed instructions per
@@ -363,7 +364,7 @@ func (s *Suite) Table1() *Table {
 		return countCell(d.Steps / r.Misses)
 	})
 	add("instrs/mispredict (loop-corr)", func(d *WorkloadData) Cell {
-		r, _ := predict.LoopCorrelationResult(d.Prof.Local, d.Prof.Global, d.Prof.Counts)
+		r, _ := predict.LoopCorrelationResult(d.Prof.Local(), d.Prof.Global, d.Prof.Counts)
 		if r.Misses == 0 {
 			return Cell{}
 		}
@@ -372,7 +373,7 @@ func (s *Suite) Table1() *Table {
 	add("static branches", func(d *WorkloadData) Cell { return countCell(uint64(d.C.NSites)) })
 	add("executed branches", func(d *WorkloadData) Cell { return countCell(uint64(d.Prof.Counts.Executed())) })
 	add("improved branches", func(d *WorkloadData) Cell {
-		_, improved := predict.LoopCorrelationResult(d.Prof.Local, d.Prof.Global, d.Prof.Counts)
+		_, improved := predict.LoopCorrelationResult(d.Prof.Local(), d.Prof.Global, d.Prof.Counts)
 		n := uint64(0)
 		for _, b := range improved {
 			if b {
@@ -397,7 +398,7 @@ func (s *Suite) Table2() *Table {
 		names = append(names, fmt.Sprintf("%d bit global history", j+1))
 	}
 	_ = s.buildColumns(t, names, func(_ int, d *WorkloadData) ([]Cell, error) {
-		local := d.Prof.Local.FillRates()
+		local := d.Prof.Local().FillRates()
 		global := d.Prof.Global.FillRates()
 		cells := make([]Cell, 0, 18)
 		for j := 0; j < 9; j++ {
@@ -456,10 +457,10 @@ func (s *Suite) Table3() *Table {
 	histMisses := func(d *WorkloadData, sites []int32, bits int) (uint64, uint64) {
 		var m, tot uint64
 		for _, site := range sites {
-			if d.Prof.Local.Table(site) == nil {
+			if d.Prof.Local().Table(site) == nil {
 				continue
 			}
-			for _, p := range d.Prof.Local.Project(site, bits) {
+			for _, p := range d.Prof.Local().Project(site, bits) {
 				m += p.Misses()
 				tot += p.Total()
 			}
@@ -490,7 +491,7 @@ func (s *Suite) Table3() *Table {
 			cells = append(cells, rateCell(histMisses(d, sc.intra, bits)))
 			var m, tot uint64
 			for _, site := range sc.intra {
-				lm := statemachine.BestLoopMachine(d.Prof.Local.Table(site), 9, n)
+				lm := statemachine.BestLoopMachine(d.Prof.Local().Table(site), 9, n)
 				m += lm.Misses()
 				tot += lm.Total
 			}
@@ -499,7 +500,7 @@ func (s *Suite) Table3() *Table {
 			m, tot = 0, 0
 			for _, site := range sc.exit {
 				ft := d.C.Features[site]
-				em := statemachine.NewExitMachine(d.Prof.Local.Table(site), 9, n, ft.TakenExits)
+				em := statemachine.NewExitMachine(d.Prof.Local().Table(site), 9, n, ft.TakenExits)
 				m += em.Misses()
 				tot += em.Total
 			}

@@ -63,12 +63,58 @@ func comparePairs(t *testing.T, label string, a, b []profile.Pair) {
 	}
 }
 
+// refLocal is the reference local-history fold, written apart from
+// profile.LocalFromStreams: one event at a time, with a K-bit register of
+// each site's own last outcomes (bit 0 the most recent) and the site's
+// first K outcomes as warm-up.
+type refLocal struct {
+	k     int
+	hist  []uint32
+	seen  []int
+	tabs  [][]profile.Pair
+	total uint64
+}
+
+func newRefLocal(nsites, k int) *refLocal {
+	return &refLocal{k: k, hist: make([]uint32, nsites), seen: make([]int, nsites), tabs: make([][]profile.Pair, nsites)}
+}
+
+func (r *refLocal) RecordBranch(s int32, taken bool) {
+	if r.seen[s] < r.k {
+		r.seen[s]++
+	} else {
+		if r.tabs[s] == nil {
+			r.tabs[s] = make([]profile.Pair, 1<<r.k)
+		}
+		r.tabs[s][r.hist[s]].Add(taken)
+		r.total++
+	}
+	r.hist[s] = (r.hist[s] << 1) & (1<<r.k - 1)
+	if taken {
+		r.hist[s] |= 1
+	}
+}
+
+// compareLocal holds derived local tables to the reference fold.
+func compareLocal(t *testing.T, label string, want *refLocal, got *profile.LocalHistory) {
+	t.Helper()
+	if got.K != want.k || got.NumSites() != len(want.tabs) || got.Recorded() != want.total {
+		t.Fatalf("%s: K %d, %d sites, recorded %d; want K %d, %d sites, recorded %d",
+			label, got.K, got.NumSites(), got.Recorded(), want.k, len(want.tabs), want.total)
+	}
+	for s := range want.tabs {
+		if (got.Table(int32(s)) == nil) != (want.tabs[s] == nil) {
+			t.Fatalf("%s: site %d table presence diverges", label, s)
+		}
+		comparePairs(t, label, want.tabs[s], got.Table(int32(s)))
+	}
+}
+
+// compareProfiles compares the tables two profiles fold per event; the
+// local tables, derived from the streams, are checked by compareLocal.
 func compareProfiles(t *testing.T, label string, a, b *profile.Profile) {
 	t.Helper()
 	compareCounts(t, label+"/counts", a.Counts, b.Counts)
-	if a.Local.Recorded() != b.Local.Recorded() {
-		t.Fatalf("%s: local recorded %d vs %d", label, a.Local.Recorded(), b.Local.Recorded())
-	}
 	if a.Global.Recorded() != b.Global.Recorded() {
 		t.Fatalf("%s: global recorded %d vs %d", label, a.Global.Recorded(), b.Global.Recorded())
 	}
@@ -79,7 +125,6 @@ func compareProfiles(t *testing.T, label string, a, b *profile.Profile) {
 		t.Fatalf("%s: streams total %d vs %d", label, a.Streams.Total(), b.Streams.Total())
 	}
 	for s := int32(0); int(s) < a.NSites; s++ {
-		comparePairs(t, label+"/local", a.Local.Table(s), b.Local.Table(s))
 		comparePairs(t, label+"/global", a.Global.Table(s), b.Global.Table(s))
 		at, bt := a.Path.Table(s), b.Path.Table(s)
 		if len(at) != len(bt) {
@@ -120,6 +165,8 @@ func compareEvals(t *testing.T, label string, nsites int, a, b *predict.Eval) {
 // bit-identical to its event-at-a-time twin — both in its observable
 // tables/counters and in its hidden register state, which the probe
 // suffix (shared extra events recorded per-branch on both sides) exposes.
+// The local tables derived from each profile's streams, at its LocalK and
+// at k = 1, must match the per-event reference fold.
 func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	t.Helper()
 	var max trace.MaxSite
@@ -129,6 +176,8 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 		return
 	}
 	probe := probeEvents(nsites)
+	ref1 := newRefLocal(nsites, 1)
+	s.Replay(ref1.RecordBranch)
 
 	evC, runC := trace.NewCounts(nsites), trace.NewCounts(nsites)
 	s.Replay(evC.RecordBranch)
@@ -153,11 +202,19 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 		label := "profile"
 		compareProfiles(t, label, ev, run)
 		compareProfiles(t, label+"/into", ev, into)
+		ref := newRefLocal(nsites, into.Local().K)
+		s.Replay(ref.RecordBranch)
+		for _, p := range []*profile.Profile{ev, run, into} {
+			compareLocal(t, label+"/local", ref, p.Local())
+		}
+		compareLocal(t, label+"/local1", ref1, profile.LocalFromStreams(run.Streams, 1))
 		for _, pe := range probe {
 			ev.RecordBranch(pe.Site, pe.Taken)
 			run.RecordBranch(pe.Site, pe.Taken)
+			ref.RecordBranch(pe.Site, pe.Taken)
 		}
 		compareProfiles(t, label+"/probed", ev, run)
+		compareLocal(t, label+"/local/probed", ref, profile.LocalFromStreams(run.Streams, ref.k))
 	}
 
 	mkPredictors := func() []predict.Predictor {
@@ -224,7 +281,8 @@ func TestRunCollectorEquivalenceWorkloads(t *testing.T) {
 // FuzzRunCollectorEquivalence fuzzes the same contract: for any program
 // the frontend accepts and any branch budget, run-aware replay must be
 // bit-identical to event-at-a-time replay for every collector in profile
-// and predict.
+// and predict, and the local tables derived from the streams must match
+// the per-event reference fold.
 func FuzzRunCollectorEquivalence(f *testing.F) {
 	for _, w := range Workloads() {
 		f.Add(w.Source, uint64(20_000))

@@ -319,13 +319,14 @@ func TestSemiStaticHierarchy(t *testing.T) {
 	// A branch alternating T,N,T,N... : profile ≈ 50%, 1-bit loop ≈ 0%.
 	n := 1
 	c := trace.NewCounts(n)
-	lh := profile.NewLocalHistory(n, 1)
+	st := profile.NewStreams(n)
 	gh := profile.NewGlobalHistory(n, 1)
-	b := trace.NewBatcher(c, lh, gh)
+	b := trace.NewBatcher(c, st, gh)
 	for i := 0; i < 1000; i++ {
 		b.RecordBranch(0, i%2 == 0)
 	}
 	b.Release()
+	lh := profile.LocalFromStreams(st, 1)
 	prof := ProfileResult(c)
 	loop := LoopResult(lh)
 	if prof.Rate() < 45 {
@@ -353,9 +354,9 @@ func TestLoopCorrelationPicksBest(t *testing.T) {
 	// ALSO sees alternation here; use a random copy source instead).
 	n := 2
 	c := trace.NewCounts(n)
-	lh := profile.NewLocalHistory(n, 2)
+	st := profile.NewStreams(n)
 	gh := profile.NewGlobalHistory(n, 1)
-	b := trace.NewBatcher(c, lh, gh)
+	b := trace.NewBatcher(c, st, gh)
 	x := uint32(7)
 	for i := 0; i < 3000; i++ {
 		x = x*1664525 + 1013904223
@@ -364,6 +365,7 @@ func TestLoopCorrelationPicksBest(t *testing.T) {
 		b.RecordBranch(1, o) // copies previous branch
 	}
 	b.Release()
+	lh := profile.LocalFromStreams(st, 2)
 	lc, _ := LoopCorrelationResult(lh, gh, c)
 	corr := CorrelationResult(gh)
 	loop := LoopResult(lh)

@@ -20,7 +20,7 @@ func TestPairAndKeyStrings(t *testing.T) {
 }
 
 func TestNumSitesAccessors(t *testing.T) {
-	if NewLocalHistory(7, 2).NumSites() != 7 {
+	if LocalFromStreams(NewStreams(7), 2).NumSites() != 7 {
 		t.Fatal("local NumSites")
 	}
 	if NewGlobalHistory(5, 2).NumSites() != 5 {
@@ -122,9 +122,8 @@ func TestHistoryValidationPanics(t *testing.T) {
 	mustPanic(func() { NewGlobalHistory(1, 17) })
 	mustPanic(func() { NewPathHistory(1, 0) })
 	mustPanic(func() { NewPathHistory(1, 5) })
-	mustPanic(func() { NewLocalHistory(1, 17) })
-	h := NewLocalHistory(1, 3)
-	feed(h, 0, "11111")
+	mustPanic(func() { LocalFromStreams(NewStreams(1), 17) })
+	h := localOf(3, "11111")
 	mustPanic(func() { h.Project(0, 4) })
 	mustPanic(func() { h.Project(0, 0) })
 	ph := NewPathHistory(1, 2)
@@ -133,11 +132,37 @@ func TestHistoryValidationPanics(t *testing.T) {
 }
 
 func TestPathElemOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for oversized site id")
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: want panic for oversized site id", name)
+			}
+		}()
+		fn()
+	}
+	// Site MaxSites would encode as 0x10000: an empty low slot plus a bit
+	// spilled into the previous element.
+	for _, s := range []int32{MaxSites, 1 << 15} {
+		mustPanic("RecordBranch", func() { NewPathHistory(MaxSites+2, 2).RecordBranch(s, true) })
+		mustPanic("RecordRun", func() { NewPathHistory(MaxSites+2, 2).RecordRun(s, false, 3) })
+	}
+	// The largest valid site round-trips through a path key in either
+	// direction, beside a neighbour element it must not disturb.
+	const last = MaxSites - 1
+	for _, taken := range []bool{false, true} {
+		k := PathKey(pathElem(5, !taken))<<16 | PathKey(pathElem(last, taken))
+		if s, d, ok := k.Elem(0); !ok || s != last || d != taken {
+			t.Fatalf("elem 0 = (%d, %v, %v), want (%d, %v, true)", s, d, ok, last, taken)
 		}
-	}()
-	h := NewPathHistory(1, 2)
-	h.RecordBranch(1<<15, true)
+		if s, d, ok := k.Elem(1); !ok || s != 5 || d != !taken {
+			t.Fatalf("elem 1 = (%d, %v, %v), want (5, %v, true)", s, d, ok, !taken)
+		}
+	}
+	h := NewPathHistory(MaxSites, 1)
+	h.RecordBranch(last, true)
+	h.RecordRun(last, true, 4)
+	if h.Recorded() != 4 {
+		t.Fatalf("recorded = %d, want 4", h.Recorded())
+	}
 }

@@ -1,13 +1,15 @@
 // Package profile implements the paper's profiling data model (section 3):
-// per-branch pattern tables keyed by local history ("loop branches"), by a
-// global history register ("correlated branches"), and by the path of
-// preceding branches (used by the correlated-branch state machines). It also
-// computes the pattern-table fill rates of Table 2 and the weighted-count
-// algebra the state-machine search of section 4 is built on.
+// per-branch pattern tables keyed by local history ("loop branches",
+// derived from each site's outcome stream), by a global history register
+// ("correlated branches"), and by the path of preceding branches (used by
+// the correlated-branch state machines). It also computes the
+// pattern-table fill rates of Table 2 and the weighted-count algebra the
+// state-machine search of section 4 is built on.
 package profile
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -59,50 +61,49 @@ func (p Pair) Misses() uint64 {
 
 func (p Pair) String() string { return fmt.Sprintf("%d/%d", p.Taken, p.NotTaken) }
 
-// LocalHistory builds, per branch site, a pattern table keyed by the last K
+// LocalHistory holds, per branch site, a pattern table keyed by the last K
 // outcomes of that same branch (the "loop branch" strategy). Bit 0 of a
 // pattern is the most recent outcome; 1 = taken. The first K outcomes of a
-// site are warm-up and are not recorded.
+// site are warm-up and are not recorded. A site's table is a function of
+// its outcome stream alone, so it is derived from Streams
+// (LocalFromStreams) rather than folded per event.
 type LocalHistory struct {
 	K     int
-	hist  []uint32
-	seen  []uint32
-	tabs  [][]Pair // lazily allocated, 1<<K entries
-	mask  uint32
+	tabs  [][]Pair // nil for sites with at most K outcomes
 	total uint64
 }
 
-var _ trace.Collector = (*LocalHistory)(nil)
-
-// NewLocalHistory creates tables for nSites branches with K-bit histories.
-// K must be between 1 and 16.
-func NewLocalHistory(nSites, k int) *LocalHistory {
+// LocalFromStreams builds every site's K-bit local table in one sequential
+// pass over its packed outcome words: the first K outcomes fill the
+// history register, and each later outcome is counted under the K before
+// it. K must be between 1 and 16.
+func LocalFromStreams(st *Streams, k int) *LocalHistory {
 	if k < 1 || k > 16 {
 		panic(fmt.Sprintf("profile: local history length %d out of range [1,16]", k))
 	}
-	return &LocalHistory{
-		K:    k,
-		hist: make([]uint32, nSites),
-		seen: make([]uint32, nSites),
-		tabs: make([][]Pair, nSites),
-		mask: (1 << uint(k)) - 1,
-	}
-}
-
-// RecordBranch implements trace.Collector.
-func (h *LocalHistory) RecordBranch(s int32, taken bool) {
-	if h.seen[s] >= uint32(h.K) {
-		tab := h.tabs[s]
-		if tab == nil {
-			tab = make([]Pair, 1<<uint(h.K))
-			h.tabs[s] = tab
+	h := &LocalHistory{K: k, tabs: make([][]Pair, len(st.sites))}
+	mask := uint(1)<<uint(k) - 1
+	for s := range st.sites {
+		str := &st.sites[s]
+		if str.n <= k {
+			continue
 		}
-		tab[h.hist[s]].Add(taken)
-		h.total++
-	} else {
-		h.seen[s]++
+		tab := make([]Pair, mask+1)
+		var hist uint
+		for i := 0; i < k; i++ {
+			hist = hist<<1 | uint(str.words[i>>6]>>uint(i&63))&1
+		}
+		for i := k; i < str.n; i++ {
+			b := uint(str.words[i>>6]>>uint(i&63)) & 1
+			p := &tab[hist&mask]
+			p.Taken += uint64(b)
+			p.NotTaken += uint64(b ^ 1)
+			hist = hist<<1 | b
+		}
+		h.tabs[s] = tab
+		h.total += uint64(str.n - k)
 	}
-	h.hist[s] = (h.hist[s]<<1 | b2u(taken)) & h.mask
+	return h
 }
 
 // Recorded is the number of events recorded after warm-up.
@@ -226,6 +227,10 @@ func (h *GlobalHistory) SiteMisses(s int32) (misses, total uint64) {
 // element encoding is (site+1)<<1 | dir, so 0 means "empty slot".
 type PathKey uint64
 
+// MaxSites is the most branch sites a path table can tell apart: a path
+// element holds site+1 in 15 bits, so site IDs run 0..MaxSites-1.
+const MaxSites = 1<<15 - 1
+
 // pathElem encodes one executed branch.
 func pathElem(site int32, taken bool) uint64 {
 	return uint64(uint32(site+1))<<1 | uint64(b2u(taken))
@@ -280,7 +285,7 @@ func (k PathKey) String() string {
 
 // PathHistory builds, per branch site, outcome counts keyed by the path of
 // the last M executed branches (any site). M is at most 4. The first M
-// events of the run are warm-up. Site IDs must fit in 15 bits.
+// events of the run are warm-up. Site IDs must be below MaxSites.
 type PathHistory struct {
 	M     int
 	key   PathKey
@@ -311,7 +316,7 @@ func NewPathHistory(nSites, m int) *PathHistory {
 
 // RecordBranch implements trace.Collector.
 func (h *PathHistory) RecordBranch(s int32, taken bool) {
-	if s >= 1<<15 {
+	if s >= MaxSites {
 		panic("profile: site id does not fit in a path element")
 	}
 	if h.seen >= uint32(h.M) {
@@ -380,46 +385,24 @@ func (f FillRate) Rate() float64 {
 	return 100 * float64(f.Used) / float64(f.Capacity)
 }
 
-// LocalFillRates computes Table 2 for local-history tables: for each
+// FillRates computes Table 2 for local-history tables: for each
 // history length 1..K, the percentage of the 2^length pattern slots used,
 // over executed branches.
-func (h *LocalHistory) FillRates() []FillRate {
-	out := make([]FillRate, h.K)
-	for j := 1; j <= h.K; j++ {
-		fr := FillRate{Length: j}
-		for s := range h.tabs {
-			if h.tabs[s] == nil {
-				continue
-			}
-			proj := h.Project(int32(s), j)
-			used := uint64(0)
-			for _, p := range proj {
-				if p.Total() > 0 {
-					used++
-				}
-			}
-			if used > 0 {
-				fr.Used += used
-				fr.Capacity += 1 << uint(j)
-			}
-		}
-		out[j-1] = fr
-	}
-	return out
-}
+func (h *LocalHistory) FillRates() []FillRate { return fillRates(h.tabs, h.K) }
 
 // FillRates computes the same statistic for global-history tables.
-func (h *GlobalHistory) FillRates() []FillRate {
-	out := make([]FillRate, h.K)
-	for j := 1; j <= h.K; j++ {
+func (h *GlobalHistory) FillRates() []FillRate { return fillRates(h.tabs, h.K) }
+
+func fillRates(tabs [][]Pair, k int) []FillRate {
+	out := make([]FillRate, k)
+	for j := 1; j <= k; j++ {
 		fr := FillRate{Length: j}
-		for s := range h.tabs {
-			if h.tabs[s] == nil {
+		for _, tab := range tabs {
+			if tab == nil {
 				continue
 			}
-			proj := h.Project(int32(s), j)
 			used := uint64(0)
-			for _, p := range proj {
+			for _, p := range projectTable(tab, k, j) {
 				if p.Total() > 0 {
 					used++
 				}
@@ -434,18 +417,25 @@ func (h *GlobalHistory) FillRates() []FillRate {
 	return out
 }
 
-// Profile bundles every table the downstream analyses need, collected in a
-// single interpreter pass.
+// Profile bundles every table the downstream analyses need. One pass over
+// a trace folds the counts, the tables keyed by the order of events
+// across sites (global and path), the switch targets, and each site's
+// outcome stream; the local tables are derived from the streams on first
+// use (Local). A profile is derived data: it is never persisted, only
+// refolded from its trace.
 type Profile struct {
 	NSites  int
 	Counts  *trace.Counts
-	Local   *LocalHistory
 	Global  *GlobalHistory
 	Path    *PathHistory
 	Streams *Streams
 	// Targets holds the per-site switch outcome histograms that guide the
 	// indirect clustering family; conditional-branch sites keep nil rows.
 	Targets *trace.TargetCounts
+
+	localK    int
+	localOnce sync.Once
+	local     *LocalHistory
 }
 
 var (
@@ -478,10 +468,13 @@ func (o *Options) setDefaults() {
 // New creates an empty profile for nSites branch sites.
 func New(nSites int, opts Options) *Profile {
 	opts.setDefaults()
+	if opts.LocalK < 1 || opts.LocalK > 16 {
+		panic(fmt.Sprintf("profile: local history length %d out of range [1,16]", opts.LocalK))
+	}
 	return &Profile{
 		NSites:  nSites,
 		Counts:  trace.NewCounts(nSites),
-		Local:   NewLocalHistory(nSites, opts.LocalK),
+		localK:  opts.LocalK,
 		Global:  NewGlobalHistory(nSites, opts.GlobalK),
 		Path:    NewPathHistory(nSites, opts.PathM),
 		Streams: NewStreams(nSites),
@@ -499,10 +492,18 @@ func (p *Profile) RecordSwitchRun(site, outcome int32, n uint64) {
 	p.Targets.RecordSwitchRun(site, outcome, n)
 }
 
-// RecordBranch implements trace.Collector, feeding all tables.
+// Local returns every site's local-history table at Options.LocalK,
+// derived from Streams on the first call and shared after it. Call it once
+// recording is over: events recorded later do not reach the tables. Safe
+// for concurrent use.
+func (p *Profile) Local() *LocalHistory {
+	p.localOnce.Do(func() { p.local = LocalFromStreams(p.Streams, p.localK) })
+	return p.local
+}
+
+// RecordBranch implements trace.Collector, feeding all folded tables.
 func (p *Profile) RecordBranch(site int32, taken bool) {
 	p.Counts.RecordBranch(site, taken)
-	p.Local.RecordBranch(site, taken)
 	p.Global.RecordBranch(site, taken)
 	p.Path.RecordBranch(site, taken)
 	p.Streams.RecordBranch(site, taken)

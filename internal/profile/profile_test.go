@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -31,11 +32,17 @@ func TestPairBasics(t *testing.T) {
 	}
 }
 
+// localOf derives site 0's K-bit local table from one outcome string.
+func localOf(k int, outcomes string) *LocalHistory {
+	st := NewStreams(1)
+	feed(st, 0, outcomes)
+	return LocalFromStreams(st, k)
+}
+
 func TestLocalHistoryAlternating(t *testing.T) {
-	h := NewLocalHistory(1, 1)
 	// Alternating outcomes: after 1-bit warm-up, pattern 0 is always
 	// followed by taken and pattern 1 by not-taken.
-	feed(h, 0, "0101010101")
+	h := localOf(1, "0101010101")
 	tab := h.Table(0)
 	if tab == nil {
 		t.Fatal("no table")
@@ -57,41 +64,42 @@ func TestLocalHistoryAlternating(t *testing.T) {
 }
 
 func TestLocalHistoryWarmup(t *testing.T) {
-	h := NewLocalHistory(1, 3)
-	feed(h, 0, "11")
+	h := localOf(3, "111")
 	if h.Recorded() != 0 {
 		t.Fatal("events during warm-up must not be recorded")
 	}
 	if h.Table(0) != nil {
 		t.Fatal("table allocated during warm-up")
 	}
-	feed(h, 0, "111")
-	if h.Recorded() != 2 {
+	if h := localOf(3, "11111"); h.Recorded() != 2 {
 		t.Fatalf("recorded = %d, want 2", h.Recorded())
 	}
 }
 
 func TestLocalHistoryPatternOrder(t *testing.T) {
-	h := NewLocalHistory(1, 2)
-	// Outcomes: 1 0 then record next under pattern (prev<<1|last) = 0b10.
-	feed(h, 0, "101")
-	tab := h.Table(0)
-	if tab[0b01].Taken != 1 { // history "10": older bit 1 at position1, recent 0 at bit0 → 0b10?
-		// Bit 0 is most recent: history after "1,0" is (1<<1|0)=0b10.
-		if tab[0b10].Taken != 1 {
-			t.Fatalf("table: %+v", tab)
+	// Bit 0 is the most recent outcome: after "1, 0" the history is
+	// 0b10, and the third outcome (taken) is recorded under it.
+	tab := localOf(2, "101").Table(0)
+	for pat, p := range tab {
+		want := Pair{}
+		if pat == 0b10 {
+			want.Taken = 1
+		}
+		if p != want {
+			t.Fatalf("pattern %02b: %v, want %v", pat, p, want)
 		}
 	}
 }
 
 func TestProjectConservesCounts(t *testing.T) {
 	check := func(seed uint32, n uint8) bool {
-		h := NewLocalHistory(1, 4)
+		st := NewStreams(1)
 		x := seed
 		for i := 0; i < int(n)+20; i++ {
 			x = x*1664525 + 1013904223
-			h.RecordBranch(0, x&0x10000 != 0)
+			st.RecordBranch(0, x&0x10000 != 0)
 		}
+		h := LocalFromStreams(st, 4)
 		full := h.Table(0)
 		var fullTotal uint64
 		for _, p := range full {
@@ -208,9 +216,8 @@ func TestPathProjectConserves(t *testing.T) {
 }
 
 func TestFillRates(t *testing.T) {
-	h := NewLocalHistory(1, 3)
 	// Always taken: only one 3-bit pattern (111) ever used.
-	feed(h, 0, "1111111111")
+	h := localOf(3, "1111111111")
 	rates := h.FillRates()
 	if len(rates) != 3 {
 		t.Fatalf("rates = %v", rates)
@@ -225,7 +232,7 @@ func TestFillRates(t *testing.T) {
 }
 
 func TestFillRateEmpty(t *testing.T) {
-	h := NewLocalHistory(4, 2)
+	h := LocalFromStreams(NewStreams(4), 2)
 	rates := h.FillRates()
 	for _, r := range rates {
 		if r.Rate() != 0 {
@@ -236,8 +243,8 @@ func TestFillRateEmpty(t *testing.T) {
 
 func TestProfileBundle(t *testing.T) {
 	p := New(2, Options{})
-	if p.Local.K != 9 || p.Global.K != 9 || p.Path.M != 3 {
-		t.Fatalf("defaults wrong: %d %d %d", p.Local.K, p.Global.K, p.Path.M)
+	if p.localK != 9 || p.Global.K != 9 || p.Path.M != 3 {
+		t.Fatalf("defaults wrong: %d %d %d", p.localK, p.Global.K, p.Path.M)
 	}
 	for i := 0; i < 100; i++ {
 		p.RecordBranch(1, i%2 == 0)
@@ -245,18 +252,56 @@ func TestProfileBundle(t *testing.T) {
 	if p.Counts.Total(1) != 100 {
 		t.Fatal("counts not fed")
 	}
-	if p.Local.Recorded() == 0 || p.Global.Recorded() == 0 || p.Path.Recorded() == 0 {
+	if p.Global.Recorded() == 0 || p.Path.Recorded() == 0 {
 		t.Fatal("history tables not fed")
+	}
+	if l := p.Local(); l.K != 9 || l.Recorded() != 100-9 || p.Local() != l {
+		t.Fatalf("local tables: K %d, recorded %d, or not derived once", l.K, l.Recorded())
+	}
+}
+
+// TestLocalConcurrent derives a shared profile's local tables from
+// several goroutines at once, as the runner and the service store share
+// profiles: every caller must get the one derivation.
+func TestLocalConcurrent(t *testing.T) {
+	p := New(3, Options{LocalK: 4})
+	for i := 0; i < 300; i++ {
+		p.RecordBranch(int32(i%3), i%7 < 3)
+	}
+	got := make([]*LocalHistory, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.Local()
+		}()
+	}
+	wg.Wait()
+	for _, l := range got {
+		if l != got[0] {
+			t.Fatal("Local derived the tables more than once")
+		}
+	}
+	if got[0].Recorded() != 300-3*4 {
+		t.Fatalf("recorded = %d, want %d", got[0].Recorded(), 300-3*4)
 	}
 }
 
 func TestOptionValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for k=0 local history")
-		}
-	}()
-	NewLocalHistory(1, 0)
+	for _, fn := range []func(){
+		func() { LocalFromStreams(NewStreams(1), 0) },
+		func() { New(1, Options{LocalK: 17}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("want panic for an out-of-range local history length")
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestSiteMissesMatchesMinority(t *testing.T) {

@@ -1,69 +1,21 @@
 package profile
 
-// Run-aware collection: every table implements trace.Collector with an
-// exact shortcut for runs of identical outcomes. Each method splits a run
-// into warm-up, a bounded transient replayed with the table's usual
-// per-event update (inlined, with the site's register state hoisted into
-// locals for the whole run), and a steady-state remainder folded in with
-// O(1) arithmetic once the history register reaches its absorbing
+// Run-aware collection: every folded table implements trace.Collector
+// with an exact shortcut for runs of identical outcomes. Each method
+// splits a run into warm-up, a bounded transient replayed with the table's
+// usual per-event update (inlined, with the site's register state hoisted
+// into locals for the whole run), and a steady-state remainder folded in
+// with O(1) arithmetic once the history register reaches its absorbing
 // all-taken / all-not-taken pattern. The absorbing argument per table
 // (and why the split is exact) is DESIGN.md §7; the bit-identical
 // contract is pinned by FuzzRunCollectorEquivalence.
 
-// RecordRun implements trace.Collector. Once site s has warmed up and
-// its history register holds the all-taken (or all-not-taken) pattern, a
-// further identical outcome records into the same table slot and leaves
-// the register unchanged — so the remaining events collapse into one
-// Pair update. The transient is at most K recording steps.
-func (h *LocalHistory) RecordRun(s int32, taken bool, n uint64) {
-	if n == 0 {
-		return
-	}
-	hist := h.hist[s]
-	seen := h.seen[s]
-	var steady, bit uint32
-	if taken {
-		steady = h.mask
-		bit = 1
-	}
-	for ; n > 0 && seen < uint32(h.K); n-- {
-		seen++
-		hist = (hist<<1 | bit) & h.mask
-	}
-	h.seen[s] = seen
-	if n == 0 {
-		h.hist[s] = hist
-		return
-	}
-	tab := h.tabs[s]
-	if tab == nil {
-		tab = make([]Pair, 1<<uint(h.K))
-		h.tabs[s] = tab
-	}
-	h.total += n
-	for ; n > 0 && hist != steady; n-- {
-		if taken {
-			tab[hist].Taken++
-		} else {
-			tab[hist].NotTaken++
-		}
-		hist = (hist<<1 | bit) & h.mask
-	}
-	h.hist[s] = hist
-	if n == 0 {
-		return
-	}
-	if taken {
-		tab[steady].Taken += n
-	} else {
-		tab[steady].NotTaken += n
-	}
-}
-
-// RecordRun implements trace.Collector. Identical reasoning to
-// LocalHistory, on the single shared history register: within a run every
-// event comes from the same site, so once the register saturates the
-// indexed slot is fixed too.
+// RecordRun implements trace.Collector. Within a run every event comes
+// from the same site, so once the single shared history register holds the
+// all-taken (or all-not-taken) pattern, a further identical outcome records
+// into the same table slot and leaves the register unchanged — the
+// remaining events collapse into one Pair update. The transient is at most
+// K recording steps.
 func (h *GlobalHistory) RecordRun(s int32, taken bool, n uint64) {
 	if n == 0 {
 		return
@@ -116,7 +68,7 @@ func (h *PathHistory) RecordRun(s int32, taken bool, n uint64) {
 	if n == 0 {
 		return
 	}
-	if s >= 1<<15 {
+	if s >= MaxSites {
 		panic("profile: site id does not fit in a path element")
 	}
 	e := PathKey(pathElem(s, taken))
@@ -208,10 +160,9 @@ func (c *Streams) RecordRun(site int32, taken bool, n uint64) {
 	c.total += n
 }
 
-// RecordRun implements trace.Collector, feeding all tables.
+// RecordRun implements trace.Collector, feeding all folded tables.
 func (p *Profile) RecordRun(site int32, taken bool, n uint64) {
 	p.Counts.RecordRun(site, taken, n)
-	p.Local.RecordRun(site, taken, n)
 	p.Global.RecordRun(site, taken, n)
 	p.Path.RecordRun(site, taken, n)
 	p.Streams.RecordRun(site, taken, n)

@@ -62,7 +62,9 @@ func (s *Stream) Runs(fn func(taken bool, n int)) {
 	}
 }
 
-// Streams collects one outcome stream per branch site.
+// Streams collects one outcome stream per branch site. The streams are the
+// profile's record of each site on its own: Counts is their popcount, and
+// the local-history tables are derived from them (LocalFromStreams).
 type Streams struct {
 	sites []Stream
 	total uint64

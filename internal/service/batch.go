@@ -205,7 +205,10 @@ func (s *Server) runBatchItem(ctx context.Context, item *BatchItem) BatchItemRes
 	buf, _, err := s.answer(ctx, item.Endpoint, &item.Request)
 	if err != nil {
 		res.Status = statusFor(err)
-		res.Error = err.Error()
+		res.Error = clientMessage(res.Status, err)
+		if res.Status >= 500 {
+			s.log.Error("batch item failed", "endpoint", item.Endpoint, "code", res.Status, "error", err.Error())
+		}
 		return res
 	}
 	res.Status = http.StatusOK

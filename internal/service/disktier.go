@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"strings"
 
 	"repro/internal/diskstore"
-	"repro/internal/profile"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
@@ -26,11 +23,13 @@ import (
 //
 // All three run inside the memory tier's single-flight slot, so a
 // stampede on a cold key still does the disk read, peer fetch, or
-// recording exactly once. Only data is persisted: trace artifacts ("art")
-// and profile bundles ("prof"). Compiled programs ("prog") recompile
-// cheaply next to a re-recording; answers ("resp") are bytes in today's
-// response format, which a persisted copy could outlive across a release,
-// and are recomputed from the persisted data instead.
+// recording exactly once. Only trace artifacts ("art") are persisted:
+// everything else is derived from them or from the request. Profiles
+// ("prof") are a fold of an artifact's slab, so a restarted node refolds
+// them from the persisted slab — a replay, not a re-recording. Compiled
+// programs ("prog") recompile cheaply; answers ("resp") are bytes in
+// today's response format, which a persisted copy could outlive across a
+// release, and are recomputed from the persisted data instead.
 type tieredStore struct {
 	mem  *runner.Sharded
 	disk *diskstore.Store
@@ -42,16 +41,16 @@ type tieredStore struct {
 
 // Do implements runner.Store.
 func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
-	if t.disk == nil && t.fetchPeer == nil {
+	if kindOf(key) != "art" || (t.disk == nil && t.fetchPeer == nil) {
 		return t.mem.Do(key, fn)
 	}
 	return t.mem.Do(key, func() (any, error) {
 		if t.disk != nil {
-			if v, ok := t.loadDisk(key); ok {
-				return v, nil
+			if art, ok := t.loadDisk(key); ok {
+				return art, nil
 			}
 		}
-		if t.fetchPeer != nil && kindOf(key) == "art" {
+		if t.fetchPeer != nil {
 			if raw, ok := t.fetchPeer(key); ok {
 				if art, err := decodeArtifact(raw, nil); err == nil {
 					if t.disk != nil {
@@ -62,8 +61,10 @@ func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
 			}
 		}
 		v, err := fn()
-		if err == nil && t.disk != nil {
-			t.saveDisk(key, v)
+		if art, ok := v.(*artifact); ok && err == nil && t.disk != nil {
+			// A failed write is counted by the disk store and otherwise
+			// ignored: the artifact is already in memory.
+			_ = t.disk.Put(key, encodeArtifact(art))
 		}
 		return v, err
 	})
@@ -77,48 +78,20 @@ func kindOf(key string) string {
 	return ""
 }
 
-// loadDisk materialises a disk entry back into its in-memory form. A
-// payload that no longer decodes (format drift between releases) is just
-// a miss; the recomputed value overwrites it.
-func (t *tieredStore) loadDisk(key string) (any, bool) {
-	switch kindOf(key) {
-	case "art":
-		m, ok := t.disk.Map(key)
-		if !ok {
-			return nil, false
-		}
-		art, err := decodeArtifact(m.Data, m)
-		if err != nil {
-			m.Close()
-			return nil, false
-		}
-		return art, true
-	case "prof":
-		raw, ok := t.disk.Load(key)
-		if !ok {
-			return nil, false
-		}
-		var p profile.Profile
-		if err := gobDecode(raw, &p); err != nil {
-			return nil, false
-		}
-		return &p, true
+// loadDisk opens an artifact's disk entry. A payload that no longer
+// decodes (format drift between releases) is just a miss; the recomputed
+// value overwrites it.
+func (t *tieredStore) loadDisk(key string) (*artifact, bool) {
+	m, ok := t.disk.Map(key)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
-}
-
-// saveDisk persists a freshly computed value. Failures are counted by the
-// disk store and otherwise ignored — the value is already in memory and
-// correctness never depends on the disk tier.
-func (t *tieredStore) saveDisk(key string, v any) {
-	switch val := v.(type) {
-	case *artifact:
-		_ = t.disk.Put(key, encodeArtifact(val))
-	case *profile.Profile:
-		if raw, err := gobEncode(val); err == nil {
-			_ = t.disk.Put(key, raw)
-		}
+	art, err := decodeArtifact(m.Data, m)
+	if err != nil {
+		m.Close()
+		return nil, false
 	}
+	return art, true
 }
 
 // artifactPayload reads the raw disk payload of an artifact key, for
@@ -176,16 +149,4 @@ func decodeArtifact(data []byte, pin *diskstore.Mapped) (*artifact, error) {
 	}
 	a.slab = slab
 	return a, nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

@@ -245,9 +245,14 @@ func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, bud
 	})
 }
 
-// profileFor replays an artifact into the full profile bundle (local,
-// global, and path pattern tables), memoised content-addressed.
+// profileFor replays an artifact into the profile bundle (counts, global
+// and path pattern tables, per-site streams), memoised content-addressed.
+// A program with more branch sites than a path table can tell apart is
+// the client's to fix, so it is refused before anything is recorded.
 func (s *Server) profileFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*profile.Profile, *artifact, error) {
+	if c.nsites > profile.MaxSites {
+		return nil, nil, badRequest("program %s has %d branch sites; profiles hold at most %d", c.name, c.nsites, profile.MaxSites)
+	}
 	art, err := s.artifactFor(ctx, c, req, budget)
 	if err != nil {
 		return nil, nil, err

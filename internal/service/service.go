@@ -506,11 +506,21 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// clientMessage is the error text a client sees. A 5xx is the daemon's
+// own fault: its full error, a panicked job's stack trace included, goes
+// to the Error log record only.
+func clientMessage(code int, err error) string {
+	if code >= 500 {
+		return "internal error"
+	}
+	return err.Error()
+}
+
 func (s *Server) writeError(w http.ResponseWriter, name string, err error, start time.Time) {
 	code := statusFor(err)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	buf, _ := json.Marshal(errorBody{Schema: Schema, Error: err.Error()})
+	buf, _ := json.Marshal(errorBody{Schema: Schema, Error: clientMessage(code, err)})
 	_, _ = w.Write(append(buf, '\n'))
 	s.metrics.observe(name, code, time.Since(start))
 	level := slog.LevelWarn

@@ -37,10 +37,11 @@ func TestLoopMachineDPMatchesExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lh := profile.NewLocalHistory(c.NSites, 9)
-			if _, err := c.Run(bench.RunConfig{Budget: 20_000, Scale: 1 << 30}, lh); err != nil {
+			st := profile.NewStreams(c.NSites)
+			if _, err := c.Run(bench.RunConfig{Budget: 20_000, Scale: 1 << 30}, st); err != nil {
 				t.Fatal(err)
 			}
+			lh := profile.LocalFromStreams(st, 9)
 			site, busiest := int32(-1), uint64(0)
 			for s := int32(0); int(s) < c.NSites; s++ {
 				if c.Features[s].LoopDepth == 0 {
@@ -78,11 +79,11 @@ func TestRescoreChunksMatchEvents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lh := profile.NewLocalHistory(c.NSites, 9)
 			st := profile.NewStreams(c.NSites)
-			if _, err := c.Run(bench.RunConfig{Budget: 20_000, Scale: 1 << 30}, lh, st); err != nil {
+			if _, err := c.Run(bench.RunConfig{Budget: 20_000, Scale: 1 << 30}, st); err != nil {
 				t.Fatal(err)
 			}
+			lh := profile.LocalFromStreams(st, 9)
 			for s := int32(0); int(s) < c.NSites; s++ {
 				if c.Features[s].LoopDepth == 0 || st.Site(s).Len() == 0 {
 					continue
@@ -151,7 +152,8 @@ func TestTableScoreIsNotABound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const site, n = 1, 2
-	table, hits := statemachine.ExactCandidateScores(prof.Local.Table(site), prof.Local.K, n, prof.Streams.Site(site))
+	local := prof.Local()
+	table, hits := statemachine.ExactCandidateScores(local.Table(site), local.K, n, prof.Streams.Site(site))
 	if hits[0] <= table[0] {
 		t.Fatalf("abalone site %d, %d states: replay %d hits, table score %d; want a replay above its table score",
 			site, n, hits[0], table[0])

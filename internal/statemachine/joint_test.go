@@ -12,13 +12,11 @@ import (
 // mkLoopChoice builds a loop-machine Choice from an outcome string.
 func mkLoopChoice(t *testing.T, site int32, outcomes string, n int) *Choice {
 	t.Helper()
-	lh := profile.NewLocalHistory(1, 9)
 	st := profile.NewStreams(1)
 	for _, ch := range outcomes {
-		lh.RecordBranch(0, ch == '1')
 		st.RecordBranch(0, ch == '1')
 	}
-	m := BestLoopMachineExact(lh.Table(0), 9, n, st.Site(0))
+	m := BestLoopMachineExact(profile.LocalFromStreams(st, 9).Table(0), 9, n, st.Site(0))
 	return &Choice{Site: site, Kind: KindLoop, Loop: m, Hits: m.Hits, Total: m.Total}
 }
 
@@ -106,11 +104,11 @@ func TestJointIndependentBranchesKeepProduct(t *testing.T) {
 }
 
 func TestJointWithExitMachine(t *testing.T) {
-	lh := profile.NewLocalHistory(1, 9)
+	st := profile.NewStreams(1)
 	for i := 0; i < 500; i++ {
-		lh.RecordBranch(0, i%5 != 4)
+		st.RecordBranch(0, i%5 != 4)
 	}
-	em := NewExitMachine(lh.Table(0), 9, 5, false)
+	em := NewExitMachine(profile.LocalFromStreams(st, 9).Table(0), 9, 5, false)
 	exitChoice := &Choice{Site: 2, Kind: KindExit, Exit: em, Hits: em.Hits, Total: em.Total}
 	loopChoice := mkLoopChoice(t, 3, repeat("10", 200), 2)
 	jm, err := BuildJoint([]*Choice{exitChoice, loopChoice})

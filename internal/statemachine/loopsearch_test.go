@@ -42,15 +42,15 @@ func noisyTable(seed uint32, k, period, noisePct int) []profile.Pair {
 	for i := range pat {
 		pat[i] = next()&1 == 1
 	}
-	h := profile.NewLocalHistory(1, k)
+	st := profile.NewStreams(1)
 	for i := 0; i < 4000; i++ {
 		o := pat[i%period]
 		if int(next()%100) < noisePct {
 			o = !o
 		}
-		h.RecordBranch(0, o)
+		st.RecordBranch(0, o)
 	}
-	return h.Table(0)
+	return profile.LocalFromStreams(st, k).Table(0)
 }
 
 // checkLoopSearch holds BestLoopMachine(tab, k, n) to the exhaustive

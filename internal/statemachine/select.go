@@ -117,6 +117,7 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 	}
 	n := prof.NSites
 	out := make([]Choice, n)
+	local := prof.Local()
 	var (
 		rep  replay
 		tree CountTree
@@ -137,7 +138,7 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 		exits := ft.TakenExits != ft.ElseExits
 		if inLoop {
 			// The loop and exit searches share the site's count tree.
-			tree.fill(prof.Local.Table(int32(s)), prof.Local.K)
+			tree.fill(local.Table(int32(s)), local.K)
 		}
 
 		if inLoop && !opts.DisableLoop {
@@ -155,8 +156,8 @@ func Select(prof *profile.Profile, feats []predict.SiteFeatures, opts Options) [
 		}
 		if inLoop && exits && !opts.DisableExit {
 			nEx := opts.MaxStates
-			if nEx-1 > prof.Local.K {
-				nEx = prof.Local.K + 1
+			if nEx-1 > local.K {
+				nEx = local.K + 1
 			}
 			em := newExitMachine(&tree, nEx, ft.TakenExits)
 			if r := missRate(em.Hits, em.Total); em.Total > 0 && r < bestRate {

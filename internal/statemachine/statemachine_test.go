@@ -9,11 +9,11 @@ import (
 
 // localTable builds a k-bit local pattern table from an outcome string.
 func localTable(outcomes string, k int) []profile.Pair {
-	h := profile.NewLocalHistory(1, k)
+	st := profile.NewStreams(1)
 	for _, ch := range outcomes {
-		h.RecordBranch(0, ch == '1')
+		st.RecordBranch(0, ch == '1')
 	}
-	return h.Table(0)
+	return profile.LocalFromStreams(st, k).Table(0)
 }
 
 func repeat(s string, n int) string {
@@ -67,13 +67,13 @@ func TestParsePatternErrors(t *testing.T) {
 
 func TestCountTreeConsistency(t *testing.T) {
 	check := func(seed uint32, n uint16) bool {
-		h := profile.NewLocalHistory(1, 5)
+		st := profile.NewStreams(1)
 		x := seed
 		for i := 0; i < int(n)+40; i++ {
 			x = x*1664525 + 1013904223
-			h.RecordBranch(0, x&0x30000 != 0)
+			st.RecordBranch(0, x&0x30000 != 0)
 		}
-		tree := NewCountTree(h.Table(0), 5)
+		tree := NewCountTree(profile.LocalFromStreams(st, 5).Table(0), 5)
 		// Every level must conserve the total.
 		want := tree.Total()
 		for l := 1; l <= 5; l++ {
