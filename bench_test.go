@@ -7,7 +7,6 @@
 package repro
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -332,9 +331,8 @@ func BenchmarkTraceRecord(b *testing.B) {
 // BenchmarkTraceReplay measures the replay-many path — the work the
 // engine does instead of re-interpreting a workload — per collector
 // class: plain counts (the "profile" strategy's entire data need), the
-// full five-table profile bundle, the dynamic-predictor evaluators, and
-// site-partitioned parallel counting. All paths run the run-aware fused
-// decode; "counts" corresponds to the historical single-number baseline's
+// full five-table profile bundle and the dynamic-predictor evaluators.
+// All paths run the run-aware fused decode; "counts" corresponds to the historical single-number baseline's
 // count-collector case.
 func BenchmarkTraceReplay(b *testing.B) {
 	w, err := bench.ByName("compress")
@@ -399,15 +397,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 			if last.Total != events || twobit.Total != events {
 				b.Fatal("short replay")
 			}
-		}
-		perEvent(b)
-	})
-	b.Run("partitioned", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		counts := trace.NewCounts(c.NSites)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.ReplayPartitioned(workers, counts)
 		}
 		perEvent(b)
 	})

@@ -93,14 +93,18 @@ stage_suites() {
     # progen programs, and a 200k-event twobit upload through the handler.
     go test -run '^$' -bench 'BenchmarkStaticReport$' -benchtime 1x ./internal/analysis
     go test -run '^$' -bench 'BenchmarkScoreUpload$' -benchtime 1x ./internal/service
+    # Static features of one function of 33,000 sequential ifs, which
+    # stays cheap only while dominance queries are O(1).
+    go test -run '^$' -bench 'BenchmarkAnalyzeFlatIfs$' -benchtime 1x ./internal/predict
 }
 
 stage_fuzz() {
     go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/lang
-    # Uploads against the reference decoder, and sealed-slab containers
-    # with recomputed CRCs: never a panic, accepted input replays cleanly.
+    # Uploads against the reference decoder, and disk/peer artifact
+    # payloads with recomputed CRCs: never a panic, accepted input replays
+    # cleanly.
     go test -run='^$' -fuzz=FuzzReadSlab -fuzztime=10s ./internal/trace
-    go test -run='^$' -fuzz=FuzzOpenSealed -fuzztime=10s ./internal/trace
+    go test -run='^$' -fuzz=FuzzDecodeArtifact -fuzztime=10s ./internal/service
     # An upload scored inside its decoding pass must answer exactly like
     # ReadSlab + MaxSite + the strategy's own replay, status codes included.
     go test -run='^$' -fuzz=FuzzScoreUpload -fuzztime=10s ./internal/service

@@ -164,8 +164,6 @@ func gatedMetrics(oldDoc, newDoc *results.Document) []gatedMetric {
 			&oldDoc.Trace.SinglePassEventsPerSecond, &newDoc.Trace.SinglePassEventsPerSecond)
 		add("trace.run_aware_events_per_second",
 			&oldDoc.Trace.RunAwareEventsPerSecond, &newDoc.Trace.RunAwareEventsPerSecond)
-		add("trace.partitioned_events_per_second",
-			&oldDoc.Trace.PartitionedEventsPerSecond, &newDoc.Trace.PartitionedEventsPerSecond)
 		add("trace.profile_events_per_second",
 			&oldDoc.Trace.ProfileEventsPerSecond, &newDoc.Trace.ProfileEventsPerSecond)
 	}

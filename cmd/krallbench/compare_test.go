@@ -25,14 +25,12 @@ func writeDoc(t *testing.T, dir, name string, mutate func(*results.Document)) st
 			Speedup:     2.5,
 		},
 		Trace: &results.Trace{
-			Budget:                     20000,
-			Rounds:                     3,
-			Workers:                    1,
-			SinglePassEventsPerSecond:  40_000_000,
-			RunAwareEventsPerSecond:    300_000_000,
-			PartitionedEventsPerSecond: 300_000_000,
-			ProfileEventsPerSecond:     50_000_000,
-			Speedup:                    7.5,
+			Budget:                    20000,
+			Rounds:                    3,
+			SinglePassEventsPerSecond: 40_000_000,
+			RunAwareEventsPerSecond:   300_000_000,
+			ProfileEventsPerSecond:    50_000_000,
+			Speedup:                   7.5,
 		},
 	}
 	if mutate != nil {
@@ -65,7 +63,6 @@ func TestCompareWithinTolerance(t *testing.T) {
 		"service.batch.branches_per_second",
 		"trace.single_pass_events_per_second",
 		"trace.run_aware_events_per_second",
-		"trace.partitioned_events_per_second",
 		"trace.profile_events_per_second",
 	} {
 		if !strings.Contains(out.String(), want) {
@@ -131,7 +128,7 @@ func TestCompareCatchesTraceRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := reg.Trace.PartitionedEventsPerSecond, 300_000_000*0.8; got != want {
+	if got, want := reg.Trace.ProfileEventsPerSecond, 50_000_000*0.8; got != want {
 		t.Errorf("-degrade left trace metrics unscaled: %f, want %f", got, want)
 	}
 

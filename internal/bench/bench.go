@@ -132,15 +132,25 @@ func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) 
 			m.SetSwHook(interp.SwitchHook(sc))
 		}
 	default:
-		// Batch the fan-out: the hot dispatch loop pays one buffer append
-		// per event instead of one interface call per collector per event.
-		// Switches ride the same buffer, so every collector sees the two
-		// kinds in execution order. Release flushes the tail before the
-		// collectors are read and returns the buffer to the shared pool.
-		b := trace.NewBatcher(collectors...)
-		defer b.Release()
-		m.SetHook(func(t *ir.Term, taken bool) { b.RecordBranch(t.Site, taken) })
-		m.SetSwHook(func(t *ir.Term, outcome int32) { b.RecordSwitch(t.Site, outcome) })
+		// Every collector sees each event as it executes, so branch and
+		// switch events reach it in execution order; collectors without
+		// switch support never see switch events.
+		var sws []trace.SwitchCollector
+		for _, c := range collectors {
+			if sc, ok := c.(trace.SwitchCollector); ok {
+				sws = append(sws, sc)
+			}
+		}
+		m.SetHook(func(t *ir.Term, taken bool) {
+			for _, c := range collectors {
+				c.RecordBranch(t.Site, taken)
+			}
+		})
+		m.SetSwHook(func(t *ir.Term, outcome int32) {
+			for _, sc := range sws {
+				sc.RecordSwitch(t.Site, outcome)
+			}
+		})
 	}
 	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 		return nil, fmt.Errorf("bench: running %s: %w", prog.Funcs[0].Name, err)

@@ -233,8 +233,7 @@ func (s *Suite) countsFor(d *WorkloadData, seed int64) (*trace.Counts, error) {
 		if err != nil {
 			return nil, err
 		}
-		art.Trace.ReplayPartitioned(s.workers(), counts)
-		s.countReplay(int64(art.Trace.Len()))
+		s.replay(art, counts)
 		return counts, nil
 	})
 }

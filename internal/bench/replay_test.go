@@ -1,8 +1,12 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/lang"
+	"repro/internal/trace"
 )
 
 // renderTraceSufficient renders everything the replay engine is allowed to
@@ -225,5 +229,62 @@ func TestArtifactMatchesProfile(t *testing.T) {
 			t.Fatalf("%s: budget-truncated run recorded %d events, want %d",
 				d.C.Workload.Name, d.Branches, cfg.Budget)
 		}
+	}
+}
+
+// TestLiveFanoutMatchesSolo: with several live collectors, runProgram
+// leaves each in the state it reaches as the run's only collector, and
+// each sees branch and switch events in their interleaved order.
+func TestLiveFanoutMatchesSolo(t *testing.T) {
+	prog, err := lang.Compile(`
+var seed int;
+var acc int;
+func main() int {
+    seed = 2024;
+    for var i int = 0; i < 3000; i = i + 1 {
+        seed = (seed * 1103515245 + 12345) & 1073741823;
+        var op int = seed % 5;
+        if op > 2 {
+            acc = acc + 1;
+        }
+        switch op {
+        case 0:
+            acc = acc + 3;
+        case 1:
+            acc = acc * 2 % 65536;
+        default:
+            acc = acc - 1;
+        }
+    }
+    return acc;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := prog.NumberBranches(false)
+	cfg := RunConfig{Budget: 1 << 20}
+	fresh := func() []trace.Collector {
+		return []trace.Collector{trace.NewCounts(n), &trace.Log{}, trace.NewTargetCounts(n)}
+	}
+	together := fresh()
+	if _, err := runProgram(prog, cfg, together...); err != nil {
+		t.Fatal(err)
+	}
+	for i, solo := range fresh() {
+		if _, err := runProgram(prog, cfg, solo); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(solo, together[i]) {
+			t.Fatalf("collector %d (%T) diverges when it shares the run", i, solo)
+		}
+	}
+	switches := 0
+	for _, ev := range together[1].(*trace.Log).Events {
+		if ev.Switch {
+			switches++
+		}
+	}
+	if switches != 3000 {
+		t.Fatalf("log saw %d switch events, want 3000", switches)
 	}
 }

@@ -11,14 +11,12 @@ import (
 )
 
 // TraceMeasurement is one workload's trace-plane replay throughput: the
-// same recorded slab decoded four ways, reporting events per second of
+// same recorded slab decoded three ways, reporting events per second of
 // wall clock (best of Rounds rounds per mode).
 type TraceMeasurement struct {
 	Workload string
 	Budget   uint64
 	Rounds   int
-	// Workers is the fan-out used for the partitioned mode.
-	Workers int
 	// Events and EncodedBytes describe the recorded slab.
 	Events       uint64
 	EncodedBytes int
@@ -27,10 +25,6 @@ type TraceMeasurement struct {
 	SinglePassEventsPerSec float64
 	// RunAwareEventsPerSec is the fused run-aware count replay.
 	RunAwareEventsPerSec float64
-	// PartitionedEventsPerSec is ReplayPartitioned at Workers workers
-	// (equal to the run-aware rate on a single-CPU host, where the
-	// partitioned path degrades to the fused single pass).
-	PartitionedEventsPerSec float64
 	// ProfileEventsPerSec replays the full five-table profile bundle.
 	ProfileEventsPerSec float64
 	// Speedup is run-aware over single-pass.
@@ -43,15 +37,12 @@ type TraceMeasurement struct {
 // trace and bench test suites; this only measures. Count totals must
 // still agree across modes — a rate from a diverged decode would be
 // meaningless.
-func MeasureTrace(names []string, budget uint64, rounds, workers int) ([]TraceMeasurement, error) {
+func MeasureTrace(names []string, budget uint64, rounds int) ([]TraceMeasurement, error) {
 	if budget == 0 {
 		budget = 500_000
 	}
 	if rounds <= 0 {
 		rounds = 3
-	}
-	if workers <= 0 {
-		workers = 1
 	}
 	ws := Workloads()
 	if len(names) > 0 {
@@ -84,7 +75,6 @@ func MeasureTrace(names []string, budget uint64, rounds, workers int) ([]TraceMe
 			Workload:     w.Name,
 			Budget:       budget,
 			Rounds:       rounds,
-			Workers:      workers,
 			Events:       slab.Len(),
 			EncodedBytes: slab.EncodedBytes(),
 		}
@@ -126,7 +116,6 @@ func MeasureTrace(names []string, budget uint64, rounds, workers int) ([]TraceMe
 
 		m.SinglePassEventsPerSec = timeMode(func() { slab.Replay(counts.RecordBranch) })
 		m.RunAwareEventsPerSec = timeMode(func() { slab.ReplayInto(counts) })
-		m.PartitionedEventsPerSec = timeMode(func() { slab.ReplayPartitioned(workers, counts) })
 
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < rounds; r++ {
@@ -149,27 +138,21 @@ func MeasureTrace(names []string, budget uint64, rounds, workers int) ([]TraceMe
 
 // TraceTable renders the measurements as a result table.
 func TraceTable(ms []TraceMeasurement) *Table {
-	workers := 1
-	if len(ms) > 0 {
-		workers = ms[0].Workers
-	}
 	t := &Table{
 		ID:    "tracebench",
 		Title: "Trace replay throughput (million events/s, recorded slabs)",
 	}
 	single := Row{Name: "event-at-a-time"}
 	run := Row{Name: "run-aware fused"}
-	part := Row{Name: fmt.Sprintf("partitioned x%d", workers)}
 	prof := Row{Name: "profile bundle"}
 	speedup := Row{Name: "speedup (run-aware)"}
 	for _, m := range ms {
 		t.Cols = append(t.Cols, m.Workload)
 		single.Cells = append(single.Cells, Cell{Value: m.SinglePassEventsPerSec / 1e6, Valid: true})
 		run.Cells = append(run.Cells, Cell{Value: m.RunAwareEventsPerSec / 1e6, Valid: true})
-		part.Cells = append(part.Cells, Cell{Value: m.PartitionedEventsPerSec / 1e6, Valid: true})
 		prof.Cells = append(prof.Cells, Cell{Value: m.ProfileEventsPerSec / 1e6, Valid: true})
 		speedup.Cells = append(speedup.Cells, Cell{Value: m.Speedup, Valid: true})
 	}
-	t.Rows = append(t.Rows, single, run, part, prof, speedup)
+	t.Rows = append(t.Rows, single, run, prof, speedup)
 	return t
 }

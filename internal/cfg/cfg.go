@@ -28,9 +28,14 @@ type Graph struct {
 	blocks []*ir.Block
 	// rpoIndex is each block's position in RPO, -1 when unreachable; idom
 	// is its immediate dominator's ID, -1 for the entry and unreachable
-	// blocks. Both are indexed by block ID.
+	// blocks. pre is a reachable block's preorder number in the dominator
+	// tree and size the node count of its subtree, so the blocks it
+	// dominates are exactly those numbered [pre, pre+size). All are
+	// indexed by block ID.
 	rpoIndex []int
 	idom     []int
+	pre      []int
+	size     []int
 	// preds lists each block's reachable predecessors, one entry per edge.
 	preds [][]*ir.Block
 }
@@ -60,7 +65,37 @@ func Build(f *ir.Func) *Graph {
 		g.RPO[i] = g.blocks[v]
 		g.rpoIndex[v] = i
 	}
+	g.numberDomTree(rpo)
 	return g
+}
+
+// numberDomTree gives the dominator tree preorder intervals, so Dominates
+// is one interval test: the analyses ask it once per branch edge, and a
+// walk up the idom chain would make them quadratic in a function's branch
+// count. An immediate dominator precedes its node in RPO, so a backward
+// sweep totals the subtree sizes and a forward sweep hands each child the
+// next free range of its parent's interval. Neither recurses, since the
+// tree of a long chain of ifs is as deep as the chain is long.
+func (g *Graph) numberDomTree(rpo []int) {
+	g.pre = make([]int, len(g.blocks))
+	g.size = make([]int, len(g.blocks))
+	for k := len(rpo) - 1; k >= 0; k-- {
+		v := rpo[k]
+		g.size[v]++
+		if d := g.idom[v]; d >= 0 {
+			g.size[d] += g.size[v]
+		}
+	}
+	// next[v] is the first preorder number not yet given out in v's
+	// subtree.
+	next := make([]int, len(g.blocks))
+	for _, v := range rpo {
+		if d := g.idom[v]; d >= 0 {
+			g.pre[v] = next[d]
+			next[d] += g.size[v]
+		}
+		next[v] = g.pre[v] + 1
+	}
 }
 
 // index returns b's ID when b is one of the graph's blocks, else -1.
@@ -181,15 +216,10 @@ func (g *Graph) Preds(b *ir.Block) []*ir.Block {
 // Dominates reports whether a dominates b (reflexively).
 func (g *Graph) Dominates(a, b *ir.Block) bool {
 	i, j := g.index(a), g.index(b)
-	if i < 0 || j < 0 || g.rpoIndex[j] < 0 {
+	if i < 0 || j < 0 || g.rpoIndex[i] < 0 || g.rpoIndex[j] < 0 {
 		return false
 	}
-	for ; j >= 0; j = g.idom[j] {
-		if i == j {
-			return true
-		}
-	}
-	return false
+	return g.pre[i] <= g.pre[j] && g.pre[j] < g.pre[i]+g.size[i]
 }
 
 // Reachable reports whether b is reachable from the entry.

@@ -315,17 +315,22 @@ func runProgram(t *testing.T, prog *ir.Program, c trace.Collector) {
 	}
 }
 
+// recordAll delivers one branch event to every collector.
+func recordAll(site int32, taken bool, cs ...trace.Collector) {
+	for _, c := range cs {
+		c.RecordBranch(site, taken)
+	}
+}
+
 func TestSemiStaticHierarchy(t *testing.T) {
 	// A branch alternating T,N,T,N... : profile ≈ 50%, 1-bit loop ≈ 0%.
 	n := 1
 	c := trace.NewCounts(n)
 	st := profile.NewStreams(n)
 	gh := profile.NewGlobalHistory(n, 1)
-	b := trace.NewBatcher(c, st, gh)
 	for i := 0; i < 1000; i++ {
-		b.RecordBranch(0, i%2 == 0)
+		recordAll(0, i%2 == 0, c, st, gh)
 	}
-	b.Release()
 	lh := profile.LocalFromStreams(st, 1)
 	prof := ProfileResult(c)
 	loop := LoopResult(lh)
@@ -356,15 +361,13 @@ func TestLoopCorrelationPicksBest(t *testing.T) {
 	c := trace.NewCounts(n)
 	st := profile.NewStreams(n)
 	gh := profile.NewGlobalHistory(n, 1)
-	b := trace.NewBatcher(c, st, gh)
 	x := uint32(7)
 	for i := 0; i < 3000; i++ {
 		x = x*1664525 + 1013904223
 		o := x&0x40000 != 0
-		b.RecordBranch(0, o)
-		b.RecordBranch(1, o) // copies previous branch
+		recordAll(0, o, c, st, gh)
+		recordAll(1, o, c, st, gh) // copies previous branch
 	}
-	b.Release()
 	lh := profile.LocalFromStreams(st, 2)
 	lc, _ := LoopCorrelationResult(lh, gh, c)
 	corr := CorrelationResult(gh)

@@ -11,8 +11,7 @@ import (
 // stream: the replay equivalent of annotating a program clone and
 // measuring it live, since annotation only sets Term.Pred and leaves the
 // branch stream untouched. Sites beyond the vector and sites predicted
-// PredNone are ignored. It is order-insensitive, so it shards across
-// partitioned replay.
+// PredNone are ignored.
 type StaticScore struct {
 	Preds []ir.Prediction
 	// Predicted counts events whose site carries a prediction;
@@ -21,7 +20,7 @@ type StaticScore struct {
 	Mispredicted uint64
 }
 
-var _ trace.Sharded = (*StaticScore)(nil)
+var _ trace.Collector = (*StaticScore)(nil)
 
 // RecordBranch implements trace.Collector.
 func (s *StaticScore) RecordBranch(site int32, taken bool) { s.RecordRun(site, taken, 1) }
@@ -39,17 +38,6 @@ func (s *StaticScore) RecordRun(site int32, taken bool, n uint64) {
 	if (p == ir.PredTaken) != taken {
 		s.Mispredicted += n
 	}
-}
-
-// NewShard implements trace.Sharded: shards share the (read-only)
-// prediction vector and accumulate their own counters.
-func (s *StaticScore) NewShard() trace.Collector { return &StaticScore{Preds: s.Preds} }
-
-// Merge implements trace.Sharded.
-func (s *StaticScore) Merge(shard trace.Collector) {
-	o := shard.(*StaticScore)
-	s.Predicted += o.Predicted
-	s.Mispredicted += o.Mispredicted
 }
 
 // ScoreKind names a strategy Scorer can score.

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -201,5 +202,28 @@ func TestCondCompareThroughMov(t *testing.T) {
 	fts := Analyze(p)
 	if fts[0].CmpOp != ir.OpLtI {
 		t.Fatalf("CmpOp through mov = %v", fts[0].CmpOp)
+	}
+}
+
+// BenchmarkAnalyzeFlatIfs analyzes one function of 33,000 sequential ifs,
+// more branch sites than a profile can hold: kralld runs this analysis on
+// every cold source request before it can refuse such a program, so its
+// cost must stay linear in the function's branch count.
+func BenchmarkAnalyzeFlatIfs(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString("var x int;\n\nfunc main() int {\n")
+	for i := 0; i < 33_000; i++ {
+		sb.WriteString("    if x > 0 { x = x - 1; }\n")
+	}
+	sb.WriteString("    return x;\n}\n")
+	prog, err := lang.Compile(sb.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(Analyze(prog)); got != 33_000 {
+			b.Fatalf("analyzed %d sites, want 33000", got)
+		}
 	}
 }

@@ -144,32 +144,29 @@ type ExecWorkload struct {
 
 // Trace is the trace-plane replay throughput section: the same recorded
 // slabs decoded event-at-a-time (the historical baseline), through the
-// fused run-aware pass, partitioned across Workers goroutines, and into
-// the full profile bundle (best of Rounds rounds each). The aggregate
-// rates are total events over total best-round time across all workloads.
+// fused run-aware pass, and into the full profile bundle (best of Rounds
+// rounds each). The aggregate rates are total events over total
+// best-round time across all workloads.
 type Trace struct {
-	Budget  uint64 `json:"budget"`
-	Rounds  int    `json:"rounds"`
-	Workers int    `json:"workers"`
+	Budget uint64 `json:"budget"`
+	Rounds int    `json:"rounds"`
 
-	SinglePassEventsPerSecond  float64         `json:"single_pass_events_per_second"`
-	RunAwareEventsPerSecond    float64         `json:"run_aware_events_per_second"`
-	PartitionedEventsPerSecond float64         `json:"partitioned_events_per_second"`
-	ProfileEventsPerSecond     float64         `json:"profile_events_per_second"`
-	Speedup                    float64         `json:"speedup"`
-	Workloads                  []TraceWorkload `json:"workloads"`
+	SinglePassEventsPerSecond float64         `json:"single_pass_events_per_second"`
+	RunAwareEventsPerSecond   float64         `json:"run_aware_events_per_second"`
+	ProfileEventsPerSecond    float64         `json:"profile_events_per_second"`
+	Speedup                   float64         `json:"speedup"`
+	Workloads                 []TraceWorkload `json:"workloads"`
 }
 
 // TraceWorkload is one workload's replay throughput comparison.
 type TraceWorkload struct {
-	Name                       string  `json:"name"`
-	Events                     uint64  `json:"events"`
-	EncodedBytes               int     `json:"encoded_bytes"`
-	SinglePassEventsPerSecond  float64 `json:"single_pass_events_per_second"`
-	RunAwareEventsPerSecond    float64 `json:"run_aware_events_per_second"`
-	PartitionedEventsPerSecond float64 `json:"partitioned_events_per_second"`
-	ProfileEventsPerSecond     float64 `json:"profile_events_per_second"`
-	Speedup                    float64 `json:"speedup"`
+	Name                      string  `json:"name"`
+	Events                    uint64  `json:"events"`
+	EncodedBytes              int     `json:"encoded_bytes"`
+	SinglePassEventsPerSecond float64 `json:"single_pass_events_per_second"`
+	RunAwareEventsPerSecond   float64 `json:"run_aware_events_per_second"`
+	ProfileEventsPerSecond    float64 `json:"profile_events_per_second"`
+	Speedup                   float64 `json:"speedup"`
 }
 
 // Read loads and validates a document.

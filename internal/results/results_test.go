@@ -31,10 +31,10 @@ func full() *Document {
 		},
 		Exec: &Exec{Budget: 20000, Rounds: 3, InterpBranchesPerSecond: 1e7,
 			Workloads: []ExecWorkload{{Name: "prolog", InterpBranchesPerSecond: 1e7}}},
-		Trace: &Trace{Budget: 20000, Rounds: 3, Workers: 2, SinglePassEventsPerSecond: 1e8,
-			RunAwareEventsPerSecond: 3e8, PartitionedEventsPerSecond: 4e8, ProfileEventsPerSecond: 5e7, Speedup: 3,
+		Trace: &Trace{Budget: 20000, Rounds: 3, SinglePassEventsPerSecond: 1e8,
+			RunAwareEventsPerSecond: 3e8, ProfileEventsPerSecond: 5e7, Speedup: 3,
 			Workloads: []TraceWorkload{{Name: "cc", Events: 20000, EncodedBytes: 999, SinglePassEventsPerSecond: 1e8,
-				RunAwareEventsPerSecond: 3e8, PartitionedEventsPerSecond: 4e8, ProfileEventsPerSecond: 5e7, Speedup: 3}}},
+				RunAwareEventsPerSecond: 3e8, ProfileEventsPerSecond: 5e7, Speedup: 3}}},
 	}
 }
 

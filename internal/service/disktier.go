@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"strings"
 
 	"repro/internal/diskstore"
@@ -104,13 +106,14 @@ func (t *tieredStore) artifactPayload(key string) ([]byte, bool) {
 	return t.disk.Load(key)
 }
 
-// encodeArtifact lays out an artifact as run counters followed by the
-// sealed slab container: uvarint branches, steps, checksum, one truncated
-// byte, then the BLSLAB01 bytes. The slab part is the mmap-able region —
-// decodeArtifact over a mapping replays events straight from the page
-// cache.
+// encodeArtifact lays out an artifact's disk and peer payload: the run
+// counters (uvarint branches, steps and checksum, then one truncated
+// byte), the slab's BLTRACE1 stream as Slab.WriteTo writes it, and an IEEE
+// CRC-32 of everything before it, little-endian. The disk store checks
+// its own CRC on every read; this one keeps a payload fetched from a peer
+// checked end to end too.
 func encodeArtifact(a *artifact) []byte {
-	buf := make([]byte, 0, 32+a.slab.SealedSize())
+	buf := make([]byte, 0, 64+a.slab.EncodedBytes())
 	buf = binary.AppendUvarint(buf, a.branches)
 	buf = binary.AppendUvarint(buf, a.steps)
 	buf = binary.AppendUvarint(buf, a.checksum)
@@ -119,31 +122,41 @@ func encodeArtifact(a *artifact) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	return a.slab.AppendSealed(buf)
+	w := bytes.NewBuffer(buf)
+	a.slab.WriteTo(w) // a bytes.Buffer never fails a write
+	return binary.LittleEndian.AppendUint32(w.Bytes(), crc32.ChecksumIEEE(w.Bytes()))
 }
 
-// decodeArtifact opens an encoded artifact. When data aliases a mapping,
-// pin keeps it alive for the artifact's lifetime (the slab's event bytes
-// alias data); pass nil for plain in-memory bytes.
+// decodeArtifact opens an encoded artifact. The stream goes through
+// trace.AdoptStream, the validating pass uploads take, so a payload that
+// would panic on replay is an error here, never a slab; the slab's event
+// bytes alias data. When data is a mapping, pin keeps it alive for the
+// artifact's lifetime; pass nil for plain in-memory bytes.
 func decodeArtifact(data []byte, pin *diskstore.Mapped) (*artifact, error) {
+	if len(data) < crc32.Size {
+		return nil, fmt.Errorf("service: truncated artifact")
+	}
+	body := data[:len(data)-crc32.Size]
+	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(data[len(body):]); got != want {
+		return nil, fmt.Errorf("service: artifact crc mismatch %08x != %08x", got, want)
+	}
 	a := &artifact{pin: pin}
 	var vals [3]uint64
 	i := 0
 	for k := range vals {
-		v, n := binary.Uvarint(data[i:])
+		v, n := binary.Uvarint(body[i:])
 		if n <= 0 {
 			return nil, fmt.Errorf("service: truncated artifact header")
 		}
 		vals[k] = v
 		i += n
 	}
-	if i >= len(data) {
+	if i >= len(body) {
 		return nil, fmt.Errorf("service: truncated artifact header")
 	}
 	a.branches, a.steps, a.checksum = vals[0], vals[1], vals[2]
-	a.truncated = data[i] == 1
-	i++
-	slab, err := trace.OpenSealed(data[i:])
+	a.truncated = body[i] == 1
+	slab, err := trace.AdoptStream(body[i+1:], trace.Limits{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -45,11 +45,9 @@ func DefaultLimits() Limits {
 }
 
 // ReadSlab reads a BLTRACE1 stream under lim and returns it as a sealed
-// slab — the daemon's upload path and the file loaders. One validating
-// pass (scanEvents) checks the event bytes and places the replay
-// checkpoints, and the slab then adopts the bytes as its buffer: the wire
-// encoding is the slab encoding, so nothing is re-encoded. Bytes after the
-// footer are ignored.
+// slab — the daemon's upload path and the file loaders. It reads the
+// stream whole and hands it to AdoptStream: the wire encoding is the slab
+// encoding, so nothing is re-encoded. Bytes after the footer are ignored.
 func ReadSlab(r io.Reader, lim Limits) (*Slab, error) { return ReadSlabInto(r, lim, nil) }
 
 // ReadSlabInto is ReadSlab that also feeds c from the same validating pass,
@@ -68,16 +66,21 @@ func ReadSlabInto(r io.Reader, lim Limits, c Collector) (*Slab, error) {
 		return nil, err
 	}
 	capped := lim.MaxBytes > 0 && int64(len(data)) == lim.MaxBytes
-	s, err := adoptStream(data, lim, c)
+	s, err := AdoptStream(data, lim, c)
 	if capped && errors.Is(err, errShort) {
 		return nil, fmt.Errorf("trace: stream runs past %d input bytes: %w", lim.MaxBytes, ErrTooLarge)
 	}
 	return s, err
 }
 
-// adoptStream validates a whole BLTRACE1 stream, feeding c, and wraps its
-// event bytes in a sealed slab without copying them.
-func adoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
+// AdoptStream validates the BLTRACE1 stream at the start of data in one
+// pass (scanEvents) under lim, feeding c as ReadSlabInto documents, and
+// returns a sealed slab whose buffer is data's event bytes, not a copy:
+// the caller must keep data immutable and alive for as long as the slab is
+// used (a *diskstore.Mapped does both, so a mapped file replays straight
+// from the page cache). Bytes after the footer are ignored. Every check
+// is a byte load, so data may sit at any alignment.
+func AdoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
 	if len(data) < len(magic) {
 		return nil, fmt.Errorf("trace: reading header: %w", errShort)
 	}
@@ -99,7 +102,7 @@ func adoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
 	if total != sc.n {
 		return nil, fmt.Errorf("trace: footer count %d != decoded %d", total, sc.n)
 	}
-	return &Slab{buf: body[:sc.end:sc.end], n: sc.n, sealed: true, cks: sc.cks}, nil
+	return &Slab{buf: body[:sc.end:sc.end], n: sc.n, sealed: true}, nil
 }
 
 // scan is what one validating pass learns about an event stream.
@@ -108,10 +111,9 @@ type scan struct {
 	// the bytes hold no footer; the footer's count starts at count.
 	end, count int
 	n          uint64
-	cks        []slabCk
 }
 
-// scanEvents is the single validating pass behind ReadSlab and OpenSealed.
+// scanEvents is the single validating pass behind AdoptStream.
 // It walks the event codes of buf up to the footer code or the end of buf
 // and checks that every uvarint is complete, no run marker comes before
 // the first event, switch escapes are complete, sites and outcomes fit in
@@ -119,10 +121,7 @@ type scan struct {
 // lim.MaxEvents. The count is checked at each run marker and once at the
 // end, not per event: it only grows, so a count past the cap at the end —
 // even one cut short by corruption — is exactly the stream an
-// event-at-a-time decoder would have refused as too large first. The pass
-// also records the replay checkpoints exactly where Slab.Record places
-// them: before a plain code or a switch escape, once ckEvery events have
-// passed since the last one.
+// event-at-a-time decoder would have refused as too large first.
 //
 // A non-nil c is fed each event once the checks that event needs have
 // passed, as ReadSlabInto documents; a run marker repeats whichever event
@@ -133,8 +132,7 @@ func scanEvents(buf []byte, lim Limits, c Collector) (scan, error) {
 		maxEvents = math.MaxUint64
 	}
 	sw, _ := c.(SwitchCollector)
-	var n, lastCk uint64
-	var cks []slabCk
+	var n uint64
 	var err error
 	// The last event, which a run marker repeats: its site, and either its
 	// direction or, inSwitch, its switch outcome.
@@ -206,10 +204,6 @@ codes:
 			break
 		}
 		// A plain code or a complete switch escape: one event.
-		if n-lastCk >= ckEvery {
-			cks = append(cks, slabCk{off: start, done: n})
-			lastCk = n
-		}
 		n++
 		seen = true
 		if inSwitch = code == 1; inSwitch {
@@ -223,7 +217,7 @@ codes:
 	if n > maxEvents {
 		return scan{}, fmt.Errorf("trace: %d events: %w", n, ErrTooLarge)
 	}
-	return scan{end: end, count: count, n: n, cks: cks}, err
+	return scan{end: end, count: count, n: n}, err
 }
 
 // uvarintField decodes the uvarint at buf[i:], returning the offset after

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -234,7 +235,7 @@ func TestReadSlabIntoFeedsLikeReplay(t *testing.T) {
 			t.Fatalf("stream %d: fed %v\nreplay %v", i, fed.calls, replayed.calls)
 		}
 		ref, err := ReadSlab(bytes.NewReader(data), lim)
-		if err != nil || !bytes.Equal(ref.buf, s.buf) || ref.n != s.n || !reflect.DeepEqual(ref.cks, s.cks) {
+		if err != nil || !bytes.Equal(ref.buf, s.buf) || ref.n != s.n {
 			t.Fatalf("stream %d: ReadSlabInto's slab differs from ReadSlab's (%v)", i, err)
 		}
 		// A branch-only collector skips the switch events.
@@ -263,9 +264,8 @@ var (
 	nonCanonicalSwitchRun = []byte("BLTRACE1\x01\x00\x03\x02\x01\x04\x04\x00\x06")
 )
 
-// longStream hand-encodes a stream long enough for partitioned replay:
-// codes for a few sites, each followed by a long run, so checkpoints fall
-// on codes between runs.
+// longStream hand-encodes a stream of 48,012 events in a few dozen bytes:
+// codes for a few sites, each followed by a long run.
 func longStream() []byte {
 	b := []byte(magic)
 	var n uint64
@@ -430,9 +430,9 @@ func refDecode(data []byte, lim Limits) ([]Event, error) {
 // FuzzReadSlab throws arbitrary and mutated uploads at the daemon's trace
 // decoder and holds it to the reference decoder: the same accept/reject
 // decision, the same ErrTooLarge classification, and on accepted streams
-// the same event sequence through Cursor. It must never panic, an accepted
-// slab must replay identically whole and partitioned, and it must write
-// itself back out as a stream that reads back to the same slab.
+// the same event sequence through Cursor. It must never panic, and an
+// accepted slab must write itself back out as a stream that reads back to
+// the same slab.
 func FuzzReadSlab(f *testing.F) {
 	f.Add(encodeEvents(f, []Event{{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 1, Taken: false}}))
 	f.Add(encodeEvents(f, nil))
@@ -483,12 +483,6 @@ func FuzzReadSlab(f *testing.F) {
 		if s.Len() > lim.MaxEvents {
 			t.Fatalf("accepted %d events past the %d cap", s.Len(), lim.MaxEvents)
 		}
-		whole, parts := NewCounts(int(lim.MaxSites)), NewCounts(int(lim.MaxSites))
-		s.ReplayInto(whole)
-		s.ReplayPartitioned(4, parts)
-		if !reflect.DeepEqual(whole, parts) {
-			t.Fatal("partitioned replay differs from the single pass")
-		}
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("re-encoding accepted slab: %v", err)
@@ -497,9 +491,109 @@ func FuzzReadSlab(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding accepted slab: %v", err)
 		}
-		if s2.Len() != s.Len() || !bytes.Equal(s2.buf, s.buf) || !reflect.DeepEqual(s2.cks, s.cks) {
+		if s2.Len() != s.Len() || !bytes.Equal(s2.buf, s.buf) {
 			t.Fatalf("round trip changed the slab: %d events, %d bytes -> %d events, %d bytes",
 				s.Len(), len(s.buf), s2.Len(), len(s2.buf))
 		}
 	})
+}
+
+// buildSlab records a deterministic pseudo-random branch stream; biased
+// outcomes produce genuine RLE runs.
+func buildSlab(t testing.TB, seed int64, n int) *Slab {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSlab(n)
+	site := int32(0)
+	for i := 0; i < n; i++ {
+		if rng.Intn(10) == 0 {
+			site = int32(rng.Intn(64))
+		}
+		s.Record(site, rng.Intn(4) != 0)
+	}
+	s.Seal()
+	return s
+}
+
+// written is s as WriteTo writes it.
+func written(t testing.TB, s *Slab) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSealedRoundTrip: a sealed slab written by WriteTo and adopted by
+// AdoptStream is the same slab, byte for byte.
+func TestSealedRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 100, 30000} {
+		orig := buildSlab(t, int64(n)+1, n)
+		got, err := AdoptStream(written(t, orig), Limits{}, nil)
+		if err != nil {
+			t.Fatalf("n=%d: AdoptStream: %v", n, err)
+		}
+		if got.Len() != orig.Len() || !bytes.Equal(got.buf, orig.buf) {
+			t.Fatalf("n=%d: adopted %d events in %d bytes, wrote %d in %d", n, got.Len(), len(got.buf), orig.Len(), len(orig.buf))
+		}
+		if !reflect.DeepEqual(got.Events(), orig.Events()) {
+			t.Fatalf("n=%d: events differ after round trip", n)
+		}
+	}
+}
+
+// TestSealedZeroCopy pins the zero-copy contract: the adopted slab's event
+// bytes alias the stream, not a copy.
+func TestSealedZeroCopy(t *testing.T) {
+	data := written(t, buildSlab(t, 7, 5000))
+	got, err := AdoptStream(data, Limits{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.buf) == 0 || &got.buf[0] != &data[len(magic)] {
+		t.Fatal("AdoptStream copied the event bytes instead of aliasing the stream")
+	}
+}
+
+// TestSealedRejectsCorruption: truncations and a bad magic are errors from
+// AdoptStream, never a slab.
+func TestSealedRejectsCorruption(t *testing.T) {
+	data := written(t, buildSlab(t, 3, 2000))
+	for _, cut := range []int{0, 4, len(magic), len(magic) + 1, len(data) / 2, len(data) - 1} {
+		if _, err := AdoptStream(data[:cut], Limits{}, nil); err == nil {
+			t.Errorf("AdoptStream accepted a %d-byte truncation of %d bytes", cut, len(data))
+		}
+	}
+	bad := append([]byte(nil), data...)
+	bad[0] = 'X'
+	if _, err := AdoptStream(bad, Limits{}, nil); err == nil {
+		t.Error("AdoptStream accepted a bad magic")
+	}
+}
+
+// TestSealedRejectsBadEventBytes covers streams with a well-formed header
+// and footer around event bytes that Record never writes, or a footer
+// count that is not the decoded one: each must be an error, not a slab
+// that panics on replay.
+func TestSealedRejectsBadEventBytes(t *testing.T) {
+	orig := buildSlab(t, 5, 30000)
+	cases := []struct {
+		name string
+		s    *Slab
+	}{
+		{"truncated varint", &Slab{buf: []byte{0x03, 0x83}, n: 1}},
+		{"truncated run", &Slab{buf: []byte{0x03, 0x01}, n: 1}},
+		{"truncated switch escape", &Slab{buf: []byte{0x01, 0x00, 0x03}, n: 1}},
+		{"run before any event", &Slab{buf: []byte{0x01, 0x05}, n: 5}},
+		{"footer code inside", &Slab{buf: []byte{0x03, 0x00, 0x03}, n: 2}},
+		{"site past int32", &Slab{buf: binary.AppendUvarint(nil, 1<<40), n: 1}},
+		{"event count", &Slab{buf: orig.buf, n: orig.n + 1}},
+	}
+	for _, c := range cases {
+		c.s.sealed = true
+		if _, err := AdoptStream(written(t, c.s), Limits{}, nil); err == nil {
+			t.Errorf("%s: AdoptStream accepted the stream", c.name)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // RecordBranch implements Collector.
@@ -60,26 +59,7 @@ type Slab struct {
 	run    uint64
 	n      uint64
 	sealed bool
-	cks    []slabCk
-	lastCk uint64
 }
-
-// slabCk is an RLE-aligned replay checkpoint: buf[off:] starts with a
-// self-contained code — a plain event or a switch escape, never a bare run
-// marker, which would need the previous event's state — with done events
-// encoded before it. Record drops one roughly every ckEvery events, and
-// scanEvents recomputes them at the same places for adopted bytes;
-// ReplayPartitioned splits the stream at them.
-type slabCk struct {
-	off  int
-	done uint64
-}
-
-// ckEvery is the checkpoint spacing in events: coarse enough that the
-// recording hot path pays one predictable compare per event and the side
-// table stays a few dozen entries per million events, fine enough to cut
-// any replay-worthy slab into balanced segments.
-const ckEvery = 8192
 
 // NewSlab creates an empty slab. sizeHint is the expected number of events
 // (a branch budget); it pre-sizes the buffer and may be 0.
@@ -102,7 +82,7 @@ func (s *Slab) Record(site int32, taken bool) {
 		s.run++
 		return
 	}
-	s.startCode()
+	s.flushRun()
 	s.buf = binary.AppendUvarint(s.buf, code)
 	s.last = code
 }
@@ -117,22 +97,12 @@ func (s *Slab) RecordSwitch(site, outcome int32) {
 		s.run++
 		return
 	}
-	s.startCode()
+	s.flushRun()
 	s.buf = binary.AppendUvarint(s.buf, 1)
 	s.buf = binary.AppendUvarint(s.buf, 0)
 	s.buf = binary.AppendUvarint(s.buf, uint64(site)+1)
 	s.buf = binary.AppendUvarint(s.buf, uint64(outcome))
 	s.last = key
-}
-
-// startCode prepares for the code of the event just counted: it writes the
-// pending run, then drops a checkpoint if ckEvery events have passed.
-func (s *Slab) startCode() {
-	s.flushRun()
-	if s.n-1-s.lastCk >= ckEvery {
-		s.cks = append(s.cks, slabCk{off: len(s.buf), done: s.n - 1})
-		s.lastCk = s.n - 1
-	}
 }
 
 func (s *Slab) flushRun() {
@@ -152,7 +122,7 @@ var (
 func (s *Slab) RecordBranch(site int32, taken bool) { s.Record(site, taken) }
 
 // RecordRun implements Collector: the run folds into the RLE state, so
-// the slab ends exactly as after n Record calls, checkpoints included.
+// the slab ends exactly as after n Record calls.
 func (s *Slab) RecordRun(site int32, taken bool, n uint64) {
 	if n == 0 {
 		return
@@ -192,8 +162,8 @@ func (s *Slab) EncodedBytes() int { return len(s.buf) }
 
 // decodeUvarint decodes the uvarint at buf[i:], returning the new offset.
 // A malformed slab is a programming error — Record produces well-formed
-// bytes, and ReadSlab and OpenSealed validate bytes from outside before a
-// slab adopts them — so corruption panics instead of returning an error.
+// bytes, and AdoptStream validates bytes from outside before a slab adopts
+// them — so corruption panics instead of returning an error.
 func decodeUvarint(buf []byte, i int) (uint64, int) {
 	v, k := binary.Uvarint(buf[i:])
 	if k <= 0 {
@@ -250,80 +220,5 @@ func (s *Slab) WriteTo(w io.Writer) (int64, error) {
 func (s *Slab) mustSealed(op string) {
 	if !s.sealed {
 		panic("trace: Slab." + op + " before Seal")
-	}
-}
-
-// eventPool recycles Event slices across runner jobs: Batcher buffers draw
-// their storage here, so a parallel experiment sweep stops reallocating
-// per-job event storage.
-var eventPool = sync.Pool{
-	New: func() any { return make([]Event, 0, batchSize) },
-}
-
-// batchSize is the Batcher flush threshold: 4096 events (32 KiB) stay well
-// inside L2 while amortising the per-collector dispatch.
-const batchSize = 4096
-
-// Batcher is the live-path answer to per-branch fan-out cost: it buffers
-// events and flushes them collector-by-collector in batches, so a hot
-// interpreter loop pays one append per event instead of one interface
-// call per collector per event. Branch and switch events share the buffer,
-// so each collector sees them in execution order, exactly as if it were
-// the only one. Flush must be called after the run (bench.runCompiled
-// does); Release returns the buffer to the shared pool.
-type Batcher struct {
-	cs  []Collector
-	sws []SwitchCollector // sws[i] is cs[i]'s switch entry point, or nil
-	buf []Event
-}
-
-// NewBatcher wraps the collectors.
-func NewBatcher(cs ...Collector) *Batcher {
-	b := &Batcher{cs: cs, sws: make([]SwitchCollector, len(cs)), buf: eventPool.Get().([]Event)[:0]}
-	for i, c := range cs {
-		b.sws[i], _ = c.(SwitchCollector)
-	}
-	return b
-}
-
-// RecordBranch buffers one conditional-branch event.
-func (b *Batcher) RecordBranch(site int32, taken bool) {
-	b.buf = append(b.buf, Event{Site: site, Taken: taken})
-	if len(b.buf) >= batchSize {
-		b.Flush()
-	}
-}
-
-// RecordSwitch buffers one switch event; collectors without switch support
-// skip it at flush.
-func (b *Batcher) RecordSwitch(site, outcome int32) {
-	b.buf = append(b.buf, Event{Site: site, Switch: true, Outcome: outcome})
-	if len(b.buf) >= batchSize {
-		b.Flush()
-	}
-}
-
-// Flush drains the buffer into every collector.
-func (b *Batcher) Flush() {
-	for ci, c := range b.cs {
-		sw := b.sws[ci]
-		for _, ev := range b.buf {
-			if !ev.Switch {
-				c.RecordBranch(ev.Site, ev.Taken)
-			} else if sw != nil {
-				sw.RecordSwitch(ev.Site, ev.Outcome)
-			}
-		}
-	}
-	b.buf = b.buf[:0]
-}
-
-// Release flushes and returns the buffer to the pool. The Batcher must not
-// be used afterwards.
-func (b *Batcher) Release() {
-	b.Flush()
-	if b.buf != nil {
-		eventPool.Put(b.buf[:0])
-		b.buf = nil
 	}
 }

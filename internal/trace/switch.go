@@ -20,8 +20,8 @@ func dropSwitchRun(int32, int32, uint64) {}
 
 // TargetCounts accumulates per-site switch outcome histograms — the
 // profiling requirement of the case-clustering transform, which needs the
-// frequency ranking of each hot switch's targets. It is order-insensitive,
-// so it shards; binary branch events pass through it untouched.
+// frequency ranking of each hot switch's targets. Binary branch events
+// pass through it untouched.
 type TargetCounts struct {
 	// Sites[site][outcome] is the number of times the switch at site
 	// selected outcome. Rows grow on demand, so a site that never ran, or
@@ -30,7 +30,7 @@ type TargetCounts struct {
 }
 
 var (
-	_ Sharded         = (*TargetCounts)(nil)
+	_ Collector       = (*TargetCounts)(nil)
 	_ SwitchCollector = (*TargetCounts)(nil)
 )
 
@@ -63,21 +63,6 @@ func (c *TargetCounts) RecordSwitchRun(site, outcome int32, n uint64) {
 	}
 	row[outcome] += n
 	c.Sites[site] = row
-}
-
-// NewShard implements Sharded.
-func (c *TargetCounts) NewShard() Collector { return NewTargetCounts(len(c.Sites)) }
-
-// Merge implements Sharded.
-func (c *TargetCounts) Merge(shard Collector) {
-	o := shard.(*TargetCounts)
-	for site, row := range o.Sites {
-		for outcome, n := range row {
-			if n > 0 {
-				c.RecordSwitchRun(int32(site), int32(outcome), n)
-			}
-		}
-	}
 }
 
 // Total returns the number of switch events recorded for site.

@@ -4,9 +4,11 @@
 // about 10 MB for 50 million branches in compressed form; our varint+RLE
 // encoding is in the same ballpark). The format has one codec, the Slab:
 // it records events in the wire encoding, writes them with WriteTo, and
-// ReadSlab validates a stream and adopts its bytes as a slab. The
-// BLSLAB01 container (AppendSealed/OpenSealed) adds the replay
-// checkpoints for the service's disk tier and peers.
+// AdoptStream validates a stream in one pass and adopts its bytes as a
+// slab without copying them — the path of uploads (ReadSlab), of the
+// service's disk tier and of artifacts fetched from peers. Every replay of
+// a sealed slab is one sequential decode: ReplayInto and its wrappers, or
+// a Cursor for a pull-side consumer.
 package trace
 
 // Collector consumes conditional-branch events keyed on the dense site
@@ -53,7 +55,7 @@ type Counts struct {
 	NotTaken []uint64
 }
 
-var _ Sharded = (*Counts)(nil)
+var _ Collector = (*Counts)(nil)
 
 // NewCounts sizes the tables for nSites branch sites.
 func NewCounts(nSites int) *Counts {
