@@ -37,15 +37,12 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/indirect"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
-	"repro/internal/predict"
-	"repro/internal/profile"
 	"repro/internal/replicate"
 	"repro/internal/statemachine"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -178,42 +175,23 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 		return 2
 	}
 
-	// Profile the program so machine selection and the profile-consistency
-	// pass have real data to check; switch dispatches feed the target
-	// distribution the clustering pass consumes.
-	prof := profile.New(nSites, profile.Options{})
-	targets := trace.NewTargetCounts(nSites)
-	m := interp.New(prog)
-	m.MaxBranches = opts.budget
-	m.Hook = interp.BranchHook(prof)
-	m.SwHook = interp.SwitchHook(targets)
-	if opts.seed != 0 {
-		// Only workloads declare wseed; ad-hoc programs simply lack it.
-		_ = m.SetGlobal("wseed", opts.seed)
-	}
-	if _, err := m.Run(); err != nil && err != interp.ErrLimit {
+	// Profile the program so machine selection, the profile-consistency
+	// pass and the clustering pass have real data to check.
+	p, err := profileOf(prog, opts)
+	if err != nil {
 		fmt.Fprintf(stderr, "krallcheck: %s: profiling run: %v\n", name, err)
 		return 2
 	}
-	feats := predict.Analyze(prog)
-	choices := statemachine.Select(prof, feats, statemachine.Options{
-		MaxStates:  opts.states,
-		MaxPathLen: 1,
-	})
-	preds := predict.ProfileStatic(prof.Counts).Preds
+	choices := p.Select(statemachine.Options{MaxStates: opts.states, MaxPathLen: 1})
 
-	diags := analysis.Lint(prog, choices, prof)
+	diags := analysis.Lint(prog, choices, p.Prof)
 	verified := false
 	if !opts.lintOnly {
-		clone := ir.CloneProgram(prog)
-		ropts := replicate.Options{Verify: true, MaxSizeFactor: opts.sizeFac}
-		var st *replicate.Stats
-		var err error
+		apply := core.Apply(replicate.ApplyOpts)
 		if opts.joint {
-			st, err = replicate.ApplyJoint(clone, choices, preds, ropts)
-		} else {
-			st, err = replicate.ApplyOpts(clone, choices, preds, ropts)
+			apply = replicate.ApplyJoint
 		}
+		_, st, err := p.Transform(apply, choices, p.Preds(), replicate.Options{Verify: true, MaxSizeFactor: opts.sizeFac})
 		if st != nil {
 			diags = append(diags, st.Diags...)
 		}
@@ -239,7 +217,7 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 	if nSwitches > 0 && !opts.lintOnly {
 		snap := ir.CloneProgram(prog)
 		clustered := ir.CloneProgram(prog)
-		st, prov, err := indirect.Cluster(clustered, targets, indirect.Options{})
+		st, prov, err := indirect.Cluster(clustered, p.Prof.Targets, indirect.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "krallcheck: %s: clustering: %v\n", name, err)
 			return 2

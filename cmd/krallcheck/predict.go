@@ -1,16 +1,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
-	"repro/internal/interp"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/predict"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -39,21 +39,10 @@ func missRate(misses, total uint64) string {
 	return fmt.Sprintf("%6.2f", 100*float64(misses)/float64(total))
 }
 
-// profileCounts runs the program once under the interpreter with the
-// profiling hook attached, honouring the budget and seed options.
-func profileCounts(prog *ir.Program, nSites int, opts options) (*profile.Profile, error) {
-	prof := profile.New(nSites, profile.Options{})
-	m := interp.New(prog)
-	m.MaxBranches = opts.budget
-	m.Hook = interp.BranchHook(prof)
-	if opts.seed != 0 {
-		// Only workloads declare wseed; ad-hoc programs simply lack it.
-		_ = m.SetGlobal("wseed", opts.seed)
-	}
-	if _, err := m.Run(); err != nil && err != interp.ErrLimit {
-		return nil, err
-	}
-	return prof, nil
+// profileOf profiles prog on the options' budget at the program's own
+// wscale; -seed applies only to programs that declare wseed.
+func profileOf(prog *ir.Program, opts options) (*core.Profiled, error) {
+	return core.Profile(context.Background(), prog, core.Cell{Budget: opts.budget}.Fill(prog, opts.seed, 0))
 }
 
 // predictOne prints one target's static prediction report and returns its
@@ -70,18 +59,19 @@ func predictOne(name string, prog *ir.Program, opts options, stdout, stderr io.W
 		fmt.Fprintf(stderr, "krallcheck: %s: static analysis: %v\n", name, err)
 		return 2
 	}
-	prof, err := profileCounts(prog, nSites, opts)
+	p, err := profileOf(prog, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "krallcheck: %s: profiling run: %v\n", name, err)
 		return 2
 	}
+	prof := p.Prof
 
 	if !opts.quiet {
 		var sb strings.Builder
 		analysis.FormatSiteTable(&sb, name, rep)
 		fmt.Fprint(stdout, sb.String())
 		fmt.Fprintf(stdout, "%s: accuracy vs the profiling run (miss %%):\n", name)
-		for _, s := range staticStrategies(nSites, predict.Analyze(prog), rep, prof.Counts) {
+		for _, s := range staticStrategies(nSites, p.Feats, rep, prof.Counts) {
 			r := s.Score(prof.Counts)
 			fmt.Fprintf(stdout, "  %-18s %s\n", s.Strategy, missRate(r.Misses, r.Total))
 		}
@@ -125,11 +115,12 @@ func predictCatalog(opts options, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "krallcheck: %s: static analysis: %v\n", w.Name, err)
 			return 2
 		}
-		prof, err := profileCounts(c.Prog, c.NSites, opts)
+		p, err := profileOf(c.Prog, opts)
 		if err != nil {
 			fmt.Fprintf(stderr, "krallcheck: %s: profiling run: %v\n", w.Name, err)
 			return 2
 		}
+		prof := p.Prof
 		fmt.Fprintf(stdout, "  %-12s %6d %8d", w.Name, c.NSites, rep.Decided())
 		for i, s := range staticStrategies(c.NSites, c.Features, rep, prof.Counts) {
 			r := s.Score(prof.Counts)

@@ -18,17 +18,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/interp"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/lang"
-	"repro/internal/predict"
-	"repro/internal/profile"
 	"repro/internal/replicate"
 	"repro/internal/statemachine"
 )
@@ -99,40 +98,29 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	nSites := prog.NumberBranches(true)
-	prof := profile.New(nSites, profile.Options{})
-	execute := func(p *ir.Program, hook interp.BranchFunc) (*interp.Machine, error) {
-		m := interp.New(p)
-		m.MaxBranches = *budget
-		m.Hook = hook
-		if *seed != 0 {
-			if err := m.SetGlobal("wseed", *seed); err != nil {
-				return nil, err
-			}
-		}
-		if *budget != 0 {
-			// Built-in workloads scale via wscale; ad-hoc programs need not
-			// declare it.
-			_ = func() error { return m.SetGlobal("wscale", 1<<30) }()
-		}
-		if _, err := m.Run(); err != nil && err != interp.ErrLimit {
-			return nil, err
-		}
-		return m, nil
+	cell := core.Cell{Budget: *budget, Seed: *seed}
+	if *budget != 0 {
+		// Built-in workloads scale via wscale; ad-hoc programs need not
+		// declare it.
+		cell = cell.Fill(prog, 0, core.FullScale)
 	}
-	fmt.Fprintf(stdout, "profiling %s (%d branch sites)...\n", name, nSites)
-	if _, err := execute(prog, interp.BranchHook(prof)); err != nil {
+	fmt.Fprintf(stdout, "profiling %s (%d branch sites)...\n", name, prog.NumberBranches(true))
+	p, err := core.Profile(context.Background(), prog, cell)
+	if err != nil {
 		return fail(err)
 	}
-
-	feats := predict.Analyze(prog)
-	choices := statemachine.Select(prof, feats, statemachine.Options{
-		MaxStates:  *states,
-		MaxPathLen: 1,
-	})
+	apply := core.Apply(replicate.ApplyOpts)
+	if *joint {
+		apply = replicate.ApplyJoint
+	}
+	res, err := p.Replicate(context.Background(), statemachine.Options{MaxStates: *states, MaxPathLen: 1},
+		apply, replicate.Options{MaxSizeFactor: 3, Verify: *check})
+	if err != nil {
+		return fail(err)
+	}
 	if *verbose {
-		for i := range choices {
-			c := &choices[i]
+		for i := range res.Choices {
+			c := &res.Choices[i]
 			if c.Total == 0 {
 				continue
 			}
@@ -145,38 +133,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				100*float64(c.ProfileTotal-c.ProfileHits)/float64(profTotal))
 		}
 	}
-
-	preds := predict.ProfileStatic(prof.Counts).Preds
-	baseline := ir.CloneProgram(prog)
-	replicate.Annotate(baseline, preds)
-	mb, err := execute(baseline, nil)
-	if err != nil {
-		return fail(err)
-	}
-
-	clone := ir.CloneProgram(prog)
-	ropts := replicate.Options{MaxSizeFactor: 3, Verify: *check}
-	var st *replicate.Stats
-	if *joint {
-		st, err = replicate.ApplyJoint(clone, choices, preds, ropts)
-	} else {
-		st, err = replicate.ApplyOpts(clone, choices, preds, ropts)
-	}
-	if err != nil {
-		return fail(err)
-	}
+	st, mb, mr := res.Stats, res.Baseline, res.Replica
 	if st.Verified {
 		fmt.Fprintln(stdout, "transform verified: replication equivalence holds")
 	}
-	mr, err := execute(clone, nil)
-	if err != nil {
-		return fail(err)
-	}
 
-	fmt.Fprintf(stdout, "\nprofile baseline: %.3f%% mispredicted (%d/%d)\n",
-		pct(mb.Mispredicted, mb.Predicted), mb.Mispredicted, mb.Predicted)
-	fmt.Fprintf(stdout, "replicated:       %.3f%% mispredicted (%d/%d)\n",
-		pct(mr.Mispredicted, mr.Predicted), mr.Mispredicted, mr.Predicted)
+	fmt.Fprintf(stdout, "\nprofile baseline: %.3f%% mispredicted (%d/%d)\n", mb.Rate(), mb.Mispredicted, mb.Predicted)
+	fmt.Fprintf(stdout, "replicated:       %.3f%% mispredicted (%d/%d)\n", mr.Rate(), mr.Mispredicted, mr.Predicted)
 	fmt.Fprintf(stdout, "code size:        %d -> %d instructions (factor %.2f)\n",
 		st.InstrsBefore, st.InstrsAfter, st.SizeFactor())
 	fmt.Fprintf(stdout, "machines applied: %d loop, %d exit, %d correlated (%d edges routed, %d catch-all)\n",
@@ -186,14 +149,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fmt.Fprintln(stdout, "semantics verified: checksums identical")
 	if *dump {
-		fmt.Fprint(stdout, clone.String())
+		fmt.Fprint(stdout, res.Replicated.String())
 	}
 	return 0
-}
-
-func pct(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
 }

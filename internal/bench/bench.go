@@ -6,9 +6,11 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -82,35 +84,9 @@ func Compile(w Workload) (*Compiled, error) {
 	}, nil
 }
 
-// RunConfig controls one execution.
-type RunConfig struct {
-	// Budget stops the run after this many branch events (0 = run the
-	// program to completion). Hitting the budget is normal completion.
-	Budget uint64
-	// Seed overrides the program's wseed global when non-zero.
-	Seed int64
-	// Scale overrides the program's wscale global when non-zero; programs
-	// default to a size suited to a few-million-branch budget.
-	Scale int64
-}
-
-// newMachine prepares an interpreter run of prog under the run config.
-func newMachine(prog *ir.Program, cfg RunConfig) (*exec.Machine, error) {
-	ep, _ := exec.Interp.Compile(prog) // the interpreter's compile never fails
-	m := ep.NewMachine()
-	m.SetMaxBranches(cfg.Budget)
-	if cfg.Seed != 0 {
-		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Scale != 0 {
-		if err := m.SetGlobal("wscale", cfg.Scale); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
+// RunConfig is the dataset cell of one execution: a zero Budget runs the
+// program to completion, zero Seed and Scale keep its wseed and wscale.
+type RunConfig = core.Cell
 
 // Run executes the compiled program on the interpreter, feeding every
 // branch event to the collectors, and returns the machine for its counters.
@@ -120,7 +96,7 @@ func (c *Compiled) Run(cfg RunConfig, collectors ...trace.Collector) (*exec.Mach
 
 // runProgram executes any program on the interpreter under the run config.
 func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (*exec.Machine, error) {
-	m, err := newMachine(prog, cfg)
+	m, err := cfg.Machine(context.Background(), prog)
 	if err != nil {
 		return nil, err
 	}

@@ -63,20 +63,6 @@ func (s *Suite) CrossDataset() (*Table, error) {
 	return t, nil
 }
 
-// measuredRate runs a statically annotated program live and returns its
-// real misprediction rate, counted as a live run in the engine stats. It
-// serves ForceLive suites and the runs a walk cannot reproduce (see
-// cloneRate).
-func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
-	s.countLiveRun()
-	m, err := runProgram(prog, cfg)
-	if err != nil {
-		return Cell{}, err
-	}
-	mc := m.Counters()
-	return rateCell(mc.Mispredicted, mc.Predicted), nil
-}
-
 // MeasuredReplication transforms every workload with realizable machines
 // and measures the misprediction rate and size factor of the transformed
 // programs — the end-to-end validation of the paper's headline claim.
@@ -90,18 +76,16 @@ func (s *Suite) MeasuredReplication(maxStates int) (*Table, error) {
 	type col struct{ base, repl, size Cell }
 	cols, err := runner.Map(s.eng, s.Data, func(_ int, d *WorkloadData) (col, error) {
 		var c col
-		static := predict.ProfileStatic(d.Prof.Counts)
+		p := s.profiled(d)
 		var err error
 		if d.Art != nil {
-			// The baseline clone differs from the original only in its
-			// Pred annotations, so its measured rate is the static vector
-			// scored over the recorded trace — no interpreter run needed.
-			c.base = s.staticTraceRate(d.Art, static.Preds)
+			b := p.Baseline(p.Preds())
+			c.base = rateCell(b.Mispredicted, b.Predicted)
 		} else {
+			// The live oracle: run the annotated original.
 			baseline := ir.CloneProgram(d.C.Prog)
-			replicate.Annotate(baseline, static.Preds)
-			c.base, err = s.measuredRate(baseline, RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)})
-			if err != nil {
+			replicate.Annotate(baseline, p.Preds())
+			if c.base, err = s.cloneRate(d, baseline, s.Cfg.Seed); err != nil {
 				return col{}, err
 			}
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/runner"
@@ -116,7 +117,7 @@ type WorkloadData struct {
 	// Art is the recorded trace artifact of the profiling run (nil when
 	// the suite runs with ForceLive). Experiments that only consume the
 	// branch stream replay it instead of re-interpreting the workload.
-	Art *RunArtifact
+	Art *core.Recording
 }
 
 // Suite holds the profiled data of all workloads plus the experiment
@@ -186,7 +187,7 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 			GShare: predict.Eval{P: predict.NewGShare(12)},
 		}
 		if s.Cfg.ForceLive {
-			m, err := c.Run(RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)},
+			m, err := c.Run(s.cell(s.Cfg.Seed),
 				d.Prof, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
 			if err != nil {
 				return nil, err
@@ -221,9 +222,7 @@ func (s *Suite) countsFor(d *WorkloadData, seed int64) (*trace.Counts, error) {
 	return runner.Cached(s.eng.Cache(), key, func() (*trace.Counts, error) {
 		counts := trace.NewCounts(d.C.NSites)
 		if s.Cfg.ForceLive {
-			if _, err := d.C.Run(RunConfig{
-				Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg),
-			}, counts); err != nil {
+			if _, err := d.C.Run(s.cell(seed), counts); err != nil {
 				return nil, err
 			}
 			s.countLiveRun()
@@ -251,6 +250,17 @@ func (s *Suite) selectFor(d *WorkloadData, opts statemachine.Options) ([]statema
 	})
 }
 
+// cell is the suite's dataset cell under the given seed.
+func (s *Suite) cell(seed int64) core.Cell {
+	return core.Cell{Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg)}
+}
+
+// profiled is workload d's profiled recording on the suite's dataset, the
+// input of every replication the suite measures.
+func (s *Suite) profiled(d *WorkloadData) *core.Profiled {
+	return &core.Profiled{Prog: d.C.Prog, Feats: d.C.Features, Cell: s.cell(s.Cfg.Seed), Rec: d.Art, Prof: d.Prof}
+}
+
 // scaleFor makes budgeted runs never finish early: with a budget set, the
 // workload scale is raised far beyond it.
 func scaleFor(cfg ExpConfig) int64 {
@@ -258,7 +268,7 @@ func scaleFor(cfg ExpConfig) int64 {
 		return cfg.Scale
 	}
 	if cfg.Budget != 0 {
-		return 1 << 30
+		return core.FullScale
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/exec"
@@ -356,7 +357,7 @@ type indirectRun struct {
 
 func (s *Suite) runIndirect(prog *ir.Program, run RunConfig) (indirectRun, error) {
 	s.countLiveRun()
-	m, err := newMachine(prog, run)
+	m, err := run.Machine(context.Background(), prog)
 	if err != nil {
 		return indirectRun{}, err
 	}

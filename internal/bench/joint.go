@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"repro/internal/ir"
-	"repro/internal/predict"
 	"repro/internal/replicate"
 	"repro/internal/runner"
 	"repro/internal/statemachine"
@@ -24,7 +22,8 @@ func (s *Suite) JointTable() (*Table, error) {
 	type col struct{ seqRate, jointRate, seqSize, jointSize Cell }
 	cols, err := runner.Map(s.eng, s.Data, func(_ int, d *WorkloadData) (col, error) {
 		var c col
-		static := predict.ProfileStatic(d.Prof.Counts)
+		p := s.profiled(d)
+		preds := p.Preds()
 		choices, err := s.selectFor(d, statemachine.Options{
 			MaxStates:  maxStates,
 			MaxPathLen: 1,
@@ -32,8 +31,7 @@ func (s *Suite) JointTable() (*Table, error) {
 		if err != nil {
 			return col{}, err
 		}
-		seq := ir.CloneProgram(d.C.Prog)
-		seqStats, err := replicate.ApplyOpts(seq, choices, static.Preds, replicate.Options{MaxSizeFactor: 4})
+		seq, seqStats, err := p.Transform(replicate.ApplyOpts, choices, preds, replicate.Options{MaxSizeFactor: 4})
 		if err != nil {
 			return col{}, err
 		}
@@ -43,8 +41,7 @@ func (s *Suite) JointTable() (*Table, error) {
 		}
 		c.seqSize = Cell{Value: seqStats.SizeFactor(), Valid: true}
 
-		joint := ir.CloneProgram(d.C.Prog)
-		jointStats, err := replicate.ApplyJoint(joint, choices, static.Preds, replicate.Options{MaxSizeFactor: 4})
+		joint, jointStats, err := p.Transform(replicate.ApplyJoint, choices, preds, replicate.Options{MaxSizeFactor: 4})
 		if err != nil {
 			return col{}, err
 		}

@@ -30,12 +30,11 @@ func (s *Suite) LayoutTable() (*Table, error) {
 			// both layouts evaluate straight off them.
 			c.origNaive, c.origPH = layoutCells(d.C.Prog, d.Art.BlockCounts, d.Prof.Counts)
 		} else {
-			s.countLiveRun()
-			counts, bc, _, err := countingRun(d.C.Prog, s.Cfg)
+			m, err := s.measure(d, d.C.Prog, s.Cfg.Seed)
 			if err != nil {
 				return col{}, err
 			}
-			c.origNaive, c.origPH = layoutCells(d.C.Prog, bc, counts)
+			c.origNaive, c.origPH = layoutCells(d.C.Prog, m.BlockCounts, m.Counts)
 		}
 		r, err := s.replicaFor(d, replicaStates)
 		if err != nil {

@@ -218,9 +218,9 @@ func TestArtifactMatchesProfile(t *testing.T) {
 		if d.Art == nil {
 			t.Fatalf("%s: no artifact", d.C.Workload.Name)
 		}
-		if d.Art.Trace.Len() != d.Branches {
+		if d.Art.Slab.Len() != d.Branches {
 			t.Fatalf("%s: trace has %d events, machine counted %d branches",
-				d.C.Workload.Name, d.Art.Trace.Len(), d.Branches)
+				d.C.Workload.Name, d.Art.Slab.Len(), d.Branches)
 		}
 		if got := d.Prof.Counts.TotalAll(); got != d.Branches {
 			t.Fatalf("%s: replayed counts total %d, want %d", d.C.Workload.Name, got, d.Branches)

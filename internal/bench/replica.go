@@ -2,13 +2,10 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"repro/internal/exec"
-	"repro/internal/interp"
+	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/predict"
 	"repro/internal/replicate"
 	"repro/internal/runner"
 	"repro/internal/statemachine"
@@ -42,9 +39,8 @@ type replica struct {
 }
 
 // replicaFor builds — or fetches from the single-flight artifact cache —
-// workload d's replica with machines of at most states states. The clone
-// is measured by walking the workload's recorded trace, or by a live
-// counting run in a ForceLive suite.
+// workload d's replica with machines of at most states states, measured
+// on the suite's dataset.
 func (s *Suite) replicaFor(d *WorkloadData, states int) (*replica, error) {
 	key := fmt.Sprintf("%sreplica/%s/n%d", s.prefix, d.C.Workload.Name, states)
 	return runner.Cached(s.eng.Cache(), key, func() (*replica, error) {
@@ -52,68 +48,55 @@ func (s *Suite) replicaFor(d *WorkloadData, states int) (*replica, error) {
 		if err != nil {
 			return nil, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		st, err := replicate.ApplyOpts(clone, choices, predict.ProfileStatic(d.Prof.Counts).Preds,
-			replicate.Options{MaxSizeFactor: 3})
+		p := s.profiled(d)
+		clone, st, err := p.Transform(replicate.ApplyOpts, choices, p.Preds(), replicate.Options{MaxSizeFactor: 3})
 		if err != nil {
 			return nil, err
 		}
-		r := &replica{Prog: clone, Size: Cell{Value: st.SizeFactor(), Valid: true}}
-		res, ok, err := s.walkClone(d, clone, s.Cfg.Seed)
+		m, err := s.measure(d, clone, s.Cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			r.Rate, r.Counts, r.BlockCounts = rateCell(res.Mispredicted, res.Predicted), res.Counts, res.BlockCounts
-			return r, nil
-		}
-		s.countLiveRun()
-		counts, bc, mc, err := countingRun(clone, s.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.Rate, r.Counts, r.BlockCounts = rateCell(mc.Mispredicted, mc.Predicted), counts, bc
-		return r, nil
+		return &replica{
+			Prog: clone, Size: Cell{Value: st.SizeFactor(), Valid: true},
+			Rate: rateCell(m.Mispredicted, m.Predicted), Counts: m.Counts, BlockCounts: m.BlockCounts,
+		}, nil
 	})
 }
 
-// walkClone measures a transformed clone of workload d on dataset seed by
-// walking it along that dataset's recorded trace (replicate.Walk): the
-// clone follows its original's block path, so the walk observes exactly
-// what a live counting run would, without interpreting anything. ok is
-// false in a ForceLive suite and when the walk cannot reproduce the run's
-// stop; the caller then runs the clone live.
-func (s *Suite) walkClone(d *WorkloadData, prog *ir.Program, seed int64) (res *replicate.WalkResult, ok bool, err error) {
-	if s.Cfg.ForceLive {
-		return nil, false, nil
+// measure measures a program of workload d — the original, an annotated
+// copy or a transformed clone — on dataset seed (core.Measure). The suite
+// takes no checksum from a measurement, so every program is walked along
+// that dataset's recorded trace; it runs live in a ForceLive suite and
+// where the walk cannot reproduce the run.
+func (s *Suite) measure(d *WorkloadData, prog *ir.Program, seed int64) (core.Measurement, error) {
+	var rec *core.Recording
+	if !s.Cfg.ForceLive {
+		var err error
+		if rec, err = s.artifactFor(d.C, seed); err != nil {
+			return core.Measurement{}, err
+		}
 	}
-	art, err := s.artifactFor(d.C, seed)
+	m, err := core.Measure(context.Background(), prog, s.cell(seed), rec)
 	if err != nil {
-		return nil, false, err
+		return core.Measurement{}, fmt.Errorf("bench: measuring %s: %w", d.C.Workload.Name, err)
 	}
-	res, err = replicate.Walk(context.Background(), prog, art.Trace, replicate.WalkLimits{MaxBranches: s.Cfg.Budget})
-	if errors.Is(err, replicate.ErrWalkFallback) {
-		return nil, false, nil
+	if m.Walked {
+		s.countWalk()
+	} else {
+		s.countLiveRun()
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("bench: walking the clone of %s: %w", d.C.Workload.Name, err)
-	}
-	s.countWalk()
-	return res, true, nil
+	return m, nil
 }
 
-// cloneRate is the measured misprediction rate of a transformed clone of
-// workload d on dataset seed: walked along the recorded trace, or run live
-// when walkClone cannot serve it.
+// cloneRate is the measured misprediction rate of a program of workload d
+// on dataset seed.
 func (s *Suite) cloneRate(d *WorkloadData, prog *ir.Program, seed int64) (Cell, error) {
-	res, ok, err := s.walkClone(d, prog, seed)
+	m, err := s.measure(d, prog, seed)
 	if err != nil {
 		return Cell{}, err
 	}
-	if ok {
-		return rateCell(res.Mispredicted, res.Predicted), nil
-	}
-	return s.measuredRate(prog, RunConfig{Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg)})
+	return rateCell(m.Mispredicted, m.Predicted), nil
 }
 
 // replicaRate returns the measured misprediction rate of workload d's
@@ -131,22 +114,4 @@ func (s *Suite) replicaRate(d *WorkloadData, states int, seed int64) (Cell, erro
 	return runner.Cached(s.eng.Cache(), key, func() (Cell, error) {
 		return s.cloneRate(d, r.Prog, seed)
 	})
-}
-
-// countingRun executes a program on cfg's dataset with per-site
-// branch counts and per-block execution counts enabled — the inputs of the
-// layout and scope experiments — and returns them with the run counters.
-func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, [][]uint64, exec.Counters, error) {
-	n := prog.NumberBranches(false)
-	counts := trace.NewCounts(n)
-	m, err := newMachine(prog, RunConfig{Budget: cfg.Budget, Seed: cfg.Seed, Scale: scaleFor(cfg)})
-	if err != nil {
-		return nil, nil, exec.Counters{}, err
-	}
-	m.EnableBlockCounts()
-	m.SetHook(interp.BranchHook(counts))
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
-		return nil, nil, exec.Counters{}, err
-	}
-	return counts, m.BlockCounts(), m.Counters(), nil
 }

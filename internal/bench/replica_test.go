@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/replicate"
@@ -45,22 +47,22 @@ func TestReplicaMatchesPerSectionRuns(t *testing.T) {
 				return prog, st
 			}
 			rate := func(prog *ir.Program, seed int64) Cell {
-				c, err := s.measuredRate(prog, run(seed))
+				m, err := core.Measure(context.Background(), prog, run(seed), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return c
+				return rateCell(m.Mispredicted, m.Predicted)
 			}
 			// counted runs one section's own clone with branch and block
 			// counts and evaluates both layouts and trace formation.
 			counted := func(d *WorkloadData) (naive, ph Cell, scope superblock.Stats) {
 				prog, _ := clone(d)
-				counts, bc, _, err := countingRun(prog, cfg)
+				m, err := core.Measure(context.Background(), prog, run(cfg.Seed), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				naive, ph = layoutCells(prog, bc, counts)
-				return naive, ph, superblock.MeasureProgram(prog, bc, counts)
+				naive, ph = layoutCells(prog, m.BlockCounts, m.Counts)
+				return naive, ph, superblock.MeasureProgram(prog, m.BlockCounts, m.Counts)
 			}
 			type section struct {
 				build func() (*Table, error)

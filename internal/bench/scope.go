@@ -29,12 +29,11 @@ func (s *Suite) ScopeTable() (*Table, error) {
 			so := superblock.MeasureProgram(d.C.Prog, d.Art.BlockCounts, d.Prof.Counts)
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		} else {
-			s.countLiveRun()
-			counts, bc, _, err := countingRun(d.C.Prog, s.Cfg)
+			m, err := s.measure(d, d.C.Prog, s.Cfg.Seed)
 			if err != nil {
 				return col{}, err
 			}
-			so := superblock.MeasureProgram(d.C.Prog, bc, counts)
+			so := superblock.MeasureProgram(d.C.Prog, m.BlockCounts, m.Counts)
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		}
 		r, err := s.replicaFor(d, replicaStates)

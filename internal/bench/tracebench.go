@@ -1,11 +1,11 @@
 package bench
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/interp"
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
@@ -61,16 +61,11 @@ func MeasureTrace(names []string, budget uint64, rounds int) ([]TraceMeasurement
 		if err != nil {
 			return nil, err
 		}
-		m0, err := newMachine(c.Prog, RunConfig{Budget: budget, Scale: 1 << 30})
+		rec, err := core.Record(context.Background(), c.Prog, RunConfig{Budget: budget, Scale: core.FullScale})
 		if err != nil {
-			return nil, err
-		}
-		slab := trace.NewSlab(int(budget))
-		m0.SetRec(slab)
-		if _, err := m0.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 			return nil, fmt.Errorf("bench: trace measurement %s: %w", w.Name, err)
 		}
-		slab.Seal()
+		slab := rec.Slab
 		m := TraceMeasurement{
 			Workload:     w.Name,
 			Budget:       budget,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/replicate"
 )
 
@@ -33,7 +34,7 @@ func BenchmarkWalk(b *testing.B) {
 	b.Run("walk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k, d := range s.Data {
-				if _, err := replicate.Walk(context.Background(), reps[k].Prog, d.Art.Trace,
+				if _, err := replicate.Walk(context.Background(), reps[k].Prog, d.Art.Slab,
 					replicate.WalkLimits{MaxBranches: cfg.Budget}); err != nil {
 					b.Fatal(err)
 				}
@@ -44,7 +45,7 @@ func BenchmarkWalk(b *testing.B) {
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range reps {
-				if _, _, _, err := countingRun(r.Prog, cfg); err != nil {
+				if _, err := core.Measure(context.Background(), r.Prog, s.cell(cfg.Seed), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,17 +1,22 @@
-// Package core orchestrates the paper's primary contribution as a single
-// pipeline: profile a program, build branch prediction state machines from
-// the pattern tables, choose the best strategy per branch, replicate code
-// so the machines become program structure, and verify the transformed
-// program by executing it.
+// Package core is the paper's method as one pipeline (PAPER.md §1):
+// record a program on one dataset cell, fold the recording into a
+// profile, build branch prediction state machines from the pattern
+// tables and choose the best strategy per branch, replicate code so the
+// machines become program structure, and measure the transformed program.
 //
-// It is the programmatic equivalent of cmd/replicate and the backing of
-// the root package's public facade.
+// Every caller builds on these stages: the root package's facade (Run),
+// cmd/replicate, krallcheck, kralld's /v1/replicate and the krallbench
+// suite. It is also the one place that sets up an interpreter machine
+// for a dataset cell (Cell.Machine), so every run, recorded or live,
+// follows the same budget, backstop and dataset rules.
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -19,7 +24,234 @@ import (
 	"repro/internal/profile"
 	"repro/internal/replicate"
 	"repro/internal/statemachine"
+	"repro/internal/trace"
 )
+
+// Cell is one dataset cell: the branch budget of a run and the workload's
+// dataset knobs.
+type Cell struct {
+	// Budget stops a run after this many branch events (0 = run the
+	// program to completion). Reaching it is normal completion.
+	Budget uint64
+	// Seed and Scale override the program's wseed and wscale globals
+	// (0 = the program's default).
+	Seed  int64
+	Scale int64
+}
+
+// FullScale is the wscale of a budgeted run that should end at its
+// budget, not when the program's default-size input runs out.
+const FullScale = 1 << 30
+
+// ErrDataset reports a Seed or Scale override the program cannot take.
+var ErrDataset = errors.New("dataset override")
+
+// Fill returns c with the overrides it leaves at the program's default
+// taken from seed and scale, each only where prog declares the global:
+// a program without wseed or wscale runs on its own dataset. Machine
+// refuses an override the program has no global for; Fill is for the
+// overrides a caller applies only to programs that have the knob.
+func (c Cell) Fill(prog *ir.Program, seed, scale int64) Cell {
+	if c.Seed == 0 && prog.Global("wseed") != nil {
+		c.Seed = seed
+	}
+	if c.Scale == 0 && prog.Global("wscale") != nil {
+		c.Scale = scale
+	}
+	return c
+}
+
+// maxSteps is the instruction backstop of a budgeted run: it bounds even
+// branch-free loops.
+func (c Cell) maxSteps() uint64 { return 512 * c.Budget }
+
+// Machine prepares a run of prog on the cell: the branch budget and its
+// step backstop, the seed and scale overrides, and ctx, which the run loop
+// polls, so a cancelled context stops the machine.
+func (c Cell) Machine(ctx context.Context, prog *ir.Program) (*exec.Machine, error) {
+	ep, _ := exec.Interp.Compile(prog) // the interpreter's compile never fails
+	m := ep.NewMachine()
+	m.SetContext(ctx, 0)
+	m.SetMaxBranches(c.Budget)
+	m.SetMaxSteps(c.maxSteps())
+	for _, g := range []struct {
+		name string
+		v    int64
+	}{{"wseed", c.Seed}, {"wscale", c.Scale}} {
+		if g.v == 0 {
+			continue
+		}
+		if err := m.SetGlobal(g.name, g.v); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrDataset, err)
+		}
+	}
+	return m, nil
+}
+
+// run executes m. A limit ends the run normally; truncated reports it.
+func run(m *exec.Machine) (truncated bool, err error) {
+	if _, err := m.Run(); err != nil {
+		if errors.Is(err, interp.ErrLimit) {
+			return true, nil
+		}
+		return false, err
+	}
+	return false, nil
+}
+
+// Recording is the record-once product of running a program on one cell:
+// its complete branch-event stream as a sealed slab, safe for concurrent
+// replay, and what the run observed. Immutable once returned.
+type Recording struct {
+	Slab *trace.Slab
+	exec.Counters
+	// Truncated reports that the run stopped at a limit instead of
+	// returning from main.
+	Truncated bool
+	// BlockCounts are the per-function, per-block execution counts (nil
+	// when the recording was decoded from a stored payload).
+	BlockCounts [][]uint64
+}
+
+// Record runs prog on the cell with its branch events going straight into
+// a slab, one append per branch.
+func Record(ctx context.Context, prog *ir.Program, cell Cell) (*Recording, error) {
+	m, err := cell.Machine(ctx, prog)
+	if err != nil {
+		return nil, err
+	}
+	m.EnableBlockCounts()
+	slab := trace.NewSlab(int(cell.Budget))
+	m.SetRec(slab)
+	truncated, err := run(m)
+	if err != nil {
+		return nil, err
+	}
+	slab.Seal()
+	return &Recording{Slab: slab, Counters: m.Counters(), Truncated: truncated, BlockCounts: m.BlockCounts()}, nil
+}
+
+// Measurement is what a run of a program on a recording's dataset
+// observed: its static prediction score, its output checksum and, for
+// measured clones, its per-site branch outcomes and per-block executions.
+type Measurement struct {
+	Predicted, Mispredicted uint64
+	Checksum                uint64
+	Counts                  *trace.Counts
+	BlockCounts             [][]uint64
+	// Walked reports that the program was walked along the recording
+	// instead of run.
+	Walked bool
+}
+
+// Rate is the misprediction percentage.
+func (m Measurement) Rate() float64 {
+	if m.Predicted == 0 {
+		return 0
+	}
+	return 100 * float64(m.Mispredicted) / float64(m.Predicted)
+}
+
+// Measure measures prog, the recorded program or a transformed clone of
+// it, on cell's dataset. Given walk, a recording of that cell, it walks
+// prog along it (replicate.Walk) instead of interpreting it: a clone
+// follows its original's block path, so the walk observes what a live run
+// would, and reports the recording's checksum. Pass walk only when the
+// caller takes no checksum from the result or the equivalence verifier
+// proved prog; a walk that leaves the recorded path then fails with
+// replicate.ErrWalkMismatch. Without walk, and where the walk cannot
+// reproduce the run's stop (replicate.ErrWalkFallback), prog runs live.
+func Measure(ctx context.Context, prog *ir.Program, cell Cell, walk *Recording) (Measurement, error) {
+	if walk != nil {
+		res, err := replicate.Walk(ctx, prog, walk.Slab, replicate.WalkLimits{
+			MaxBranches: cell.Budget, MaxSteps: cell.maxSteps(), Truncated: walk.Truncated,
+		})
+		if err == nil {
+			return Measurement{
+				Predicted: res.Predicted, Mispredicted: res.Mispredicted, Checksum: walk.Checksum,
+				Counts: res.Counts, BlockCounts: res.BlockCounts, Walked: true,
+			}, nil
+		}
+		if !errors.Is(err, replicate.ErrWalkFallback) {
+			return Measurement{}, err
+		}
+	}
+	m, err := cell.Machine(ctx, prog)
+	if err != nil {
+		return Measurement{}, err
+	}
+	counts := trace.NewCounts(prog.NumberBranches(false))
+	m.SetHook(interp.BranchHook(counts))
+	m.EnableBlockCounts()
+	if _, err := run(m); err != nil {
+		return Measurement{}, err
+	}
+	mc := m.Counters()
+	return Measurement{
+		Predicted: mc.Predicted, Mispredicted: mc.Mispredicted, Checksum: mc.Checksum,
+		Counts: counts, BlockCounts: m.BlockCounts(),
+	}, nil
+}
+
+// Profiled is a program with a recording of it on one cell and the
+// profile folded from that recording: what machine selection, the
+// baseline and the measurement of every clone read.
+type Profiled struct {
+	Prog  *ir.Program
+	Feats []predict.SiteFeatures
+	Cell  Cell
+	Rec   *Recording
+	Prof  *profile.Profile
+}
+
+// Profile numbers prog's branch sites, records it on the cell and folds
+// the recording into the paper's 9/9/3 profile.
+func Profile(ctx context.Context, prog *ir.Program, cell Cell) (*Profiled, error) {
+	nSites := prog.NumberBranches(true)
+	rec, err := Record(ctx, prog, cell)
+	if err != nil {
+		return nil, err
+	}
+	prof := profile.New(nSites, profile.Options{})
+	rec.Slab.ReplayInto(prof)
+	return &Profiled{Prog: prog, Feats: predict.Analyze(prog), Cell: cell, Rec: rec, Prof: prof}, nil
+}
+
+// Select chooses every site's strategy from the profile.
+func (p *Profiled) Select(opts statemachine.Options) []statemachine.Choice {
+	return statemachine.Select(p.Prof, p.Feats, opts)
+}
+
+// Preds is the profile's majority direction per site, the static
+// annotation of the baseline and of every replicated clone.
+func (p *Profiled) Preds() []ir.Prediction { return predict.ProfileStatic(p.Prof.Counts).Preds }
+
+// Baseline is the measured run of the recorded program annotated with
+// preds. replicate.Annotate changes only Term.Pred, so the annotated run
+// is the recording: preds scored over the recorded outcomes, with the
+// recording's checksum. StaticScore is order-insensitive, so folding the
+// profile's per-site totals scores it exactly as a replay would.
+func (p *Profiled) Baseline(preds []ir.Prediction) Measurement {
+	score := &predict.StaticScore{Preds: preds}
+	for site := range p.Prof.Counts.Taken {
+		score.RecordRun(int32(site), true, p.Prof.Counts.Taken[site])
+		score.RecordRun(int32(site), false, p.Prof.Counts.NotTaken[site])
+	}
+	return Measurement{Predicted: score.Predicted, Mispredicted: score.Mispredicted, Checksum: p.Rec.Checksum}
+}
+
+// Apply is a replication driver: replicate.ApplyOpts, or
+// replicate.ApplyJoint for the §6 joint machines.
+type Apply func(*ir.Program, []statemachine.Choice, []ir.Prediction, replicate.Options) (*replicate.Stats, error)
+
+// Transform applies choices to a clone of the program with apply and
+// returns the clone and the driver's stats, also on error (the stats then
+// carry the verifier's diagnostics).
+func (p *Profiled) Transform(apply Apply, choices []statemachine.Choice, preds []ir.Prediction, opts replicate.Options) (*ir.Program, *replicate.Stats, error) {
+	clone := ir.CloneProgram(p.Prog)
+	st, err := apply(clone, choices, preds, opts)
+	return clone, st, err
+}
 
 // Config parameterises a pipeline run.
 type Config struct {
@@ -30,14 +262,10 @@ type Config struct {
 	MaxPathLen int
 	// MaxSizeFactor bounds code growth (default 3; 0 = unlimited).
 	MaxSizeFactor float64
-	// Budget bounds each run's branch events (0 = run to completion).
+	// Budget, Seed and Scale are the dataset cell every run uses.
 	Budget uint64
-	// LocalK / GlobalK / PathM set the profile history lengths
-	// (defaults 9 / 9 / 3, the paper's).
-	LocalK, GlobalK, PathM int
-	// Globals are int globals set before every run (workload seeds and
-	// scales).
-	Globals map[string]int64
+	Seed   int64
+	Scale  int64
 }
 
 func (c *Config) setDefaults() {
@@ -62,69 +290,55 @@ type Result struct {
 	Choices []statemachine.Choice
 	// Stats reports what the replicator did.
 	Stats *replicate.Stats
-	// BaselineRate and ReplicatedRate are measured misprediction
-	// percentages (profile-annotated original vs transformed program).
-	BaselineRate, ReplicatedRate float64
-	// BaselineChecksum and ReplicatedChecksum prove semantic equivalence
-	// when the runs complete naturally (equal budgets make them
+	// Baseline and Replica are the measured runs of the profile-annotated
+	// original and of the transformed program. Equal checksums show the
+	// transform kept the program's semantics (equal budgets make them
 	// comparable under truncation too).
-	BaselineChecksum, ReplicatedChecksum uint64
+	Baseline, Replica Measurement
 }
 
 // SizeFactor is the measured code growth.
 func (r *Result) SizeFactor() float64 { return r.Stats.SizeFactor() }
+
+// Replicate is the pipeline after profiling: it selects machines under
+// sel, applies them to a clone with apply under opts, and measures the
+// baseline and the clone. A clone the verifier proved (opts.Verify) is
+// walked along the recording; any other clone runs live. A transform the
+// verifier rejects fails with replicate.ErrVerify, a walked clone that
+// leaves the recorded path with replicate.ErrWalkMismatch.
+func (p *Profiled) Replicate(ctx context.Context, sel statemachine.Options, apply Apply, opts replicate.Options) (*Result, error) {
+	choices := p.Select(sel)
+	preds := p.Preds()
+	clone, st, err := p.Transform(apply, choices, preds, opts)
+	if err != nil {
+		return nil, err
+	}
+	var walk *Recording
+	if st.Verified {
+		walk = p.Rec
+	}
+	repl, err := Measure(ctx, clone, p.Cell, walk)
+	if err != nil {
+		return nil, fmt.Errorf("core: measuring the replicated program: %w", err)
+	}
+	return &Result{
+		Original: p.Prog, Replicated: clone, Profile: p.Prof, Choices: choices, Stats: st,
+		Baseline: p.Baseline(preds), Replica: repl,
+	}, nil
+}
 
 // CompileBL compiles BL source text.
 func CompileBL(src string) (*ir.Program, error) { return lang.Compile(src) }
 
 // Run executes the full pipeline on a compiled program.
 func Run(prog *ir.Program, cfg Config) (*Result, error) {
-	cfg.setDefaults()
-	nSites := prog.NumberBranches(true)
-	prof := profile.New(nSites, profile.Options{
-		LocalK: cfg.LocalK, GlobalK: cfg.GlobalK, PathM: cfg.PathM,
-	})
-	if _, _, err := execute(prog, cfg, interp.BranchHook(prof), interp.SwitchHook(prof)); err != nil {
+	p, err := Profile(context.Background(), prog, Cell{Budget: cfg.Budget, Seed: cfg.Seed, Scale: cfg.Scale})
+	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
-
-	feats := predict.Analyze(prog)
-	choices := statemachine.Select(prof, feats, statemachine.Options{
-		MaxStates:  cfg.MaxStates,
-		MaxPathLen: cfg.MaxPathLen,
-	})
-	preds := predict.ProfileStatic(prof.Counts).Preds
-
-	baseline := ir.CloneProgram(prog)
-	replicate.Annotate(baseline, preds)
-	baseRate, baseSum, err := execute(baseline, cfg, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline run: %w", err)
-	}
-
-	clone := ir.CloneProgram(prog)
-	stats, err := replicate.ApplyOpts(clone, choices, preds, replicate.Options{
-		MaxSizeFactor: cfg.MaxSizeFactor,
-	})
-	if err != nil {
-		return nil, err
-	}
-	replRate, replSum, err := execute(clone, cfg, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: replicated run: %w", err)
-	}
-
-	return &Result{
-		Original:           prog,
-		Replicated:         clone,
-		Profile:            prof,
-		Choices:            choices,
-		Stats:              stats,
-		BaselineRate:       baseRate,
-		ReplicatedRate:     replRate,
-		BaselineChecksum:   baseSum,
-		ReplicatedChecksum: replSum,
-	}, nil
+	cfg.setDefaults()
+	return p.Replicate(context.Background(), statemachine.Options{MaxStates: cfg.MaxStates, MaxPathLen: cfg.MaxPathLen},
+		replicate.ApplyOpts, replicate.Options{MaxSizeFactor: cfg.MaxSizeFactor})
 }
 
 // RunBL compiles and runs the pipeline on BL source.
@@ -134,23 +348,4 @@ func RunBL(src string, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return Run(prog, cfg)
-}
-
-func execute(prog *ir.Program, cfg Config, hook interp.BranchFunc, swHook interp.SwitchFunc) (rate float64, checksum uint64, err error) {
-	m := interp.New(prog)
-	m.MaxBranches = cfg.Budget
-	m.Hook = hook
-	m.SwHook = swHook
-	for name, v := range cfg.Globals {
-		if err := m.SetGlobal(name, v); err != nil {
-			return 0, 0, err
-		}
-	}
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
-		return 0, 0, err
-	}
-	if m.Predicted > 0 {
-		rate = 100 * float64(m.Mispredicted) / float64(m.Predicted)
-	}
-	return rate, m.Checksum, nil
 }

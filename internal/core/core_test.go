@@ -23,13 +23,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BaselineRate < 20 {
-		t.Fatalf("baseline %.2f%%, expected ~25%%", res.BaselineRate)
+	if res.Baseline.Rate() < 20 {
+		t.Fatalf("baseline %.2f%%, expected ~25%%", res.Baseline.Rate())
 	}
-	if res.ReplicatedRate > 0.5 {
-		t.Fatalf("replicated %.2f%%, expected ~0%%", res.ReplicatedRate)
+	if res.Replica.Rate() > 0.5 {
+		t.Fatalf("replicated %.2f%%, expected ~0%%", res.Replica.Rate())
 	}
-	if res.BaselineChecksum != res.ReplicatedChecksum {
+	if res.Baseline.Checksum != res.Replica.Checksum {
 		t.Fatal("checksum changed")
 	}
 	if res.SizeFactor() <= 1 || res.SizeFactor() > 3 {
@@ -73,8 +73,8 @@ func main() int {
     return s;
 }`
 	res, err := RunBL(src, Config{
-		Budget:  50_000,
-		Globals: map[string]int64{"wseed": 7},
+		Budget: 50_000,
+		Seed:   7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestPipelineErrors(t *testing.T) {
 	if _, err := RunBL("func main() int { return 1/0; }", Config{}); err == nil {
 		t.Fatal("want runtime error")
 	}
-	_, err := RunBL(alternating, Config{Globals: map[string]int64{"nope": 1}})
-	if err == nil || !strings.Contains(err.Error(), "nope") {
+	_, err := RunBL(alternating, Config{Scale: 2})
+	if err == nil || !strings.Contains(err.Error(), "wscale") {
 		t.Fatalf("want unknown-global error, got %v", err)
 	}
 }

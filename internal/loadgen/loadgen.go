@@ -20,8 +20,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/interp"
-	"repro/internal/trace"
+	"repro/internal/core"
 )
 
 // LoadOptions parameterises Load, the service's load-generator client.
@@ -291,17 +290,12 @@ func recordTraceB64(workload string, budget uint64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m := interp.New(c.Prog)
-	m.MaxBranches = budget
-	_ = m.SetGlobal("wscale", 1<<30)
-	slab := trace.NewSlab(int(budget))
-	m.Rec = slab
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+	rec, err := core.Record(context.Background(), c.Prog, core.Cell{Budget: budget}.Fill(c.Prog, 0, core.FullScale))
+	if err != nil {
 		return "", err
 	}
-	slab.Seal()
 	var buf bytes.Buffer
-	if _, err := slab.WriteTo(&buf); err != nil {
+	if _, err := rec.Slab.WriteTo(&buf); err != nil {
 		return "", err
 	}
 	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil

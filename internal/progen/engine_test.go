@@ -24,10 +24,10 @@ func runPipeline(seed int64) (pipelineObs, error) {
 		return pipelineObs{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
 	return pipelineObs{
-		baselineRate:       res.BaselineRate,
-		replicatedRate:     res.ReplicatedRate,
-		baselineChecksum:   res.BaselineChecksum,
-		replicatedChecksum: res.ReplicatedChecksum,
+		baselineRate:       res.Baseline.Rate(),
+		replicatedRate:     res.Replica.Rate(),
+		baselineChecksum:   res.Baseline.Checksum,
+		replicatedChecksum: res.Replica.Checksum,
 		sizeFactor:         res.SizeFactor(),
 		choices:            len(res.Choices),
 	}, nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/diskstore"
+	"repro/internal/ir"
 	"repro/internal/runner"
 	"repro/internal/trace"
 )
@@ -41,20 +42,29 @@ type tieredStore struct {
 	fetchPeer func(key string) ([]byte, bool)
 }
 
-// Do implements runner.Store.
+// Do implements runner.Store over the memory tier.
 func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
-	if kindOf(key) != "art" || (t.disk == nil && t.fetchPeer == nil) {
-		return t.mem.Do(key, fn)
+	return t.mem.Do(key, fn)
+}
+
+// artifact is Do for the artifact under key, of a program whose
+// recordings outcomes bounds (outcomeBounds): on a memory miss it opens
+// the disk entry, then asks a peer, and only then records. A payload that
+// does not decode or does not fit the program is a miss; a recomputed
+// artifact overwrites its disk entry.
+func (t *tieredStore) artifact(key string, outcomes []int32, record func() (*artifact, error)) (*artifact, error) {
+	if t.disk == nil && t.fetchPeer == nil {
+		return runner.Cached(t.mem, key, record)
 	}
-	return t.mem.Do(key, func() (any, error) {
+	return runner.Cached(t.mem, key, func() (*artifact, error) {
 		if t.disk != nil {
-			if art, ok := t.loadDisk(key); ok {
+			if art, ok := t.loadDisk(key, outcomes); ok {
 				return art, nil
 			}
 		}
 		if t.fetchPeer != nil {
 			if raw, ok := t.fetchPeer(key); ok {
-				if art, err := decodeArtifact(raw, nil); err == nil {
+				if art, err := decodeArtifact(raw, nil, outcomes); err == nil {
 					if t.disk != nil {
 						_ = t.disk.Put(key, raw)
 					}
@@ -62,13 +72,13 @@ func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
 				}
 			}
 		}
-		v, err := fn()
-		if art, ok := v.(*artifact); ok && err == nil && t.disk != nil {
+		art, err := record()
+		if err == nil && t.disk != nil {
 			// A failed write is counted by the disk store and otherwise
 			// ignored: the artifact is already in memory.
 			_ = t.disk.Put(key, encodeArtifact(art))
 		}
-		return v, err
+		return art, err
 	})
 }
 
@@ -81,14 +91,14 @@ func kindOf(key string) string {
 }
 
 // loadDisk opens an artifact's disk entry. A payload that no longer
-// decodes (format drift between releases) is just a miss; the recomputed
-// value overwrites it.
-func (t *tieredStore) loadDisk(key string) (*artifact, bool) {
+// decodes (format drift between releases) or does not fit the program is
+// just a miss; the recomputed value overwrites it.
+func (t *tieredStore) loadDisk(key string, outcomes []int32) (*artifact, bool) {
 	m, ok := t.disk.Map(key)
 	if !ok {
 		return nil, false
 	}
-	art, err := decodeArtifact(m.Data, m)
+	art, err := decodeArtifact(m.Data, m, outcomes)
 	if err != nil {
 		m.Close()
 		return nil, false
@@ -113,26 +123,28 @@ func (t *tieredStore) artifactPayload(key string) ([]byte, bool) {
 // its own CRC on every read; this one keeps a payload fetched from a peer
 // checked end to end too.
 func encodeArtifact(a *artifact) []byte {
-	buf := make([]byte, 0, 64+a.slab.EncodedBytes())
-	buf = binary.AppendUvarint(buf, a.branches)
-	buf = binary.AppendUvarint(buf, a.steps)
-	buf = binary.AppendUvarint(buf, a.checksum)
-	if a.truncated {
+	buf := make([]byte, 0, 64+a.Slab.EncodedBytes())
+	buf = binary.AppendUvarint(buf, a.Branches)
+	buf = binary.AppendUvarint(buf, a.Steps)
+	buf = binary.AppendUvarint(buf, a.Checksum)
+	if a.Truncated {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
 	w := bytes.NewBuffer(buf)
-	a.slab.WriteTo(w) // a bytes.Buffer never fails a write
+	a.Slab.WriteTo(w) // a bytes.Buffer never fails a write
 	return binary.LittleEndian.AppendUint32(w.Bytes(), crc32.ChecksumIEEE(w.Bytes()))
 }
 
-// decodeArtifact opens an encoded artifact. The stream goes through
+// decodeArtifact opens an encoded artifact of a program whose recordings
+// outcomes bounds (outcomeBounds). The stream goes through
 // trace.AdoptStream, the validating pass uploads take, so a payload that
-// would panic on replay is an error here, never a slab; the slab's event
-// bytes alias data. When data is a mapping, pin keeps it alive for the
-// artifact's lifetime; pass nil for plain in-memory bytes.
-func decodeArtifact(data []byte, pin *diskstore.Mapped) (*artifact, error) {
+// would panic on replay, or whose events the program cannot produce, is
+// an error here, never a slab; the slab's event bytes alias data. When
+// data is a mapping, pin keeps it alive for the artifact's lifetime; pass
+// nil for plain in-memory bytes.
+func decodeArtifact(data []byte, pin *diskstore.Mapped, outcomes []int32) (*artifact, error) {
 	if len(data) < crc32.Size {
 		return nil, fmt.Errorf("service: truncated artifact")
 	}
@@ -154,12 +166,61 @@ func decodeArtifact(data []byte, pin *diskstore.Mapped) (*artifact, error) {
 	if i >= len(body) {
 		return nil, fmt.Errorf("service: truncated artifact header")
 	}
-	a.branches, a.steps, a.checksum = vals[0], vals[1], vals[2]
-	a.truncated = body[i] == 1
-	slab, err := trace.AdoptStream(body[i+1:], trace.Limits{}, nil)
+	a.Branches, a.Steps, a.Checksum = vals[0], vals[1], vals[2]
+	a.Truncated = body[i] == 1
+	fit := &fits{outcomes: outcomes}
+	slab, err := trace.AdoptStream(body[i+1:], trace.Limits{}, fit)
 	if err != nil {
 		return nil, err
 	}
-	a.slab = slab
+	if fit.err != nil {
+		return nil, fit.err
+	}
+	a.Slab = slab
 	return a, nil
 }
+
+// outcomeBounds is, per branch site of prog (nsites of them), how many
+// switch outcomes a recording of prog can name there: a switch's cases
+// plus its default, none at a conditional branch. A stored artifact naming
+// a site past the table or an outcome past its bound is not a recording
+// of prog; replaying it would index past the profile's tables or grow a
+// target row without bound.
+func outcomeBounds(prog *ir.Program, nsites int) []int32 {
+	b := make([]int32, nsites)
+	for _, f := range prog.Funcs {
+		for _, blk := range f.Blocks {
+			if t := &blk.Term; t.Op == ir.TermSwitch {
+				b[t.Site] = int32(len(t.Targets)) + 1
+			}
+		}
+	}
+	return b
+}
+
+// fits is the collector of decodeArtifact's validating pass: it keeps the
+// first event that the program cannot produce (see outcomeBounds).
+type fits struct {
+	outcomes []int32
+	err      error
+}
+
+func (f *fits) RecordBranch(site int32, _ bool) { f.RecordRun(site, false, 1) }
+
+func (f *fits) RecordRun(site int32, _ bool, _ uint64) {
+	if int(site) >= len(f.outcomes) && f.err == nil {
+		f.err = fmt.Errorf("service: artifact names site %d of a %d-site program", site, len(f.outcomes))
+	}
+}
+
+func (f *fits) RecordSwitch(site, outcome int32) {
+	switch {
+	case f.err != nil:
+	case int(site) >= len(f.outcomes):
+		f.RecordRun(site, false, 1)
+	case outcome >= f.outcomes[site]:
+		f.err = fmt.Errorf("service: artifact names outcome %d at site %d, which has %d", outcome, site, f.outcomes[site])
+	}
+}
+
+func (f *fits) RecordSwitchRun(site, outcome int32, _ uint64) { f.RecordSwitch(site, outcome) }

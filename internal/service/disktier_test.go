@@ -8,7 +8,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/diskstore"
+	"repro/internal/exec"
 	"repro/internal/trace"
 )
 
@@ -29,9 +31,30 @@ func corruptArtifact() []byte {
 	return binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(events))
 }
 
+// slabArtifact encodes a payload holding the events rec writes, with the
+// counters of a 2-branch run.
+func slabArtifact(rec func(s *trace.Slab)) []byte {
+	s := trace.NewSlab(0)
+	rec(s)
+	s.Seal()
+	return encodeArtifact(&artifact{Recording: core.Recording{Slab: s, Counters: exec.Counters{Branches: 2, Steps: 10}}})
+}
+
+// foreignSite and foreignOutcome are well-formed payloads whose events no
+// recording of a program of fewer than 2^30 sites without a switch of
+// 2^31-1 cases can hold: a site past the program's, and a switch outcome
+// near 2^31 at site 0.
+func foreignSite() []byte {
+	return slabArtifact(func(s *trace.Slab) { s.Record(0, true); s.Record(1<<30, false) })
+}
+
+func foreignOutcome() []byte {
+	return slabArtifact(func(s *trace.Slab) { s.Record(0, true); s.RecordSwitch(0, 1<<31-1) })
+}
+
 // TestDiskTierCorruptSlabIsMiss restarts a server over a disk entry whose
-// slab container has a valid CRC but broken event bytes: the disk tier
-// must treat it as a miss and record again, answering exactly as the
+// payload has a valid CRC but cannot be the program's recording: the disk
+// tier must treat it as a miss and record again, answering exactly as the
 // first server did rather than failing the request.
 func TestDiskTierCorruptSlabIsMiss(t *testing.T) {
 	for _, c := range []struct {
@@ -43,6 +66,8 @@ func TestDiskTierCorruptSlabIsMiss(t *testing.T) {
 		// wrote is a miss too.
 		{"older layout", corruptArtifact()},
 		{"stream cut mid-varint", corruptStreamArtifact()},
+		{"site past the program", foreignSite()},
+		{"outcome past the site", foreignOutcome()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -142,8 +167,14 @@ func testArtifact() *artifact {
 	s.RecordSwitchRun(3, 1, 4000)
 	s.RecordRun(2, false, 1)
 	s.Seal()
-	return &artifact{slab: s, branches: 9_301, steps: 123_456, checksum: 0xdeadbeef, truncated: true}
+	return &artifact{Recording: core.Recording{
+		Slab: s, Counters: exec.Counters{Branches: 9_301, Steps: 123_456, Checksum: 0xdeadbeef}, Truncated: true,
+	}}
 }
+
+// testOutcomes bounds the program testArtifact records: 97 sites, the
+// first five switches of three cases and a default.
+var testOutcomes = []int32{4, 4, 4, 4, 4, 96: 0}
 
 // TestArtifactSwitchRoundTrip: an artifact whose slab holds switch events
 // decodes to the same counters and events, and encodes back to the same
@@ -151,14 +182,14 @@ func testArtifact() *artifact {
 func TestArtifactSwitchRoundTrip(t *testing.T) {
 	want := testArtifact()
 	data := encodeArtifact(want)
-	got, err := decodeArtifact(data, nil)
+	got, err := decodeArtifact(data, nil, testOutcomes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.branches != want.branches || got.steps != want.steps || got.checksum != want.checksum || got.truncated != want.truncated {
+	if got.Counters != want.Counters || got.Truncated != want.Truncated {
 		t.Fatalf("counters %+v, want %+v", got, want)
 	}
-	if got.slab.Len() != want.slab.Len() || !reflect.DeepEqual(got.slab.Events(), want.slab.Events()) {
+	if got.Slab.Len() != want.Slab.Len() || !reflect.DeepEqual(got.Slab.Events(), want.Slab.Events()) {
 		t.Fatal("decoded slab's events differ from the recorded ones")
 	}
 	if !bytes.Equal(encodeArtifact(got), data) {
@@ -181,12 +212,12 @@ func TestArtifactZeroCopy(t *testing.T) {
 		t.Fatal("entry not mapped")
 	}
 	defer m.Close()
-	a, err := decodeArtifact(m.Data, m)
+	a, err := decodeArtifact(m.Data, m, testOutcomes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The slab's buffer is unexported; reflection reads its address.
-	buf := reflect.ValueOf(a.slab).Elem().FieldByName("buf")
+	buf := reflect.ValueOf(a.Slab).Elem().FieldByName("buf")
 	lo := reflect.ValueOf(m.Data).Pointer()
 	if p := buf.Pointer(); buf.Len() == 0 || p < lo || p+uintptr(buf.Len()) > lo+uintptr(len(m.Data)) {
 		t.Fatal("decoded slab copied the event bytes instead of aliasing the mapping")
@@ -211,12 +242,26 @@ func TestArtifactRejects(t *testing.T) {
 		{"stream cut mid-varint", corruptStreamArtifact()},
 		{"footer count differs", withCRC(artifactStream(0x03, 0x00, 0x02))},
 		{"older layout", corruptArtifact()},
+		{"site past the program", slabArtifact(func(s *trace.Slab) { s.Record(96, true); s.Record(97, true) })},
+		{"site past the program, in a run", slabArtifact(func(s *trace.Slab) { s.RecordRun(97, false, 9) })},
+		{"switch past the program", slabArtifact(func(s *trace.Slab) { s.RecordSwitch(97, 0) })},
+		{"outcome past the site", slabArtifact(func(s *trace.Slab) { s.RecordSwitch(2, 3); s.RecordSwitch(2, 4) })},
+		{"outcome near 2^31", slabArtifact(func(s *trace.Slab) { s.RecordSwitchRun(2, 1<<31-1, 7) })},
+		{"switch event at a branch", slabArtifact(func(s *trace.Slab) { s.RecordSwitch(5, 0) })},
+		{"site past an empty program", foreignSite()},
 	} {
-		if a, err := decodeArtifact(c.payload, nil); err == nil {
-			t.Errorf("%s: decoded to a %d-event artifact", c.name, a.slab.Len())
+		if a, err := decodeArtifact(c.payload, nil, testOutcomes); err == nil {
+			t.Errorf("%s: decoded to a %d-event artifact", c.name, a.Slab.Len())
 		}
 	}
-	if _, err := decodeArtifact(withCRC(artifactStream(0x03, 0x00, 0x01)), nil); err != nil {
+	if _, err := decodeArtifact(slabArtifact(func(s *trace.Slab) {
+		s.Record(96, true)
+		s.RecordSwitch(2, 3)
+		s.RecordSwitchRun(4, 0, 5)
+	}), nil, testOutcomes); err != nil {
+		t.Fatalf("events at the program's last site and outcomes: %v", err)
+	}
+	if _, err := decodeArtifact(withCRC(artifactStream(0x03, 0x00, 0x01)), nil, testOutcomes); err != nil {
 		t.Fatalf("the well-formed twin of the rejected payloads: %v", err)
 	}
 }
@@ -231,13 +276,16 @@ func (e *eventTally) RecordSwitchRun(_, _ int32, n uint64) { e.n += n }
 
 // FuzzDecodeArtifact mutates artifact payloads, recomputing the trailing
 // CRC so the mutations reach the counters and the stream. Any bytes must
-// give an error or an artifact whose slab replays without a panic, holds
-// as many events as it claims, and encodes back to a payload that decodes
-// to the same artifact.
+// give an error or an artifact whose slab replays without a panic into
+// the program's branch counts and target distribution, holds as many
+// events as it claims, and encodes back to a payload that decodes to the
+// same artifact.
 func FuzzDecodeArtifact(f *testing.F) {
 	empty := trace.NewSlab(0)
 	empty.Seal()
-	f.Add(encodeArtifact(&artifact{slab: empty}))
+	f.Add(encodeArtifact(&artifact{Recording: core.Recording{Slab: empty}}))
+	f.Add(foreignSite())
+	f.Add(foreignOutcome())
 	f.Add(encodeArtifact(testArtifact()))
 	f.Add(corruptStreamArtifact())
 	f.Add(corruptArtifact())
@@ -246,26 +294,22 @@ func FuzzDecodeArtifact(f *testing.F) {
 			body := data[:len(data)-crc32.Size]
 			binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
 		}
-		a, err := decodeArtifact(data, nil)
+		a, err := decodeArtifact(data, nil, testOutcomes)
 		if err != nil {
 			return
 		}
 		var tally eventTally
-		var max trace.MaxSite
-		a.slab.ReplayInto(&tally, &max)
-		if tally.n != a.slab.Len() {
-			t.Fatalf("replayed %d events, slab holds %d", tally.n, a.slab.Len())
-		}
-		if max.N <= 1<<16 {
-			a.slab.ReplayInto(trace.NewCounts(max.N))
+		a.Slab.ReplayInto(&tally, trace.NewCounts(len(testOutcomes)), trace.NewTargetCounts(len(testOutcomes)))
+		if tally.n != a.Slab.Len() {
+			t.Fatalf("replayed %d events, slab holds %d", tally.n, a.Slab.Len())
 		}
 		enc := encodeArtifact(a)
-		b, err := decodeArtifact(enc, nil)
+		b, err := decodeArtifact(enc, nil, testOutcomes)
 		if err != nil {
 			t.Fatalf("re-encoded artifact does not decode: %v", err)
 		}
-		if b.branches != a.branches || b.steps != a.steps || b.checksum != a.checksum ||
-			b.truncated != a.truncated || b.slab.Len() != a.slab.Len() || !bytes.Equal(encodeArtifact(b), enc) {
+		if b.Counters != a.Counters || b.Truncated != a.Truncated || b.Slab.Len() != a.Slab.Len() ||
+			!bytes.Equal(encodeArtifact(b), enc) {
 			t.Fatal("re-encoded artifact decodes to a different one")
 		}
 	})

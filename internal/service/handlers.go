@@ -8,8 +8,8 @@ import (
 	"net/http"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/diskstore"
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -79,17 +79,22 @@ type compiled struct {
 	key    string // content hash of the program, reused in derived keys
 	nsites int
 	feats  []predict.SiteFeatures
+	// outcomes bounds the events a recording of prog can hold (see
+	// outcomeBounds); stored artifacts are checked against it.
+	outcomes []int32
 }
 
-// artifact is the record-once product of one (program, budget, seed,
-// scale) cell: the sealed branch trace plus run counters. Immutable; a
-// sealed slab is safe for concurrent replay.
+// newCompiled numbers prog's branch sites and derives what every request
+// reads of it.
+func newCompiled(prog *ir.Program, name, key string) *compiled {
+	n := prog.NumberBranches(true)
+	return &compiled{prog: prog, name: name, key: key, nsites: n, feats: predict.Analyze(prog), outcomes: outcomeBounds(prog, n)}
+}
+
+// artifact is the recording of one (program, budget, seed, scale) cell.
+// Immutable; a sealed slab is safe for concurrent replay.
 type artifact struct {
-	slab      *trace.Slab
-	branches  uint64
-	steps     uint64
-	checksum  uint64
-	truncated bool
+	core.Recording
 	// pin holds the disk mapping the slab's event bytes alias, when the
 	// artifact was opened zero-copy from the disk tier; it keeps the
 	// mapping alive exactly as long as the artifact.
@@ -123,11 +128,11 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 			if err != nil {
 				return nil, &httpError{http.StatusBadRequest, err.Error()}
 			}
-			c, err := bench.Compile(w)
+			prog, err := lang.Compile(w.Source)
 			if err != nil {
 				return nil, err
 			}
-			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, feats: c.Features}, nil
+			return newCompiled(prog, w.Name, key), nil
 		})
 	case req.Source != "":
 		key := contentKey("prog", "source", req.Source)
@@ -136,8 +141,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 			if err != nil {
 				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
 			}
-			n := prog.NumberBranches(true)
-			return &compiled{prog: prog, name: "source", key: key, nsites: n, feats: predict.Analyze(prog)}, nil
+			return newCompiled(prog, "source", key), nil
 		})
 	default:
 		return nil, badRequest("request needs a workload or source program")
@@ -156,56 +160,26 @@ func (s *Server) budgetFor(req *Request) (uint64, error) {
 	return b, nil
 }
 
-// newMachine prepares an interpreter run of prog, which is c's program or
-// a transformed clone of it, under the request's dataset knobs. The context
-// is threaded into the run loop, so a disconnected client or an expired
-// deadline stops the machine. The step backstop bounds even branch-free
-// loops.
-func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, budget uint64, req *Request) (*exec.Machine, error) {
-	ep, _ := exec.Interp.Compile(prog) // the interpreter's compile never fails
-	m := ep.NewMachine()
-	m.SetContext(ctx, 0)
-	m.SetMaxBranches(budget)
-	m.SetMaxSteps(stepBackstop(budget))
-	if req.Seed != 0 {
-		if err := m.SetGlobal("wseed", req.Seed); err != nil {
-			return nil, badRequest("seed override: program %s has no wseed global", c.name)
-		}
+// cellFor is the request's dataset cell for c. A seed or scale override
+// c's program cannot take fails the run with core.ErrDataset, a 400. A
+// budgeted run should not finish early: built-in workloads scale via
+// wscale, and ad-hoc programs need not declare it.
+func cellFor(c *compiled, budget uint64, req *Request) core.Cell {
+	cell := core.Cell{Budget: budget, Seed: req.Seed, Scale: req.Scale}
+	if budget != 0 {
+		cell = cell.Fill(c.prog, 0, core.FullScale)
 	}
-	switch {
-	case req.Scale != 0:
-		if err := m.SetGlobal("wscale", req.Scale); err != nil {
-			return nil, badRequest("scale override: program %s has no wscale global", c.name)
-		}
-	case budget != 0:
-		// Budgeted runs should not finish early; built-in workloads scale
-		// via wscale, ad-hoc programs need not declare it.
-		_ = m.SetGlobal("wscale", 1<<30)
-	}
-	return m, nil
-}
-
-// stepBackstop is the instruction limit of every run under a branch
-// budget: it bounds even branch-free loops.
-func stepBackstop(budget uint64) uint64 { return 512 * budget }
-
-// runMachine executes m, treating the branch budget as normal completion.
-func runMachine(m *exec.Machine) (truncated bool, err error) {
-	if _, err := m.Run(); err != nil {
-		if errors.Is(err, interp.ErrLimit) {
-			return true, nil
-		}
-		return false, err
-	}
-	return false, nil
+	return cell
 }
 
 // programFault makes a failure of the request's own program a 400: a trap
-// (division by zero, an out-of-bounds index) or an unrunnable main is the
-// client's program at fault, not the daemon. Other errors pass through.
+// (division by zero, an out-of-bounds index), an unrunnable main or a
+// dataset override the program has no global for is the client's program
+// at fault, not the daemon. Other errors pass through.
 func programFault(err error) error {
 	var trap *interp.RuntimeError
-	if errors.As(err, &trap) || errors.Is(err, interp.ErrNoMain) || errors.Is(err, interp.ErrMainParams) {
+	if errors.As(err, &trap) || errors.Is(err, interp.ErrNoMain) || errors.Is(err, interp.ErrMainParams) ||
+		errors.Is(err, core.ErrDataset) {
 		return &httpError{http.StatusBadRequest, err.Error()}
 	}
 	return err
@@ -219,29 +193,15 @@ func programFault(err error) error {
 // (the store drops errors), so a retry after a timeout starts clean.
 func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*artifact, error) {
 	key := artifactKey(c.key, budget, req)
-	return runner.Cached(s.store, key, func() (*artifact, error) {
+	return s.store.artifact(key, c.outcomes, func() (*artifact, error) {
 		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
-		m, err := s.newMachine(rctx, c, c.prog, budget, req)
-		if err != nil {
-			return nil, err
-		}
-		slab := trace.NewSlab(int(budget))
-		m.SetRec(slab)
-		truncated, err := runMachine(m)
+		rec, err := core.Record(rctx, c.prog, cellFor(c, budget, req))
 		if err != nil {
 			return nil, programFault(err)
 		}
-		slab.Seal()
-		s.eng.CountRecord(int64(slab.Len()))
-		mc := m.Counters()
-		return &artifact{
-			slab:      slab,
-			branches:  mc.Branches,
-			steps:     mc.Steps,
-			checksum:  mc.Checksum,
-			truncated: truncated,
-		}, nil
+		s.eng.CountRecord(int64(rec.Slab.Len()))
+		return &artifact{Recording: *rec}, nil
 	})
 }
 
@@ -259,9 +219,9 @@ func (s *Server) profileFor(ctx context.Context, c *compiled, req *Request, budg
 	}
 	key := contentKey("prof", c.key, field(budget, req.Seed, req.Scale))
 	prof, err := runner.Cached(s.store, key, func() (*profile.Profile, error) {
-		p := profile.New(c.nsites, profile.Options{LocalK: 9, GlobalK: 9, PathM: 3})
-		art.slab.ReplayInto(p)
-		s.eng.CountReplay(int64(art.slab.Len()))
+		p := profile.New(c.nsites, profile.Options{})
+		art.Slab.ReplayInto(p)
+		s.eng.CountReplay(int64(art.Slab.Len()))
 		return p, nil
 	})
 	if err != nil {
@@ -319,10 +279,10 @@ func (s *Server) handleProfile(ctx context.Context, req *Request) (any, error) {
 		Kind:      "profile",
 		Program:   c.name,
 		NumSites:  c.nsites,
-		Events:    art.branches,
-		Steps:     art.steps,
-		Checksum:  art.checksum,
-		Truncated: art.truncated,
+		Events:    art.Branches,
+		Steps:     art.Steps,
+		Checksum:  art.Checksum,
+		Truncated: art.Truncated,
 		Profile:   rateBlock(r.Misses, r.Total),
 	}
 	for site := int32(0); site < int32(c.nsites); site++ {
@@ -419,7 +379,7 @@ func (s *Server) handleMachines(ctx context.Context, req *Request) (any, error) 
 		Kind:       "machines",
 		Program:    c.name,
 		NumSites:   c.nsites,
-		Events:     art.branches,
+		Events:     art.Branches,
 		States:     states,
 		MaxPathLen: pathLen,
 		Aggregate:  rateBlock(misses, total),
@@ -514,25 +474,6 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	choices := statemachine.Select(prof, c.feats, statemachine.Options{
-		MaxStates:  states,
-		MaxPathLen: pathLen,
-	})
-	preds := predict.ProfileStatic(prof.Counts).Preds
-
-	// The annotated baseline differs from the recorded program only in its
-	// Pred annotations, so its run is the recording: the prediction vector
-	// scored over the trace, with the recording's checksum. StaticScore is
-	// order-insensitive, so folding in the trace's per-site totals — the
-	// profile's counts, replayed from this slab — scores it exactly as a
-	// second replay would.
-	score := &predict.StaticScore{Preds: preds}
-	for site := range prof.Counts.Taken {
-		score.RecordRun(int32(site), true, prof.Counts.Taken[site])
-		score.RecordRun(int32(site), false, prof.Counts.NotTaken[site])
-	}
-	base := MeasuredRun{RateBlock: rateBlock(score.Mispredicted, score.Predicted), Checksum: art.checksum}
-
 	ropts := replicate.Options{MaxSizeFactor: sizeFactor, Verify: req.Check}
 	if req.StaticBudget {
 		// The "budget: static" mode: sites the dataflow analysis proved
@@ -544,38 +485,43 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 		}
 		ropts.StaticSkip = rep.DecidedSites()
 	}
-
-	clone := ir.CloneProgram(c.prog)
-	apply := replicate.ApplyOpts
+	apply := core.Apply(replicate.ApplyOpts)
 	if req.Joint {
 		apply = replicate.ApplyJoint
 	}
-	st, err := apply(clone, choices, preds, ropts)
+	if mutate := s.mutateClone; mutate != nil {
+		transform := apply
+		apply = func(clone *ir.Program, choices []statemachine.Choice, preds []ir.Prediction, o replicate.Options) (*replicate.Stats, error) {
+			st, err := transform(clone, choices, preds, o)
+			if err == nil {
+				mutate(clone)
+			}
+			return st, err
+		}
+	}
+	p := &core.Profiled{Prog: c.prog, Feats: c.feats, Cell: cellFor(c, budget, req), Rec: &art.Recording, Prof: prof}
+	res, err := p.Replicate(ctx, statemachine.Options{MaxStates: states, MaxPathLen: pathLen}, apply, ropts)
 	if err != nil {
-		if errors.Is(err, replicate.ErrVerify) {
-			// The transform produced a program the verifier cannot prove
-			// equivalent — a daemon-side fault, never the client's.
+		if errors.Is(err, replicate.ErrVerify) || errors.Is(err, replicate.ErrWalkMismatch) {
+			// The verifier could not prove the transform, or the verified
+			// clone left the recorded path: a daemon-side fault, never the
+			// client's.
 			s.verifyFail.Add(1)
 			return nil, &httpError{http.StatusInternalServerError, err.Error()}
 		}
 		return nil, err
 	}
-	if s.mutateClone != nil {
-		s.mutateClone(clone)
+	if res.Replica.Walked {
+		s.eng.CountWalk()
+	} else {
+		s.eng.CountLiveRun()
 	}
-	repl, err := s.measureClone(ctx, c, clone, st.Verified, art, budget, req)
-	if err != nil {
-		if errors.Is(err, replicate.ErrWalkMismatch) {
-			// The verified clone left the recorded path: the walk refutes
-			// the transform, again a daemon-side fault.
-			s.verifyFail.Add(1)
-			return nil, &httpError{http.StatusInternalServerError, err.Error()}
-		}
-		return nil, err
-	}
+	st := res.Stats
 	if st.Verified {
 		s.verifyOK.Add(1)
 	}
+	base := MeasuredRun{RateBlock: rateBlock(res.Baseline.Mispredicted, res.Baseline.Predicted), Checksum: res.Baseline.Checksum}
+	repl := MeasuredRun{RateBlock: rateBlock(res.Replica.Mispredicted, res.Replica.Predicted), Checksum: res.Replica.Checksum}
 
 	resp := &ReplicateResponse{
 		SchemaV:           Schema,
@@ -599,42 +545,9 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 	resp.Machines.Skipped = st.Skipped
 	resp.Machines.StaticSkipped = st.StaticSkipped
 	if req.IncludeIR {
-		resp.IR = clone.String()
+		resp.IR = res.Replicated.String()
 	}
 	return resp, nil
-}
-
-// measureClone measures a transformed clone on the request's dataset. A
-// clone the equivalence verifier proved (verified) is walked along the
-// recorded trace: its bodies are verbatim copies of the original's, so
-// once the walk also confirms the recorded path, its output is the
-// recording's and so is its checksum. Any other clone, and any run whose
-// stop the walk cannot reproduce, runs live. A walk that leaves the
-// recorded path fails with replicate.ErrWalkMismatch.
-func (s *Server) measureClone(ctx context.Context, c *compiled, clone *ir.Program, verified bool,
-	art *artifact, budget uint64, req *Request) (MeasuredRun, error) {
-	if verified {
-		res, err := replicate.Walk(ctx, clone, art.slab, replicate.WalkLimits{
-			MaxBranches: budget, MaxSteps: stepBackstop(budget), Truncated: art.truncated,
-		})
-		if err == nil {
-			s.eng.CountWalk()
-			return MeasuredRun{RateBlock: rateBlock(res.Mispredicted, res.Predicted), Checksum: art.checksum}, nil
-		}
-		if !errors.Is(err, replicate.ErrWalkFallback) {
-			return MeasuredRun{}, err
-		}
-	}
-	m, err := s.newMachine(ctx, c, clone, budget, req)
-	if err != nil {
-		return MeasuredRun{}, err
-	}
-	if _, err := runMachine(m); err != nil {
-		return MeasuredRun{}, err
-	}
-	s.eng.CountLiveRun()
-	mc := m.Counters()
-	return MeasuredRun{RateBlock: rateBlock(mc.Mispredicted, mc.Predicted), Checksum: mc.Checksum}, nil
 }
 
 // --- POST /v1/score -----------------------------------------------------
@@ -688,7 +601,7 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		slab, source = art.slab, c.name
+		slab, source = art.Slab, c.name
 		if nsites, score, err = s.scoreSlab(slab, strategy, req.Preds); err != nil {
 			return nil, err
 		}

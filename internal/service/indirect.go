@@ -2,14 +2,15 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/indirect"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/replicate"
-	"repro/internal/runner"
-	"repro/internal/trace"
 )
 
 // The indirect replication family of /v1/replicate: case clustering of hot
@@ -60,32 +61,6 @@ type IndirectReplicateResponse struct {
 	IR       string `json:"ir,omitempty"`
 }
 
-// hasGlobal reports whether the program declares a global by that name.
-func hasGlobal(prog *ir.Program, name string) bool {
-	for _, g := range prog.Globals {
-		if g.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// targetsFor replays the artifact's switch events into the per-site target
-// distribution, memoised content-addressed like the branch profile.
-func (s *Server) targetsFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*trace.TargetCounts, error) {
-	art, err := s.artifactFor(ctx, c, req, budget)
-	if err != nil {
-		return nil, err
-	}
-	key := contentKey("targets", c.key, field(budget, req.Seed, req.Scale))
-	return runner.Cached(s.store, key, func() (*trace.TargetCounts, error) {
-		tc := trace.NewTargetCounts(c.nsites)
-		art.slab.ReplayInto(tc)
-		s.eng.CountReplay(int64(art.slab.Len()))
-		return tc, nil
-	})
-}
-
 func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any, error) {
 	c, err := s.resolveProgram(req)
 	if err != nil {
@@ -99,10 +74,6 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	if err != nil {
 		return nil, err
 	}
-	targets, err := s.targetsFor(ctx, c, req, budget)
-	if err != nil {
-		return nil, err
-	}
 	preds := predict.ProfileStatic(prof.Counts).Preds
 
 	// The baseline and clustered runs are only comparable when both execute
@@ -111,25 +82,22 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	// and the checksums would diverge. Scale the workload down to fit the
 	// budget instead (programs without a wscale knob run as-is) and keep the
 	// budget as a generous envelope rather than the measuring cut-off.
-	mreq := *req
-	if mreq.Scale == 0 && hasGlobal(c.prog, "wscale") {
-		scale := int64(budget / 50_000)
-		if scale < 1 {
-			scale = 1
-		}
-		if scale > 400 {
-			scale = 400
-		}
-		mreq.Scale = scale
+	scale := int64(budget / 50_000)
+	if scale < 1 {
+		scale = 1
 	}
+	if scale > 400 {
+		scale = 400
+	}
+	cell := core.Cell{Budget: budget, Seed: req.Seed, Scale: req.Scale}.Fill(c.prog, 0, scale)
 
 	// Both runs are live executions with a dispatch counter: the clustered
 	// clone's branch stream (and residual transfer count) is exactly what
 	// the recorded trace cannot provide.
 	measure := func(prog *ir.Program) (IndirectRun, error) {
-		m, err := s.newMachine(ctx, c, prog, budget, &mreq)
+		m, err := cell.Machine(ctx, prog)
 		if err != nil {
-			return IndirectRun{}, err
+			return IndirectRun{}, programFault(err)
 		}
 		m.SetMaxBranches(4 * budget)
 		var dispatches uint64
@@ -138,7 +106,7 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 				dispatches++
 			}
 		})
-		if _, err := runMachine(m); err != nil {
+		if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 			return IndirectRun{}, err
 		}
 		s.eng.CountLiveRun()
@@ -163,7 +131,7 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 
 	clustered := ir.CloneProgram(baseline)
 	snap := ir.CloneProgram(clustered)
-	st, prov, err := indirect.Cluster(clustered, targets, indirect.Options{})
+	st, prov, err := indirect.Cluster(clustered, prof.Targets, indirect.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -328,7 +328,7 @@ func TestArtifactDetachedFromRequester(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recording failed under a cancelled requester context: %v", err)
 	}
-	if art.slab.Len() == 0 {
+	if art.Slab.Len() == 0 {
 		t.Fatal("recording produced an empty slab")
 	}
 }

@@ -22,13 +22,13 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BaselineRate <= res.ReplicatedRate {
-		t.Fatalf("replication did not help: %.2f -> %.2f", res.BaselineRate, res.ReplicatedRate)
+	if res.Baseline.Rate() <= res.Replica.Rate() {
+		t.Fatalf("replication did not help: %.2f -> %.2f", res.Baseline.Rate(), res.Replica.Rate())
 	}
-	if res.ReplicatedRate > 1 {
-		t.Fatalf("alternating branch should be near perfect, got %.2f%%", res.ReplicatedRate)
+	if res.Replica.Rate() > 1 {
+		t.Fatalf("alternating branch should be near perfect, got %.2f%%", res.Replica.Rate())
 	}
-	if res.BaselineChecksum != res.ReplicatedChecksum {
+	if res.Baseline.Checksum != res.Replica.Checksum {
 		t.Fatal("semantics changed")
 	}
 	if res.SizeFactor() <= 1 {
