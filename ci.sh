@@ -81,6 +81,9 @@ stage_suites() {
     go test -run='FullOpMatrix|ConformanceCoversEveryOp|DivisionTraps|FtoIRangeTrap' ./internal/interp
     go test -run='Conformance' ./internal/vm
     go test -run='GoldenTraces' ./internal/bench
+    # The CLIs' stdout: replicate on compress, krallcheck on the examples,
+    # svm and the -predict catalog table.
+    go test -run='^TestGoldenOutput$' ./cmd/replicate ./cmd/krallcheck
     # Persistence and shutdown faults: a restart over the disk tier answers
     # byte-identically without re-recording, a writer SIGKILLed mid-Put
     # leaves no torn entry, and a drain finishes the request in flight.

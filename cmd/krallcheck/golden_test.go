@@ -13,8 +13,7 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // TestGoldenOutput pins krallcheck's stdout: the example programs, the svm
 // dispatch workload (replication and clustering), and the catalog-wide
 // static prediction table CI keeps as an artifact. Regenerate with
-// go test -run GoldenOutput -update ./cmd/krallcheck after an intended
-// output change.
+// make golden after an intended output change.
 func TestGoldenOutput(t *testing.T) {
 	examples, err := filepath.Glob("../../examples/bl/*.bl")
 	if err != nil || len(examples) == 0 {

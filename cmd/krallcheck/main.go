@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/indirect"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -187,7 +186,7 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 	diags := analysis.Lint(prog, choices, p.Prof)
 	verified := false
 	if !opts.lintOnly {
-		apply := core.Apply(replicate.ApplyOpts)
+		apply := replicate.ApplyOpts
 		if opts.joint {
 			apply = replicate.ApplyJoint
 		}

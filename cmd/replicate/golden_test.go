@@ -11,8 +11,8 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 
 // TestGoldenOutput pins replicate's stdout on the compress workload: the
 // plain pipeline, the per-branch report, the joint driver, and the
-// verified joint transform. Regenerate with go test -run GoldenOutput
-// -update ./cmd/replicate after an intended output change.
+// verified joint transform. Regenerate with make golden after an intended
+// output change.
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		name string

@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	apply := core.Apply(replicate.ApplyOpts)
+	apply := replicate.ApplyOpts
 	if *joint {
 		apply = replicate.ApplyJoint
 	}

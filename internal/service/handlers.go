@@ -485,7 +485,7 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 		}
 		ropts.StaticSkip = rep.DecidedSites()
 	}
-	apply := core.Apply(replicate.ApplyOpts)
+	apply := replicate.ApplyOpts
 	if req.Joint {
 		apply = replicate.ApplyJoint
 	}
