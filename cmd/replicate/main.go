@@ -144,6 +144,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		st.InstrsBefore, st.InstrsAfter, st.SizeFactor())
 	fmt.Fprintf(stdout, "machines applied: %d loop, %d exit, %d correlated (%d edges routed, %d catch-all)\n",
 		st.LoopApplied, st.ExitApplied, st.PathApplied, st.PathEdgesRouted, st.PathEdgesCatchAll)
+	if mr.Walked {
+		// A walked clone reports the recording's checksum: run it live
+		// once for its own output, and hold its score to the walk's.
+		live, err := core.Measure(context.Background(), res.Replicated, cell, nil)
+		if err != nil {
+			return fail(err)
+		}
+		if live.Predicted != mr.Predicted || live.Mispredicted != mr.Mispredicted {
+			return fail(fmt.Errorf("walked score %d/%d differs from the live run's %d/%d",
+				mr.Mispredicted, mr.Predicted, live.Mispredicted, live.Predicted))
+		}
+		mr.Checksum = live.Checksum
+	}
 	if mb.Checksum != mr.Checksum {
 		return fail(fmt.Errorf("checksum changed: %d -> %d", mb.Checksum, mr.Checksum))
 	}

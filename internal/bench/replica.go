@@ -65,19 +65,23 @@ func (s *Suite) replicaFor(d *WorkloadData, states int) (*replica, error) {
 }
 
 // measure measures a program of workload d — the original, an annotated
-// copy or a transformed clone — on dataset seed (core.Measure). The suite
-// takes no checksum from a measurement, so every program is walked along
-// that dataset's recorded trace; it runs live in a ForceLive suite and
-// where the walk cannot reproduce the run.
+// copy or a transformed clone — on dataset seed, with its branch and block
+// counts. The suite takes no checksum from a measurement, so every program
+// is walked along that dataset's recorded trace (core.Measure); it runs
+// live where the walk cannot reproduce the run, and in a ForceLive suite
+// (core.Count).
 func (s *Suite) measure(d *WorkloadData, prog *ir.Program, seed int64) (core.Measurement, error) {
-	var rec *core.Recording
-	if !s.Cfg.ForceLive {
-		var err error
+	var m core.Measurement
+	var err error
+	if s.Cfg.ForceLive {
+		m, err = core.Count(context.Background(), prog, s.cell(seed))
+	} else {
+		var rec *core.Recording
 		if rec, err = s.artifactFor(d.C, seed); err != nil {
 			return core.Measurement{}, err
 		}
+		m, err = core.Measure(context.Background(), prog, s.cell(seed), rec)
 	}
-	m, err := core.Measure(context.Background(), prog, s.cell(seed), rec)
 	if err != nil {
 		return core.Measurement{}, fmt.Errorf("bench: measuring %s: %w", d.C.Workload.Name, err)
 	}

@@ -57,7 +57,7 @@ func TestReplicaMatchesPerSectionRuns(t *testing.T) {
 			// counts and evaluates both layouts and trace formation.
 			counted := func(d *WorkloadData) (naive, ph Cell, scope superblock.Stats) {
 				prog, _ := clone(d)
-				m, err := core.Measure(context.Background(), prog, run(cfg.Seed), nil)
+				m, err := core.Count(context.Background(), prog, run(cfg.Seed))
 				if err != nil {
 					t.Fatal(err)
 				}

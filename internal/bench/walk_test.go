@@ -45,7 +45,7 @@ func BenchmarkWalk(b *testing.B) {
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range reps {
-				if _, err := core.Measure(context.Background(), r.Prog, s.cell(cfg.Seed), nil); err != nil {
+				if _, err := core.Count(context.Background(), r.Prog, s.cell(cfg.Seed)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -103,6 +103,8 @@ func run(m *exec.Machine) (truncated bool, err error) {
 // its complete branch-event stream as a sealed slab, safe for concurrent
 // replay, and what the run observed. Immutable once returned.
 type Recording struct {
+	// Slab is nil when the run was folded into its profile as it ran
+	// (Run), which walks no clone.
 	Slab *trace.Slab
 	exec.Counters
 	// Truncated reports that the run stopped at a limit instead of
@@ -132,8 +134,9 @@ func Record(ctx context.Context, prog *ir.Program, cell Cell) (*Recording, error
 }
 
 // Measurement is what a run of a program on a recording's dataset
-// observed: its static prediction score, its output checksum and, for
-// measured clones, its per-site branch outcomes and per-block executions.
+// observed: its static prediction score, its output checksum and, when
+// measured against a recording or by Count, its per-site branch outcomes
+// and per-block executions.
 type Measurement struct {
 	Predicted, Mispredicted uint64
 	Checksum                uint64
@@ -161,6 +164,9 @@ func (m Measurement) Rate() float64 {
 // proved prog; a walk that leaves the recorded path then fails with
 // replicate.ErrWalkMismatch. Without walk, and where the walk cannot
 // reproduce the run's stop (replicate.ErrWalkFallback), prog runs live.
+// A measurement against a recording carries the branch and block counts
+// the walk observes, also when it ran live instead; a run without one
+// counts nothing but its score and checksum.
 func Measure(ctx context.Context, prog *ir.Program, cell Cell, walk *Recording) (Measurement, error) {
 	if walk != nil {
 		res, err := replicate.Walk(ctx, prog, walk.Slab, replicate.WalkLimits{
@@ -176,13 +182,27 @@ func Measure(ctx context.Context, prog *ir.Program, cell Cell, walk *Recording) 
 			return Measurement{}, err
 		}
 	}
+	return live(ctx, prog, cell, walk != nil)
+}
+
+// Count runs prog live on the cell and reports the branch and block counts
+// a walk would: the live oracle of Measure's walk.
+func Count(ctx context.Context, prog *ir.Program, cell Cell) (Measurement, error) {
+	return live(ctx, prog, cell, true)
+}
+
+// live runs prog on the cell, with the counting hooks only when counted.
+func live(ctx context.Context, prog *ir.Program, cell Cell, counted bool) (Measurement, error) {
 	m, err := cell.Machine(ctx, prog)
 	if err != nil {
 		return Measurement{}, err
 	}
-	counts := trace.NewCounts(prog.NumberBranches(false))
-	m.SetHook(interp.BranchHook(counts))
-	m.EnableBlockCounts()
+	var counts *trace.Counts
+	if counted {
+		counts = trace.NewCounts(prog.NumberBranches(false))
+		m.SetHook(interp.BranchHook(counts))
+		m.EnableBlockCounts()
+	}
 	if _, err := run(m); err != nil {
 		return Measurement{}, err
 	}
@@ -205,7 +225,9 @@ type Profiled struct {
 }
 
 // Profile numbers prog's branch sites, records it on the cell and folds
-// the recording into the paper's 9/9/3 profile.
+// the recording into the paper's 9/9/3 profile. The recording is kept for
+// the walk of a verified clone; it grows with the run, by a few hundred
+// kilobytes to a few megabytes per two million branch events.
 func Profile(ctx context.Context, prog *ir.Program, cell Cell) (*Profiled, error) {
 	nSites := prog.NumberBranches(true)
 	rec, err := Record(ctx, prog, cell)
@@ -303,9 +325,10 @@ func (r *Result) SizeFactor() float64 { return r.Stats.SizeFactor() }
 // Replicate is the pipeline after profiling: it selects machines under
 // sel, applies them to a clone with apply under opts, and measures the
 // baseline and the clone. A clone the verifier proved (opts.Verify) is
-// walked along the recording; any other clone runs live. A transform the
-// verifier rejects fails with replicate.ErrVerify, a walked clone that
-// leaves the recorded path with replicate.ErrWalkMismatch.
+// walked along the recording, where there is one; any other clone runs
+// live, without counting hooks. A transform the verifier rejects fails
+// with replicate.ErrVerify, a walked clone that leaves the recorded path
+// with replicate.ErrWalkMismatch.
 func (p *Profiled) Replicate(ctx context.Context, sel statemachine.Options, apply Apply, opts replicate.Options) (*Result, error) {
 	choices := p.Select(sel)
 	preds := p.Preds()
@@ -314,7 +337,7 @@ func (p *Profiled) Replicate(ctx context.Context, sel statemachine.Options, appl
 		return nil, err
 	}
 	var walk *Recording
-	if st.Verified {
+	if st.Verified && p.Rec.Slab != nil {
 		walk = p.Rec
 	}
 	repl, err := Measure(ctx, clone, p.Cell, walk)
@@ -330,14 +353,28 @@ func (p *Profiled) Replicate(ctx context.Context, sel statemachine.Options, appl
 // CompileBL compiles BL source text.
 func CompileBL(src string) (*ir.Program, error) { return lang.Compile(src) }
 
-// Run executes the full pipeline on a compiled program.
+// Run executes the full pipeline on a compiled program. It does not verify
+// the transform, so it walks no clone: its profiling run folds each branch
+// event into the profile as it executes and keeps no recording, so its
+// memory grows with the program's branch sites, not with the run's length.
 func Run(prog *ir.Program, cfg Config) (*Result, error) {
-	p, err := Profile(context.Background(), prog, Cell{Budget: cfg.Budget, Seed: cfg.Seed, Scale: cfg.Scale})
+	ctx := context.Background()
+	cell := Cell{Budget: cfg.Budget, Seed: cfg.Seed, Scale: cfg.Scale}
+	prof := profile.New(prog.NumberBranches(true), profile.Options{})
+	m, err := cell.Machine(ctx, prog)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
+	m.SetHook(interp.BranchHook(prof))
+	m.SetSwHook(interp.SwitchHook(prof))
+	truncated, err := run(m)
+	if err != nil {
+		return nil, fmt.Errorf("core: profiling run: %w", err)
+	}
+	p := &Profiled{Prog: prog, Feats: predict.Analyze(prog), Cell: cell,
+		Rec: &Recording{Counters: m.Counters(), Truncated: truncated}, Prof: prof}
 	cfg.setDefaults()
-	return p.Replicate(context.Background(), statemachine.Options{MaxStates: cfg.MaxStates, MaxPathLen: cfg.MaxPathLen},
+	return p.Replicate(ctx, statemachine.Options{MaxStates: cfg.MaxStates, MaxPathLen: cfg.MaxPathLen},
 		replicate.ApplyOpts, replicate.Options{MaxSizeFactor: cfg.MaxSizeFactor})
 }
 

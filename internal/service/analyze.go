@@ -55,7 +55,7 @@ func round4(x float64) float64 { return math.Round(x*1e4) / 1e4 }
 // static_budget mode.
 func (s *Server) staticReportFor(c *compiled) (*analysis.StaticReport, error) {
 	key := contentKey("staticrep", c.key)
-	return runner.Cached(s.store, key, func() (*analysis.StaticReport, error) {
+	return runner.Cached(s.store.mem, key, func() (*analysis.StaticReport, error) {
 		rep, err := analysis.BuildStaticReport(c.prog)
 		if err != nil {
 			return nil, badRequest("static analysis: %v", err)

@@ -13,9 +13,11 @@ import (
 	"repro/internal/trace"
 )
 
-// tieredStore composes the in-memory sharded LRU with the optional disk
-// tier and the optional cluster peer fetch, behind the same runner.Store
-// contract the handlers already use. Lookup order on a memory miss:
+// tieredStore is the service's content store: the in-memory sharded LRU,
+// which holds every key and which the handlers cache through directly,
+// and, for trace artifacts only (artifact), the optional disk tier and the
+// optional cluster peer fetch. Lookup order of an artifact on a memory
+// miss:
 //
 //  1. disk — artifacts the memory tier evicted, or a previous process
 //     wrote (the restart-warm path);
@@ -42,15 +44,10 @@ type tieredStore struct {
 	fetchPeer func(key string) ([]byte, bool)
 }
 
-// Do implements runner.Store over the memory tier.
-func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
-	return t.mem.Do(key, fn)
-}
-
-// artifact is Do for the artifact under key, of a program whose
-// recordings outcomes bounds (outcomeBounds): on a memory miss it opens
-// the disk entry, then asks a peer, and only then records. A payload that
-// does not decode or does not fit the program is a miss; a recomputed
+// artifact caches the artifact under key, of a program whose recordings
+// outcomes bounds (outcomeBounds), in the memory tier: on a memory miss it
+// opens the disk entry, then asks a peer, and only then records. A payload
+// that does not decode or does not fit the program is a miss; a recomputed
 // artifact overwrites its disk entry.
 func (t *tieredStore) artifact(key string, outcomes []int32, record func() (*artifact, error)) (*artifact, error) {
 	if t.disk == nil && t.fetchPeer == nil {
@@ -82,14 +79,6 @@ func (t *tieredStore) artifact(key string, outcomes []int32, record func() (*art
 	})
 }
 
-// kindOf is the namespace prefix of a content key ("art", "prof", ...).
-func kindOf(key string) string {
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		return key[:i]
-	}
-	return ""
-}
-
 // loadDisk opens an artifact's disk entry. A payload that no longer
 // decodes (format drift between releases) or does not fit the program is
 // just a miss; the recomputed value overwrites it.
@@ -110,7 +99,7 @@ func (t *tieredStore) loadDisk(key string, outcomes []int32) (*artifact, bool) {
 // serving to peers. The bytes go over the wire exactly as stored; the
 // peer's decodeArtifact re-validates them.
 func (t *tieredStore) artifactPayload(key string) ([]byte, bool) {
-	if t.disk == nil || kindOf(key) != "art" {
+	if t.disk == nil || !strings.HasPrefix(key, "art/") {
 		return nil, false
 	}
 	return t.disk.Load(key)

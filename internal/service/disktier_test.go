@@ -248,7 +248,7 @@ func TestArtifactRejects(t *testing.T) {
 		{"outcome past the site", slabArtifact(func(s *trace.Slab) { s.RecordSwitch(2, 3); s.RecordSwitch(2, 4) })},
 		{"outcome near 2^31", slabArtifact(func(s *trace.Slab) { s.RecordSwitchRun(2, 1<<31-1, 7) })},
 		{"switch event at a branch", slabArtifact(func(s *trace.Slab) { s.RecordSwitch(5, 0) })},
-		{"site past an empty program", foreignSite()},
+		{"site near 2^30", foreignSite()},
 	} {
 		if a, err := decodeArtifact(c.payload, nil, testOutcomes); err == nil {
 			t.Errorf("%s: decoded to a %d-event artifact", c.name, a.Slab.Len())

@@ -123,7 +123,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 		return nil, badRequest("give either workload or source, not both")
 	case req.Workload != "":
 		key := contentKey("prog", "workload", req.Workload)
-		return runner.Cached(s.store, key, func() (*compiled, error) {
+		return runner.Cached(s.store.mem, key, func() (*compiled, error) {
 			w, err := bench.ByName(req.Workload)
 			if err != nil {
 				return nil, &httpError{http.StatusBadRequest, err.Error()}
@@ -136,7 +136,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 		})
 	case req.Source != "":
 		key := contentKey("prog", "source", req.Source)
-		return runner.Cached(s.store, key, func() (*compiled, error) {
+		return runner.Cached(s.store.mem, key, func() (*compiled, error) {
 			prog, err := lang.Compile(req.Source)
 			if err != nil {
 				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
@@ -218,7 +218,7 @@ func (s *Server) profileFor(ctx context.Context, c *compiled, req *Request, budg
 		return nil, nil, err
 	}
 	key := contentKey("prof", c.key, field(budget, req.Seed, req.Scale))
-	prof, err := runner.Cached(s.store, key, func() (*profile.Profile, error) {
+	prof, err := runner.Cached(s.store.mem, key, func() (*profile.Profile, error) {
 		p := profile.New(c.nsites, profile.Options{})
 		art.Slab.ReplayInto(p)
 		s.eng.CountReplay(int64(art.Slab.Len()))

@@ -441,7 +441,7 @@ func (s *Server) answer(ctx context.Context, name string, req *Request) ([]byte,
 		return nil, false, err
 	}
 	miss := false
-	buf, err := runner.Cached(s.store, key, func() ([]byte, error) {
+	buf, err := runner.Cached(s.store.mem, key, func() ([]byte, error) {
 		miss = true
 		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
