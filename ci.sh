@@ -99,46 +99,57 @@ stage_suites() {
     # Static features of one function of 33,000 sequential ifs, which
     # stays cheap only while dominance queries are O(1).
     go test -run '^$' -bench 'BenchmarkAnalyzeFlatIfs$' -benchtime 1x ./internal/predict
+    # The loop forest of one main of 8,000 sequential loops, which stays
+    # cheap only while FindLoops is near-linear in the loop count.
+    go test -run '^$' -bench 'BenchmarkFindLoopsSequential$' -benchtime 1x ./internal/cfg
+    # The cold replicate pipeline (record, fold, select, replicate, verify,
+    # walk) and its recording layer alone, once each.
+    go test -run '^$' -bench '^(BenchmarkReplicateCold|BenchmarkRecordCatalog)$' -benchtime 1x ./internal/core
 }
 
 stage_fuzz() {
-    go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/lang
+    # Each target gets 10 s; -fuzzminimizetime bounds the minimizing of a
+    # new input, whose 60 s default would take most of that at 0 execs/s.
+    go test -run='^$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=100x ./internal/lang
     # Uploads against the reference decoder, and disk/peer artifact
     # payloads with recomputed CRCs: never a panic, accepted input replays
     # cleanly.
-    go test -run='^$' -fuzz=FuzzReadSlab -fuzztime=10s ./internal/trace
-    go test -run='^$' -fuzz=FuzzDecodeArtifact -fuzztime=10s ./internal/service
+    go test -run='^$' -fuzz=FuzzReadSlab -fuzztime=10s -fuzzminimizetime=100x ./internal/trace
+    go test -run='^$' -fuzz=FuzzDecodeArtifact -fuzztime=10s -fuzzminimizetime=100x ./internal/service
     # An upload scored inside its decoding pass must answer exactly like
     # ReadSlab + MaxSite + the strategy's own replay, status codes included.
-    go test -run='^$' -fuzz=FuzzScoreUpload -fuzztime=10s ./internal/service
-    go test -run='^$' -fuzz=FuzzVerify -fuzztime=10s ./internal/analysis
+    go test -run='^$' -fuzz=FuzzScoreUpload -fuzztime=10s -fuzzminimizetime=100x ./internal/service
+    go test -run='^$' -fuzz=FuzzVerify -fuzztime=10s -fuzzminimizetime=100x ./internal/analysis
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.
-    go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s ./internal/analysis
+    go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s -fuzzminimizetime=100x ./internal/analysis
     # Run-aware collectors must fold exactly like event-at-a-time replay,
     # and the local tables derived from the streams exactly like the
     # per-event reference fold.
-    go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
+    go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s -fuzzminimizetime=100x ./internal/bench
     # The loop-machine tree DP must score like the exhaustive enumeration.
-    go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s ./internal/statemachine
+    go test -run='^$' -fuzz=FuzzLoopMachineSearch -fuzztime=10s -fuzzminimizetime=100x ./internal/statemachine
     # The shared replay pass must score every machine like the
     # event-by-event replay.
-    go test -run='^$' -fuzz=FuzzRescore -fuzztime=10s ./internal/statemachine
+    go test -run='^$' -fuzz=FuzzRescore -fuzztime=10s -fuzzminimizetime=100x ./internal/statemachine
     # A replicated clone walked along its original's trace must count
     # exactly like a live run of it, and a miswired clone must fail the walk.
-    go test -run='^$' -fuzz=FuzzWalk -fuzztime=10s ./internal/replicate
+    go test -run='^$' -fuzz=FuzzWalk -fuzztime=10s -fuzzminimizetime=100x ./internal/replicate
     # Indirect family: clustered switch programs must stay observably
     # identical to their originals.
-    go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect
+    go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s -fuzzminimizetime=100x ./internal/indirect
     # The shared dominator core, through cfg.Graph and ssa.Build, against
     # the naive set-based dominator oracle.
-    go test -run='^$' -fuzz=FuzzDominators -fuzztime=10s ./internal/cfg
+    go test -run='^$' -fuzz=FuzzDominators -fuzztime=10s -fuzzminimizetime=100x ./internal/cfg
+    # Loop forests of generated programs against the natural-loop
+    # definition: members, innermost loops, parents, children and depths.
+    go test -run='^$' -fuzz=FuzzFindLoops -fuzztime=10s -fuzzminimizetime=100x ./internal/cfg
     # Generated programs' SSA form: definitions dominate uses, phis match
     # their predecessors, blocks keep their ir origins (ssa.Verify).
-    go test -run='^$' -fuzz=FuzzSSA -fuzztime=10s ./internal/ssa
+    go test -run='^$' -fuzz=FuzzSSA -fuzztime=10s -fuzzminimizetime=100x ./internal/ssa
     # kralld's whole handler on mutated bodies for every endpoint and batch:
     # never a 5xx, and a 200 asked again answers the same bytes.
-    go test -run='^$' -fuzz=FuzzRequest -fuzztime=10s ./internal/service
+    go test -run='^$' -fuzz=FuzzRequest -fuzztime=10s -fuzzminimizetime=100x ./internal/service
 }
 
 stage_check() {

@@ -52,7 +52,7 @@ func main() {
 			evals = append(evals, &predict.Eval{P: predict.NewTwoLevel(cfg)})
 		}
 	}
-	prof := profile.New(c.NSites, profile.Options{})
+	prof := profile.New(c.NSites, profile.Options{GlobalK: 9})
 	collectors := []trace.Collector{prof}
 	for _, e := range evals {
 		collectors = append(collectors, e)

@@ -72,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := profile.New(c.NSites, profile.Options{})
+	prof := profile.New(c.NSites, profile.Options{GlobalK: 9})
 	read.ReplayInto(prof)
 	fmt.Printf("replayed %d events from disk\n", read.Len())
 

@@ -282,3 +282,30 @@ func TestProfileConsistency(t *testing.T) {
 		t.Fatalf("corrupted counts not diagnosed:\n%s", msgs(diags))
 	}
 }
+
+// TestProfileConsistencyGlobalTable lints a profile without a global table
+// (the pipeline's) and one with the paper's 9-bit table: both are clean,
+// and only the second has a global table whose recorded total is checked.
+func TestProfileConsistencyGlobalTable(t *testing.T) {
+	prog, _ := mkFunc(t, 1, nil)
+	bare := profile.New(2, profile.Options{})
+	full := profile.New(2, profile.Options{LocalK: 9, GlobalK: 9, PathM: 3})
+	for i := 0; i < 40; i++ {
+		bare.RecordBranch(int32(i%2), i%3 == 0)
+		full.RecordBranch(int32(i%2), i%3 == 0)
+	}
+	if bare.Global != nil {
+		t.Fatal("a profile without GlobalK folded a global table")
+	}
+	for name, p := range map[string]*profile.Profile{"no global table": bare, "9/9/3": full} {
+		if diags := Lint(prog, nil, p); len(diags) != 0 {
+			t.Fatalf("%s: consistent profile diagnosed:\n%s", name, msgs(diags))
+		}
+	}
+	// An event only the global table saw.
+	full.Global.RecordBranch(0, true)
+	diags := Lint(prog, nil, full)
+	if d := FirstError(diags); d == nil || !strings.Contains(d.Msg, "global history") {
+		t.Fatalf("global table out of step with the counts not diagnosed:\n%s", msgs(diags))
+	}
+}

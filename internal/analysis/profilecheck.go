@@ -9,9 +9,9 @@ import (
 // must equal the recorded outcome streams, and every history table must have
 // recorded exactly the events left after its documented warm-up (K events
 // per site for the local tables derived from the streams, K events per run
-// for global, M per run for paths). A violation means a collector dropped
-// or double-counted events and every machine built from the profile is
-// suspect.
+// for the global table when the profile has one, M per run for paths). A
+// violation means a collector dropped or double-counted events and every
+// machine built from the profile is suspect.
 type ProfileConsistency struct{}
 
 // Name implements Pass.
@@ -53,9 +53,11 @@ func (ProfileConsistency) Run(c *Context) {
 		c.Errorf(Pos{}, "local history recorded %d events, per-site warm-up accounting expects %d", got, localWant)
 	}
 	totalAll := p.Counts.TotalAll()
-	if got := p.Global.Recorded(); got != maxSub(totalAll, uint64(p.Global.K)) {
-		c.Errorf(Pos{}, "global history recorded %d events, want %d (%d events minus %d warm-up)",
-			got, maxSub(totalAll, uint64(p.Global.K)), totalAll, p.Global.K)
+	if p.Global != nil {
+		if got := p.Global.Recorded(); got != maxSub(totalAll, uint64(p.Global.K)) {
+			c.Errorf(Pos{}, "global history recorded %d events, want %d (%d events minus %d warm-up)",
+				got, maxSub(totalAll, uint64(p.Global.K)), totalAll, p.Global.K)
+		}
 	}
 	if got := p.Path.Recorded(); got != maxSub(totalAll, uint64(p.Path.M)) {
 		c.Errorf(Pos{}, "path history recorded %d events, want %d (%d events minus %d warm-up)",

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/interp"
@@ -115,7 +116,10 @@ func compareLocal(t *testing.T, label string, want *refLocal, got *profile.Local
 func compareProfiles(t *testing.T, label string, a, b *profile.Profile) {
 	t.Helper()
 	compareCounts(t, label+"/counts", a.Counts, b.Counts)
-	if a.Global.Recorded() != b.Global.Recorded() {
+	if (a.Global == nil) != (b.Global == nil) {
+		t.Fatalf("%s: global table presence diverges", label)
+	}
+	if a.Global != nil && a.Global.Recorded() != b.Global.Recorded() {
 		t.Fatalf("%s: global recorded %d vs %d", label, a.Global.Recorded(), b.Global.Recorded())
 	}
 	if a.Path.Recorded() != b.Path.Recorded() {
@@ -125,17 +129,15 @@ func compareProfiles(t *testing.T, label string, a, b *profile.Profile) {
 		t.Fatalf("%s: streams total %d vs %d", label, a.Streams.Total(), b.Streams.Total())
 	}
 	for s := int32(0); int(s) < a.NSites; s++ {
-		comparePairs(t, label+"/global", a.Global.Table(s), b.Global.Table(s))
-		at, bt := a.Path.Table(s), b.Path.Table(s)
-		if len(at) != len(bt) {
-			t.Fatalf("%s: path site %d table size %d vs %d", label, s, len(at), len(bt))
+		if a.Global != nil {
+			comparePairs(t, label+"/global", a.Global.Table(s), b.Global.Table(s))
 		}
-		for k, ap := range at {
-			bp := bt[k]
-			if bp == nil || *ap != *bp {
-				t.Fatalf("%s: path site %d key %v diverges: %v vs %v", label, s, k, ap, bp)
-			}
+		ak, ap := a.Path.Table(s)
+		bk, bp := b.Path.Table(s)
+		if !slices.Equal(ak, bk) {
+			t.Fatalf("%s: path site %d keys diverge: %v vs %v", label, s, ak, bk)
 		}
+		comparePairs(t, label+"/path", ap, bp)
 		as, bs := a.Streams.Site(s), b.Streams.Site(s)
 		if as.Len() != bs.Len() {
 			t.Fatalf("%s: stream site %d length %d vs %d", label, s, as.Len(), bs.Len())
@@ -190,8 +192,9 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	for _, opt := range []profile.Options{
 		{LocalK: 2, GlobalK: 2, PathM: 1},
 		{LocalK: 4, GlobalK: 3, PathM: 2},
-		{}, // paper defaults 9/9/3
+		{GlobalK: 9}, // paper defaults 9/9/3
 		{LocalK: 11, GlobalK: 11, PathM: 4},
+		{}, // core's and kralld's profile: 9/3, no global table
 	} {
 		ev := profile.New(nsites, opt)
 		run := profile.New(nsites, opt)

@@ -8,7 +8,6 @@ package cfg
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/ir"
 )
@@ -99,8 +98,11 @@ func (g *Graph) numberDomTree(rpo []int) {
 }
 
 // index returns b's ID when b is one of the graph's blocks, else -1.
-func (g *Graph) index(b *ir.Block) int {
-	if b != nil && b.ID >= 0 && b.ID < len(g.blocks) && g.blocks[b.ID] == b {
+func (g *Graph) index(b *ir.Block) int { return blockIndex(g.blocks, b) }
+
+// blockIndex returns b's ID when b is one of blocks, else -1.
+func blockIndex(blocks []*ir.Block, b *ir.Block) int {
+	if b != nil && b.ID >= 0 && b.ID < len(blocks) && blocks[b.ID] == b {
 		return b.ID
 	}
 	return -1
@@ -266,11 +268,19 @@ type Loop struct {
 	// Depth is 1 for outermost loops.
 	Depth int
 
-	members map[*ir.Block]bool
+	forest *LoopForest
+	// pre is the loop's preorder number in the loop forest and size the
+	// number of loops in its subtree, itself included: the loops nested in
+	// it are exactly those numbered [pre, pre+size).
+	pre, size int
 }
 
-// Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *ir.Block) bool { return l.members[b] }
+// Contains reports whether b belongs to the loop: whether b's innermost
+// loop is this loop or one nested in it.
+func (l *Loop) Contains(b *ir.Block) bool {
+	in := l.forest.InnermostLoop(b)
+	return in != nil && l.pre <= in.pre && in.pre < l.pre+l.size
+}
 
 // NumInstrs is the loop body size in IR instructions (terminators count 1).
 func (l *Loop) NumInstrs() int {
@@ -294,103 +304,115 @@ type LoopForest struct {
 	// Roots are the outermost loops.
 	Roots []*Loop
 
-	innermost map[*ir.Block]*Loop
+	// blocks is the graph's ID→block snapshot, and innermost each block's
+	// innermost loop (nil outside every loop), indexed by block ID.
+	blocks    []*ir.Block
+	innermost []*Loop
 }
 
 // InnermostLoop returns the innermost loop containing b, or nil.
-func (lf *LoopForest) InnermostLoop(b *ir.Block) *Loop { return lf.innermost[b] }
+func (lf *LoopForest) InnermostLoop(b *ir.Block) *Loop {
+	if i := blockIndex(lf.blocks, b); i >= 0 {
+		return lf.innermost[i]
+	}
+	return nil
+}
 
 // FindLoops detects all natural loops of g. Back edges sharing a header are
 // merged into a single loop, as in the classical construction.
+//
+// Two natural loops with different headers are disjoint or nested, and the
+// outer header strictly dominates the inner one, so it comes first in RPO.
+// Growing the loops in reverse header RPO therefore reaches each block
+// first from its innermost loop, and each header first, after its own
+// loop, from its parent. One visit stamp shared by all loops keeps the cost
+// at the sum of the loop sizes (and their in-edges), with no per-loop set.
 func FindLoops(g *Graph) *LoopForest {
-	// Collect back edges grouped by header.
-	backEdges := make(map[*ir.Block][]*ir.Block)
-	var headers []*ir.Block
+	n := len(g.blocks)
+	lf := &LoopForest{blocks: g.blocks, innermost: make([]*Loop, n)}
+	// tails lists each header's back-edge sources, by header ID; the loops
+	// go in header RPO order.
+	tails := make([][]*ir.Block, n)
 	var succs []*ir.Block
 	for _, b := range g.RPO {
 		succs = b.Succs(succs[:0])
 		for _, s := range succs {
 			if g.IsBackEdge(b, s) {
-				if backEdges[s] == nil {
-					headers = append(headers, s)
-				}
-				backEdges[s] = append(backEdges[s], b)
+				tails[s.ID] = append(tails[s.ID], b)
 			}
 		}
 	}
-	lf := &LoopForest{innermost: make(map[*ir.Block]*Loop)}
-	for _, h := range headers {
-		l := &Loop{Header: h, members: map[*ir.Block]bool{h: true}}
-		// Grow the loop body backwards from each back-edge source.
-		var stack []*ir.Block
-		for _, src := range backEdges[h] {
-			if !l.members[src] {
-				l.members[src] = true
+	loopAt := make([]*Loop, n)
+	for _, b := range g.RPO {
+		if tails[b.ID] != nil {
+			loopAt[b.ID] = &Loop{Header: b, forest: lf}
+			lf.Loops = append(lf.Loops, loopAt[b.ID])
+		}
+	}
+	// Grow each loop backwards from its back-edge sources, innermost
+	// first. stamp[v] is 1 + the index of the last loop that reached v.
+	stamp := make([]int32, n)
+	var stack []*ir.Block
+	for i := len(lf.Loops) - 1; i >= 0; i-- {
+		l, mark := lf.Loops[i], int32(i+1)
+		add := func(v *ir.Block) {
+			stamp[v.ID] = mark
+			l.Blocks = append(l.Blocks, v)
+			if lf.innermost[v.ID] == nil {
+				lf.innermost[v.ID] = l
+			} else if q := loopAt[v.ID]; q != nil && q != l && q.Parent == nil {
+				q.Parent = l
+			}
+		}
+		add(l.Header)
+		for _, src := range tails[l.Header.ID] {
+			if stamp[src.ID] != mark {
+				add(src)
 				stack = append(stack, src)
 			}
 		}
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, p := range g.Preds(b) {
-				if !l.members[p] && g.Reachable(p) {
-					l.members[p] = true
+			for _, p := range g.preds[b.ID] {
+				if stamp[p.ID] != mark {
+					add(p)
 					stack = append(stack, p)
 				}
 			}
 		}
-		for b := range l.members {
-			l.Blocks = append(l.Blocks, b)
-		}
-		sort.Slice(l.Blocks, func(i, j int) bool { return l.Blocks[i].ID < l.Blocks[j].ID })
-		lf.Loops = append(lf.Loops, l)
+		slices.SortFunc(l.Blocks, func(a, b *ir.Block) int { return a.ID - b.ID })
 	}
-	// Deterministic order: headers by RPO index.
-	sort.Slice(lf.Loops, func(i, j int) bool {
-		a, _ := g.RPOIndex(lf.Loops[i].Header)
-		b, _ := g.RPOIndex(lf.Loops[j].Header)
-		return a < b
-	})
-	// Resolve nesting: the parent of loop L is the smallest loop that
-	// properly contains L's header and is not L itself.
+	// A parent's header precedes its children's in RPO, so one forward
+	// pass links children and depths and one backward pass totals the
+	// subtree sizes; the preorder numbers then hand each child the next
+	// free range of its parent's, as numberDomTree does for dominators.
 	for _, l := range lf.Loops {
-		var parent *Loop
-		for _, cand := range lf.Loops {
-			if cand == l || !cand.members[l.Header] {
-				continue
-			}
-			// cand contains l's header; is it the tightest so far?
-			if cand.members[l.Header] && len(cand.Blocks) > len(l.Blocks) {
-				if parent == nil || len(cand.Blocks) < len(parent.Blocks) {
-					parent = cand
-				}
-			}
-		}
-		l.Parent = parent
-		if parent != nil {
-			parent.Children = append(parent.Children, l)
+		if p := l.Parent; p != nil {
+			l.Depth = p.Depth + 1
+			p.Children = append(p.Children, l)
 		} else {
+			l.Depth = 1
 			lf.Roots = append(lf.Roots, l)
 		}
 	}
-	// Depths and innermost map.
-	var setDepth func(l *Loop, d int)
-	setDepth = func(l *Loop, d int) {
-		l.Depth = d
-		for _, c := range l.Children {
-			setDepth(c, d+1)
+	for i := len(lf.Loops) - 1; i >= 0; i-- {
+		l := lf.Loops[i]
+		l.size++
+		if l.Parent != nil {
+			l.Parent.size += l.size
 		}
 	}
+	next := 0
 	for _, r := range lf.Roots {
-		setDepth(r, 1)
+		r.pre = next
+		next += r.size
 	}
-	// A block's innermost loop is the smallest loop containing it.
 	for _, l := range lf.Loops {
-		for _, b := range l.Blocks {
-			cur := lf.innermost[b]
-			if cur == nil || len(l.Blocks) < len(cur.Blocks) {
-				lf.innermost[b] = l
-			}
+		next := l.pre + 1
+		for _, c := range l.Children {
+			c.pre = next
+			next += c.size
 		}
 	}
 	return lf
@@ -410,23 +432,23 @@ func (l *Loop) Exits() []ExitEdge {
 	for _, b := range l.Blocks {
 		switch b.Term.Op {
 		case ir.TermJmp:
-			if !l.members[b.Term.Then] {
+			if !l.Contains(b.Term.Then) {
 				out = append(out, ExitEdge{From: b, To: b.Term.Then})
 			}
 		case ir.TermBr:
-			if !l.members[b.Term.Then] {
+			if !l.Contains(b.Term.Then) {
 				out = append(out, ExitEdge{From: b, To: b.Term.Then, Taken: true})
 			}
-			if !l.members[b.Term.Else] {
+			if !l.Contains(b.Term.Else) {
 				out = append(out, ExitEdge{From: b, To: b.Term.Else})
 			}
 		case ir.TermSwitch:
 			for _, t := range b.Term.Targets {
-				if !l.members[t] {
+				if !l.Contains(t) {
 					out = append(out, ExitEdge{From: b, To: t, Taken: true})
 				}
 			}
-			if !l.members[b.Term.Else] {
+			if !l.Contains(b.Term.Else) {
 				out = append(out, ExitEdge{From: b, To: b.Term.Else})
 			}
 		}

@@ -225,9 +225,11 @@ type Profiled struct {
 }
 
 // Profile numbers prog's branch sites, records it on the cell and folds
-// the recording into the paper's 9/9/3 profile. The recording is kept for
-// the walk of a verified clone; it grows with the run, by a few hundred
-// kilobytes to a few megabytes per two million branch events.
+// the recording into the tables machine selection reads: the paper's
+// 9-bit local and 3-branch path tables, and no global table. The
+// recording is kept for the walk of a verified clone; it grows with the
+// run, by a few hundred kilobytes to a few megabytes per two million
+// branch events.
 func Profile(ctx context.Context, prog *ir.Program, cell Cell) (*Profiled, error) {
 	nSites := prog.NumberBranches(true)
 	rec, err := Record(ctx, prog, cell)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/profile"
 	"repro/internal/statemachine"
 )
 
@@ -104,5 +106,30 @@ func TestCompileBL(t *testing.T) {
 	}
 	if prog.Func("main") == nil {
 		t.Fatal("no main")
+	}
+}
+
+// TestProfilesFoldNoGlobalTable checks that neither pipeline entry point
+// folds the global-history table, which nothing after profiling reads.
+func TestProfilesFoldNoGlobalTable(t *testing.T) {
+	prog, err := CompileBL(alternating)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Profile(context.Background(), prog, Cell{Budget: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(prog, Config{Budget: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prof := range map[string]*profile.Profile{"Profile": p.Prof, "Run": res.Profile} {
+		if prof.Global != nil {
+			t.Errorf("%s folded a global-history table", name)
+		}
+		if prof.Path.Recorded() == 0 {
+			t.Errorf("%s folded no path table", name)
+		}
 	}
 }

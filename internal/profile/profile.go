@@ -5,6 +5,14 @@
 // the correlated-branch state machines). It also computes the
 // pattern-table fill rates of Table 2 and the weighted-count algebra the
 // state-machine search of section 4 is built on.
+//
+// A Profile folds only the tables its Options ask for. Machine selection
+// reads the counts, the path table, the outcome streams (and the local
+// tables derived from them) and the switch targets; the global table feeds
+// only the bench's Table 1 correlation rows and Table 2 fill rates, so it
+// is built only when Options.GlobalK is set. The path table is one flat
+// open-addressed table keyed by (site, path), read through a per-site
+// view sorted by key.
 package profile
 
 import (
@@ -222,152 +230,6 @@ func (h *GlobalHistory) SiteMisses(s int32) (misses, total uint64) {
 	return tableMisses(h.tabs[s])
 }
 
-// PathKey encodes the last ≤4 (site, direction) pairs on the dynamic path
-// to a branch: 16 bits per element, most recent in the low bits. The
-// element encoding is (site+1)<<1 | dir, so 0 means "empty slot".
-type PathKey uint64
-
-// MaxSites is the most branch sites a path table can tell apart: a path
-// element holds site+1 in 15 bits, so site IDs run 0..MaxSites-1.
-const MaxSites = 1<<15 - 1
-
-// pathElem encodes one executed branch.
-func pathElem(site int32, taken bool) uint64 {
-	return uint64(uint32(site+1))<<1 | uint64(b2u(taken))
-}
-
-// Suffix truncates the key to its most recent n elements.
-func (k PathKey) Suffix(n int) PathKey {
-	if n >= 4 {
-		return k
-	}
-	return k & (PathKey(1)<<(16*uint(n)) - 1)
-}
-
-// Len is the number of non-empty elements in the key.
-func (k PathKey) Len() int {
-	n := 0
-	for k != 0 {
-		n++
-		k >>= 16
-	}
-	return n
-}
-
-// Elem returns the i-th most recent element (0 = most recent) as
-// (site, taken); ok is false for empty slots.
-func (k PathKey) Elem(i int) (site int32, taken bool, ok bool) {
-	e := uint64(k>>(16*uint(i))) & 0xffff
-	if e == 0 {
-		return 0, false, false
-	}
-	return int32(e>>1) - 1, e&1 == 1, true
-}
-
-func (k PathKey) String() string {
-	s := "["
-	for i := 0; i < 4; i++ {
-		site, taken, ok := k.Elem(i)
-		if !ok {
-			break
-		}
-		if i > 0 {
-			s += " "
-		}
-		d := "N"
-		if taken {
-			d = "T"
-		}
-		s += fmt.Sprintf("b%d:%s", site, d)
-	}
-	return s + "]"
-}
-
-// PathHistory builds, per branch site, outcome counts keyed by the path of
-// the last M executed branches (any site). M is at most 4. The first M
-// events of the run are warm-up. Site IDs must be below MaxSites.
-type PathHistory struct {
-	M     int
-	key   PathKey
-	seen  uint32
-	tabs  []map[PathKey]*Pair
-	total uint64
-	// memoKey/memoP cache the last (path key, Pair) resolved per site;
-	// see pairAt in run.go.
-	memoKey []PathKey
-	memoP   []*Pair
-}
-
-var _ trace.Collector = (*PathHistory)(nil)
-
-// NewPathHistory creates path tables for nSites branches and paths of
-// length M (1..4).
-func NewPathHistory(nSites, m int) *PathHistory {
-	if m < 1 || m > 4 {
-		panic(fmt.Sprintf("profile: path length %d out of range [1,4]", m))
-	}
-	return &PathHistory{
-		M:       m,
-		tabs:    make([]map[PathKey]*Pair, nSites),
-		memoKey: make([]PathKey, nSites),
-		memoP:   make([]*Pair, nSites),
-	}
-}
-
-// RecordBranch implements trace.Collector.
-func (h *PathHistory) RecordBranch(s int32, taken bool) {
-	if s >= MaxSites {
-		panic("profile: site id does not fit in a path element")
-	}
-	if h.seen >= uint32(h.M) {
-		tab := h.tabs[s]
-		if tab == nil {
-			tab = make(map[PathKey]*Pair)
-			h.tabs[s] = tab
-		}
-		h.pairAt(s, tab, h.key.Suffix(h.M)).Add(taken)
-		h.total++
-	} else {
-		h.seen++
-	}
-	h.key = h.key<<16 | PathKey(pathElem(s, taken))
-	h.key = h.key.Suffix(4)
-}
-
-// Recorded is the number of events recorded after warm-up.
-func (h *PathHistory) Recorded() uint64 { return h.total }
-
-// NumSites is the number of branch sites the tables were sized for.
-func (h *PathHistory) NumSites() int { return len(h.tabs) }
-
-// Table returns site s's path table (nil if never filled).
-func (h *PathHistory) Table(s int32) map[PathKey]*Pair { return h.tabs[s] }
-
-// ProjectPaths aggregates site s's M-length path counts down to suffixes of
-// the given length.
-func (h *PathHistory) ProjectPaths(s int32, length int) map[PathKey]Pair {
-	if length < 1 || length > h.M {
-		panic(fmt.Sprintf("profile: path projection length %d out of range [1,%d]", length, h.M))
-	}
-	out := make(map[PathKey]Pair)
-	for k, p := range h.tabs[s] {
-		sk := k.Suffix(length)
-		q := out[sk]
-		q.Merge(*p)
-		out[sk] = q
-	}
-	return out
-}
-
-// SiteMisses is the full-path-table misprediction count for site s.
-func (h *PathHistory) SiteMisses(s int32) (misses, total uint64) {
-	for _, p := range h.tabs[s] {
-		misses += p.Misses()
-		total += p.Total()
-	}
-	return misses, total
-}
-
 // FillRate is one row slice of the paper's Table 2: for a given history
 // length, the fraction of pattern-table entries actually used, averaged
 // over the branches that have a table.
@@ -419,13 +281,14 @@ func fillRates(tabs [][]Pair, k int) []FillRate {
 
 // Profile bundles every table the downstream analyses need. One pass over
 // a trace folds the counts, the tables keyed by the order of events
-// across sites (global and path), the switch targets, and each site's
-// outcome stream; the local tables are derived from the streams on first
-// use (Local). A profile is derived data: it is never persisted, only
-// refolded from its trace.
+// across sites (path, and global when asked for), the switch targets, and
+// each site's outcome stream; the local tables are derived from the
+// streams on first use (Local). A profile is derived data: it is never
+// persisted, only refolded from its trace.
 type Profile struct {
-	NSites  int
-	Counts  *trace.Counts
+	NSites int
+	Counts *trace.Counts
+	// Global is nil unless Options.GlobalK was set.
 	Global  *GlobalHistory
 	Path    *PathHistory
 	Streams *Streams
@@ -447,7 +310,10 @@ var (
 type Options struct {
 	// LocalK is the local history length (default 9, the paper's choice).
 	LocalK int
-	// GlobalK is the global history length (default 9).
+	// GlobalK is the global history length; 0 (the default) builds no
+	// global table and leaves Profile.Global nil. Only Table 1's
+	// correlation rows and Table 2's fill rates read one; the paper's
+	// length is 9.
 	GlobalK int
 	// PathM is the maximum correlated path length (default 3).
 	PathM int
@@ -456,9 +322,6 @@ type Options struct {
 func (o *Options) setDefaults() {
 	if o.LocalK == 0 {
 		o.LocalK = 9
-	}
-	if o.GlobalK == 0 {
-		o.GlobalK = 9
 	}
 	if o.PathM == 0 {
 		o.PathM = 3
@@ -471,15 +334,18 @@ func New(nSites int, opts Options) *Profile {
 	if opts.LocalK < 1 || opts.LocalK > 16 {
 		panic(fmt.Sprintf("profile: local history length %d out of range [1,16]", opts.LocalK))
 	}
-	return &Profile{
+	p := &Profile{
 		NSites:  nSites,
 		Counts:  trace.NewCounts(nSites),
 		localK:  opts.LocalK,
-		Global:  NewGlobalHistory(nSites, opts.GlobalK),
 		Path:    NewPathHistory(nSites, opts.PathM),
 		Streams: NewStreams(nSites),
 		Targets: trace.NewTargetCounts(nSites),
 	}
+	if opts.GlobalK != 0 {
+		p.Global = NewGlobalHistory(nSites, opts.GlobalK)
+	}
+	return p
 }
 
 // RecordSwitch implements trace.SwitchCollector.
@@ -504,7 +370,9 @@ func (p *Profile) Local() *LocalHistory {
 // RecordBranch implements trace.Collector, feeding all folded tables.
 func (p *Profile) RecordBranch(site int32, taken bool) {
 	p.Counts.RecordBranch(site, taken)
-	p.Global.RecordBranch(site, taken)
+	if p.Global != nil {
+		p.Global.RecordBranch(site, taken)
+	}
 	p.Path.RecordBranch(site, taken)
 	p.Streams.RecordBranch(site, taken)
 }

@@ -200,7 +200,8 @@ func TestPathProjectConserves(t *testing.T) {
 		h.RecordBranch(t1, x&8 != 0)
 	}
 	var fullTotal uint64
-	for _, p := range h.Table(1) {
+	_, pairs := h.Table(1)
+	for _, p := range pairs {
 		fullTotal += p.Total()
 	}
 	for j := 1; j <= 3; j++ {
@@ -243,19 +244,26 @@ func TestFillRateEmpty(t *testing.T) {
 
 func TestProfileBundle(t *testing.T) {
 	p := New(2, Options{})
-	if p.localK != 9 || p.Global.K != 9 || p.Path.M != 3 {
-		t.Fatalf("defaults wrong: %d %d %d", p.localK, p.Global.K, p.Path.M)
+	if p.localK != 9 || p.Global != nil || p.Path.M != 3 {
+		t.Fatalf("defaults wrong: local %d, global %v, path %d", p.localK, p.Global, p.Path.M)
+	}
+	g := New(2, Options{GlobalK: 9})
+	if g.Global.K != 9 {
+		t.Fatalf("global K = %d, want 9", g.Global.K)
 	}
 	for i := 0; i < 100; i++ {
 		p.RecordBranch(1, i%2 == 0)
+		g.RecordBranch(1, i%2 == 0)
 	}
-	if p.Counts.Total(1) != 100 {
+	g.RecordRun(0, true, 50)
+	p.RecordRun(0, true, 50)
+	if p.Counts.Total(1) != 100 || p.Counts.Total(0) != 50 {
 		t.Fatal("counts not fed")
 	}
-	if p.Global.Recorded() == 0 || p.Path.Recorded() == 0 {
-		t.Fatal("history tables not fed")
+	if g.Global.Recorded() != 150-9 || p.Path.Recorded() != 150-3 {
+		t.Fatalf("history tables not fed: global %d, path %d", g.Global.Recorded(), p.Path.Recorded())
 	}
-	if l := p.Local(); l.K != 9 || l.Recorded() != 100-9 || p.Local() != l {
+	if l := p.Local(); l.K != 9 || l.Recorded() != 150-2*9 || p.Local() != l {
 		t.Fatalf("local tables: K %d, recorded %d, or not derived once", l.K, l.Recorded())
 	}
 }

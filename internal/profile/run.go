@@ -82,46 +82,21 @@ func (h *PathHistory) RecordRun(s int32, taken bool, n uint64) {
 		h.key = key
 		return
 	}
-	tab := h.tabs[s]
-	if tab == nil {
-		tab = make(map[PathKey]*Pair)
-		h.tabs[s] = tab
-	}
 	h.total += n
 	for ; n > 0 && key != steady; n-- {
-		h.pairAt(s, tab, key.Suffix(h.M)).Add(taken)
+		h.pairAt(s, key.Suffix(h.M)).Add(taken)
 		key = (key<<16 | e).Suffix(4)
 	}
 	h.key = key
 	if n == 0 {
 		return
 	}
-	p := h.pairAt(s, tab, steady.Suffix(h.M))
+	p := h.pairAt(s, steady.Suffix(h.M))
 	if taken {
 		p.Taken += n
 	} else {
 		p.NotTaken += n
 	}
-}
-
-// pairAt resolves the Pair for (site, path key) through the per-site memo
-// — loop branches hit the same path context over and over, so most
-// lookups skip the map entirely. The memo is a pure cache: Pair pointers
-// are stable once inserted, and a post-warm-up key is never zero (its low
-// element encodes site+1 >= 1), so the zero-valued memo entry cannot
-// alias a real key while memoP is nil.
-func (h *PathHistory) pairAt(s int32, tab map[PathKey]*Pair, key PathKey) *Pair {
-	if h.memoKey[s] == key && h.memoP[s] != nil {
-		return h.memoP[s]
-	}
-	p := tab[key]
-	if p == nil {
-		p = &Pair{}
-		tab[key] = p
-	}
-	h.memoKey[s] = key
-	h.memoP[s] = p
-	return p
 }
 
 // AppendRun records n copies of the same outcome with word-at-a-time bit
@@ -163,7 +138,9 @@ func (c *Streams) RecordRun(site int32, taken bool, n uint64) {
 // RecordRun implements trace.Collector, feeding all folded tables.
 func (p *Profile) RecordRun(site int32, taken bool, n uint64) {
 	p.Counts.RecordRun(site, taken, n)
-	p.Global.RecordRun(site, taken, n)
+	if p.Global != nil {
+		p.Global.RecordRun(site, taken, n)
+	}
 	p.Path.RecordRun(site, taken, n)
 	p.Streams.RecordRun(site, taken, n)
 }

@@ -205,8 +205,9 @@ func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, bud
 	})
 }
 
-// profileFor replays an artifact into the profile bundle (counts, global
-// and path pattern tables, per-site streams), memoised content-addressed.
+// profileFor replays an artifact into the profile bundle (counts, path
+// table, per-site streams, switch targets; no global table, which nothing
+// here reads), memoised content-addressed.
 // A program with more branch sites than a path table can tell apart is
 // the client's to fix, so it is refused before anything is recorded.
 func (s *Server) profileFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*profile.Profile, *artifact, error) {

@@ -593,3 +593,40 @@ func main() int {
 		t.Errorf("Events = %d, recorded %d", resp.Events, slab.Len())
 	}
 }
+
+// TestColdReplicateFoldsNoGlobalTable asks a cold /v1/replicate, then
+// fetches the profile it folded from the store: replication reads no
+// global-history table, so the service builds none.
+func TestColdReplicateFoldsNoGlobalTable(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := Request{Workload: "compress", Seed: 11, Budget: 50_000, Check: true}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, out := post(t, ts, "replicate", string(body)); code != http.StatusOK {
+		t.Fatalf("replicate: status %d: %s", code, out)
+	}
+	c, err := s.resolveProgram(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := s.budgetFor(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replays := s.eng.Stats().Replays
+	prof, _, err := s.profileFor(context.Background(), c, &req, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.eng.Stats().Replays; got != replays {
+		t.Fatalf("the request's profile was not in the store: %d replays, then %d", replays, got)
+	}
+	if prof.Global != nil {
+		t.Fatal("the service's profile folded a global-history table")
+	}
+	if prof.Path.Recorded() == 0 {
+		t.Fatal("the service's profile folded no path table")
+	}
+}

@@ -1,6 +1,8 @@
 package statemachine_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -159,4 +161,40 @@ func TestTableScoreIsNotABound(t *testing.T) {
 			site, n, hits[0], table[0])
 	}
 	t.Logf("abalone site %d, %d states: table score %d, replayed hits %d", site, n, table[0], hits[0])
+}
+
+// pathMachinesDigest is the SHA-256 of every path machine
+// TestPathMachinesCatalog builds, as first built from per-site maps of the
+// path table copied and sorted by key.
+const pathMachinesDigest = "e035a8fcc056cbdee58f1f2ac5512fd3d23fa80cb94c396c5aa1c6aa22a1262d"
+
+// TestPathMachinesCatalog builds BestPathMachine on every site of every
+// catalog workload's 200k-branch profile (paths of 3), at 2..5 states and
+// MaxPathLen 1..3, and pins the machines (paths, predictions, state counts
+// and score) by digest: the path table's layout must not change a single
+// selected machine.
+func TestPathMachinesCatalog(t *testing.T) {
+	h := sha256.New()
+	for _, w := range bench.Workloads() {
+		c, err := bench.Compile(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, _, err := c.ProfileRun(bench.RunConfig{Budget: 200_000, Scale: 1 << 30}, profile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := int32(0); int(s) < c.NSites; s++ {
+			for n := 2; n <= 5; n++ {
+				for l := 1; l <= 3; l++ {
+					m := statemachine.BestPathMachine(prof.Path, s, n, l)
+					fmt.Fprintf(h, "%s %d %d %d: %v %v %v %v %d/%d\n", w.Name, s, n, l,
+						m.Paths, m.PredTaken, m.StatePairs, m.CatchPair, m.Hits, m.Total)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pathMachinesDigest {
+		t.Fatalf("path machines digest %s, want %s", got, pathMachinesDigest)
+	}
 }

@@ -82,37 +82,6 @@ func (m *PathMachine) String() string {
 	return s + " *→" + d
 }
 
-// scorePathSet computes longest-match hits for a set of paths plus
-// catch-all over the site's full-length path table.
-func scorePathSet(full map[profile.PathKey]*profile.Pair, paths []profile.PathKey) (hits, total uint64, preds []bool, catchPred bool) {
-	eff := make([]profile.Pair, len(paths))
-	var catchAll profile.Pair
-	for key, pr := range full {
-		best, bestLen := -1, -1
-		for i, p := range paths {
-			l := p.Len()
-			if l > bestLen && key.Suffix(l) == p {
-				best, bestLen = i, l
-			}
-		}
-		if best >= 0 {
-			eff[best].Merge(*pr)
-		} else {
-			catchAll.Merge(*pr)
-		}
-	}
-	preds = make([]bool, len(paths))
-	for i, e := range eff {
-		preds[i] = e.MajorityTaken()
-		hits += e.Hits()
-		total += e.Total()
-	}
-	catchPred = catchAll.MajorityTaken()
-	hits += catchAll.Hits()
-	total += catchAll.Total()
-	return hits, total, preds, catchPred
-}
-
 // BestPathMachine builds an n-state correlated machine for one branch site
 // by greedy search with exact incremental rescoring: starting from the lone
 // catch-all, repeatedly add the candidate path (any suffix length up to the
@@ -132,33 +101,13 @@ func BestPathMachine(h *profile.PathHistory, site int32, n, maxPathLen int) *Pat
 	if n > 16 {
 		n = 16 // bounded by the fixed-size per-state accumulators below
 	}
-	full := h.Table(site)
 	maxLen := h.M
 	if maxPathLen > 0 && maxPathLen < maxLen {
 		maxLen = maxPathLen
 	}
-	// Flatten the table and index candidates: candIdx[c] lists the keys
-	// having candidate path c as a suffix.
-	keys := make([]profile.PathKey, 0, len(full))
-	pairs := make([]profile.Pair, 0, len(full))
-	for k, pr := range full {
-		keys = append(keys, k)
-		pairs = append(pairs, *pr)
-	}
-	// Deterministic key order (map iteration is random).
-	ord := make([]int, len(keys))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
-	sortedKeys := make([]profile.PathKey, len(keys))
-	sortedPairs := make([]profile.Pair, len(keys))
-	for i, j := range ord {
-		sortedKeys[i] = keys[j]
-		sortedPairs[i] = pairs[j]
-	}
-	keys, pairs = sortedKeys, sortedPairs
-
+	// The site's table, sorted by key; candKeys[c] lists the keys having
+	// candidate path c as a suffix.
+	keys, pairs := h.Table(site)
 	candKeys := make(map[profile.PathKey][]int32)
 	for i, k := range keys {
 		kl := k.Len()

@@ -359,6 +359,8 @@ func TestPathMachineMoreStatesNeverWorse(t *testing.T) {
 	}
 }
 
+// TestScorePathSetPartition checks that a path machine's states, the
+// catch-all included, partition every event of the site's path table.
 func TestScorePathSetPartition(t *testing.T) {
 	h := profile.NewPathHistory(2, 2)
 	t0, t1 := int32(0), int32(1)
@@ -368,19 +370,19 @@ func TestScorePathSetPartition(t *testing.T) {
 		h.RecordBranch(t0, x&2 != 0)
 		h.RecordBranch(t1, x&4 != 0)
 	}
-	full := h.Table(1)
+	_, pairs := h.Table(1)
 	var want uint64
-	for _, p := range full {
+	for _, p := range pairs {
 		want += p.Total()
 	}
-	// Any path set must partition all events.
-	var somePath profile.PathKey
-	for k := range full {
-		somePath = k.Suffix(1)
-		break
-	}
-	_, total, _, _ := scorePathSet(full, []profile.PathKey{somePath})
-	if total != want {
-		t.Fatalf("partition broken: %d != %d", total, want)
+	for n := 1; n <= 4; n++ {
+		m := BestPathMachine(h, 1, n, 0)
+		got := m.CatchPair.Total()
+		for _, p := range m.StatePairs {
+			got += p.Total()
+		}
+		if got != want || m.Total != want {
+			t.Fatalf("n=%d: partition broken: states hold %d, total %d, want %d", n, got, m.Total, want)
+		}
 	}
 }
