@@ -84,6 +84,11 @@ stage_suites() {
     # The CLIs' stdout: replicate on compress, krallcheck on the examples,
     # svm and the -predict catalog table.
     go test -run='^TestGoldenOutput$' ./cmd/replicate ./cmd/krallcheck
+    # The indirect family through core's cluster stage: kralld's svm and
+    # lex goldens and krallcheck's clustering verdict on the dispatch
+    # example.
+    go test -run='^TestGoldenResponses$/^replicate_(svm|lex)_indirect$' ./internal/service
+    go test -run='^TestCheckDispatchClustering$' ./cmd/krallcheck
     # Persistence and shutdown faults: a restart over the disk tier answers
     # byte-identically without re-recording, a writer SIGKILLed mid-Put
     # leaves no torn entry, and a drain finishes the request in flight.

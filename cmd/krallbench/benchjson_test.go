@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/results"
 )
 
@@ -33,12 +36,27 @@ func TestBenchJSON(t *testing.T) {
 	if res.TotalSeconds <= 0 || res.BranchesPerSecond <= 0 {
 		t.Fatalf("timings not populated: total=%v b/s=%v", res.TotalSeconds, res.BranchesPerSecond)
 	}
-	// -all records each workload under two dataset seeds, nothing more.
-	if res.Engine.TraceRecords != 16 {
-		t.Fatalf("trace_records = %d, want 16", res.Engine.TraceRecords)
+	// -all records each workload under two dataset seeds and each dispatch
+	// workload once to completion (at the indirect experiment's floor of
+	// 4 rounds at this budget), nothing more.
+	wantRecords, wantEvents := int64(16), int64(16*20000)
+	for _, w := range bench.IndirectWorkloads() {
+		c, err := bench.Compile(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := core.Record(context.Background(), c.Prog, core.Cell{Scale: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRecords++
+		wantEvents += int64(rec.Slab.Len())
 	}
-	if res.Engine.RecordedEvents != 16*20000 {
-		t.Fatalf("recorded_events = %d, want %d", res.Engine.RecordedEvents, 16*20000)
+	if res.Engine.TraceRecords != wantRecords {
+		t.Fatalf("trace_records = %d, want %d", res.Engine.TraceRecords, wantRecords)
+	}
+	if res.Engine.RecordedEvents != wantEvents {
+		t.Fatalf("recorded_events = %d, want %d", res.Engine.RecordedEvents, wantEvents)
 	}
 	if res.Engine.Replays == 0 || res.Engine.LiveRuns == 0 {
 		t.Fatalf("engine counters not populated: %+v", res.Engine)
@@ -77,9 +95,11 @@ func TestBenchJSON(t *testing.T) {
 }
 
 // TestForceLiveMatchesReplayStdout pins the engine swap end to end at the
-// driver level: -forcelive must not move a single stdout byte.
+// driver level: -forcelive must not move a single stdout byte, neither in
+// the replayed tables nor in the indirect experiment, whose baseline the
+// engine reads from the dispatch workloads' recordings.
 func TestForceLiveMatchesReplayStdout(t *testing.T) {
-	base := []string{"-quick", "-budget", "20000", "-table", "1,3", "-parallel", "1"}
+	base := []string{"-quick", "-budget", "20000", "-table", "1,3", "-indirect", "-parallel", "1"}
 	var replay, live bytes.Buffer
 	if err := run(base, &replay, io.Discard); err != nil {
 		t.Fatal(err)

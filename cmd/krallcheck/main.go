@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
-	"repro/internal/indirect"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/replicate"
@@ -203,31 +202,22 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 
 	// The indirect family's pass: programs with switch dispatches also get
 	// clustered (against the profiled target distribution) and re-derived
-	// structurally. Switch-free programs skip it silently.
-	nSwitches := 0
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			if b.Term.Op == ir.TermSwitch {
-				nSwitches++
-			}
-		}
-	}
+	// structurally. Switch-free programs report nothing.
 	clusterStatus := ""
-	if nSwitches > 0 && !opts.lintOnly {
-		snap := ir.CloneProgram(prog)
-		clustered := ir.CloneProgram(prog)
-		st, prov, err := indirect.Cluster(clustered, p.Prof.Targets, indirect.Options{})
+	if !opts.lintOnly {
+		cl, err := p.Cluster(true)
 		if err != nil {
 			fmt.Fprintf(stderr, "krallcheck: %s: clustering: %v\n", name, err)
 			return 2
 		}
-		idiags := analysis.VerifyIndirect(snap, clustered, prov)
-		diags = append(diags, idiags...)
-		if len(idiags) == 0 {
-			clusterStatus = fmt.Sprintf(", clustering verified (%d of %d dispatch sites)",
-				st.Clustered, st.Switches)
-		} else {
-			clusterStatus = ", clustering NOT verified"
+		if st := cl.Stats; st.Switches > 0 {
+			diags = append(diags, cl.Diags...)
+			if len(cl.Diags) == 0 {
+				clusterStatus = fmt.Sprintf(", clustering verified (%d of %d dispatch sites)",
+					st.Clustered, st.Switches)
+			} else {
+				clusterStatus = ", clustering NOT verified"
+			}
 		}
 	}
 

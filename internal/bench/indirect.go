@@ -2,16 +2,10 @@ package bench
 
 import (
 	"context"
-	"errors"
 
-	"repro/internal/exec"
-	"repro/internal/indirect"
-	"repro/internal/interp"
+	"repro/internal/core"
 	"repro/internal/ir"
-	"repro/internal/predict"
-	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/trace"
 )
 
 // The indirect experiment scores the second replication family — case
@@ -19,24 +13,16 @@ import (
 // workloads whose inner loops are N-way dispatches, the branch shape the
 // paper's semi-static machinery cannot reach.
 //
-// Cost model: a semi-static front end carries its predictions in the
-// instructions, so it has nothing to say about an indirect transfer — the
-// target is data, and every executed dispatch costs one
-// misprediction-equivalent fetch redirect. Conditional branches cost what
-// their annotations measure. The clustering transform's claim is exactly
-// that it moves the hot share of each dispatch out of the unpredictable
-// pool: a clustered program redirects only at the residual switch, while
-// the chain's equality tests are ordinary profile-predicted branches. The
-// table therefore reports, per workload,
-//
-//	effective misses = conditional mispredictions + executed dispatches
-//
-// for the branch-annotated baseline against the clustered program (whose
-// executed dispatches are the residual's only — taken chain tests never
-// reach it). Both variants run to natural completion, so the miss counts
-// are directly comparable, and each clustered program is re-verified
-// structurally (indirect.Verify) and behaviourally (checksum equality) as
-// part of the experiment.
+// The table reports, per workload, the effective misses of core's cost
+// model (conditional mispredictions plus executed dispatches) for the
+// branch-annotated baseline against the clustered program, whose executed
+// dispatches are the residual's only: taken chain tests never reach it.
+// Both variants run to natural completion, so the miss counts are directly
+// comparable. The workload is recorded once: the profile and the baseline
+// come from the recording, and only the clustered program runs live. Each
+// clustered program is re-verified structurally (indirect.Verify) and
+// behaviourally (checksum, prints and main's return value) as part of the
+// experiment.
 
 // svmSrc is a stack-machine bytecode interpreter: the canonical indirect
 // dispatch loop. The generated bytecode stream is dominated by push —
@@ -345,54 +331,48 @@ func indirectScale(budget uint64) int64 {
 	return s
 }
 
-// indirectRun is one completion run under the experiment's cost model:
-// the run's counters plus the number of executed switch dispatches
-// (real TermSwitch transfers — taken chain tests emit switch trace events
-// but are ordinary conditional branches to the front end).
-type indirectRun struct {
-	c          exec.Counters
-	dispatches uint64
-	ret        int64
-}
-
-func (s *Suite) runIndirect(prog *ir.Program, run RunConfig) (indirectRun, error) {
-	s.countLiveRun()
-	m, err := run.Machine(context.Background(), prog)
-	if err != nil {
-		return indirectRun{}, err
-	}
-	var r indirectRun
-	m.SetSwHook(func(t *ir.Term, _ int32) {
-		if t.Op == ir.TermSwitch {
-			r.dispatches++
+// indirectProfile profiles a dispatch workload on its completion cell:
+// one recording folded into the profile, or one live run folding it in a
+// ForceLive suite.
+func (s *Suite) indirectProfile(c *Compiled, cell core.Cell) (*core.Profiled, error) {
+	if s.Cfg.ForceLive {
+		p, err := core.ProfileLive(context.Background(), c.Prog, cell)
+		if err != nil {
+			return nil, err
 		}
-	})
-	ret, err := m.Run()
-	if err != nil && !errors.Is(err, interp.ErrLimit) {
-		return indirectRun{}, err
+		s.countLiveRun()
+		return p, nil
 	}
-	r.c = m.Counters()
-	r.ret = ret
-	return r, nil
+	p, err := core.Profile(context.Background(), c.Prog, cell)
+	if err != nil {
+		return nil, err
+	}
+	s.countRecord(int64(p.Rec.Slab.Len()))
+	s.countReplay(int64(p.Rec.Slab.Len()))
+	return p, nil
 }
 
-// effMisses is the model's cost: conditional mispredictions plus one
-// fetch redirect per executed indirect transfer.
-func (r indirectRun) effMisses() uint64 { return r.c.Mispredicted + r.dispatches }
-
-// effEvents is the prediction-event pool under the same model.
-func (r indirectRun) effEvents() uint64 { return r.c.Predicted + r.dispatches }
+// indirectRun measures one program of the experiment live on its
+// completion cell.
+func (s *Suite) indirectRun(prog *ir.Program, cell core.Cell) (core.Measurement, error) {
+	m, err := core.Measure(context.Background(), prog, cell, nil)
+	if err != nil {
+		return core.Measurement{}, err
+	}
+	s.countLiveRun()
+	return m, nil
+}
 
 // IndirectTable runs the indirect-family experiment: per workload, the
-// effective misprediction rate of the branch-annotated baseline versus the
-// clustered program, the miss reduction, the code growth, and the
-// verification verdict. One parallel job per workload.
+// effective misprediction rate (core's cost model) of the branch-annotated
+// baseline versus the clustered program, the miss reduction, the code
+// growth, and the verification verdict. One parallel job per workload.
 func (s *Suite) IndirectTable() (*Table, error) {
 	t := &Table{
 		ID:    "indirect",
 		Title: "Indirect dispatch: switch clustering vs annotated baseline (measured)",
 	}
-	scale := indirectScale(s.Cfg.Budget)
+	cell := core.Cell{Seed: s.Cfg.Seed, Scale: indirectScale(s.Cfg.Budget)}
 	type col struct {
 		events, resid, base, clus, redu, size, tests, verified Cell
 	}
@@ -403,52 +383,40 @@ func (s *Suite) IndirectTable() (*Table, error) {
 		if err != nil {
 			return col{}, err
 		}
-		run := RunConfig{Seed: s.Cfg.Seed, Scale: scale}
-
-		// One profiling run feeds both the branch profile vector and the
-		// per-site target distribution.
-		counts := trace.NewCounts(comp.NSites)
-		targets := trace.NewTargetCounts(comp.NSites)
-		if _, err := runProgram(comp.Prog, run, counts, targets); err != nil {
-			return col{}, err
-		}
-		s.countLiveRun()
-		static := predict.ProfileStatic(counts)
-
-		baseline := ir.CloneProgram(comp.Prog)
-		replicate.Annotate(baseline, static.Preds)
-		br, err := s.runIndirect(baseline, run)
+		p, err := s.indirectProfile(comp, cell)
 		if err != nil {
 			return col{}, err
 		}
-		c.events = countCell(br.dispatches)
-		c.base = rateCell(br.effMisses(), br.effEvents())
-
-		clustered := ir.CloneProgram(baseline)
-		snap := ir.CloneProgram(clustered)
-		st, prov, err := indirect.Cluster(clustered, targets, indirect.Options{})
+		cl, err := p.Cluster(true)
 		if err != nil {
 			return col{}, err
 		}
-		cr, err := s.runIndirect(clustered, run)
-		if err != nil {
-			return col{}, err
-		}
-		c.resid = countCell(cr.dispatches)
-		c.clus = rateCell(cr.effMisses(), cr.effEvents())
-		if bm := br.effMisses(); bm > 0 {
-			c.redu = Cell{
-				Value: 100 * (float64(bm) - float64(cr.effMisses())) / float64(bm),
-				Valid: true,
+		// The annotated baseline follows the profiled run's path, so the
+		// recording measures it; a ForceLive suite runs it.
+		br := p.Baseline(p.Preds())
+		if s.Cfg.ForceLive {
+			if br, err = s.indirectRun(cl.Baseline, cell); err != nil {
+				return col{}, err
 			}
 		}
-		c.size = Cell{Value: st.SizeFactor(), Valid: true}
-		c.tests = countCell(uint64(st.Tests))
+		cr, err := s.indirectRun(cl.Clustered, cell)
+		if err != nil {
+			return col{}, err
+		}
+		c.events = countCell(br.Dispatches)
+		c.base = rateCell(br.Effective())
+		c.resid = countCell(cr.Dispatches)
+		c.clus = rateCell(cr.Effective())
+		if bm, _ := br.Effective(); bm > 0 {
+			c.redu = Cell{Value: cr.MissReduction(br), Valid: true}
+		}
+		c.size = Cell{Value: cl.Stats.SizeFactor(), Valid: true}
+		c.tests = countCell(uint64(cl.Stats.Tests))
 
 		// Verified: the structural re-derivation accepts the transform and
 		// the completion-run behaviour is unchanged.
-		ok := len(indirect.Verify(snap, clustered, prov)) == 0 &&
-			cr.c.Checksum == br.c.Checksum && cr.c.Prints == br.c.Prints && cr.ret == br.ret
+		ok := len(cl.Diags) == 0 &&
+			cr.Checksum == br.Checksum && cr.Prints == br.Prints && cr.Ret == br.Ret
 		v := uint64(0)
 		if ok {
 			v = 1

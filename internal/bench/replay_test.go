@@ -104,6 +104,53 @@ func TestReplayMatchesLiveMeasured(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesLiveIndirect extends the equivalence to the indirect
+// experiment, whose annotated baseline the trace engine reads from the
+// dispatch workload's recording instead of running it. At one and at
+// eight workers the table must be byte-identical to ForceLive's, which
+// profiles and measures the baseline live. The section records each
+// dispatch workload once, replays that recording once into its profile
+// and runs only the clustered program live; ForceLive runs all three
+// live.
+func TestReplayMatchesLiveIndirect(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Budget = 30_000
+	n := int64(len(IndirectWorkloads()))
+
+	render := func(forceLive bool, parallel int) string {
+		cfg.ForceLive = forceLive
+		cfg.Parallel = parallel
+		s, err := NewSuite(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Engine().Stats()
+		tab, err := s.IndirectTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Engine().Stats()
+		records, replays := st.TraceRecords-before.TraceRecords, st.Replays-before.Replays
+		live, walks := st.LiveRuns-before.LiveRuns, st.Walks-before.Walks
+		want := [4]int64{n, n, n, 0}
+		if forceLive {
+			want = [4]int64{0, 0, 3 * n, 0}
+		}
+		if got := [4]int64{records, replays, live, walks}; got != want {
+			t.Fatalf("forceLive=%t parallel=%d: indirect section made %d recordings, %d replays, %d live runs and %d walks, want %v",
+				forceLive, parallel, records, replays, live, walks, want)
+		}
+		return tab.Render()
+	}
+
+	live := render(true, 1)
+	for _, p := range []int{1, 8} {
+		if got := render(false, p); got != live {
+			t.Fatalf("parallel=%d: recorded indirect baseline differs from live\nlive:\n%s\nrecorded:\n%s", p, live, got)
+		}
+	}
+}
+
 // TestRecordOncePerWorkload asserts the engine counters that back the
 // record-once claim: serving every trace-sufficient experiment costs
 // exactly one recording per workload and zero live interpreter runs;

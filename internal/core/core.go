@@ -4,11 +4,12 @@
 // tables and choose the best strategy per branch, replicate code so the
 // machines become program structure, and measure the transformed program.
 //
-// Every caller builds on these stages: the root package's facade (Run),
-// cmd/replicate, krallcheck, kralld's /v1/replicate and the krallbench
-// suite. It is also the one place that sets up an interpreter machine
-// for a dataset cell (Cell.Machine), so every run, recorded or live,
-// follows the same budget, backstop and dataset rules.
+// Every caller builds on these stages, the indirect family's (Cluster)
+// included: the facade (Run), cmd/replicate, krallcheck, kralld's
+// /v1/replicate and the krallbench suite. It is also the one place that
+// sets up an interpreter machine for a dataset cell (Cell.Machine), so
+// every run, recorded or live, follows the same budget, backstop and
+// dataset rules.
 package core
 
 import (
@@ -16,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/exec"
+	"repro/internal/indirect"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -88,15 +91,17 @@ func (c Cell) Machine(ctx context.Context, prog *ir.Program) (*exec.Machine, err
 	return m, nil
 }
 
-// run executes m. A limit ends the run normally; truncated reports it.
-func run(m *exec.Machine) (truncated bool, err error) {
-	if _, err := m.Run(); err != nil {
+// run executes m and returns main's value. A limit ends the run normally;
+// truncated reports it.
+func run(m *exec.Machine) (ret int64, truncated bool, err error) {
+	ret, err = m.Run()
+	if err != nil {
 		if errors.Is(err, interp.ErrLimit) {
-			return true, nil
+			return 0, true, nil
 		}
-		return false, err
+		return 0, false, err
 	}
-	return false, nil
+	return ret, false, nil
 }
 
 // Recording is the record-once product of running a program on one cell:
@@ -106,7 +111,11 @@ type Recording struct {
 	// Slab is nil when the run was folded into its profile as it ran
 	// (Run), which walks no clone.
 	Slab *trace.Slab
+	// Counters are the run's; a recording decoded from a stored payload
+	// keeps only Branches, Steps and Checksum of them.
 	exec.Counters
+	// Ret is main's return value (0 when the run stopped at a limit).
+	Ret int64
 	// Truncated reports that the run stopped at a limit instead of
 	// returning from main.
 	Truncated bool
@@ -125,21 +134,24 @@ func Record(ctx context.Context, prog *ir.Program, cell Cell) (*Recording, error
 	m.EnableBlockCounts()
 	slab := trace.NewSlab(int(cell.Budget))
 	m.SetRec(slab)
-	truncated, err := run(m)
+	ret, truncated, err := run(m)
 	if err != nil {
 		return nil, err
 	}
 	slab.Seal()
-	return &Recording{Slab: slab, Counters: m.Counters(), Truncated: truncated, BlockCounts: m.BlockCounts()}, nil
+	return &Recording{Slab: slab, Counters: m.Counters(), Ret: ret, Truncated: truncated, BlockCounts: m.BlockCounts()}, nil
 }
 
 // Measurement is what a run of a program on a recording's dataset
-// observed: its static prediction score, its output checksum and, when
+// observed: its static prediction score, its executed switch dispatches,
+// its output (checksum, print count and main's return value) and, when
 // measured against a recording or by Count, its per-site branch outcomes
 // and per-block executions.
 type Measurement struct {
 	Predicted, Mispredicted uint64
-	Checksum                uint64
+	Dispatches              uint64
+	Checksum, Prints        uint64
+	Ret                     int64
 	Counts                  *trace.Counts
 	BlockCounts             [][]uint64
 	// Walked reports that the program was walked along the recording
@@ -153,6 +165,26 @@ func (m Measurement) Rate() float64 {
 		return 0
 	}
 	return 100 * float64(m.Mispredicted) / float64(m.Predicted)
+}
+
+// Effective is the indirect family's cost model: a semi-static front end
+// carries its predictions in the instructions, so it cannot predict an
+// indirect transfer, and every executed dispatch costs one
+// misprediction-equivalent fetch redirect on top of the conditional
+// mispredictions. It returns the effective misses and prediction events.
+func (m Measurement) Effective() (misses, events uint64) {
+	return m.Mispredicted + m.Dispatches, m.Predicted + m.Dispatches
+}
+
+// MissReduction is the percentage of base's effective misses that m
+// avoids (0 when base has none).
+func (m Measurement) MissReduction(base Measurement) float64 {
+	bm, _ := base.Effective()
+	cm, _ := m.Effective()
+	if bm == 0 {
+		return 0
+	}
+	return 100 * (float64(bm) - float64(cm)) / float64(bm)
 }
 
 // Measure measures prog, the recorded program or a transformed clone of
@@ -174,7 +206,8 @@ func Measure(ctx context.Context, prog *ir.Program, cell Cell, walk *Recording) 
 		})
 		if err == nil {
 			return Measurement{
-				Predicted: res.Predicted, Mispredicted: res.Mispredicted, Checksum: walk.Checksum,
+				Predicted: res.Predicted, Mispredicted: res.Mispredicted, Dispatches: res.Dispatches,
+				Checksum: walk.Checksum, Prints: walk.Prints, Ret: walk.Ret,
 				Counts: res.Counts, BlockCounts: res.BlockCounts, Walked: true,
 			}, nil
 		}
@@ -203,12 +236,14 @@ func live(ctx context.Context, prog *ir.Program, cell Cell, counted bool) (Measu
 		m.SetHook(interp.BranchHook(counts))
 		m.EnableBlockCounts()
 	}
-	if _, err := run(m); err != nil {
+	ret, _, err := run(m)
+	if err != nil {
 		return Measurement{}, err
 	}
 	mc := m.Counters()
 	return Measurement{
-		Predicted: mc.Predicted, Mispredicted: mc.Mispredicted, Checksum: mc.Checksum,
+		Predicted: mc.Predicted, Mispredicted: mc.Mispredicted, Dispatches: mc.Dispatches,
+		Checksum: mc.Checksum, Prints: mc.Prints, Ret: ret,
 		Counts: counts, BlockCounts: m.BlockCounts(),
 	}, nil
 }
@@ -241,6 +276,26 @@ func Profile(ctx context.Context, prog *ir.Program, cell Cell) (*Profiled, error
 	return &Profiled{Prog: prog, Feats: predict.Analyze(prog), Cell: cell, Rec: rec, Prof: prof}, nil
 }
 
+// ProfileLive is Profile without a recording: the run folds each branch
+// and switch event into the profile as it executes, so its memory grows
+// with the program's branch sites, not with the run's length. Its Rec
+// holds the run's counters and no slab, so no clone can walk along it.
+func ProfileLive(ctx context.Context, prog *ir.Program, cell Cell) (*Profiled, error) {
+	prof := profile.New(prog.NumberBranches(true), profile.Options{})
+	m, err := cell.Machine(ctx, prog)
+	if err != nil {
+		return nil, err
+	}
+	m.SetHook(interp.BranchHook(prof))
+	m.SetSwHook(interp.SwitchHook(prof))
+	ret, truncated, err := run(m)
+	if err != nil {
+		return nil, err
+	}
+	return &Profiled{Prog: prog, Feats: predict.Analyze(prog), Cell: cell,
+		Rec: &Recording{Counters: m.Counters(), Ret: ret, Truncated: truncated}, Prof: prof}, nil
+}
+
 // Select chooses every site's strategy from the profile.
 func (p *Profiled) Select(opts statemachine.Options) []statemachine.Choice {
 	return statemachine.Select(p.Prof, p.Feats, opts)
@@ -253,15 +308,19 @@ func (p *Profiled) Preds() []ir.Prediction { return predict.ProfileStatic(p.Prof
 // Baseline is the measured run of the recorded program annotated with
 // preds. replicate.Annotate changes only Term.Pred, so the annotated run
 // is the recording: preds scored over the recorded outcomes, with the
-// recording's checksum. StaticScore is order-insensitive, so folding the
-// profile's per-site totals scores it exactly as a replay would.
+// recording's dispatches and output. StaticScore is order-insensitive, so
+// folding the profile's per-site totals scores it exactly as a replay
+// would.
 func (p *Profiled) Baseline(preds []ir.Prediction) Measurement {
 	score := &predict.StaticScore{Preds: preds}
 	for site := range p.Prof.Counts.Taken {
 		score.RecordRun(int32(site), true, p.Prof.Counts.Taken[site])
 		score.RecordRun(int32(site), false, p.Prof.Counts.NotTaken[site])
 	}
-	return Measurement{Predicted: score.Predicted, Mispredicted: score.Mispredicted, Checksum: p.Rec.Checksum}
+	return Measurement{
+		Predicted: score.Predicted, Mispredicted: score.Mispredicted, Dispatches: p.Rec.Dispatches,
+		Checksum: p.Rec.Checksum, Prints: p.Rec.Prints, Ret: p.Rec.Ret,
+	}
 }
 
 // Apply is a replication driver: replicate.ApplyOpts, or
@@ -275,6 +334,42 @@ func (p *Profiled) Transform(apply Apply, choices []statemachine.Choice, preds [
 	clone := ir.CloneProgram(p.Prog)
 	st, err := apply(clone, choices, preds, opts)
 	return clone, st, err
+}
+
+// Clustering is the indirect family's transform of a profiled program:
+// case clustering of its hot switch dispatches (package indirect).
+type Clustering struct {
+	// Baseline is the program annotated with the profile's majority
+	// directions (Preds); Clustered is a clone of it with every hot
+	// dispatch clustered against the profiled switch targets.
+	Baseline, Clustered *ir.Program
+	Stats               *indirect.Stats
+	// Diags are the structural verifier's findings (indirect.Verify), one
+	// Error each: none when it accepted the transform or did not run.
+	Diags []analysis.Diagnostic
+}
+
+// Cluster is the indirect family's stage after profiling: it annotates a
+// clone of the program with Preds, clusters a clone of that baseline and,
+// given verify, re-derives the transform structurally. The baseline's
+// measurement on the profiled cell is Baseline(Preds()); the clustered
+// program adds chain tests, so it runs live (Measure).
+func (p *Profiled) Cluster(verify bool) (*Clustering, error) {
+	base := ir.CloneProgram(p.Prog)
+	replicate.Annotate(base, p.Preds())
+	clus := ir.CloneProgram(base)
+	st, prov, err := indirect.Cluster(clus, p.Prof.Targets, indirect.Options{})
+	if err != nil {
+		return nil, err
+	}
+	c := &Clustering{Baseline: base, Clustered: clus, Stats: st}
+	if verify {
+		for _, err := range indirect.Verify(base, clus, prov) {
+			c.Diags = append(c.Diags, analysis.Diagnostic{Pass: "indirect-equivalence", Sev: analysis.Error,
+				Pos: analysis.Pos{Block: -1, Instr: -1}, Msg: err.Error()})
+		}
+	}
+	return c, nil
 }
 
 // Config parameterises a pipeline run.
@@ -361,20 +456,10 @@ func CompileBL(src string) (*ir.Program, error) { return lang.Compile(src) }
 // memory grows with the program's branch sites, not with the run's length.
 func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	ctx := context.Background()
-	cell := Cell{Budget: cfg.Budget, Seed: cfg.Seed, Scale: cfg.Scale}
-	prof := profile.New(prog.NumberBranches(true), profile.Options{})
-	m, err := cell.Machine(ctx, prog)
+	p, err := ProfileLive(ctx, prog, Cell{Budget: cfg.Budget, Seed: cfg.Seed, Scale: cfg.Scale})
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
-	m.SetHook(interp.BranchHook(prof))
-	m.SetSwHook(interp.SwitchHook(prof))
-	truncated, err := run(m)
-	if err != nil {
-		return nil, fmt.Errorf("core: profiling run: %w", err)
-	}
-	p := &Profiled{Prog: prog, Feats: predict.Analyze(prog), Cell: cell,
-		Rec: &Recording{Counters: m.Counters(), Truncated: truncated}, Prof: prof}
 	cfg.setDefaults()
 	return p.Replicate(ctx, statemachine.Options{MaxStates: cfg.MaxStates, MaxPathLen: cfg.MaxPathLen},
 		replicate.ApplyOpts, replicate.Options{MaxSizeFactor: cfg.MaxSizeFactor})

@@ -15,8 +15,10 @@ import (
 
 // Counters is the observable execution summary of one run.
 type Counters struct {
-	Steps        uint64
-	Branches     uint64
+	Steps    uint64
+	Branches uint64
+	// Dispatches counts executed switch dispatches (TermSwitch transfers).
+	Dispatches   uint64
 	Predicted    uint64
 	Mispredicted uint64
 	Checksum     uint64
@@ -89,7 +91,7 @@ func (a *Machine) Run() (int64, error) { return a.m.Run() }
 // Counters returns the execution counters.
 func (a *Machine) Counters() Counters {
 	return Counters{
-		Steps: a.m.Steps, Branches: a.m.Branches,
+		Steps: a.m.Steps, Branches: a.m.Branches, Dispatches: a.m.Dispatches,
 		Predicted: a.m.Predicted, Mispredicted: a.m.Mispredicted,
 		Checksum: a.m.Checksum, Prints: a.m.Prints,
 	}

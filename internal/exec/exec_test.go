@@ -157,7 +157,7 @@ func TestCountersMirrorInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := exec.Counters{
-		Steps: ref.Steps, Branches: ref.Branches,
+		Steps: ref.Steps, Branches: ref.Branches, Dispatches: ref.Dispatches,
 		Predicted: ref.Predicted, Mispredicted: ref.Mispredicted,
 		Checksum: ref.Checksum, Prints: ref.Prints,
 	}

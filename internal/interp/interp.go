@@ -96,6 +96,9 @@ type Machine struct {
 	Steps uint64
 	// Branches is the number of conditional branches executed.
 	Branches uint64
+	// Dispatches is the number of executed switch dispatches: TermSwitch
+	// transfers only, since a clustering test is a conditional branch.
+	Dispatches uint64
 	// Predicted and Mispredicted score branches that carry a static
 	// prediction annotation (ir.PredNone branches are not counted).
 	Predicted    uint64
@@ -151,7 +154,7 @@ func (m *Machine) Reset() {
 		copy(buf, g.Init)
 		m.globals[i] = buf
 	}
-	m.Steps, m.Branches, m.Predicted, m.Mispredicted = 0, 0, 0, 0
+	m.Steps, m.Branches, m.Dispatches, m.Predicted, m.Mispredicted = 0, 0, 0, 0, 0
 	m.Checksum, m.Prints = 0, 0
 	m.ctxLeft = 0
 }
@@ -471,6 +474,7 @@ func (m *Machine) exec(f *ir.Func, regs []int64, depth int) (int64, error) {
 				outcome = int32(v)
 			}
 			m.Branches++
+			m.Dispatches++
 			if t.Pred != ir.PredNone {
 				m.Predicted++
 				if t.PredIdx != outcome {

@@ -45,8 +45,8 @@ type WalkLimits struct {
 // WalkResult is what a live run of the walked program with a per-site
 // branch hook and block counting would observe.
 type WalkResult struct {
-	Branches, Steps         uint64
-	Predicted, Mispredicted uint64
+	Branches, Steps, Dispatches uint64
+	Predicted, Mispredicted     uint64
 	// Counts holds the conditional-branch outcomes per site of the walked
 	// program; BlockCounts the executions per function and block ID.
 	Counts      *trace.Counts
@@ -217,7 +217,7 @@ func (w *walker) walk(ctx context.Context, slab *trace.Slab, lim WalkLimits) (*W
 	// outcomes[2*site+taken] counts a Br site's outcomes.
 	outcomes := make([]uint64, 2*len(w.preds))
 	cur := slab.Cursor()
-	var steps, branches, swPredicted, swMispredicted uint64
+	var steps, branches, dispatches, swPredicted, swMispredicted uint64
 	var stack []walkFrame
 	var poll uint32
 	b := w.entry
@@ -266,6 +266,7 @@ func (w *walker) walk(ctx context.Context, slab *trace.Slab, lim WalkLimits) (*W
 			if !ok || !ev.Switch || ev.Site != blk.orig || ev.Outcome < 0 || ev.Outcome > blk.ntgt {
 				return nil, w.mismatch(b, branches, ev, ok)
 			}
+			dispatches++
 			if w.preds[blk.site] != ir.PredNone {
 				swPredicted++
 				if w.predIdx[blk.site] != ev.Outcome {
@@ -282,7 +283,7 @@ func (w *walker) walk(ctx context.Context, slab *trace.Slab, lim WalkLimits) (*W
 				if ev, ok := cur.Next(); ok {
 					return nil, fmt.Errorf("%w: main returned with event %+v still recorded", ErrWalkMismatch, ev)
 				}
-				return w.result(steps, branches, swPredicted, swMispredicted, outcomes, bc), nil
+				return w.result(steps, branches, dispatches, swPredicted, swMispredicted, outcomes, bc), nil
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -293,7 +294,7 @@ func (w *walker) walk(ctx context.Context, slab *trace.Slab, lim WalkLimits) (*W
 			return nil, fmt.Errorf("replicate: walk: block %s has no terminator", w.blocks[b])
 		}
 		if branches++; branches >= maxBranches {
-			return w.result(steps, branches, swPredicted, swMispredicted, outcomes, bc), nil
+			return w.result(steps, branches, dispatches, swPredicted, swMispredicted, outcomes, bc), nil
 		}
 	}
 }
@@ -312,9 +313,9 @@ func (w *walker) mismatch(b int32, branches uint64, ev trace.Event, ok bool) err
 // taken and not-taken, scores each Br site's prediction over them (a
 // switch site has no outcome counts, so adds nothing here), and splits
 // the flat block counts per function.
-func (w *walker) result(steps, branches, swPredicted, swMispredicted uint64, outcomes, bc []uint64) *WalkResult {
+func (w *walker) result(steps, branches, dispatches, swPredicted, swMispredicted uint64, outcomes, bc []uint64) *WalkResult {
 	r := &WalkResult{
-		Steps: steps, Branches: branches,
+		Steps: steps, Branches: branches, Dispatches: dispatches,
 		Predicted: swPredicted, Mispredicted: swMispredicted,
 		Counts: trace.NewCounts(len(w.preds)),
 	}

@@ -69,7 +69,7 @@ func (s *walkSubject) live(prog *ir.Program) (*replicate.WalkResult, error) {
 		return nil, err
 	}
 	return &replicate.WalkResult{
-		Branches: m.Branches, Steps: m.Steps,
+		Branches: m.Branches, Steps: m.Steps, Dispatches: m.Dispatches,
 		Predicted: m.Predicted, Mispredicted: m.Mispredicted,
 		Counts: counts, BlockCounts: m.BlockCounts(),
 	}, nil

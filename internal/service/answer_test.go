@@ -267,6 +267,9 @@ func FuzzRequest(f *testing.F) {
 	} {
 		f.Add(index(batchEndpoint), []byte(body))
 	}
+	if body, err := json.Marshal(Request{Source: completionTrapSource, Budget: 20_000, Family: "indirect"}); err == nil {
+		f.Add(index("replicate"), body)
+	}
 	if b64, err := recordTraceB64("predict", 2000); err == nil {
 		f.Add(index("score"), []byte(fmt.Sprintf(`{"trace_b64":%q,"strategy":"last"}`, b64)))
 	}

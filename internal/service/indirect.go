@@ -2,24 +2,18 @@ package service
 
 import (
 	"context"
-	"errors"
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/indirect"
-	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/predict"
-	"repro/internal/replicate"
 )
 
 // The indirect replication family of /v1/replicate: case clustering of hot
-// switch dispatches, selected with family: "indirect". Responses are scored
-// under the semi-static cost model the krallbench indirect experiment uses —
-// a semi-static front end cannot predict an indirect transfer, so every
-// executed dispatch costs one misprediction-equivalent on top of the
-// conditional-branch mispredictions, and clustering wins by moving the hot
-// share of each dispatch into profile-predicted equality tests.
+// switch dispatches, selected with family: "indirect", set up by core's
+// cluster stage (Profiled.Cluster). Responses are scored under core's
+// semi-static cost model, the one the krallbench indirect experiment uses:
+// every executed dispatch costs one misprediction-equivalent on top of the
+// conditional-branch mispredictions (Measurement.Effective).
 
 // IndirectRun is one measured run under the semi-static cost model.
 type IndirectRun struct {
@@ -61,6 +55,16 @@ type IndirectReplicateResponse struct {
 	IR       string `json:"ir,omitempty"`
 }
 
+// indirectRun is m under the semi-static cost model.
+func indirectRun(m core.Measurement) IndirectRun {
+	return IndirectRun{
+		Conditional:      rateBlock(m.Mispredicted, m.Predicted),
+		Dispatches:       m.Dispatches,
+		EffectiveMissPct: round4(rateBlock(m.Effective()).RatePct),
+		Checksum:         m.Checksum,
+	}
+}
+
 func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any, error) {
 	c, err := s.resolveProgram(req)
 	if err != nil {
@@ -70,18 +74,35 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	if err != nil {
 		return nil, err
 	}
-	prof, _, err := s.profileFor(ctx, c, req, budget)
+	prof, art, err := s.profileFor(ctx, c, req, budget)
 	if err != nil {
 		return nil, err
 	}
-	preds := predict.ProfileStatic(prof.Counts).Preds
+	p := &core.Profiled{Prog: c.prog, Feats: c.feats, Cell: cellFor(c, budget, req), Rec: &art.Recording, Prof: prof}
+	cl, err := p.Cluster(req.Check)
+	if err != nil {
+		return nil, err
+	}
+	verified := false
+	if req.Check {
+		if len(cl.Diags) > 0 {
+			// The transform produced a program the verifier rejects — a
+			// daemon-side fault, never the client's.
+			s.verifyFail.Add(1)
+			return nil, &httpError{http.StatusInternalServerError,
+				"indirect verification failed: " + cl.Diags[0].Msg}
+		}
+		s.verifyOK.Add(1)
+		verified = true
+	}
 
 	// The baseline and clustered runs are only comparable when both execute
 	// the whole program: the chain tests add branch events, so a shared
 	// branch budget would cut the clustered run at an earlier program point
 	// and the checksums would diverge. Scale the workload down to fit the
-	// budget instead (programs without a wscale knob run as-is) and keep the
-	// budget as a generous envelope rather than the measuring cut-off.
+	// budget instead (programs without a wscale knob run as-is) and keep
+	// four times the budget as a generous envelope rather than the measuring
+	// cut-off. The profiled cell is not this one, so both programs run live.
 	scale := int64(budget / 50_000)
 	if scale < 1 {
 		scale = 1
@@ -89,69 +110,17 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	if scale > 400 {
 		scale = 400
 	}
-	cell := core.Cell{Budget: budget, Seed: req.Seed, Scale: req.Scale}.Fill(c.prog, 0, scale)
-
-	// Both runs are live executions with a dispatch counter: the clustered
-	// clone's branch stream (and residual transfer count) is exactly what
-	// the recorded trace cannot provide.
-	measure := func(prog *ir.Program) (IndirectRun, error) {
-		m, err := cell.Machine(ctx, prog)
-		if err != nil {
-			return IndirectRun{}, programFault(err)
-		}
-		m.SetMaxBranches(4 * budget)
-		var dispatches uint64
-		m.SetSwHook(func(t *ir.Term, _ int32) {
-			if t.Op == ir.TermSwitch {
-				dispatches++
-			}
-		})
-		if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
-			return IndirectRun{}, err
+	cell := core.Cell{Budget: 4 * budget, Seed: req.Seed, Scale: req.Scale}.Fill(c.prog, 0, scale)
+	var runs [2]core.Measurement
+	for i, prog := range []*ir.Program{cl.Baseline, cl.Clustered} {
+		if runs[i], err = core.Measure(ctx, prog, cell, nil); err != nil {
+			return nil, programFault(err)
 		}
 		s.eng.CountLiveRun()
-		mc := m.Counters()
-		r := IndirectRun{
-			Conditional: rateBlock(mc.Mispredicted, mc.Predicted),
-			Dispatches:  dispatches,
-			Checksum:    mc.Checksum,
-		}
-		if ev := mc.Predicted + dispatches; ev > 0 {
-			r.EffectiveMissPct = round4(100 * float64(mc.Mispredicted+dispatches) / float64(ev))
-		}
-		return r, nil
 	}
+	base, clus := runs[0], runs[1]
 
-	baseline := ir.CloneProgram(c.prog)
-	replicate.Annotate(baseline, preds)
-	base, err := measure(baseline)
-	if err != nil {
-		return nil, err
-	}
-
-	clustered := ir.CloneProgram(baseline)
-	snap := ir.CloneProgram(clustered)
-	st, prov, err := indirect.Cluster(clustered, prof.Targets, indirect.Options{})
-	if err != nil {
-		return nil, err
-	}
-	verified := false
-	if req.Check {
-		if errs := indirect.Verify(snap, clustered, prov); len(errs) > 0 {
-			// The transform produced a program the verifier rejects — a
-			// daemon-side fault, never the client's.
-			s.verifyFail.Add(1)
-			return nil, &httpError{http.StatusInternalServerError,
-				"indirect verification failed: " + errs[0].Error()}
-		}
-		s.verifyOK.Add(1)
-		verified = true
-	}
-	clus, err := measure(clustered)
-	if err != nil {
-		return nil, err
-	}
-
+	st := cl.Stats
 	resp := &IndirectReplicateResponse{
 		SchemaV:           Schema,
 		Kind:              "replicate",
@@ -160,21 +129,17 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 		Switches:          st.Switches,
 		ClusteredSites:    st.Clustered,
 		Tests:             st.Tests,
-		Baseline:          base,
-		Clustered:         clus,
+		Baseline:          indirectRun(base),
+		Clustered:         indirectRun(clus),
+		MissReductionPct:  round4(clus.MissReduction(base)),
 		SemanticsVerified: base.Checksum == clus.Checksum,
 		Verified:          verified,
-	}
-	bm := base.Conditional.Mispredicted + base.Dispatches
-	cm := clus.Conditional.Mispredicted + clus.Dispatches
-	if bm > 0 {
-		resp.MissReductionPct = round4(100 * (float64(bm) - float64(cm)) / float64(bm))
 	}
 	resp.Code.InstrsBefore = st.InstrsBefore
 	resp.Code.InstrsAfter = st.InstrsAfter
 	resp.Code.SizeFactor = round4(st.SizeFactor())
 	if req.IncludeIR {
-		resp.IR = clustered.String()
+		resp.IR = cl.Clustered.String()
 	}
 	return resp, nil
 }

@@ -89,6 +89,51 @@ func TestTooManySitesIs400(t *testing.T) {
 	}
 }
 
+// completionTrapSource traps only when its dispatch loop finishes: a
+// budgeted run at full scale stops inside the loop, but the indirect
+// family's scaled-down completion runs reach the division by zero.
+const completionTrapSource = `
+var wscale int = 1;
+var d int;
+
+func main() int {
+    var s int = 0;
+    for var i int = 0; i < wscale * 10; i = i + 1 {
+        switch i % 3 {
+        case 0:
+            s = s + 1;
+        case 1:
+            s = s + 2;
+        default:
+            s = s + 3;
+        }
+    }
+    return s / d;
+}`
+
+// TestIndirectCompletionTrapIs400 sends a program whose trap only the
+// indirect family's completion runs reach: that is the client's program
+// at fault, a 400, while the branch family's budgeted runs answer 200.
+func TestIndirectCompletionTrapIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		family string
+		want   int
+	}{{"indirect", http.StatusBadRequest}, {"", http.StatusOK}} {
+		body, err := json.Marshal(Request{Source: completionTrapSource, Budget: 20_000, Family: tc.family})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out := post(t, ts, "replicate", string(body))
+		if code != tc.want {
+			t.Fatalf("family %q: status %d, want %d: %.200s", tc.family, code, tc.want, out)
+		}
+		if tc.want == http.StatusBadRequest && !bytes.Contains(out, []byte("division by zero")) {
+			t.Fatalf("family %q: 400 does not name the trap: %.200s", tc.family, out)
+		}
+	}
+}
+
 // TestPanicBodyHasNoStack drives a job that panics through the handler,
 // alone and as a batch item: the client gets a 500 whose body says
 // "internal error" and holds no goroutine frame, while the Error log

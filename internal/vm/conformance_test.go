@@ -457,7 +457,7 @@ func runBoth(t *testing.T, prog *ir.Program, maxBranches, maxSteps uint64) {
 	}
 
 	ic := exec.Counters{
-		Steps: im.Steps, Branches: im.Branches,
+		Steps: im.Steps, Branches: im.Branches, Dispatches: im.Dispatches,
 		Predicted: im.Predicted, Mispredicted: im.Mispredicted,
 		Checksum: im.Checksum, Prints: im.Prints,
 	}
