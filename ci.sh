@@ -124,6 +124,10 @@ stage_fuzz() {
     # An upload scored inside its decoding pass must answer exactly like
     # ReadSlab + MaxSite + the strategy's own replay, status codes included.
     go test -run='^$' -fuzz=FuzzScoreUpload -fuzztime=10s -fuzzminimizetime=100x ./internal/service
+    # An endpoint body decoded with trace_b64 taken straight from its bytes
+    # must give encoding/json's request, the same trace bytes as base64 of
+    # the string, and the same refusal.
+    go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=100x ./internal/service
     go test -run='^$' -fuzz=FuzzVerify -fuzztime=10s -fuzzminimizetime=100x ./internal/analysis
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.

@@ -55,7 +55,7 @@ const (
 )
 
 // Scorer scores one strategy over a trace whose site range is learned
-// while it is read: kralld's /v1/score, fed by trace.ReadSlabInto's
+// while it is read: kralld's /v1/score, fed by trace.AdoptStream's
 // validating pass for uploads or by ReplayInto for stored slabs. It is a
 // single collector, one dynamic dispatch per event or run, over the tables
 // of the collector it stands in for — Counts, LastDirection, TwoBit or

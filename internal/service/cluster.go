@@ -24,7 +24,7 @@ const ForwardedHeader = "X-Kralld-Forwarded"
 // and are served wherever they land. defaultBudget must be the serving
 // cluster's DefaultBudget so client-side routing agrees with the ring.
 func RouteKey(req *Request, defaultBudget uint64) string {
-	if req.TraceB64 != "" {
+	if req.uploaded() {
 		return ""
 	}
 	var progKey string

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -68,7 +67,15 @@ type Request struct {
 	TraceB64 string   `json:"trace_b64,omitempty"`
 	Strategy string   `json:"strategy,omitempty"`
 	Preds    []string `json:"preds,omitempty"`
+
+	// upload is trace_b64 decoded straight from an endpoint's body (see
+	// decodeRequest), which then leaves TraceB64 empty; nil when the body
+	// had no non-empty trace_b64 string to decode.
+	upload []byte
 }
+
+// uploaded reports whether the request carries a trace, in either form.
+func (req *Request) uploaded() bool { return req.TraceB64 != "" || req.upload != nil }
 
 // compiled is an immutable compiled program shared across requests via the
 // content-addressed store. Branch sites are numbered once here; downstream
@@ -577,13 +584,15 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		score  RateBlock
 	)
 	switch {
-	case req.TraceB64 != "":
+	case req.uploaded():
 		if req.Workload != "" || req.Source != "" {
 			return nil, badRequest("give either trace_b64 or a program, not both")
 		}
-		raw, err := base64.StdEncoding.DecodeString(req.TraceB64)
-		if err != nil {
-			return nil, badRequest("trace_b64: %v", err)
+		raw, err := req.upload, error(nil)
+		if raw == nil {
+			if raw, err = base64.StdEncoding.DecodeString(req.TraceB64); err != nil {
+				return nil, badRequest("trace_b64: %v", err)
+			}
 		}
 		if slab, nsites, score, err = s.scoreUpload(raw, strategy, req.Preds); err != nil {
 			return nil, err
@@ -618,15 +627,16 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 	}, nil
 }
 
-// scoreUpload decodes an uploaded BLTRACE1 stream and scores it in the
-// same pass: the pooled scorer rides trace.ReadSlabInto's validation, so
-// the upload is decoded exactly once and site tables grow with the sites
-// it names. A refused trace answers first (413 past a limit, 400 when
+// scoreUpload adopts an uploaded BLTRACE1 stream as a slab and scores it
+// in the same pass: the pooled scorer rides trace.AdoptStream's
+// validation, so the upload is decoded exactly once, its bytes are not
+// copied (the slab aliases raw), and site tables grow with the sites it
+// names. A refused trace answers first (413 past a limit, 400 when
 // malformed), then the strategy and preds are judged.
 func (s *Server) scoreUpload(raw []byte, strategy string, reqPreds []string) (*trace.Slab, int, RateBlock, error) {
 	st := scorePool.Get().(*scoreState)
 	defer scorePool.Put(st)
-	slab, err := trace.ReadSlabInto(bytes.NewReader(raw), s.cfg.TraceLimits, st.prepare(strategy, reqPreds))
+	slab, err := trace.AdoptStream(raw, s.cfg.TraceLimits, st.prepare(strategy, reqPreds))
 	if err != nil {
 		if errors.Is(err, trace.ErrTooLarge) {
 			return nil, 0, RateBlock{}, &httpError{http.StatusRequestEntityTooLarge, err.Error()}

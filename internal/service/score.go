@@ -12,7 +12,7 @@ import (
 // through scorePool: the scorer, whose per-site tables grow on a site's
 // first sight and are only truncated between requests, and the prediction
 // vector of the static strategy. An upload is scored inside the validating
-// pass that decodes it (trace.ReadSlabInto), a stored slab by one replay;
+// pass that adopts it (trace.AdoptStream), a stored slab by one replay;
 // neither path allocates scoring tables per request or does work
 // proportional to the site cap.
 type scoreState struct {

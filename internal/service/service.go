@@ -327,11 +327,12 @@ func (s *Server) endpoint(name string) http.HandlerFunc {
 		// Read the whole body before taking an admission slot: a client
 		// that trickles its upload must not occupy MaxInflight capacity
 		// while doing so (the server's ReadTimeout bounds the trickle).
+		// The buffers go back to their pool when the response is written.
 		var req Request
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		bufs := reqPool.Get().(*reqBufs)
+		defer bufs.release(&req)
+		body, readErr := bufs.readBody(w, r, s.cfg.MaxBodyBytes)
+		if err := decodeRequest(&req, body, readErr, bufs.trace[:0]); err != nil {
 			code := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -432,7 +433,7 @@ func (s *Server) answer(ctx context.Context, name string, req *Request) ([]byte,
 	if h == nil {
 		return nil, false, badRequest("unknown endpoint %q (want one of analyze, profile, machines, replicate, score)", name)
 	}
-	if name == "replicate" || req.TraceB64 != "" {
+	if name == "replicate" || req.uploaded() {
 		buf, err := s.encode(ctx, h, req)
 		return buf, false, err
 	}

@@ -13,7 +13,7 @@ import (
 var ErrTooLarge = errors.New("trace: stream exceeds size limit")
 
 // errShort marks a stream that ends inside a code or before its footer.
-// ReadSlab reports it as ErrTooLarge when the byte cap cut the stream.
+// AdoptStream reports it as ErrTooLarge when the byte cap cut the stream.
 var errShort = errors.New("trace: truncated stream")
 
 // Limits bounds decoded branch traces. Both the daemon's upload path and
@@ -31,8 +31,9 @@ type Limits struct {
 	// even though the decoder itself stays small.
 	MaxSites int32
 	// MaxBytes bounds encoded input bytes, header and footer included
-	// (0 = unlimited). ReadSlab reads at most MaxBytes bytes, and a stream
-	// whose footer does not end within them is refused with ErrTooLarge.
+	// (0 = unlimited). AdoptStream reads at most MaxBytes bytes, and a
+	// stream whose footer does not end within them is refused with
+	// ErrTooLarge.
 	MaxBytes int64
 }
 
@@ -45,19 +46,10 @@ func DefaultLimits() Limits {
 }
 
 // ReadSlab reads a BLTRACE1 stream under lim and returns it as a sealed
-// slab — the daemon's upload path and the file loaders. It reads the
-// stream whole and hands it to AdoptStream: the wire encoding is the slab
+// slab — the file loaders' path. It reads at most lim.MaxBytes bytes of
+// the stream and hands them to AdoptStream: the wire encoding is the slab
 // encoding, so nothing is re-encoded. Bytes after the footer are ignored.
-func ReadSlab(r io.Reader, lim Limits) (*Slab, error) { return ReadSlabInto(r, lim, nil) }
-
-// ReadSlabInto is ReadSlab that also feeds c from the same validating pass,
-// so an upload is decoded exactly once: c receives each event as it is
-// validated, exactly as a later s.ReplayInto(c) would (plain events to
-// RecordBranch, RLE runs to RecordRun, switch events only if c is a
-// SwitchCollector), at one dynamic dispatch per event or run. When the
-// stream is refused, c has seen some prefix of it and its state means
-// nothing. A nil c reads like ReadSlab.
-func ReadSlabInto(r io.Reader, lim Limits, c Collector) (*Slab, error) {
+func ReadSlab(r io.Reader, lim Limits) (*Slab, error) {
 	if lim.MaxBytes > 0 {
 		r = io.LimitReader(r, lim.MaxBytes)
 	}
@@ -65,22 +57,38 @@ func ReadSlabInto(r io.Reader, lim Limits, c Collector) (*Slab, error) {
 	if err != nil {
 		return nil, err
 	}
-	capped := lim.MaxBytes > 0 && int64(len(data)) == lim.MaxBytes
-	s, err := AdoptStream(data, lim, c)
+	return AdoptStream(data, lim, nil)
+}
+
+// AdoptStream validates the BLTRACE1 stream at the start of data in one
+// pass (scanEvents) under lim and returns a sealed slab whose buffer is
+// data's event bytes, not a copy: the caller must keep data immutable and
+// alive for as long as the slab is used (a *diskstore.Mapped does both, so
+// a mapped file replays straight from the page cache). Bytes after the
+// footer are ignored. Every check is a byte load, so data may sit at any
+// alignment. Only the first lim.MaxBytes bytes are read (0 = all of
+// them); a stream whose footer does not end within them is ErrTooLarge.
+//
+// A non-nil c is fed from the same pass, so an upload is decoded exactly
+// once: c receives each event as it is validated, exactly as a later
+// s.ReplayInto(c) would (plain events to RecordBranch, RLE runs to
+// RecordRun, switch events only if c is a SwitchCollector), at one
+// dynamic dispatch per event or run. When the stream is refused, c has
+// seen some prefix of it and its state means nothing.
+func AdoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
+	capped := lim.MaxBytes > 0 && int64(len(data)) >= lim.MaxBytes
+	if capped {
+		data = data[:lim.MaxBytes]
+	}
+	s, err := adopt(data, lim, c)
 	if capped && errors.Is(err, errShort) {
 		return nil, fmt.Errorf("trace: stream runs past %d input bytes: %w", lim.MaxBytes, ErrTooLarge)
 	}
 	return s, err
 }
 
-// AdoptStream validates the BLTRACE1 stream at the start of data in one
-// pass (scanEvents) under lim, feeding c as ReadSlabInto documents, and
-// returns a sealed slab whose buffer is data's event bytes, not a copy:
-// the caller must keep data immutable and alive for as long as the slab is
-// used (a *diskstore.Mapped does both, so a mapped file replays straight
-// from the page cache). Bytes after the footer are ignored. Every check
-// is a byte load, so data may sit at any alignment.
-func AdoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
+// adopt is AdoptStream on data already cut to lim.MaxBytes.
+func adopt(data []byte, lim Limits, c Collector) (*Slab, error) {
 	if len(data) < len(magic) {
 		return nil, fmt.Errorf("trace: reading header: %w", errShort)
 	}
@@ -124,7 +132,7 @@ type scan struct {
 // event-at-a-time decoder would have refused as too large first.
 //
 // A non-nil c is fed each event once the checks that event needs have
-// passed, as ReadSlabInto documents; a run marker repeats whichever event
+// passed, as AdoptStream documents; a run marker repeats whichever event
 // kind came last.
 func scanEvents(buf []byte, lim Limits, c Collector) (scan, error) {
 	maxEvents := lim.MaxEvents

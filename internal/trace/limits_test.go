@@ -214,11 +214,13 @@ func (l *runLog) RecordSwitchRun(site, outcome int32, n uint64) {
 	l.calls = append(l.calls, fmt.Sprintf("S%d/%d*%d", site, outcome, n))
 }
 
-// TestReadSlabIntoFeedsLikeReplay pins ReadSlabInto's contract: the
-// collector riding the validating pass sees exactly the calls a replay of
-// the accepted slab makes, switch events only if it takes them, and the
-// slab itself is ReadSlab's.
-func TestReadSlabIntoFeedsLikeReplay(t *testing.T) {
+// TestAdoptStreamFeedsLikeReplay pins AdoptStream's collector contract:
+// the collector riding the validating pass sees exactly the calls a
+// replay of the accepted slab makes, switch events only if it takes them,
+// and the slab itself is ReadSlab's. The byte cap is AdoptStream's own: a
+// stream cut by it is ErrTooLarge, bytes past a footer inside it are
+// ignored, and a zero MaxBytes reads everything.
+func TestAdoptStreamFeedsLikeReplay(t *testing.T) {
 	lim := Limits{MaxEvents: 1 << 17, MaxSites: 1 << 12}
 	streams := [][]byte{
 		encodeEvents(t, mixedEvents(3000, 1)),
@@ -226,7 +228,7 @@ func TestReadSlabIntoFeedsLikeReplay(t *testing.T) {
 	}
 	for i, data := range streams {
 		var fed, replayed runLog
-		s, err := ReadSlabInto(bytes.NewReader(data), lim, &fed)
+		s, err := AdoptStream(data, lim, &fed)
 		if err != nil {
 			t.Fatalf("stream %d: %v", i, err)
 		}
@@ -236,11 +238,11 @@ func TestReadSlabIntoFeedsLikeReplay(t *testing.T) {
 		}
 		ref, err := ReadSlab(bytes.NewReader(data), lim)
 		if err != nil || !bytes.Equal(ref.buf, s.buf) || ref.n != s.n {
-			t.Fatalf("stream %d: ReadSlabInto's slab differs from ReadSlab's (%v)", i, err)
+			t.Fatalf("stream %d: AdoptStream's slab differs from ReadSlab's (%v)", i, err)
 		}
 		// A branch-only collector skips the switch events.
 		fedCounts, replayCounts := NewCounts(8), NewCounts(8)
-		if _, err := ReadSlabInto(bytes.NewReader(data), lim, fedCounts); err != nil {
+		if _, err := AdoptStream(data, lim, fedCounts); err != nil {
 			t.Fatal(err)
 		}
 		s.ReplayInto(replayCounts)
@@ -248,8 +250,19 @@ func TestReadSlabIntoFeedsLikeReplay(t *testing.T) {
 			t.Fatalf("stream %d: counts fed %v, replayed %v", i, fedCounts, replayCounts)
 		}
 	}
-	if _, err := ReadSlabInto(bytes.NewReader(encodeEvents(t, []Event{{Site: 1 << 12}})), lim, &runLog{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := AdoptStream(encodeEvents(t, []Event{{Site: 1 << 12}}), lim, &runLog{}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("site past the cap: %v", err)
+	}
+	data := encodeEvents(t, mixedEvents(3000, 2))
+	n := int64(len(data))
+	if _, err := AdoptStream(data, Limits{MaxBytes: n - 1}, &runLog{}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("stream one byte past the cap: %v", err)
+	}
+	padded := append(append([]byte(nil), data...), "trailing"...)
+	for _, lim := range []Limits{{MaxBytes: n}, {MaxBytes: n + 3}, {}} {
+		if s, err := AdoptStream(padded, lim, nil); err != nil || s.Len() != 3000 {
+			t.Fatalf("%+v: footer within the cap, bytes after it: %v", lim, err)
+		}
 	}
 }
 

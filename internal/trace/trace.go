@@ -5,8 +5,9 @@
 // encoding is in the same ballpark). The format has one codec, the Slab:
 // it records events in the wire encoding, writes them with WriteTo, and
 // AdoptStream validates a stream in one pass and adopts its bytes as a
-// slab without copying them — the path of uploads (ReadSlab), of the
-// service's disk tier and of artifacts fetched from peers. Every replay of
+// slab without copying them — the path of uploads, of the file loaders
+// (ReadSlab), of the service's disk tier and of artifacts fetched from
+// peers. Every replay of
 // a sealed slab is one sequential decode: ReplayInto and its wrappers, or
 // a Cursor for a pull-side consumer.
 package trace
@@ -106,7 +107,8 @@ func (c *Counts) Executed() int {
 //
 // The event bytes between header and footer are exactly a Slab's buffer:
 // Slab.Record is the only encoder, Slab.WriteTo the only writer, and
-// ReadSlab validates an incoming stream in one pass and adopts its bytes.
+// AdoptStream validates an incoming stream in one pass and adopts its
+// bytes.
 const magic = "BLTRACE1"
 
 func b2u(b bool) uint64 {
