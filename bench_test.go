@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"bytes"
 	"strconv"
 	"sync"
 	"testing"
@@ -331,9 +332,11 @@ func BenchmarkTraceRecord(b *testing.B) {
 // BenchmarkTraceReplay measures the replay-many path — the work the
 // engine does instead of re-interpreting a workload — per collector
 // class: plain counts (the "profile" strategy's entire data need), the
-// full five-table profile bundle and the dynamic-predictor evaluators.
-// All paths run the run-aware fused decode; "counts" corresponds to the historical single-number baseline's
-// count-collector case.
+// full five-table profile bundle and the dynamic-predictor evaluators —
+// and per reader of the format: "cursor" pulls every event through a
+// Cursor, as the walker does, and "adopt" is an upload's validating pass
+// feeding a Counts. "counts" corresponds to the historical single-number
+// baseline's count-collector case.
 func BenchmarkTraceReplay(b *testing.B) {
 	w, err := bench.ByName("compress")
 	if err != nil {
@@ -396,6 +399,34 @@ func BenchmarkTraceReplay(b *testing.B) {
 			s.ReplayInto(last, twobit)
 			if last.Total != events || twobit.Total != events {
 				b.Fatal("short replay")
+			}
+		}
+		perEvent(b)
+	})
+	b.Run("cursor", func(b *testing.B) {
+		// The walker's pull side: every event through Cursor.Next.
+		for i := 0; i < b.N; i++ {
+			n, c := 0, s.Cursor()
+			for _, ok := c.Next(); ok; _, ok = c.Next() {
+				n++
+			}
+			if n != events {
+				b.Fatalf("cursor yielded %d events", n)
+			}
+		}
+		perEvent(b)
+	})
+	b.Run("adopt", func(b *testing.B) {
+		// An upload's validating pass, feeding the counts as it goes.
+		var stream bytes.Buffer
+		if _, err := s.WriteTo(&stream); err != nil {
+			b.Fatal(err)
+		}
+		counts := trace.NewCounts(c.NSites)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := trace.AdoptStream(stream.Bytes(), trace.DefaultLimits(), counts); err != nil {
+				b.Fatal(err)
 			}
 		}
 		perEvent(b)

@@ -110,6 +110,9 @@ stage_suites() {
     # The cold replicate pipeline (record, fold, select, replicate, verify,
     # walk) and its recording layer alone, once each.
     go test -run '^$' -bench '^(BenchmarkReplicateCold|BenchmarkRecordCatalog)$' -benchtime 1x ./internal/core
+    # The walk layer once: the catalog replicas stepped along their
+    # recorded traces through trace.Cursor, against the live counting run.
+    go test -run '^$' -bench '^BenchmarkWalk$' -benchtime 1x ./internal/bench
 }
 
 stage_fuzz() {

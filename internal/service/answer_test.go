@@ -238,6 +238,36 @@ func TestProgramFaultIsClientError(t *testing.T) {
 	}
 }
 
+// TestTraceOnlyForScore pins where trace_b64 is read: every pipeline
+// endpoint but /v1/score refuses it with 400, standalone or as a batch
+// item, instead of ignoring it and re-running the handler uncached.
+func TestTraceOnlyForScore(t *testing.T) {
+	b64, err := recordTraceB64("predict", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{MaxBudget: 20_000, DefaultBudget: 5000})
+	for _, ep := range []string{"analyze", "profile", "machines", "replicate"} {
+		body := fmt.Sprintf(`{"workload":"cc","budget":5000,"trace_b64":%q}`, b64)
+		if code, out := post(t, ts, ep, body); code != http.StatusBadRequest || !strings.Contains(string(out), "only by /v1/score") {
+			t.Errorf("%s with a trace: status %d (%s), want 400", ep, code, out)
+		}
+	}
+	body := fmt.Sprintf(`{"items":[{"endpoint":"profile","workload":"cc","budget":5000,"trace_b64":%q},`+
+		`{"endpoint":"score","trace_b64":%q,"strategy":"last"}]}`, b64, b64)
+	code, out := post(t, ts, batchEndpoint, body)
+	var resp BatchResponse
+	if err := json.Unmarshal(out, &resp); code != http.StatusOK || err != nil || len(resp.Items) != 2 {
+		t.Fatalf("batch: status %d, %v: %s", code, err, out)
+	}
+	if it := resp.Items[0]; it.Status != http.StatusBadRequest {
+		t.Errorf("batch profile item with a trace: status %d (%s), want 400", it.Status, it.Error)
+	}
+	if it := resp.Items[1]; it.Status != http.StatusOK {
+		t.Errorf("batch score item with a trace: status %d (%s), want 200", it.Status, it.Error)
+	}
+}
+
 // FuzzRequest drives the whole handler with mutated bodies for every
 // pipeline endpoint and /v1/batch. Whatever the body, the answer is a 200
 // or a 4xx — never a 5xx, in the envelope or in any batch item — and a 200
@@ -272,6 +302,8 @@ func FuzzRequest(f *testing.F) {
 	}
 	if b64, err := recordTraceB64("predict", 2000); err == nil {
 		f.Add(index("score"), []byte(fmt.Sprintf(`{"trace_b64":%q,"strategy":"last"}`, b64)))
+		f.Add(index("profile"), []byte(fmt.Sprintf(`{"workload":"cc","budget":5000,"trace_b64":%q}`, b64)))
+		f.Add(index(batchEndpoint), []byte(fmt.Sprintf(`{"items":[{"endpoint":"profile","workload":"cc","trace_b64":%q}]}`, b64)))
 	}
 
 	// Budgets stay small so every input answers in well under a second.

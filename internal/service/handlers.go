@@ -60,7 +60,8 @@ type Request struct {
 	Check         bool    `json:"check,omitempty"`
 	StaticBudget  bool    `json:"static_budget,omitempty"`
 
-	// TraceB64 is a base64 BLTRACE1 stream for /v1/score; Strategy picks
+	// TraceB64 is a base64 BLTRACE1 stream for /v1/score, which alone
+	// accepts one (the other endpoints answer 400); Strategy picks
 	// the scoring strategy (profile, last, twobit, static); Preds is the
 	// per-site prediction vector for strategy "static" (entries "taken",
 	// "not_taken", or "none").

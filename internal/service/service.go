@@ -424,7 +424,9 @@ func (s *Server) pipelineHandler(name string) func(context.Context, *Request) (a
 // Two kinds of request bypass the cache: /v1/replicate, whose checked
 // requests must each run the verifier and count its verdict, and uploaded
 // traces, which have no content key and whose bodies are too large to be
-// worth hashing into one. A fill runs under a context detached from the
+// worth hashing into one. Only /v1/score reads a trace, so a trace sent
+// anywhere else is refused here, for standalone and batched calls alike,
+// rather than ignored at the price of the cache. A fill runs under a context detached from the
 // first caller and bounded by RequestTimeout, as artifactFor's recording
 // does, so one client disconnecting cannot fail every waiter on the slot;
 // errors are not cached.
@@ -432,6 +434,9 @@ func (s *Server) answer(ctx context.Context, name string, req *Request) ([]byte,
 	h := s.pipelineHandler(name)
 	if h == nil {
 		return nil, false, badRequest("unknown endpoint %q (want one of analyze, profile, machines, replicate, score)", name)
+	}
+	if req.uploaded() && name != "score" {
+		return nil, false, badRequest("trace_b64 is accepted only by /v1/score")
 	}
 	if name == "replicate" || req.uploaded() {
 		buf, err := s.encode(ctx, h, req)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -303,6 +304,9 @@ type refReader struct {
 	run   uint64
 	done  bool
 	count uint64
+	// calls logs the stream's split into single events and runs, as a
+	// runLog fed by the stream would record it.
+	calls []string
 }
 
 // cappedReader returns ErrTooLarge once more than limit bytes were read.
@@ -372,6 +376,11 @@ func (r *refReader) next() (Event, error) {
 			if !r.valid {
 				return Event{}, errors.New("trace: run marker before any event")
 			}
+			if ev := r.last; ev.Switch {
+				r.calls = append(r.calls, fmt.Sprintf("S%d/%d*%d", ev.Site, ev.Outcome, n))
+			} else {
+				r.calls = append(r.calls, fmt.Sprintf("r%d/%v*%d", ev.Site, ev.Taken, n))
+			}
 			r.run = n - 1
 			return r.emit(r.last)
 		}
@@ -409,6 +418,11 @@ func (r *refReader) first(ev Event) (Event, error) {
 		return Event{}, fmt.Errorf("trace: site %d exceeds the %d-site cap: %w", ev.Site, r.lim.MaxSites, ErrTooLarge)
 	}
 	r.last, r.valid = ev, true
+	if ev.Switch {
+		r.calls = append(r.calls, fmt.Sprintf("s%d/%d", ev.Site, ev.Outcome))
+	} else {
+		r.calls = append(r.calls, fmt.Sprintf("b%d/%v", ev.Site, ev.Taken))
+	}
 	return r.emit(ev)
 }
 
@@ -443,9 +457,12 @@ func refDecode(data []byte, lim Limits) ([]Event, error) {
 // FuzzReadSlab throws arbitrary and mutated uploads at the daemon's trace
 // decoder and holds it to the reference decoder: the same accept/reject
 // decision, the same ErrTooLarge classification, and on accepted streams
-// the same event sequence through Cursor. It must never panic, and an
-// accepted slab must write itself back out as a stream that reads back to
-// the same slab.
+// the same events through every consumer of the decoder — Cursor,
+// ReplayInto into a lone call-logging collector, a lone *Counts and a
+// fan-out of two, and AdoptStream feeding the logging collector — with
+// the stream's split into single events and runs kept by each collector
+// that can tell. It must never panic, and an accepted slab must write
+// itself back out as a stream that reads back to the same slab.
 func FuzzReadSlab(f *testing.F) {
 	f.Add(encodeEvents(f, []Event{{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 1, Taken: false}}))
 	f.Add(encodeEvents(f, nil))
@@ -469,6 +486,7 @@ func FuzzReadSlab(f *testing.F) {
 			c = s.Cursor()
 		}
 		ref, refErr := newRefReader(data, lim)
+		var refEvents []Event
 		for i := 0; refErr == nil; i++ {
 			ev, e := ref.next()
 			if e == io.EOF {
@@ -478,6 +496,7 @@ func FuzzReadSlab(f *testing.F) {
 				refErr = e
 				break
 			}
+			refEvents = append(refEvents, ev)
 			if err == nil {
 				if got, ok := c.Next(); !ok || got != ev {
 					t.Fatalf("event %d: slab yields %+v (more: %v), reference %+v", i, got, ok, ev)
@@ -496,6 +515,7 @@ func FuzzReadSlab(f *testing.F) {
 		if s.Len() > lim.MaxEvents {
 			t.Fatalf("accepted %d events past the %d cap", s.Len(), lim.MaxEvents)
 		}
+		holdConsumers(t, data, lim, s, refEvents, ref.calls)
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("re-encoding accepted slab: %v", err)
@@ -509,6 +529,40 @@ func FuzzReadSlab(f *testing.F) {
 				s.Len(), len(s.buf), s2.Len(), len(s2.buf))
 		}
 	})
+}
+
+// holdConsumers replays an accepted slab into each push-side consumer of
+// the decoder and holds it to the reference decoder's events and calls.
+func holdConsumers(t *testing.T, data []byte, lim Limits, s *Slab, events []Event, calls []string) {
+	t.Helper()
+	var sites MaxSite
+	for _, ev := range events {
+		sites.RecordBranch(ev.Site, false)
+	}
+	want := NewCounts(sites.N)
+	for _, ev := range events {
+		if !ev.Switch {
+			want.RecordBranch(ev.Site, ev.Taken)
+		}
+	}
+	var lone, fanned, fed runLog
+	counts, fannedCounts := NewCounts(sites.N), NewCounts(sites.N)
+	s.ReplayInto(&lone)
+	s.ReplayInto(counts)
+	s.ReplayInto(&fanned, fannedCounts)
+	if _, err := AdoptStream(data, lim, &fed); err != nil {
+		t.Fatalf("AdoptStream refuses what ReadSlab accepts: %v", err)
+	}
+	for name, got := range map[string][]string{"lone": lone.calls, "fan-out": fanned.calls, "AdoptStream": fed.calls} {
+		if !slices.Equal(got, calls) {
+			t.Fatalf("%s collector got calls %v, reference %v", name, got, calls)
+		}
+	}
+	for name, got := range map[string]*Counts{"lone": counts, "fan-out": fannedCounts} {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s counts %v, reference %v", name, got, want)
+		}
+	}
 }
 
 // buildSlab records a deterministic pseudo-random branch stream; biased

@@ -2,48 +2,8 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 )
-
-// RecordBranch implements Collector.
-func (l *Log) RecordBranch(site int32, taken bool) {
-	l.Seen++
-	if l.Max != 0 && len(l.Events) >= l.Max {
-		return
-	}
-	l.Events = append(l.Events, Event{Site: site, Taken: taken})
-}
-
-// RecordSwitch implements SwitchCollector.
-func (l *Log) RecordSwitch(site, outcome int32) {
-	l.Seen++
-	if l.Max != 0 && len(l.Events) >= l.Max {
-		return
-	}
-	l.Events = append(l.Events, Event{Site: site, Switch: true, Outcome: outcome})
-}
-
-// RecordSwitchRun implements SwitchCollector; Seen counts the whole run
-// even when the cap truncates the stored events.
-func (l *Log) RecordSwitchRun(site, outcome int32, n uint64) {
-	l.Seen += n
-	for ; n > 0; n-- {
-		if l.Max != 0 && len(l.Events) >= l.Max {
-			return
-		}
-		l.Events = append(l.Events, Event{Site: site, Switch: true, Outcome: outcome})
-	}
-}
-
-// RecordBranch implements Collector.
-func (c *Counts) RecordBranch(site int32, taken bool) {
-	if taken {
-		c.Taken[site]++
-	} else {
-		c.NotTaken[site]++
-	}
-}
 
 // Slab is the record-once/replay-many in-memory branch trace and the one
 // BLTRACE1 codec: its buffer holds the event stream of one interpreted run
@@ -64,19 +24,15 @@ type Slab struct {
 // NewSlab creates an empty slab. sizeHint is the expected number of events
 // (a branch budget); it pre-sizes the buffer and may be 0.
 func NewSlab(sizeHint int) *Slab {
-	capBytes := sizeHint
-	if capBytes < 1024 {
-		capBytes = 1024
-	}
-	if capBytes > 1<<24 {
-		capBytes = 1 << 24
-	}
-	return &Slab{buf: make([]byte, 0, capBytes)}
+	return &Slab{buf: make([]byte, 0, min(max(sizeHint, 1024), 1<<24))}
 }
 
 // Record appends one branch event. It must not be called after Seal.
 func (s *Slab) Record(site int32, taken bool) {
-	code := (uint64(site)+1)<<1 | b2u(taken)
+	code := (uint64(site) + 1) << 1
+	if taken {
+		code |= 1
+	}
 	s.n++
 	if code == s.last {
 		s.run++
@@ -160,27 +116,15 @@ func (s *Slab) Len() uint64 { return s.n }
 // EncodedBytes is the size of the encoded event stream.
 func (s *Slab) EncodedBytes() int { return len(s.buf) }
 
-// decodeUvarint decodes the uvarint at buf[i:], returning the new offset.
-// A malformed slab is a programming error — Record produces well-formed
-// bytes, and AdoptStream validates bytes from outside before a slab adopts
-// them — so corruption panics instead of returning an error.
-func decodeUvarint(buf []byte, i int) (uint64, int) {
-	v, k := binary.Uvarint(buf[i:])
-	if k <= 0 {
-		panic(fmt.Sprintf("trace: corrupt slab at byte %d", i))
-	}
-	return v, i + k
-}
-
 // Replay feeds every recorded conditional-branch event, in order, to fn;
 // switch events are skipped.
 func (s *Slab) Replay(fn func(site int32, taken bool)) {
-	s.mustSealed("Replay")
-	replayBytes(s.buf, fn, func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			fn(site, taken)
+	c := s.Cursor()
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+		if !ev.Switch {
+			fn(ev.Site, ev.Taken)
 		}
-	}, dropSwitch, dropSwitchRun)
+	}
 }
 
 // ReplayRuns feeds the branch events as (site, taken, count) runs — the
@@ -188,8 +132,7 @@ func (s *Slab) Replay(fn func(site int32, taken bool)) {
 // Consecutive calls may repeat the same (site, taken) pair. Switch events
 // are skipped.
 func (s *Slab) ReplayRuns(fn func(site int32, taken bool, n uint64)) {
-	s.mustSealed("ReplayRuns")
-	replayBytes(s.buf, func(site int32, taken bool) { fn(site, taken, 1) }, fn, dropSwitch, dropSwitchRun)
+	s.ReplayInto(runFunc(fn))
 }
 
 // Events decodes the whole slab (tests and small consumers).

@@ -12,12 +12,6 @@ type SwitchCollector interface {
 	RecordSwitchRun(site, outcome int32, n uint64)
 }
 
-// dropSwitch and dropSwitchRun are the switch entry points for collectors
-// without switch support; the decode loops still track switch state (for
-// run markers) but the events go nowhere.
-func dropSwitch(int32, int32)            {}
-func dropSwitchRun(int32, int32, uint64) {}
-
 // TargetCounts accumulates per-site switch outcome histograms — the
 // profiling requirement of the case-clustering transform, which needs the
 // frequency ranking of each hot switch's targets. Binary branch events

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -118,8 +119,11 @@ func TestConditionalOnlyBytesUnchanged(t *testing.T) {
 }
 
 func uvarintAt(buf []byte, i int) (uint64, int) {
-	v, j := decodeUvarint(buf, i)
-	return v, j - i
+	v, k := binary.Uvarint(buf[i:])
+	if k <= 0 {
+		panic("corrupt uvarint")
+	}
+	return v, k
 }
 
 // TestTargetCounts pins the histogram collector and its deterministic

@@ -7,9 +7,9 @@
 // AdoptStream validates a stream in one pass and adopts its bytes as a
 // slab without copying them — the path of uploads, of the file loaders
 // (ReadSlab), of the service's disk tier and of artifacts fetched from
-// peers. Every replay of
-// a sealed slab is one sequential decode: ReplayInto and its wrappers, or
-// a Cursor for a pull-side consumer.
+// peers. One decoding step (decode.go) is the only reader of the event
+// grammar: the validating pass, every replay (ReplayInto and its
+// wrappers) and the pull-side Cursor all step through it.
 package trace
 
 // Collector consumes conditional-branch events keyed on the dense site
@@ -49,6 +49,30 @@ var (
 	_ SwitchCollector = (*Log)(nil)
 )
 
+// RecordBranch implements Collector.
+func (l *Log) RecordBranch(site int32, taken bool) { l.RecordRun(site, taken, 1) }
+
+// RecordRun implements Collector.
+func (l *Log) RecordRun(site int32, taken bool, n uint64) { l.add(Event{Site: site, Taken: taken}, n) }
+
+// RecordSwitch implements SwitchCollector.
+func (l *Log) RecordSwitch(site, outcome int32) { l.RecordSwitchRun(site, outcome, 1) }
+
+// RecordSwitchRun implements SwitchCollector.
+func (l *Log) RecordSwitchRun(site, outcome int32, n uint64) {
+	l.add(Event{Site: site, Switch: true, Outcome: outcome}, n)
+}
+
+// add records n copies of ev; Seen counts them all even when the cap
+// truncates the stored events, so a run leaves the Log as n single calls
+// would.
+func (l *Log) add(ev Event, n uint64) {
+	l.Seen += n
+	for ; n > 0 && (l.Max == 0 || len(l.Events) < l.Max); n-- {
+		l.Events = append(l.Events, ev)
+	}
+}
+
 // Counts accumulates per-site taken/not-taken totals, the "profile"
 // strategy's entire data requirement.
 type Counts struct {
@@ -57,6 +81,18 @@ type Counts struct {
 }
 
 var _ Collector = (*Counts)(nil)
+
+// RecordBranch implements Collector.
+func (c *Counts) RecordBranch(site int32, taken bool) { c.RecordRun(site, taken, 1) }
+
+// RecordRun implements Collector: a run is one addition.
+func (c *Counts) RecordRun(site int32, taken bool, n uint64) {
+	if taken {
+		c.Taken[site] += n
+	} else {
+		c.NotTaken[site] += n
+	}
+}
 
 // NewCounts sizes the tables for nSites branch sites.
 func NewCounts(nSites int) *Counts {
@@ -106,17 +142,10 @@ func (c *Counts) Executed() int {
 // only conditional branches never contain an escape.
 //
 // The event bytes between header and footer are exactly a Slab's buffer:
-// Slab.Record is the only encoder, Slab.WriteTo the only writer, and
-// AdoptStream validates an incoming stream in one pass and adopts its
-// bytes.
+// Slab.Record is the only encoder, Slab.WriteTo the only writer,
+// decoder.next the only reader, and AdoptStream validates an incoming
+// stream in one pass and adopts its bytes.
 const magic = "BLTRACE1"
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
 
 // swKey is the synthetic RLE key for a switch event. Bit 63 keeps it
 // disjoint from every branch event code, whose site field caps the code
