@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench benchjson compare throughput cluster profile fuzz check golden serve loadcheck ci
+.PHONY: all build vet test race bench benchjson compare throughput cluster kralld profile fuzz check golden serve loadcheck ci
 
 all: build test
 
@@ -26,10 +26,10 @@ bench:
 # throughput harness, and the multi-node scaling round, all into
 # BENCH_results.json. The format is documented in EXPERIMENTS.md;
 # `make compare` gates against this file.
-benchjson:
+benchjson: kralld
 	$(GO) run ./cmd/krallbench -all -execbench -tracebench -benchjson BENCH_results.json > /dev/null
 	$(GO) run ./cmd/krallload -serve -throughput -quiet -benchjson BENCH_results.json
-	$(GO) run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024 -quiet -benchjson BENCH_results.json
+	$(GO) run ./cmd/krallload -throughput -nodes 4 -kralld bin/kralld -noderps 400 -requests 1024 -quiet -benchjson BENCH_results.json
 
 # Measure single vs batched kralld requests/sec over a loopback server.
 throughput:
@@ -37,15 +37,19 @@ throughput:
 
 # Multi-node scaling: one rate-capped kralld process vs a 4-process
 # consistent-hash cluster of them, reporting aggregate req/s scaling.
-cluster:
-	$(GO) run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024
+cluster: kralld
+	$(GO) run ./cmd/krallload -throughput -nodes 4 -kralld bin/kralld -noderps 400 -requests 1024
+
+# The kralld binary that krallload -nodes runs as each node.
+kralld:
+	$(GO) build -o bin/kralld ./cmd/kralld
 
 # Bench-regression gate: measure the working tree into bench-new.json and
 # fail if throughput dropped >15% below the committed baseline.
-compare:
+compare: kralld
 	$(GO) run ./cmd/krallbench -all -execbench -benchjson bench-new.json > /dev/null
 	$(GO) run ./cmd/krallload -serve -throughput -quiet -benchjson bench-new.json
-	$(GO) run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024 -quiet -benchjson bench-new.json
+	$(GO) run ./cmd/krallload -throughput -nodes 4 -kralld bin/kralld -noderps 400 -requests 1024 -quiet -benchjson bench-new.json
 	$(GO) run ./cmd/krallbench -compare BENCH_results.json bench-new.json -tolerance 0.15
 
 # CPU/heap profiles of the full krallbench sweep; inspect with
@@ -77,11 +81,11 @@ golden:
 serve:
 	$(GO) run ./cmd/kralld -addr :8723
 
-# Boot kralld on a loopback port, drive every endpoint with the load
-# client (asserting byte-stable responses and 429 backpressure), and
-# leave a /metrics snapshot in kralld-metrics.txt.
+# Boot kralld in-process on a loopback port, drive every endpoint with
+# the load client (asserting byte-stable responses and 429 backpressure),
+# and leave a /metrics snapshot in kralld-metrics.txt.
 loadcheck:
-	$(GO) run ./cmd/kralld -selfcheck -quiet -metrics-out kralld-metrics.txt
+	$(GO) run ./cmd/krallload -serve -quiet -metrics-out kralld-metrics.txt
 
 ci:
 	./ci.sh

@@ -183,7 +183,8 @@ stage_bench() {
     # too).
     go run ./cmd/krallbench -all -execbench -tracebench -benchjson bench-new.json > /dev/null
     go run ./cmd/krallload -serve -throughput -quiet -benchjson bench-new.json
-    go run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024 -quiet -benchjson bench-new.json
+    go build -o bin/kralld ./cmd/kralld
+    go run ./cmd/krallload -throughput -nodes 4 -kralld bin/kralld -noderps 400 -requests 1024 -quiet -benchjson bench-new.json
     go run ./cmd/krallbench -compare BENCH_results.json bench-new.json -tolerance 0.15
     # Prove the gate fires: a synthetic 20% regression must fail the compare.
     go run ./cmd/krallbench -compare bench-new.json -degrade 0.8 -out bench-regressed.json
@@ -191,7 +192,10 @@ stage_bench() {
 }
 
 stage_service() {
-    go run ./cmd/kralld -selfcheck -quiet -metrics-out kralld-metrics.txt
+    # In-process smoke: every endpoint for the whole catalog, 3 repeats
+    # each with byte-equality asserted, replicates verified, and the
+    # final /metrics snapshot kept as a CI artifact.
+    go run ./cmd/krallload -serve -quiet -metrics-out kralld-metrics.txt
 }
 
 stage_cluster() {
@@ -216,8 +220,7 @@ stage_cluster() {
     done
     i=1
     for url in "$N1" "$N2" "$N3"; do
-        go run ./cmd/krallload -addr "$url" -quiet
-        curl -fsS "$url/metrics" > "kralld-node$i-metrics.txt"
+        go run ./cmd/krallload -addr "$url" -quiet -metrics-out "kralld-node$i-metrics.txt"
         i=$((i+1))
     done
     kill $P1 $P2 $P3

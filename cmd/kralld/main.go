@@ -7,15 +7,14 @@
 //	kralld [-addr :8723] [-workers N] [-limit N] [-timeout 30s]
 //	       [-budget N] [-maxbudget N] [-cache N] [-shards N] [-maxbatch N]
 //	       [-drain 10s] [-quiet]
-//	kralld -selfcheck [-metrics-out file]
+//
+// -addr is a TCP address, or fd:N to serve a listening socket inherited
+// from the parent process as descriptor N (krallload -nodes hands each
+// node its listener as fd:3, so it knows every node's URL before any
+// node starts).
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: the listener closes
 // immediately and in-flight requests get -drain to finish.
-//
-// -selfcheck boots the server in-process on a loopback port, drives every
-// endpoint with the load-generator client (asserting byte-stable
-// responses), fetches /metrics, and exits non-zero on any failure. It is
-// the CI smoke test.
 package main
 
 import (
@@ -28,44 +27,42 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/loadgen"
 	"repro/internal/service"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "kralld:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("kralld", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", ":8723", "listen address")
-		workers    = fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
-		limit      = fs.Int("limit", 0, "max in-flight requests per endpoint (0 = 2×workers)")
-		timeout    = fs.Duration("timeout", 30*time.Second, "per-request deadline")
-		budget     = fs.Uint64("budget", 200_000, "default branch budget per run")
-		maxBudget  = fs.Uint64("maxbudget", 5_000_000, "hard cap on requested budgets")
-		cacheSize  = fs.Int("cache", 128, "artifact store entries")
-		shards     = fs.Int("shards", 0, "artifact store shards, rounded up to a power of two, at most 4096 (0 = 8)")
-		maxBatch   = fs.Int("maxbatch", 0, "max items per /v1/batch request (0 = 64)")
-		diskDir    = fs.String("disk", "", "disk artifact tier directory (empty = memory only)")
-		diskMax    = fs.Int64("disk-max-bytes", 0, "disk tier byte budget (0 = 256 MiB)")
-		fsync      = fs.Bool("fsync", false, "fsync disk-tier writes before rename")
-		self       = fs.String("self", "", "this node's base URL for cluster peers (enables clustering)")
-		peers      = fs.String("peers", "", "comma-separated peer base URLs")
-		maxRPS     = fs.Float64("maxrps", 0, "per-node admitted requests/sec cap (0 = uncapped)")
-		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
-		quiet      = fs.Bool("quiet", false, "log warnings and errors only")
-		selfcheck  = fs.Bool("selfcheck", false, "boot on a loopback port, run the load client, and exit")
-		metricsOut = fs.String("metrics-out", "", "with -selfcheck, write the final /metrics snapshot to `file`")
+		addr      = fs.String("addr", ":8723", "listen address, or fd:N for an inherited listening socket")
+		workers   = fs.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
+		limit     = fs.Int("limit", 0, "max in-flight requests per endpoint (0 = 2×workers)")
+		timeout   = fs.Duration("timeout", 30*time.Second, "per-request deadline")
+		budget    = fs.Uint64("budget", 200_000, "default branch budget per run")
+		maxBudget = fs.Uint64("maxbudget", 5_000_000, "hard cap on requested budgets")
+		cacheSize = fs.Int("cache", 128, "artifact store entries")
+		shards    = fs.Int("shards", 0, "artifact store shards, rounded up to a power of two, at most 4096 (0 = 8)")
+		maxBatch  = fs.Int("maxbatch", 0, "max items per /v1/batch request (0 = 64)")
+		diskDir   = fs.String("disk", "", "disk artifact tier directory (empty = memory only)")
+		diskMax   = fs.Int64("disk-max-bytes", 0, "disk tier byte budget (0 = 256 MiB)")
+		fsync     = fs.Bool("fsync", false, "fsync disk-tier writes before rename")
+		self      = fs.String("self", "", "this node's base URL for cluster peers (enables clustering)")
+		peers     = fs.String("peers", "", "comma-separated peer base URLs")
+		maxRPS    = fs.Float64("maxrps", 0, "per-node admitted requests/sec cap (0 = uncapped)")
+		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
+		quiet     = fs.Bool("quiet", false, "log warnings and errors only")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,16 +95,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Logger:         logger,
 	}
 
-	if *selfcheck {
-		return runSelfcheck(cfg, *drain, *metricsOut, stdout, logger)
-	}
-
-	srv, err := service.New(cfg)
+	l, err := listen(*addr)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", *addr)
+	srv, err := service.New(cfg)
 	if err != nil {
+		l.Close()
 		return err
 	}
 	logger.Info("kralld listening", "addr", l.Addr().String(), "schema", service.Schema)
@@ -132,60 +126,22 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// runSelfcheck is the in-process smoke test: server plus load client in
-// one binary, no network assumptions beyond loopback.
-func runSelfcheck(cfg service.Config, drain time.Duration, metricsOut string, stdout io.Writer, logger *slog.Logger) error {
-	srv, err := service.New(cfg)
+// listen opens the -addr listener: a TCP address, or fd:N for a
+// listening socket inherited as descriptor N.
+func listen(addr string) (net.Listener, error) {
+	n, ok := strings.CutPrefix(addr, "fd:")
+	if !ok {
+		return net.Listen("tcp", addr)
+	}
+	fd, err := strconv.Atoi(n)
+	if err != nil || fd < 0 {
+		return nil, fmt.Errorf("-addr %q: want fd:N, N a descriptor number", addr)
+	}
+	f := os.NewFile(uintptr(fd), addr)
+	defer f.Close()
+	l, err := net.FileListener(f)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("-addr %s: %w", addr, err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	base := "http://" + l.Addr().String()
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, l, drain) }()
-
-	report, lerr := loadgen.Load(context.Background(), base, loadgen.LoadOptions{
-		Budget: 20_000,
-	})
-	if report != nil {
-		fmt.Fprintln(stdout, report)
-	}
-
-	var merr error
-	if metricsOut != "" {
-		merr = snapshotMetrics(base, metricsOut)
-	}
-
-	cancel()
-	if serr := <-served; serr != nil && serr != http.ErrServerClosed {
-		logger.Warn("server exit", "error", serr)
-	}
-	if lerr != nil {
-		return fmt.Errorf("selfcheck load: %w", lerr)
-	}
-	if merr != nil {
-		return fmt.Errorf("selfcheck metrics: %w", merr)
-	}
-	fmt.Fprintln(stdout, "selfcheck ok")
-	return nil
-}
-
-func snapshotMetrics(base, path string) error {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/metrics status %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, body, 0o644)
+	return l, nil
 }

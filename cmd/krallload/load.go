@@ -1,9 +1,4 @@
-// Package loadgen holds the kralld load harnesses: Load, the
-// endpoint-coverage load generator behind kralld -selfcheck and krallload,
-// and Throughput/ClusterThroughput, the batching and multi-node
-// benchmarks behind krallload -throughput. They drive a server over HTTP
-// and use only the service package's exported request types and routing.
-package loadgen
+package main
 
 import (
 	"bytes"
@@ -23,154 +18,110 @@ import (
 	"repro/internal/core"
 )
 
-// LoadOptions parameterises Load, the service's load-generator client.
-type LoadOptions struct {
-	// Workloads are the catalog programs to drive (default: the whole
-	// suite).
-	Workloads []string
-	// Budget is the branch budget sent with every request (default 20000,
-	// the krallbench golden scale).
-	Budget uint64
-	// States is the machine size for machines/replicate (default 4).
-	States int
-	// Concurrency is the number of in-flight requests (default 8).
-	Concurrency int
-	// Repeats is how many times each distinct request fires; all repeats
-	// must return byte-identical bodies (default 3).
-	Repeats int
-	// Timeout bounds one HTTP round trip (default 60s).
-	Timeout time.Duration
+const (
+	// machineStates is the machine size sent with machines and replicate
+	// requests.
+	machineStates = 4
+	// httpTimeout bounds one HTTP round trip.
+	httpTimeout = 60 * time.Second
+)
+
+// loadOptions parameterises load, the default mode's stability sweep.
+type loadOptions struct {
+	workloads   []string // catalog programs to drive
+	budget      uint64   // branch budget sent with every request
+	concurrency int      // in-flight requests
+	// repeats is how many times each distinct request fires; all repeats
+	// must return byte-identical bodies.
+	repeats int
 }
 
-func (o *LoadOptions) setDefaults() {
-	if len(o.Workloads) == 0 {
-		for _, w := range bench.Workloads() {
-			o.Workloads = append(o.Workloads, w.Name)
-		}
-	}
-	if o.Budget == 0 {
-		o.Budget = 20_000
-	}
-	if o.States == 0 {
-		o.States = 4
-	}
-	if o.Concurrency == 0 {
-		o.Concurrency = 8
-	}
-	if o.Repeats == 0 {
-		o.Repeats = 3
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 60 * time.Second
-	}
+// loadReport summarises one load run.
+type loadReport struct {
+	requests      int
+	retried429    int
+	perEndpoint   map[string]int
+	responseBytes int64
+	seconds       float64
 }
 
-// LoadReport summarises one Load run.
-type LoadReport struct {
-	Requests      int            `json:"requests"`
-	Retried429    int            `json:"retried_429"`
-	PerEndpoint   map[string]int `json:"per_endpoint"`
-	ResponseBytes int64          `json:"response_bytes"`
-	Seconds       float64        `json:"seconds"`
-}
-
-func (r *LoadReport) String() string {
-	eps := make([]string, 0, len(r.PerEndpoint))
-	for ep := range r.PerEndpoint {
+func (r *loadReport) String() string {
+	eps := make([]string, 0, len(r.perEndpoint))
+	for ep := range r.perEndpoint {
 		eps = append(eps, ep)
 	}
 	sort.Strings(eps)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d requests in %.2fs (%d retried after 429, %d response bytes)",
-		r.Requests, r.Seconds, r.Retried429, r.ResponseBytes)
+		r.requests, r.seconds, r.retried429, r.responseBytes)
 	for _, ep := range eps {
-		fmt.Fprintf(&sb, "\n  %-10s %d ok", ep, r.PerEndpoint[ep])
+		fmt.Fprintf(&sb, "\n  %-10s %d ok", ep, r.perEndpoint[ep])
 	}
 	return sb.String()
 }
 
 // loadCall is one distinct request: endpoint plus body. Each fires
-// Repeats times; the responses must agree byte-for-byte.
+// repeats times; the responses must agree byte-for-byte.
 type loadCall struct {
 	endpoint string
 	body     []byte
 }
 
-// Load drives the catalog workloads through a running kralld concurrently
+// load drives the catalog workloads through a running kralld concurrently
 // and asserts the service contract: every endpoint answers 200 with
 // byte-stable JSON, and overload shows up only as 429 + Retry-After
-// (which the client honours and retries). It is the -selfcheck engine of
-// cmd/kralld, the body of cmd/krallload, and runs under go test -race via
-// the service tests.
-func Load(ctx context.Context, baseURL string, opts LoadOptions) (*LoadReport, error) {
-	opts.setDefaults()
+// (which the client honours and retries). It is krallload's default mode,
+// the in-process smoke that CI runs with -serve, and runs under
+// go test -race in TestConcurrentClients.
+func load(ctx context.Context, baseURL string, opts loadOptions) (*loadReport, error) {
 	baseURL = strings.TrimRight(baseURL, "/")
-
 	var calls []loadCall
-	addCall := func(endpoint string, req map[string]any) error {
+	addCall := func(endpoint string, req map[string]any) {
 		body, err := json.Marshal(req)
 		if err != nil {
-			return err
+			panic(err) // strings, numbers and bools always marshal
 		}
 		calls = append(calls, loadCall{endpoint: endpoint, body: body})
-		return nil
 	}
-	for _, name := range opts.Workloads {
-		common := map[string]any{"workload": name, "budget": opts.Budget}
-		if err := addCall("profile", common); err != nil {
-			return nil, err
-		}
+	for _, name := range opts.workloads {
+		addCall("profile", map[string]any{"workload": name, "budget": opts.budget})
 		// The static analysis endpoint takes no budget: its response is a
 		// pure function of the program.
-		if err := addCall("analyze", map[string]any{"workload": name}); err != nil {
-			return nil, err
-		}
-		if err := addCall("machines", map[string]any{
-			"workload": name, "budget": opts.Budget, "states": opts.States,
-		}); err != nil {
-			return nil, err
-		}
+		addCall("analyze", map[string]any{"workload": name})
+		addCall("machines", map[string]any{
+			"workload": name, "budget": opts.budget, "states": machineStates,
+		})
 		// check:true routes every replicate through the
-		// replication-equivalence verifier, so a selfcheck also proves the
+		// replication-equivalence verifier, so the smoke also proves the
 		// transform sound on the whole catalog.
-		if err := addCall("replicate", map[string]any{
-			"workload": name, "budget": opts.Budget, "states": opts.States, "check": true,
-		}); err != nil {
-			return nil, err
-		}
-		if err := addCall("score", map[string]any{
-			"workload": name, "budget": opts.Budget, "strategy": "twobit",
-		}); err != nil {
-			return nil, err
-		}
+		addCall("replicate", map[string]any{
+			"workload": name, "budget": opts.budget, "states": machineStates, "check": true,
+		})
+		addCall("score", map[string]any{
+			"workload": name, "budget": opts.budget, "strategy": "twobit",
+		})
 		// Exercise the upload path: record the workload locally and score
 		// the uploaded trace. The server must report exactly the events we
 		// recorded.
-		b64, err := recordTraceB64(name, opts.Budget)
+		b64, err := recordTraceB64(name, opts.budget)
 		if err != nil {
 			return nil, err
 		}
-		if err := addCall("score", map[string]any{
-			"trace_b64": b64, "strategy": "profile",
-		}); err != nil {
-			return nil, err
-		}
+		addCall("score", map[string]any{"trace_b64": b64, "strategy": "profile"})
 	}
 
 	// The indirect replication family rides every load run on its own
 	// dispatch workloads; check:true routes each through the structural
-	// clustering verifier, so a selfcheck also proves the second family
+	// clustering verifier, so the smoke also proves the second family
 	// sound end to end.
 	for _, w := range bench.IndirectWorkloads() {
-		if err := addCall("replicate", map[string]any{
-			"workload": w.Name, "budget": opts.Budget, "family": "indirect", "check": true,
-		}); err != nil {
-			return nil, err
-		}
+		addCall("replicate", map[string]any{
+			"workload": w.Name, "budget": opts.budget, "family": "indirect", "check": true,
+		})
 	}
 
-	client := &http.Client{Timeout: opts.Timeout}
-	report := &LoadReport{PerEndpoint: map[string]int{}}
+	client := &http.Client{Timeout: httpTimeout}
+	report := &loadReport{perEndpoint: map[string]int{}}
 	var mu sync.Mutex
 	var firstErr error
 	setErr := func(err error) {
@@ -190,7 +141,7 @@ func Load(ctx context.Context, baseURL string, opts LoadOptions) (*LoadReport, e
 	jobs := make(chan job)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Concurrency; w++ {
+	for w := 0; w < opts.concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -210,15 +161,15 @@ func Load(ctx context.Context, baseURL string, opts LoadOptions) (*LoadReport, e
 				}
 				canonMu.Unlock()
 				mu.Lock()
-				report.Requests++
-				report.Retried429 += retries
-				report.PerEndpoint[c.endpoint]++
-				report.ResponseBytes += int64(len(body))
+				report.requests++
+				report.retried429 += retries
+				report.perEndpoint[c.endpoint]++
+				report.responseBytes += int64(len(body))
 				mu.Unlock()
 			}
 		}()
 	}
-	for r := 0; r < opts.Repeats; r++ {
+	for r := 0; r < opts.repeats; r++ {
 		for i := range calls {
 			select {
 			case jobs <- job{call: i, repeat: r}:
@@ -231,7 +182,7 @@ func Load(ctx context.Context, baseURL string, opts LoadOptions) (*LoadReport, e
 	}
 	close(jobs)
 	wg.Wait()
-	report.Seconds = time.Since(start).Seconds()
+	report.seconds = time.Since(start).Seconds()
 	if firstErr != nil {
 		return report, firstErr
 	}

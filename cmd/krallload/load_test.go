@@ -1,4 +1,4 @@
-package service_test
+package main
 
 import (
 	"context"
@@ -9,12 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/loadgen"
 	"repro/internal/service"
 )
-
-// This file is an external test package so it can drive the server with
-// internal/loadgen, which itself imports service.
 
 // TestConcurrentClients is the race-detector test: many goroutines hammer
 // all endpoints through the load harness, sharing the artifact store and
@@ -44,11 +40,11 @@ func TestConcurrentClients(t *testing.T) {
 			}
 		}
 	}()
-	report, err := loadgen.Load(context.Background(), ts.URL, loadgen.LoadOptions{
-		Workloads:   []string{"cc", "predict", "compress"},
-		Budget:      5_000,
-		Concurrency: 12,
-		Repeats:     4,
+	report, err := load(context.Background(), ts.URL, loadOptions{
+		workloads:   []string{"cc", "predict", "compress"},
+		budget:      5_000,
+		concurrency: 12,
+		repeats:     4,
 	})
 	close(done)
 	scrape.Wait()
@@ -58,7 +54,7 @@ func TestConcurrentClients(t *testing.T) {
 	// Six distinct calls per workload: analyze, profile, machines,
 	// replicate, score, and the uploaded-trace score — plus one indirect
 	// replicate per dispatch workload.
-	if want := (3*6 + len(bench.IndirectWorkloads())) * 4; report.Requests != want {
-		t.Fatalf("Requests = %d, want %d", report.Requests, want)
+	if want := (3*6 + len(bench.IndirectWorkloads())) * 4; report.requests != want {
+		t.Fatalf("requests = %d, want %d", report.requests, want)
 	}
 }

@@ -1,32 +1,33 @@
-// Command krallload drives a kralld with the load-generator client. Its
-// default mode fires every pipeline endpoint for the chosen workloads,
-// repeats each request, and fails unless all repeats return
-// byte-identical responses and every overload is a proper 429 +
-// Retry-After. With -throughput it instead measures requests/sec and
-// branches/sec twice over the same request mix — one sub-request per
-// POST, then -batch sub-requests per POST /v1/batch — and can merge the
-// result into a krallbench-results/v1 document for the CI
-// bench-regression gate (krallbench -compare) to watch.
+// Command krallload drives a kralld over HTTP. Its default mode fires
+// every pipeline endpoint for the chosen workloads, repeats each request,
+// and fails unless all repeats return byte-identical responses and every
+// overload is a proper 429 + Retry-After. With -throughput it instead
+// measures requests/sec and branches/sec twice over the same request mix
+// — one sub-request per POST, then -batch sub-requests per POST
+// /v1/batch — and can merge the result into a krallbench-results/v1
+// document for the CI bench-regression gate (krallbench -compare) to
+// watch.
 //
 // Usage:
 //
 //	krallload [-addr http://localhost:8723 | -serve] [-workloads a,b]
-//	          [-budget N] [-repeats N] [-concurrency N]
+//	          [-budget N] [-repeats N] [-concurrency N] [-metrics-out file]
 //	krallload -throughput [-batch N] [-requests N] [-benchjson file]
 //	          [-addr URL | -serve] [-workloads a,b] [-budget N]
-//	          [-concurrency N] [-quiet]
-//	krallload -throughput -nodes N [-noderps R] [-requests N]
+//	          [-concurrency N] [-metrics-out file] [-quiet]
+//	krallload -throughput -nodes N -kralld path [-noderps R] [-requests N]
 //	          [-benchjson file] [-workloads a,b] [-budget N] [-quiet]
 //
 // -serve boots kralld in-process on a loopback port instead of talking
-// to an external daemon, so CI needs no separate server process.
+// to an external daemon, so CI needs no separate server process;
+// `krallload -serve -quiet -metrics-out kralld-metrics.txt` is the
+// service's CI smoke. -metrics-out writes the server's /metrics snapshot
+// after the run.
 //
-// -nodes N ignores -addr/-serve: it spawns real kralld subprocesses
-// (one rate-capped node, then an N-node consistent-hash cluster of
-// them) and reports the aggregate requests/sec scaling — the "cluster"
-// part of the service section. -servenode/-self/-peers/-maxrps/-disk
-// are the internal child-process mode it re-execs; they are not meant
-// for direct use.
+// -nodes N ignores -addr/-serve: it runs the kralld binary at -kralld
+// as real processes (one rate-capped node, then an N-node
+// consistent-hash cluster of them) and reports the aggregate
+// requests/sec scaling — the "cluster" part of the service section.
 package main
 
 import (
@@ -44,7 +45,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/loadgen"
+	"repro/internal/bench"
 	"repro/internal/results"
 	"repro/internal/service"
 )
@@ -70,29 +71,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 		repeats     = fs.Int("repeats", 3, "times each request fires (responses must be byte-identical)")
 		concurrency = fs.Int("concurrency", 0, "in-flight requests (default 8, or 4 with -throughput)")
 		throughput  = fs.Bool("throughput", false, "measure single vs batched requests/sec instead of the stability sweep")
-		batch       = fs.Int("batch", 8, "with -throughput, sub-requests per POST /v1/batch in the batched phase")
+		batch       = fs.Int("batch", 8, "with -throughput, sub-requests per POST /v1/batch in the batched phase (at least 2)")
 		requests    = fs.Int("requests", 512, "with -throughput, sub-requests per phase")
 		benchjson   = fs.String("benchjson", "", "with -throughput, merge the service section into this krallbench-results/v1 `file`")
 		quiet       = fs.Bool("quiet", false, "print only the final summary line")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to `file` (client and -serve server share the process)")
-		nodes       = fs.Int("nodes", 0, "with -throughput, measure 1-node vs N-node scaling with kralld subprocesses")
+		metricsOut  = fs.String("metrics-out", "", "after the run, write the server's /metrics snapshot to `file` (not with -nodes)")
+		nodes       = fs.Int("nodes", 0, "with -throughput, measure 1-node vs N-node scaling with kralld processes")
 		nodeRPS     = fs.Float64("noderps", 400, "with -nodes, per-node admitted requests/sec cap")
-		servenode   = fs.Bool("servenode", false, "internal: serve kralld on the listener inherited as fd 3")
-		self        = fs.String("self", "", "internal: with -servenode, this node's base URL")
-		peers       = fs.String("peers", "", "internal: with -servenode, comma-separated peer base URLs")
-		maxRPS      = fs.Float64("maxrps", 0, "internal: with -servenode, per-node admitted requests/sec cap")
-		diskDir     = fs.String("disk", "", "internal: with -servenode, disk artifact tier directory")
+		kralld      = fs.String("kralld", "", "with -nodes, the kralld `binary` each node runs")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
+	switch {
+	case fs.NArg() > 0:
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	case *nodes > 0 && !*throughput:
+		return fmt.Errorf("-nodes requires -throughput")
+	case *nodes > 0 && *kralld == "":
+		return fmt.Errorf("-nodes requires -kralld")
+	case *nodes > 0 && *metricsOut != "":
+		return fmt.Errorf("-metrics-out does not apply to -nodes")
+	case *batch < 2:
+		return fmt.Errorf("-batch must be at least 2, got %d", *batch)
+	case *requests < 1:
+		return fmt.Errorf("-requests must be positive, got %d", *requests)
 	}
 
-	if *servenode {
-		return runServeNode(*self, *peers, *maxRPS, *diskDir, *quiet, stderr)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -108,20 +114,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	names := workloadNames(*workloads)
+	topts := throughputOptions{
+		workloads:   names,
+		budget:      *budget,
+		batchSize:   *batch,
+		requests:    *requests,
+		concurrency: *concurrency,
+	}
 	if *nodes > 0 {
-		if !*throughput {
-			return fmt.Errorf("-nodes requires -throughput")
-		}
-		var names []string
-		if *workloads != "" {
-			names = strings.Split(*workloads, ",")
-		}
-		return runClusterBench(ctx, *nodes, *nodeRPS, loadgen.ThroughputOptions{
-			Workloads:   names,
-			Budget:      *budget,
-			Requests:    *requests,
-			Concurrency: *concurrency,
-		}, *benchjson, *quiet, stdout, stderr)
+		return runClusterBench(ctx, *kralld, *nodes, *nodeRPS, topts, *benchjson, *quiet, stdout, stderr)
 	}
 
 	base := *addr
@@ -138,39 +140,53 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	var names []string
-	if *workloads != "" {
-		names = strings.Split(*workloads, ",")
-	}
-
+	var err error
 	if *throughput {
-		return runThroughput(ctx, base, loadgen.ThroughputOptions{
-			Workloads:   names,
-			Budget:      *budget,
-			BatchSize:   *batch,
-			Requests:    *requests,
-			Concurrency: *concurrency,
-		}, *benchjson, *quiet, stdout)
+		if topts.concurrency == 0 {
+			topts.concurrency = 4
+		}
+		err = runThroughput(ctx, base, topts, *benchjson, *quiet, stdout)
+	} else {
+		if *concurrency == 0 {
+			*concurrency = 8
+		}
+		var report *loadReport
+		report, err = load(ctx, base, loadOptions{
+			workloads:   names,
+			budget:      *budget,
+			repeats:     *repeats,
+			concurrency: *concurrency,
+		})
+		if report != nil {
+			fmt.Fprintln(stdout, report)
+		}
 	}
-
-	if *concurrency == 0 {
-		*concurrency = 8
-	}
-	report, err := loadgen.Load(ctx, base, loadgen.LoadOptions{
-		Workloads:   names,
-		Budget:      *budget,
-		Repeats:     *repeats,
-		Concurrency: *concurrency,
-	})
-	if report != nil {
-		fmt.Fprintln(stdout, report)
+	// The snapshot is taken after a failed run too: it is what shows why.
+	if *metricsOut != "" {
+		if merr := snapshotMetrics(base, *metricsOut); err == nil && merr != nil {
+			err = fmt.Errorf("-metrics-out: %w", merr)
+		}
 	}
 	return err
 }
 
+// workloadNames splits the -workloads list; empty means the whole
+// catalog.
+func workloadNames(list string) []string {
+	if list != "" {
+		return strings.Split(list, ",")
+	}
+	var names []string
+	for _, w := range bench.Workloads() {
+		names = append(names, w.Name)
+	}
+	return names
+}
+
 // bootLocal starts an in-process kralld on a loopback port, pointing
-// *base at it. The returned shutdown cancels its serve context; served
-// yields the Serve error once drained.
+// *base at it. Its service.Config is the zero value, whose defaults are
+// kralld's flag defaults. The returned shutdown cancels its serve
+// context; served yields the Serve error once drained.
 func bootLocal(quiet bool, stderr io.Writer, base *string) (func(), chan error, error) {
 	level := slog.LevelInfo
 	if quiet {
@@ -193,10 +209,27 @@ func bootLocal(quiet bool, stderr io.Writer, base *string) (func(), chan error, 
 	return cancel, served, nil
 }
 
+// snapshotMetrics writes the server's /metrics page to path.
+func snapshotMetrics(base, path string) error {
+	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/metrics status %d", resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, body, 0o644)
+}
+
 // runThroughput runs the throughput harness, prints the two phases, and
 // optionally merges the service section into a results document.
-func runThroughput(ctx context.Context, base string, opts loadgen.ThroughputOptions, benchjson string, quiet bool, stdout io.Writer) error {
-	svc, err := loadgen.Throughput(ctx, base, opts)
+func runThroughput(ctx context.Context, base string, opts throughputOptions, benchjson string, quiet bool, stdout io.Writer) error {
+	svc, err := measureThroughput(ctx, base, opts)
 	if err != nil {
 		return err
 	}
@@ -210,20 +243,26 @@ func runThroughput(ctx context.Context, base string, opts loadgen.ThroughputOpti
 	if benchjson == "" {
 		return nil
 	}
-	doc, err := results.Read(benchjson)
+	if err := mergeInto(benchjson, func(doc *results.Document) { doc.Service = svc }); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "service section written to %s\n", benchjson)
+	return nil
+}
+
+// mergeInto reads the krallbench-results/v1 document at path (a fresh
+// one if there is none yet: no sweep has run), lets set fill in its
+// section, and writes it back.
+func mergeInto(path string, set func(*results.Document)) error {
+	doc, err := results.Read(path)
 	if os.IsNotExist(err) {
-		// No sweep document yet: start a service-only one.
 		doc, err = &results.Document{Schema: results.Schema}, nil
 	}
 	if err != nil {
 		return err
 	}
-	doc.Service = svc
-	if err := results.Write(benchjson, doc); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "service section written to %s\n", benchjson)
-	return nil
+	set(doc)
+	return results.Write(path, doc)
 }
 
 func printPhase(w io.Writer, name string, ph *results.Phase) {

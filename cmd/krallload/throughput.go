@@ -1,4 +1,4 @@
-package loadgen
+package main
 
 import (
 	"context"
@@ -11,91 +11,55 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/results"
 	"repro/internal/service"
 )
 
-// ThroughputOptions parameterises Throughput, the batching benchmark.
-type ThroughputOptions struct {
-	// Workloads are the catalog programs in the request mix (default: the
-	// whole suite).
-	Workloads []string
-	// Budget is the branch budget per sub-request (default 20000).
-	Budget uint64
-	// BatchSize is the /v1/batch item count per POST in the batched phase
-	// (default 8, minimum 2 — 1 would measure the single phase twice).
-	BatchSize int
-	// Requests is the sub-request count per phase round, rounded up to a
-	// multiple of BatchSize (default 1024).
-	Requests int
-	// Rounds is how many times each phase runs; the best round (highest
-	// requests/sec) is reported, damping scheduler and GC noise so the CI
-	// regression gate sees peak steady-state throughput, not scheduling
-	// luck (default 3).
-	Rounds int
-	// Concurrency is the number of in-flight HTTP posts in both phases
-	// (default 4).
-	Concurrency int
-	// Timeout bounds one HTTP round trip (default 60s).
-	Timeout time.Duration
-}
+// throughputRounds is how many times each phase runs; the best round
+// (highest requests/sec) is reported, damping scheduler and GC noise so
+// the CI regression gate sees peak steady-state throughput, not
+// scheduling luck.
+const throughputRounds = 3
 
-func (o *ThroughputOptions) setDefaults() {
-	if len(o.Workloads) == 0 {
-		for _, w := range bench.Workloads() {
-			o.Workloads = append(o.Workloads, w.Name)
-		}
-	}
-	if o.Budget == 0 {
-		o.Budget = 20_000
-	}
-	if o.BatchSize < 2 {
-		o.BatchSize = 8
-	}
-	if o.Requests == 0 {
-		o.Requests = 1024
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 3
-	}
-	if o.Concurrency == 0 {
-		o.Concurrency = 4
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 60 * time.Second
-	}
+// throughputOptions parameterises measureThroughput and measureCluster.
+type throughputOptions struct {
+	workloads []string // catalog programs in the request mix
+	budget    uint64   // branch budget per sub-request
+	// batchSize is the /v1/batch item count per POST in the batched
+	// phase, at least 2 (1 would measure the single phase twice).
+	batchSize int
+	// requests is the sub-request count per phase round, rounded up to a
+	// multiple of batchSize in the batched phase.
+	requests    int
+	concurrency int // in-flight HTTP posts in every phase
 }
 
 // tputCall is one sub-request of the throughput mix.
 type tputCall struct {
 	endpoint string
 	body     json.RawMessage
-	// route is the cluster placement key ("" = no stable placement);
-	// ClusterThroughput uses it to ring-route each call client-side.
+	// route is the cluster placement key; measureCluster posts each call
+	// to the ring owner of it.
 	route string
+}
+
+// baseCall is one entry of the request mix skeleton.
+type baseCall struct {
+	endpoint string
+	req      service.Request
 }
 
 // baseRequests is the request mix skeleton — profile, machines, and
 // score over the workloads.
-func baseRequests(opts *ThroughputOptions) []struct {
-	endpoint string
-	req      service.Request
-} {
-	var out []struct {
-		endpoint string
-		req      service.Request
-	}
-	for _, name := range opts.Workloads {
-		out = append(out, []struct {
-			endpoint string
-			req      service.Request
-		}{
-			{"profile", service.Request{Workload: name, Budget: opts.Budget}},
-			{"machines", service.Request{Workload: name, Budget: opts.Budget, States: 4}},
-			{"score", service.Request{Workload: name, Budget: opts.Budget, Strategy: "twobit"}},
-		}...)
+func baseRequests(opts *throughputOptions) []baseCall {
+	var out []baseCall
+	for _, name := range opts.workloads {
+		out = append(out,
+			baseCall{"profile", service.Request{Workload: name, Budget: opts.budget}},
+			baseCall{"machines", service.Request{Workload: name, Budget: opts.budget, States: machineStates}},
+			baseCall{"score", service.Request{Workload: name, Budget: opts.budget, Strategy: "twobit"}},
+		)
 	}
 	return out
 }
@@ -112,10 +76,10 @@ func asCall(endpoint string, req *service.Request, defaultBudget uint64) (tputCa
 }
 
 // buildMix builds the single-server request mix.
-func buildMix(opts *ThroughputOptions) ([]tputCall, error) {
+func buildMix(opts *throughputOptions) ([]tputCall, error) {
 	var mix []tputCall
 	for _, c := range baseRequests(opts) {
-		call, err := asCall(c.endpoint, &c.req, opts.Budget)
+		call, err := asCall(c.endpoint, &c.req, opts.budget)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +96,7 @@ func buildMix(opts *ThroughputOptions) ([]tputCall, error) {
 // construction, making the scaling measurement capacity-limited rather
 // than hostage to how a handful of keys happened to hash. Entries are
 // interleaved node-minor so round-robin draws cycle the nodes.
-func balancedMix(opts *ThroughputOptions, ring *cluster.Ring, nodes []string) ([]tputCall, error) {
+func balancedMix(opts *throughputOptions, ring *cluster.Ring, nodes []string) ([]tputCall, error) {
 	var mix []tputCall
 	for _, c := range baseRequests(opts) {
 		for _, node := range nodes {
@@ -140,9 +104,9 @@ func balancedMix(opts *ThroughputOptions, ring *cluster.Ring, nodes []string) ([
 			for seed := int64(1); seed <= 20_000; seed++ {
 				req := c.req
 				req.Seed = seed
-				key := service.RouteKey(&req, opts.Budget)
+				key := service.RouteKey(&req, opts.budget)
 				if owner, ok := ring.Owner(key); ok && owner == node {
-					call, err := asCall(c.endpoint, &req, opts.Budget)
+					call, err := asCall(c.endpoint, &req, opts.budget)
 					if err != nil {
 						return nil, err
 					}
@@ -159,77 +123,48 @@ func balancedMix(opts *ThroughputOptions, ring *cluster.Ring, nodes []string) ([
 	return mix, nil
 }
 
-// Throughput measures the service's request throughput twice over the
-// identical sub-request mix — one sub-request per HTTP POST, then
-// BatchSize sub-requests per POST /v1/batch — and reports both phases
-// plus their requests/sec ratio. The mix cycles profile, machines, and
-// score over the workloads; a warmup pass populates the artifact store
-// first, so both phases measure the cache-served steady state (the
+// measureThroughput measures the service's request throughput twice
+// over the identical sub-request mix — one sub-request per HTTP POST,
+// then batchSize sub-requests per POST /v1/batch — and reports both
+// phases plus their requests/sec ratio. The mix cycles profile, machines,
+// and score over the workloads; a warmup pass populates the artifact
+// store first, so both phases measure the cache-served steady state (the
 // production-shaped regime: a hot program recorded once, served many
 // times) rather than one phase paying the recording cost for the other.
-// This is the engine of krallload -throughput, and its report is the
-// "service" section of the krallbench-results/v1 document that the CI
-// bench-regression gate compares.
-func Throughput(ctx context.Context, baseURL string, opts ThroughputOptions) (*results.Service, error) {
-	opts.setDefaults()
+// Its report is the "service" section of the krallbench-results/v1
+// document that the CI bench-regression gate compares.
+func measureThroughput(ctx context.Context, baseURL string, opts throughputOptions) (*results.Service, error) {
 	baseURL = strings.TrimRight(baseURL, "/")
-	sort.Strings(opts.Workloads)
-
+	sort.Strings(opts.workloads)
 	mix, err := buildMix(&opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// The default transport keeps only two idle connections per host;
-	// with more in-flight posts than that, the surplus workers would
-	// re-dial TCP on every request and the harness would measure its own
-	// connection churn instead of the service.
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = opts.Concurrency
-	tr.MaxIdleConnsPerHost = opts.Concurrency
-	client := &http.Client{Timeout: opts.Timeout, Transport: tr}
-	defer tr.CloseIdleConnections()
-
-	// Warmup: every distinct call once, so recordings happen outside the
-	// timed phases and both phases replay from the store.
-	for _, c := range mix {
-		if _, _, err := postWithRetry(ctx, client, baseURL+"/v1/"+c.endpoint, c.body); err != nil {
-			return nil, fmt.Errorf("warmup %s: %w", c.endpoint, err)
-		}
+	client := newClient(opts.concurrency, 1)
+	defer client.CloseIdleConnections()
+	baseFor := func(tputCall) string { return baseURL }
+	if err := warmup(ctx, client, baseFor, mix); err != nil {
+		return nil, err
 	}
 
-	n := opts.Requests
-	if rem := n % opts.BatchSize; rem != 0 {
-		n += opts.BatchSize - rem
+	n := opts.requests
+	if rem := n % opts.batchSize; rem != 0 {
+		n += opts.batchSize - rem
 	}
-
-	bestOf := func(batchSize int) (*results.Phase, error) {
-		var best *results.Phase
-		for r := 0; r < opts.Rounds; r++ {
-			ph, err := runPhase(ctx, client, func(tputCall) string { return baseURL }, mix, n, batchSize, opts.Concurrency)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || ph.RequestsPerSecond > best.RequestsPerSecond {
-				best = ph
-			}
-		}
-		return best, nil
-	}
-	single, err := bestOf(1)
+	single, err := bestRound(ctx, client, baseFor, mix, n, 1, opts.concurrency)
 	if err != nil {
 		return nil, fmt.Errorf("single phase: %w", err)
 	}
-	batch, err := bestOf(opts.BatchSize)
+	batch, err := bestRound(ctx, client, baseFor, mix, n, opts.batchSize, opts.concurrency)
 	if err != nil {
 		return nil, fmt.Errorf("batch phase: %w", err)
 	}
 
 	svc := &results.Service{
-		Workloads:   opts.Workloads,
-		Budget:      opts.Budget,
-		Concurrency: opts.Concurrency,
-		Rounds:      opts.Rounds,
+		Workloads:   opts.workloads,
+		Budget:      opts.budget,
+		Concurrency: opts.concurrency,
+		Rounds:      throughputRounds,
 		Single:      *single,
 		Batch:       *batch,
 	}
@@ -237,6 +172,46 @@ func Throughput(ctx context.Context, baseURL string, opts ThroughputOptions) (*r
 		svc.Speedup = batch.RequestsPerSecond / single.RequestsPerSecond
 	}
 	return svc, nil
+}
+
+// newClient returns an HTTP client for conc in-flight posts spread over
+// hosts servers. The default transport keeps only two idle connections
+// per host; with more in-flight posts than that, the surplus workers
+// would re-dial TCP on every request and the harness would measure its
+// own connection churn instead of the service.
+func newClient(conc, hosts int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = conc * hosts
+	tr.MaxIdleConnsPerHost = conc
+	return &http.Client{Timeout: httpTimeout, Transport: tr}
+}
+
+// warmup posts every distinct call once, to the node baseFor picks, so
+// recordings happen outside the timed rounds, on the node that will keep
+// serving the artifact.
+func warmup(ctx context.Context, client *http.Client, baseFor func(tputCall) string, mix []tputCall) error {
+	for _, c := range mix {
+		if _, _, err := postWithRetry(ctx, client, baseFor(c)+"/v1/"+c.endpoint, c.body); err != nil {
+			return fmt.Errorf("warmup %s: %w", c.endpoint, err)
+		}
+	}
+	return nil
+}
+
+// bestRound runs a phase throughputRounds times and keeps the round with
+// the highest requests/sec.
+func bestRound(ctx context.Context, client *http.Client, baseFor func(tputCall) string, mix []tputCall, n, batchSize, conc int) (*results.Phase, error) {
+	var best *results.Phase
+	for r := 0; r < throughputRounds; r++ {
+		ph, err := runPhase(ctx, client, baseFor, mix, n, batchSize, conc)
+		if err != nil {
+			return nil, err
+		}
+		if best == nil || ph.RequestsPerSecond > best.RequestsPerSecond {
+			best = ph
+		}
+	}
+	return best, nil
 }
 
 // runPhase serves n sub-requests drawn round-robin from mix, batchSize
@@ -382,7 +357,7 @@ func latencySummary(byEndpoint map[string][]time.Duration) []results.EndpointLat
 	return out
 }
 
-// ClusterThroughput measures aggregate requests/sec against a set of
+// measureCluster measures aggregate requests/sec against a set of
 // kralld nodes with client-side consistent-hash routing: each call is
 // posted straight to the ring owner of its placement key (the same ring
 // and RouteKey the servers use), so no request pays a forwarding hop
@@ -390,59 +365,24 @@ func latencySummary(byEndpoint map[string][]time.Duration) []results.EndpointLat
 // post's sub-requests across owners. With one node it degenerates to a
 // plain single-phase measurement, which is how krallload -nodes
 // establishes the single-node baseline with identical client mechanics.
-func ClusterThroughput(ctx context.Context, nodes []string, opts ThroughputOptions) (*results.Phase, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("cluster throughput: no nodes")
-	}
-	opts.setDefaults()
-	sort.Strings(opts.Workloads)
-	trimmed := make([]string, len(nodes))
-	for i, u := range nodes {
-		trimmed[i] = strings.TrimRight(u, "/")
-	}
-	ring := cluster.NewRing(trimmed, 0)
-
-	mix, err := balancedMix(&opts, ring, trimmed)
+func measureCluster(ctx context.Context, nodes []string, opts throughputOptions) (*results.Phase, error) {
+	sort.Strings(opts.workloads)
+	ring := cluster.NewRing(nodes, 0)
+	mix, err := balancedMix(&opts, ring, nodes)
 	if err != nil {
 		return nil, err
 	}
-	var rr atomic.Int64
+	// balancedMix placed every call, so each route has an owner.
 	baseFor := func(c tputCall) string {
-		if c.route != "" {
-			if owner, ok := ring.Owner(c.route); ok {
-				return owner
-			}
-		}
-		// No stable placement: spread round-robin so unroutable calls
-		// don't pile onto one node.
-		return trimmed[int(rr.Add(1))%len(trimmed)]
+		owner, _ := ring.Owner(c.route)
+		return owner
 	}
-
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = opts.Concurrency * len(trimmed)
-	tr.MaxIdleConnsPerHost = opts.Concurrency
-	client := &http.Client{Timeout: opts.Timeout, Transport: tr}
-	defer tr.CloseIdleConnections()
-
-	// Warmup each call on its owner so recordings happen once, outside
-	// the timed rounds, on the node that will keep serving the artifact.
-	for _, c := range mix {
-		if _, _, err := postWithRetry(ctx, client, baseFor(c)+"/v1/"+c.endpoint, c.body); err != nil {
-			return nil, fmt.Errorf("cluster warmup %s: %w", c.endpoint, err)
-		}
+	client := newClient(opts.concurrency, len(nodes))
+	defer client.CloseIdleConnections()
+	if err := warmup(ctx, client, baseFor, mix); err != nil {
+		return nil, err
 	}
-
-	var best *results.Phase
-	for r := 0; r < opts.Rounds; r++ {
-		ph, err := runPhase(ctx, client, baseFor, mix, opts.Requests, 1, opts.Concurrency)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || ph.RequestsPerSecond > best.RequestsPerSecond {
-			best = ph
-		}
-	}
-	return best, nil
+	return bestRound(ctx, client, baseFor, mix, opts.requests, 1, opts.concurrency)
 }
 
 // eventsField is the slice of a pipeline response the harness needs: the

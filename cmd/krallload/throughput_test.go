@@ -1,4 +1,4 @@
-package loadgen
+package main
 
 import (
 	"encoding/json"
@@ -80,7 +80,7 @@ func TestCountEvents(t *testing.T) {
 func TestBalancedMix(t *testing.T) {
 	nodes := []string{"http://n0:1", "http://n1:1", "http://n2:1"}
 	ring := cluster.NewRing(nodes, 0)
-	opts := &ThroughputOptions{Workloads: []string{"cc", "compress"}, Budget: 5000}
+	opts := &throughputOptions{workloads: []string{"cc", "compress"}, budget: 5000}
 	mix, err := balancedMix(opts, ring, nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestBalancedMix(t *testing.T) {
 		if err := json.Unmarshal(call.body, &req); err != nil {
 			t.Fatal(err)
 		}
-		if key := service.RouteKey(&req, opts.Budget); key != call.route {
+		if key := service.RouteKey(&req, opts.budget); key != call.route {
 			t.Fatalf("call %d: body routes to %q, precomputed %q", i, key, call.route)
 		}
 		b := base[i/len(nodes)]

@@ -15,8 +15,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Client-side helpers for the in-package tests. internal/loadgen has the
-// full harness versions; importing it here would form an import cycle.
+// Client-side helpers for the in-package tests. cmd/krallload has the
+// full load-client versions.
 
 // recordTraceB64 records a workload's branch trace locally and returns it
 // as a base64 BLTRACE1 stream — the client side of the upload path.

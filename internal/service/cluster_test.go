@@ -88,7 +88,9 @@ type clusterNode struct {
 
 // bootCluster starts n nodes that know each other, each with its own
 // disk directory. Health probing starts immediately with fast intervals.
-func bootCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) []clusterNode {
+// tweak, if set, adjusts each node's config; wrap, if set, puts a handler
+// in front of each node's own.
+func bootCluster(t *testing.T, n int, tweak func(i int, cfg *Config), wrap func(i int, h http.Handler) http.Handler) []clusterNode {
 	t.Helper()
 	// Two-phase boot: URLs must exist before any server's config does, so
 	// allocate the listeners (via unstarted test servers) first.
@@ -119,6 +121,9 @@ func bootCluster(t *testing.T, n int, tweak func(i int, cfg *Config)) []clusterN
 		}
 		s := mustNew(t, cfg)
 		tss[i].Config.Handler = s.Handler()
+		if wrap != nil {
+			tss[i].Config.Handler = wrap(i, tss[i].Config.Handler)
+		}
 		tss[i].Start()
 		t.Cleanup(tss[i].Close)
 		s.Start(ctx)
@@ -146,7 +151,7 @@ func requestOwnedBy(t *testing.T, c *cluster.Cluster, owner string) (body string
 // wrong node is proxied to the ring owner and answers byte-identically
 // to asking the owner directly.
 func TestClusterForwarding(t *testing.T) {
-	nodes := bootCluster(t, 2, nil)
+	nodes := bootCluster(t, 2, nil, nil)
 	c0 := nodes[0].srv.Cluster()
 	// A request owned by node 1, sent to node 0 → forwarded.
 	body, _ := requestOwnedBy(t, c0, nodes[1].srv.Cluster().Self())
@@ -178,7 +183,7 @@ func TestClusterForwarding(t *testing.T) {
 // key it does not own (forwarded flag set, so it cannot re-forward)
 // pulls the recorded bytes from the owner instead of re-recording.
 func TestClusterPeerFetch(t *testing.T) {
-	nodes := bootCluster(t, 2, nil)
+	nodes := bootCluster(t, 2, nil, nil)
 	owner := nodes[1]
 	body, _ := requestOwnedBy(t, nodes[0].srv.Cluster(), owner.srv.Cluster().Self())
 
@@ -210,7 +215,7 @@ func TestClusterPeerFetch(t *testing.T) {
 // forward path degrades to local serving, then health takes the corpse
 // out of the ring.
 func TestDeadPeerNoClientErrors(t *testing.T) {
-	nodes := bootCluster(t, 3, nil)
+	nodes := bootCluster(t, 3, nil, nil)
 	victim := nodes[2]
 	victimURL := victim.srv.Cluster().Self()
 	survivor := nodes[0]
@@ -261,6 +266,65 @@ func TestDeadPeerNoClientErrors(t *testing.T) {
 		if !survivor.srv.Cluster().PeerUp(victimURL) && survivor.srv.Cluster().Owner(key) == victimURL {
 			t.Fatal("still forwarding to the dead peer")
 		}
+	}
+}
+
+// TestFlappingPeerNoClientErrors is the oscillating counterpart: a peer
+// that keeps failing and coming back, answering 503 to everything in
+// some windows and hanging up on everything in others (health probes,
+// forwards and artifact fetches alike), must never surface a 5xx to the
+// survivor's clients, and every answer must be the same bytes.
+func TestFlappingPeerNoClientErrors(t *testing.T) {
+	// A window outlasts Interval × FailThreshold (40 ms) several times, so
+	// health marks the victim down in each faulty window and up again in
+	// each healthy one.
+	const window = 150 * time.Millisecond
+	start := time.Now()
+	nodes := bootCluster(t, 2, nil, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch time.Since(start) / window % 4 {
+			case 1:
+				http.Error(w, "flapping", http.StatusServiceUnavailable)
+			case 3:
+				if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+					conn.Close()
+				}
+			default:
+				h.ServeHTTP(w, r)
+			}
+		})
+	})
+	survivor, victimURL := nodes[0], nodes[1].srv.Cluster().Self()
+	body, _ := requestOwnedBy(t, survivor.srv.Cluster(), victimURL)
+
+	var first []byte
+	downs, ups, wasUp := 0, 0, true
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		code, out := postJSON(t, survivor.ts.URL+"/v1/profile", body, nil)
+		if code != http.StatusOK {
+			t.Fatalf("client saw %d while the peer flapped: %s", code, out)
+		}
+		if first == nil {
+			first = out
+		} else if !bytes.Equal(out, first) {
+			t.Fatalf("response changed while the peer flapped:\nfirst: %s\nnow:   %s", first, out)
+		}
+		if up := survivor.srv.Cluster().PeerUp(victimURL); up != wasUp {
+			if up {
+				ups++
+			} else {
+				downs++
+			}
+			wasUp = up
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Logf("peer went down %d times and up %d times", downs, ups)
+	if downs < 2 || ups < 2 {
+		t.Fatal("want at least 2 of each: the test did not exercise flapping")
 	}
 }
 
@@ -328,7 +392,7 @@ func TestReadyzDraining(t *testing.T) {
 
 // TestClusterMetricsExposed spot-checks the new gauge/counter names.
 func TestClusterMetricsExposed(t *testing.T) {
-	nodes := bootCluster(t, 2, func(i int, cfg *Config) { cfg.MaxRPS = 10_000 })
+	nodes := bootCluster(t, 2, func(i int, cfg *Config) { cfg.MaxRPS = 10_000 }, nil)
 	body, _ := requestOwnedBy(t, nodes[0].srv.Cluster(), nodes[1].srv.Cluster().Self())
 	if code, out := postJSON(t, nodes[0].ts.URL+"/v1/profile", body, nil); code != http.StatusOK {
 		t.Fatalf("request: %d: %s", code, out)

@@ -105,7 +105,7 @@ func TestDiskTierCorruptSlabIsMiss(t *testing.T) {
 // artifact payload to a peer: the peer must compute the artifact itself
 // and answer as the owner does.
 func TestPeerFetchCorruptSlabIsMiss(t *testing.T) {
-	nodes := bootCluster(t, 2, nil)
+	nodes := bootCluster(t, 2, nil, nil)
 	owner := nodes[1]
 	body, key := requestOwnedBy(t, nodes[0].srv.Cluster(), owner.srv.Cluster().Self())
 	body = body[:len(body)-1] + `,"strategy":"twobit"}`
