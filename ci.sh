@@ -101,6 +101,11 @@ stage_suites() {
     # progen programs, and a 200k-event twobit upload through the handler.
     go test -run '^$' -bench 'BenchmarkStaticReport$' -benchtime 1x ./internal/analysis
     go test -run '^$' -bench 'BenchmarkScoreUpload$' -benchtime 1x ./internal/service
+    # The batch decoder's other consumers once each: every replay case
+    # (counts, profile, predictors, cursor, adopt) and slab scoring per
+    # strategy.
+    go test -run '^$' -bench '^BenchmarkTraceReplay$' -benchtime 1x .
+    go test -run '^$' -bench '^BenchmarkScoreSlab$' -benchtime 1x ./internal/service
     # Static features of one function of 33,000 sequential ifs, which
     # stays cheap only while dominance queries are O(1).
     go test -run '^$' -bench 'BenchmarkAnalyzeFlatIfs$' -benchtime 1x ./internal/predict

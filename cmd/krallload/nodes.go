@@ -23,6 +23,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -47,6 +48,18 @@ func (p *nodeProc) stop() {
 	}
 }
 
+// lockedWriter serialises writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
 // spawnNode starts kralld serving l, whose base URL is url. With peers it
 // joins the cluster they name; without, it serves alone. l is closed on
 // every path: once the child holds its copy, only the child accepts.
@@ -63,14 +76,11 @@ func spawnNode(kralld string, l *net.TCPListener, url string, peers []string, ma
 	}
 	cmd := exec.Command(kralld, args...)
 	cmd.ExtraFiles = []*os.File{lf}
+	cmd.Stderr = stderr
 	if quiet {
-		// Even at -quiet kralld logs each 429 as a warning, and under a
-		// deliberate rate cap 429s are nominal: they would flood stderr.
-		// A node that dies before it is ready is reported through its exit
-		// status; one that dies later fails the requests sent to it.
+		// kralld logs a 429 at Info, so under the deliberate rate cap a
+		// -quiet node writes only its warnings and errors.
 		cmd.Args = append(cmd.Args, "-quiet")
-	} else {
-		cmd.Stderr = stderr
 	}
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("spawn node %s: %w", url, err)
@@ -137,6 +147,9 @@ func runClusterBench(ctx context.Context, kralld string, n int, nodeRPS float64,
 		return err
 	}
 	defer os.RemoveAll(tmp)
+	// Each node's stderr is copied by a goroutine of its own, and the
+	// nodes of phase B run at once.
+	stderr = &lockedWriter{w: stderr}
 
 	// Phase A: one node under the cap.
 	l1, url1, err := loopback()

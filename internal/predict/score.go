@@ -55,45 +55,43 @@ const (
 )
 
 // Scorer scores one strategy over a trace whose site range is learned
-// while it is read: kralld's /v1/score, fed by trace.AdoptStream's
-// validating pass for uploads or by ReplayInto for stored slabs. It is a
-// single collector, one dynamic dispatch per event or run, over the tables
-// of the collector it stands in for — Counts, LastDirection, TwoBit or
-// StaticScore, run through their own methods — so its verdict is theirs.
-// The per-site tables grow when a site is first seen and Reset only
-// truncates them, so a pooled Scorer does no work proportional to a site
-// cap, only to the sites a trace names.
+// while it is read: kralld's /v1/score, which folds an upload inside its
+// validating pass (trace.Adopt) and a stored slab through Slab.Steps. Fold
+// pulls the trace a batch of steps at a time and folds each batch in one
+// loop for the scorer's kind, over the tables of the strategy it stands in
+// for: the profile's trace.Counts, last direction's per-site outcome,
+// TwoBit's counters through a branch-free table, and StaticScore. It so
+// makes no dynamic call per event, and its verdict is theirs (pinned by
+// TestScorerMatchesCollectors). The per-site tables grow when a batch
+// names a site first, and Reset only truncates them, so a pooled Scorer
+// does no work proportional to a site cap, only to the sites a trace
+// names.
 type Scorer struct {
 	kind ScoreKind
-	// sites is the site bound over every event; n is the length of the
-	// kind's table, the bound over branch events.
-	sites, n int
-	counts   trace.Counts
-	last     LastDirection
-	two      TwoBit
-	static   StaticScore
+	// sites is the site bound over every event folded so far; the kind's
+	// table covers it.
+	sites  int
+	counts trace.Counts
+	last   []bool
+	ctr    []uint8
+	static StaticScore
 	// misses and total accumulate the last and twobit verdicts.
 	misses, total uint64
+	batch         [trace.BatchSize]trace.Step
 }
-
-var (
-	_ trace.Collector       = (*Scorer)(nil)
-	_ trace.SwitchCollector = (*Scorer)(nil)
-)
 
 // Reset readies the scorer for a new trace under kind; preds is the
 // prediction vector ScoreStatic scores (sites beyond it count as PredNone)
 // and is otherwise ignored.
 func (s *Scorer) Reset(kind ScoreKind, preds []ir.Prediction) {
-	s.kind, s.sites, s.n, s.misses, s.total = kind, 0, 0, 0, 0
+	s.kind, s.sites, s.misses, s.total = kind, 0, 0, 0
 	s.counts.Taken, s.counts.NotTaken = s.counts.Taken[:0], s.counts.NotTaken[:0]
-	s.last.last, s.last.seen = s.last.last[:0], s.last.seen[:0]
-	s.two.ctr = s.two.ctr[:0]
+	s.last, s.ctr = s.last[:0], s.ctr[:0]
 	s.static = StaticScore{Preds: preds}
 }
 
 // Sites is the site bound of the trace so far: max(site)+1 over every
-// event seen, switch events included, 0 before any event — what
+// event folded, switch events included, 0 before any event — what
 // trace.MaxSite would report.
 func (s *Scorer) Sites() int { return s.sites }
 
@@ -109,70 +107,171 @@ func (s *Scorer) Result() (misses, total uint64) {
 	return s.misses, s.total
 }
 
-// RecordBranch implements trace.Collector. It is RecordRun for n = 1,
-// spelled out so a plain event costs one call.
-func (s *Scorer) RecordBranch(site int32, taken bool) {
-	if int(site) >= s.n {
-		s.grow(int(site) + 1)
-	}
-	switch s.kind {
-	case ScoreProfile:
-		s.counts.RecordBranch(site, taken)
-	case ScoreLast:
-		s.misses += s.last.UpdateRun(site, taken, 1)
-		s.total++
-	case ScoreTwoBit:
-		s.misses += s.two.UpdateRun(site, taken, 1)
-		s.total++
-	case ScoreStatic:
-		s.static.RecordRun(site, taken, 1)
-	}
-}
-
-// RecordRun implements trace.Collector.
-func (s *Scorer) RecordRun(site int32, taken bool, n uint64) {
-	if int(site) >= s.n {
-		s.grow(int(site) + 1)
-	}
-	switch s.kind {
-	case ScoreProfile:
-		s.counts.RecordRun(site, taken, n)
-	case ScoreLast:
-		s.misses += s.last.UpdateRun(site, taken, n)
-		s.total += n
-	case ScoreTwoBit:
-		s.misses += s.two.UpdateRun(site, taken, n)
-		s.total += n
-	case ScoreStatic:
-		s.static.RecordRun(site, taken, n)
+// Fold scores every step r has left, a batch at a time, in one loop per
+// kind. A loop stops at a rare step — a switch event, or a site past the
+// kind's table — which Fold handles before the loop takes up the rest of
+// the batch; so the loop calls nothing, keeps its state in registers, and
+// its one test for a rare step also spares it the table's bounds check.
+// No strategy scores switch events, but their sites share the dense site
+// space and so raise the site bound.
+func (s *Scorer) Fold(r *trace.Steps) {
+	for b := r.Next(s.batch[:]); len(b) > 0; b = r.Next(s.batch[:]) {
+		for len(b) > 0 {
+			var k int
+			switch s.kind {
+			case ScoreProfile:
+				k = s.foldProfile(b)
+			case ScoreLast:
+				k = s.foldLast(b)
+			case ScoreTwoBit:
+				k = s.foldTwoBit(b)
+			case ScoreStatic:
+				k = s.foldStatic(b)
+			default:
+				k = len(b) // an unknown kind scores nothing
+			}
+			if k == len(b) {
+				break
+			}
+			if s.see(b[k].Site); b[k].Switch {
+				k++
+			}
+			b = b[k:]
+		}
 	}
 }
 
-// RecordSwitch implements trace.SwitchCollector: no strategy scores
-// switch events, but their sites share the dense site space and so raise
-// the site bound.
-func (s *Scorer) RecordSwitch(site, _ int32) {
-	if int(site) >= s.sites {
-		s.sites = int(site) + 1
+// foldProfile is Counts.RecordRun over b up to its first rare step, whose
+// index it returns: a run is one addition.
+func (s *Scorer) foldProfile(b []trace.Step) int {
+	taken, notTaken := s.counts.Taken, s.counts.NotTaken
+	for k := range b {
+		st := &b[k]
+		site := st.Site
+		if uint(site) >= uint(len(taken)) || uint(site) >= uint(len(notTaken)) || st.Switch {
+			return k
+		}
+		if st.Taken {
+			taken[site] += st.N
+		} else {
+			notTaken[site] += st.N
+		}
 	}
+	return len(b)
 }
 
-// RecordSwitchRun implements trace.SwitchCollector.
-func (s *Scorer) RecordSwitchRun(site, outcome int32, _ uint64) { s.RecordSwitch(site, outcome) }
+// foldLast is LastDirection.UpdateRun over b up to its first rare step,
+// whose index it returns: a step misses once when its direction differs
+// from the site's last.
+func (s *Scorer) foldLast(b []trace.Step) int {
+	last := s.last
+	misses, total := s.misses, s.total
+	k := 0
+	for ; k < len(b); k++ {
+		st := &b[k]
+		site := st.Site
+		if uint(site) >= uint(len(last)) || st.Switch {
+			break
+		}
+		misses += uint64(b2u(last[site] != st.Taken))
+		total += st.N
+		last[site] = st.Taken
+	}
+	s.misses, s.total = misses, total
+	return k
+}
 
-// grow extends the kind's table to n sites with fresh per-site state (the
-// state a table sized up front starts with) and raises the site bound.
-func (s *Scorer) grow(n int) {
-	s.n, s.sites = n, max(s.sites, n)
+// foldTwoBit is TwoBit.UpdateRun over b up to its first rare step, whose
+// index it returns, through twoBitRun.
+func (s *Scorer) foldTwoBit(b []trace.Step) int {
+	ctr := s.ctr
+	misses, total := s.misses, s.total
+	k := 0
+	for ; k < len(b); k++ {
+		st := &b[k]
+		site := st.Site
+		if uint(site) >= uint(len(ctr)) || st.Switch {
+			break
+		}
+		c, m := twoBitSteps(ctr[site], st.Taken, st.N)
+		ctr[site] = c
+		misses += m
+		total += st.N
+	}
+	s.misses, s.total = misses, total
+	return k
+}
+
+// foldStatic is StaticScore.RecordRun over b up to its first rare step,
+// whose index it returns.
+func (s *Scorer) foldStatic(b []trace.Step) int {
+	for k := range b {
+		st := &b[k]
+		if int(st.Site) >= s.sites || st.Switch {
+			return k
+		}
+		s.static.RecordRun(st.Site, st.Taken, st.N)
+	}
+	return len(b)
+}
+
+// twoBitRun[min(n, 3)<<3 | c<<1 | t] is what a run of n >= 1 outcomes t
+// does to a two-bit counter at c: the final counter in bits 0-1 and the
+// run's misses in bits 2-3. It is built from the single step — a counter
+// predicts taken from 2 up, so an outcome misses when (c>>1)^t is 1, and
+// moves to sat[c<<1|t] — because after three identical outcomes the
+// counter saturates in their direction and stops missing.
+var twoBitRun = func() (tab [32]uint8) {
+	sat := [8]uint8{0, 1, 0, 2, 1, 3, 2, 3}
+	for k := uint8(1); k <= 3; k++ {
+		for c0 := uint8(0); c0 < 4; c0++ {
+			for t := uint8(0); t < 2; t++ {
+				c, miss := c0, uint8(0)
+				for range k {
+					miss += c>>1 ^ t
+					c = sat[c<<1|t]
+				}
+				tab[k<<3|c0<<1|t] = c | miss<<2
+			}
+		}
+	}
+	return tab
+}()
+
+// twoBitSteps applies a run of n >= 1 outcomes taken to a two-bit counter
+// at c and returns the new counter and the run's misses, without a
+// branch.
+func twoBitSteps(c uint8, taken bool, n uint64) (uint8, uint64) {
+	e := twoBitRun[(min(n, 3)<<3|uint64(c)<<1|uint64(b2u(taken)))&31]
+	return e & 3, uint64(e >> 2)
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint8 {
+	var u uint8
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// see raises the site bound to cover site, extending the kind's table
+// with fresh per-site state (the state a table sized up front starts
+// with).
+func (s *Scorer) see(site int32) {
+	n := int(site) + 1
+	if n <= s.sites {
+		return
+	}
+	s.sites = n
 	switch s.kind {
 	case ScoreProfile:
 		s.counts.Taken = extend(s.counts.Taken, n, 0)
 		s.counts.NotTaken = extend(s.counts.NotTaken, n, 0)
 	case ScoreLast:
-		s.last.last = extend(s.last.last, n, false)
-		s.last.seen = extend(s.last.seen, n, false)
+		s.last = extend(s.last, n, false)
 	case ScoreTwoBit:
-		s.two.ctr = extend(s.two.ctr, n, 1)
+		s.ctr = extend(s.ctr, n, 1)
 	}
 }
 

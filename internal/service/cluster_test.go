@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -325,6 +327,34 @@ func TestFlappingPeerNoClientErrors(t *testing.T) {
 	t.Logf("peer went down %d times and up %d times", downs, ups)
 	if downs < 2 || ups < 2 {
 		t.Fatal("want at least 2 of each: the test did not exercise flapping")
+	}
+}
+
+// TestBackpressureLoggedBelowWarn pins the log level of a refusal: a
+// server capped by MaxRPS and logging at Warn, as kralld -quiet does,
+// writes no line for its 429s, while a 5xx still writes an Error line.
+func TestBackpressureLoggedBelowWarn(t *testing.T) {
+	var logged bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	s := mustNew(t, Config{MaxRPS: 5, Logger: logger})
+	h := s.Handler()
+	limited := 0
+	for i := 0; i < 30; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/profile", strings.NewReader(`{"workload":"cc","budget":2000}`)))
+		if rec.Code == http.StatusTooManyRequests {
+			limited++
+		}
+	}
+	if limited == 0 {
+		t.Fatal("no request was refused with 429: the test did not exercise backpressure")
+	}
+	if strings.Contains(logged.String(), "code=429") {
+		t.Fatalf("%d refusals with 429 logged at Warn or above:\n%s", limited, logged.String())
+	}
+	s.writeError(httptest.NewRecorder(), "profile", &httpError{http.StatusInternalServerError, "boom"}, time.Now())
+	if out := logged.String(); !strings.Contains(out, "level=ERROR") || !strings.Contains(out, "code=500") {
+		t.Fatalf("a 500 wrote no Error line: %q", out)
 	}
 }
 

@@ -629,15 +629,19 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 }
 
 // scoreUpload adopts an uploaded BLTRACE1 stream as a slab and scores it
-// in the same pass: the pooled scorer rides trace.AdoptStream's
-// validation, so the upload is decoded exactly once, its bytes are not
-// copied (the slab aliases raw), and site tables grow with the sites it
-// names. A refused trace answers first (413 past a limit, 400 when
+// in the same pass: the pooled scorer folds the batches of trace.Adopt's
+// validating pass, so the upload is decoded exactly once, its bytes are
+// not copied (the slab aliases raw), and site tables grow with the sites
+// it names. A refused trace answers first (413 past a limit, 400 when
 // malformed), then the strategy and preds are judged.
 func (s *Server) scoreUpload(raw []byte, strategy string, reqPreds []string) (*trace.Slab, int, RateBlock, error) {
 	st := scorePool.Get().(*scoreState)
 	defer scorePool.Put(st)
-	slab, err := trace.AdoptStream(raw, s.cfg.TraceLimits, st.prepare(strategy, reqPreds))
+	a := trace.Adopt(raw, s.cfg.TraceLimits)
+	if st.prepare(strategy, reqPreds) {
+		st.score.Fold(&a.Steps)
+	}
+	slab, err := a.Slab()
 	if err != nil {
 		if errors.Is(err, trace.ErrTooLarge) {
 			return nil, 0, RateBlock{}, &httpError{http.StatusRequestEntityTooLarge, err.Error()}
@@ -648,14 +652,15 @@ func (s *Server) scoreUpload(raw []byte, strategy string, reqPreds []string) (*t
 	return slab, nsites, score, err
 }
 
-// scoreSlab replays a stored trace once into the pooled scorer. Site table
-// sizes come from the trace itself, so traces need no side channel
+// scoreSlab folds a stored trace's steps once into the pooled scorer. Site
+// table sizes come from the trace itself, so traces need no side channel
 // describing their program.
 func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string) (nsites int, score RateBlock, err error) {
 	st := scorePool.Get().(*scoreState)
 	defer scorePool.Put(st)
-	if c := st.prepare(strategy, reqPreds); c != nil {
-		slab.ReplayInto(c)
+	if st.prepare(strategy, reqPreds) {
+		steps := slab.Steps()
+		st.score.Fold(&steps)
 	}
 	return s.scored(st, slab, strategy, reqPreds)
 }

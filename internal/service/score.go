@@ -5,16 +5,16 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/predict"
-	"repro/internal/trace"
 )
 
 // scoreState is the per-request scoring state of /v1/score, recycled
 // through scorePool: the scorer, whose per-site tables grow on a site's
 // first sight and are only truncated between requests, and the prediction
 // vector of the static strategy. An upload is scored inside the validating
-// pass that adopts it (trace.AdoptStream), a stored slab by one replay;
-// neither path allocates scoring tables per request or does work
-// proportional to the site cap.
+// pass that adopts it (trace.Adopt), a stored slab by one pass over its
+// steps (Slab.Steps); both fold the same batches through Scorer.Fold, and
+// neither allocates scoring tables per request or does work proportional
+// to the site cap.
 type scoreState struct {
 	score predict.Scorer
 	preds []ir.Prediction
@@ -33,16 +33,16 @@ var scoreKinds = map[string]predict.ScoreKind{
 	"static":  predict.ScoreStatic,
 }
 
-// prepare resets the scorer for strategy and returns it as the trace's
-// collector, or nil when the strategy is unknown. The request's strategy
-// and preds are judged only after its trace (see judge), so prepare never
-// fails: a bad preds entry ends the vector early, which changes nothing
-// once judge refuses it.
-func (st *scoreState) prepare(strategy string, reqPreds []string) trace.Collector {
+// prepare resets the scorer for strategy and reports whether the
+// strategy is known; the trace is folded only then. The request's
+// strategy and preds are judged only after its trace (see judge), so
+// prepare never fails: a bad preds entry ends the vector early, which
+// changes nothing once judge refuses it.
+func (st *scoreState) prepare(strategy string, reqPreds []string) bool {
 	kind, ok := scoreKinds[strategy]
 	if !ok {
 		st.score.Reset(predict.ScoreProfile, nil)
-		return nil
+		return false
 	}
 	st.preds = st.preds[:0]
 	if kind == predict.ScoreStatic {
@@ -55,7 +55,7 @@ func (st *scoreState) prepare(strategy string, reqPreds []string) trace.Collecto
 		}
 	}
 	st.score.Reset(kind, st.preds)
-	return &st.score
+	return true
 }
 
 // judge refuses what prepare let through, in the order the checks have

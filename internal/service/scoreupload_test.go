@@ -92,10 +92,13 @@ func uploadSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// referenceScore answers a /v1/score upload the way the service did before
-// scoring moved into the decoding pass: ReadSlab, a trace.MaxSite replay
-// for the site bound, then the strategy's own collector over fresh tables.
-// It returns the status code and, on 200, the answer.
+// referenceScore answers a /v1/score upload apart from the service's
+// batch fold: ReadSlab decides whether the trace is accepted (FuzzReadSlab
+// holds that decision to a reference decoder), then every event is pulled
+// one at a time through Slab.Cursor and folded by hand — the site bound
+// over all events, per-site counts for the profile, the predictors' own
+// Predict and Update for last and twobit, and the prediction vector for
+// static. It returns the status code and, on 200, the answer.
 func referenceScore(data []byte, lim trace.Limits, strategy string, reqPreds []string) (int, *ScoreResponse) {
 	slab, err := trace.ReadSlab(bytes.NewReader(data), lim)
 	if errors.Is(err, trace.ErrTooLarge) {
@@ -104,14 +107,26 @@ func referenceScore(data []byte, lim trace.Limits, strategy string, reqPreds []s
 	if err != nil {
 		return http.StatusBadRequest, nil
 	}
-	var max trace.MaxSite
-	slab.ReplayInto(&max)
-	n := max.N
+	var events []trace.Event
+	n := 0
+	c := slab.Cursor()
+	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
+		n = max(n, int(ev.Site)+1)
+		if !ev.Switch {
+			events = append(events, ev)
+		}
+	}
 	var misses, total uint64
 	switch strategy {
 	case "profile":
 		counts := trace.NewCounts(n)
-		slab.ReplayInto(counts)
+		for _, ev := range events {
+			if ev.Taken {
+				counts.Taken[ev.Site]++
+			} else {
+				counts.NotTaken[ev.Site]++
+			}
+		}
 		r := predict.ProfileResult(counts)
 		misses, total = r.Misses, r.Total
 	case "last", "twobit":
@@ -119,9 +134,13 @@ func referenceScore(data []byte, lim trace.Limits, strategy string, reqPreds []s
 		if strategy == "twobit" {
 			p = predict.NewTwoBit(n)
 		}
-		eval := predict.Eval{P: p}
-		slab.ReplayInto(&eval)
-		misses, total = eval.Misses, eval.Total
+		for _, ev := range events {
+			if p.Predict(ev.Site) != ev.Taken {
+				misses++
+			}
+			p.Update(ev.Site, ev.Taken)
+		}
+		total = uint64(len(events))
 	case "static":
 		if len(reqPreds) > n {
 			return http.StatusBadRequest, nil
@@ -138,9 +157,14 @@ func referenceScore(data []byte, lim trace.Limits, strategy string, reqPreds []s
 				return http.StatusBadRequest, nil
 			}
 		}
-		fold := predict.StaticScore{Preds: preds}
-		slab.ReplayInto(&fold)
-		misses, total = fold.Mispredicted, fold.Predicted
+		for _, ev := range events {
+			if p := preds[ev.Site]; p != ir.PredNone {
+				total++
+				if (p == ir.PredTaken) != ev.Taken {
+					misses++
+				}
+			}
+		}
 	default:
 		return http.StatusBadRequest, nil
 	}
@@ -149,8 +173,8 @@ func referenceScore(data []byte, lim trace.Limits, strategy string, reqPreds []s
 }
 
 // FuzzScoreUpload holds /v1/score on uploads, which decodes and scores in
-// one pass, to the reference path (ReadSlab, MaxSite, then the strategy's
-// collector): for any bytes, every strategy and an unknown one, and a
+// one pass, to the reference path (ReadSlab, then an event-at-a-time fold
+// through Slab.Cursor): for any bytes, every strategy and an unknown one, and a
 // fuzzed preds vector, the handler refuses or accepts alike with the same
 // status code, and an accepted upload answers the same num_sites, events
 // and score. The stored-slab path (scoreSlab) must agree too.

@@ -529,9 +529,14 @@ func (s *Server) writeError(w http.ResponseWriter, name string, err error, start
 	buf, _ := json.Marshal(errorBody{Schema: Schema, Error: clientMessage(code, err)})
 	_, _ = w.Write(append(buf, '\n'))
 	s.metrics.observe(name, code, time.Since(start))
+	// 429 is backpressure working as configured and is counted in
+	// kralld_rejected_total, so it stays below -quiet's Warn floor.
 	level := slog.LevelWarn
-	if code >= 500 {
+	switch {
+	case code >= 500:
 		level = slog.LevelError
+	case code == http.StatusTooManyRequests:
+		level = slog.LevelInfo
 	}
 	s.log.Log(context.Background(), level, "request failed",
 		"endpoint", name, "code", code, "error", err.Error())

@@ -33,18 +33,20 @@ func (c *Cursor) Next() (Event, bool) {
 // step decodes the next step into d and rep, and reports false at the end
 // of the stream.
 func (c *Cursor) step() bool {
-	if _, j := c.d.plain(c.i); j != c.i {
-		c.i, c.rep = j, 1
-		return true
+	if c.i+1 < len(c.d.buf) {
+		if code, j := plain(c.d.buf, c.i); code-2 < plainCodes {
+			c.d.ev, c.i, c.rep = codeEvent(code), j, 1
+			return true
+		}
 	}
 	st, j, err := c.d.next(c.i)
 	c.i = j
 	switch {
 	case err != nil:
 		panic(corrupt(err))
-	case st == stepEvent:
+	case st == formEvent:
 		c.rep = 1
-	case st == stepRun:
+	case st == formRun:
 		c.rep = c.d.n
 	default:
 		return false

@@ -59,53 +59,81 @@ func ReadSlab(r io.Reader, lim Limits) (*Slab, error) {
 }
 
 // AdoptStream validates the BLTRACE1 stream at the start of data in one
-// pass (scanEvents) under lim and returns a sealed slab whose buffer is
-// data's event bytes, not a copy: the caller must keep data immutable and
-// alive for as long as the slab is used (a *diskstore.Mapped does both, so
-// a mapped file replays straight from the page cache). Bytes after the
-// footer are ignored. Every check is a byte load, so data may sit at any
-// alignment. Only the first lim.MaxBytes bytes are read (0 = all of
-// them); a stream whose footer does not end within them is ErrTooLarge.
+// pass under lim and returns a sealed slab whose buffer is data's event
+// bytes, not a copy: the caller must keep data immutable and alive for as
+// long as the slab is used (a *diskstore.Mapped does both, so a mapped
+// file replays straight from the page cache). Bytes after the footer are
+// ignored. Every check is a byte load, so data may sit at any alignment.
+// Only the first lim.MaxBytes bytes are read (0 = all of them); a stream
+// whose footer does not end within them is ErrTooLarge.
 //
 // A non-nil c is fed from the same pass, so an upload is decoded exactly
-// once: c receives each event as it is validated, with the calls a later
-// s.ReplayInto(c) makes, since both are scanEvents, at one dynamic
-// dispatch per event or run. When the stream is refused, c has seen some
-// prefix of it and its state means nothing.
+// once: c receives each step as it is validated, with the calls a later
+// s.ReplayInto(c) makes, since both drain the same batches. When the
+// stream is refused, c has seen some prefix of it and its state means
+// nothing. A consumer that folds batches itself pulls them through Adopt.
 func AdoptStream(data []byte, lim Limits, c Collector) (*Slab, error) {
-	capped := lim.MaxBytes > 0 && int64(len(data)) >= lim.MaxBytes
-	if capped {
+	a := Adopt(data, lim)
+	a.Steps.drain(c)
+	return a.Slab()
+}
+
+// Adoption is AdoptStream as a pull: its Steps are the validating pass
+// over the stream's events, and Slab gives the verdict once they are read.
+type Adoption struct {
+	Steps
+	// capped is set when data reached lim.MaxBytes and was cut there.
+	capped   bool
+	maxBytes int64
+}
+
+// Adopt starts adopting the BLTRACE1 stream at the start of data under
+// lim (see AdoptStream). A stream whose header is wrong yields no steps,
+// and Slab refuses it.
+func Adopt(data []byte, lim Limits) Adoption {
+	a := Adoption{maxBytes: lim.MaxBytes}
+	if a.capped = lim.MaxBytes > 0 && int64(len(data)) >= lim.MaxBytes; a.capped {
 		data = data[:lim.MaxBytes]
 	}
-	s, err := adopt(data, lim, c)
-	if capped && errors.Is(err, errShort) {
-		return nil, fmt.Errorf("trace: stream runs past %d input bytes: %w", lim.MaxBytes, ErrTooLarge)
+	switch {
+	case len(data) < len(magic):
+		a.done, a.err = true, fmt.Errorf("trace: reading header: %w", errShort)
+	case string(data[:len(magic)]) != magic:
+		a.done, a.err = true, fmt.Errorf("trace: bad magic %q", data[:len(magic)])
+	default:
+		a.Steps = newSteps(data[len(magic):], lim)
+	}
+	return a
+}
+
+// Slab reads whatever steps are left and returns the stream as a sealed
+// slab, or the reason it is refused: a step the pass refused, a missing
+// footer, or a footer count that differs from the events decoded. A
+// stream cut short by the byte cap is ErrTooLarge.
+func (a *Adoption) Slab() (*Slab, error) {
+	a.Steps.drain(nil)
+	s, err := a.verdict()
+	if a.capped && errors.Is(err, errShort) {
+		return nil, fmt.Errorf("trace: stream runs past %d input bytes: %w", a.maxBytes, ErrTooLarge)
 	}
 	return s, err
 }
 
-// adopt is AdoptStream on data already cut to lim.MaxBytes.
-func adopt(data []byte, lim Limits, c Collector) (*Slab, error) {
-	if len(data) < len(magic) {
-		return nil, fmt.Errorf("trace: reading header: %w", errShort)
+// verdict is Slab's answer before the byte cap is taken into account.
+func (a *Adoption) verdict() (*Slab, error) {
+	if a.err != nil {
+		return nil, a.err
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", data[:len(magic)])
+	body := a.d.buf
+	if a.end == len(body) {
+		return nil, fmt.Errorf("trace: no footer after %d events: %w", a.n, errShort)
 	}
-	body := data[len(magic):]
-	end, count, n, err := scanEvents(body, lim, c)
+	total, _, err := uvarintField(body, a.count, "footer count")
 	if err != nil {
 		return nil, err
 	}
-	if end == len(body) {
-		return nil, fmt.Errorf("trace: no footer after %d events: %w", n, errShort)
+	if total != a.n {
+		return nil, fmt.Errorf("trace: footer count %d != decoded %d", total, a.n)
 	}
-	total, _, err := uvarintField(body, count, "footer count")
-	if err != nil {
-		return nil, err
-	}
-	if total != n {
-		return nil, fmt.Errorf("trace: footer count %d != decoded %d", total, n)
-	}
-	return &Slab{buf: body[:end:end], n: n, sealed: true}, nil
+	return &Slab{buf: body[:a.end:a.end], n: a.n, sealed: true}, nil
 }

@@ -294,7 +294,7 @@ func longStream() []byte {
 }
 
 // refReader is the reference decoder for FuzzReadSlab, written apart from
-// scanEvents: it pulls one event at a time through a byte-capped
+// the batch decoder (Steps): it pulls one event at a time through a byte-capped
 // bufio.Reader and checks the event cap after every event it returns.
 type refReader struct {
 	r     *bufio.Reader
@@ -459,10 +459,13 @@ func refDecode(data []byte, lim Limits) ([]Event, error) {
 // decision, the same ErrTooLarge classification, and on accepted streams
 // the same events through every consumer of the decoder — Cursor,
 // ReplayInto into a lone call-logging collector, a lone *Counts and a
-// fan-out of two, and AdoptStream feeding the logging collector — with
-// the stream's split into single events and runs kept by each collector
-// that can tell. It must never panic, and an accepted slab must write
-// itself back out as a stream that reads back to the same slab.
+// fan-out of two, AdoptStream feeding the logging collector, and the
+// batches of Slab.Steps and of Adopt's validating pass pulled 1, 2 and
+// BatchSize steps at a time — with the stream's split into single events
+// and runs kept by each consumer that can tell. Whatever the batch size,
+// Adopt refuses a stream with ReadSlab's error. It must never panic, and
+// an accepted slab must write itself back out as a stream that reads back
+// to the same slab.
 func FuzzReadSlab(f *testing.F) {
 	f.Add(encodeEvents(f, []Event{{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 1, Taken: false}}))
 	f.Add(encodeEvents(f, nil))
@@ -507,8 +510,10 @@ func FuzzReadSlab(f *testing.F) {
 			t.Fatalf("ReadSlab: %v; reference decoder: %v", err, refErr)
 		}
 		if err != nil {
+			holdBatches(t, data, lim, nil, err, nil, nil)
 			return
 		}
+		holdBatches(t, data, lim, s, nil, refEvents, ref.calls)
 		if ev, ok := c.Next(); ok {
 			t.Fatalf("slab yields %+v past the reference decoder's last event", ev)
 		}
@@ -563,6 +568,75 @@ func holdConsumers(t *testing.T, data []byte, lim Limits, s *Slab, events []Even
 			t.Fatalf("%s counts %v, reference %v", name, got, want)
 		}
 	}
+}
+
+// batchSizes are the batch lengths holdBatches pulls steps at: every
+// step its own batch, pairs, and the drains' own length.
+var batchSizes = []int{1, 2, BatchSize}
+
+// holdBatches pulls the steps of data's validating pass (Adopt) and, when
+// ReadSlab accepted the stream as s, of s's replay (Slab.Steps) at each
+// of batchSizes, and holds them to the reference decoder's events and
+// calls. A refused stream must be refused with readErr, ReadSlab's error,
+// whatever the batch size.
+func holdBatches(t *testing.T, data []byte, lim Limits, s *Slab, readErr error, events []Event, calls []string) {
+	t.Helper()
+	for _, size := range batchSizes {
+		buf := make([]Step, size)
+		a := Adopt(data, lim)
+		adopted, adoptedCalls := pullSteps(&a.Steps, buf)
+		_, err := a.Slab()
+		if fmt.Sprint(err) != fmt.Sprint(readErr) {
+			t.Fatalf("batches of %d: Adopt says %v, ReadSlab %v", size, err, readErr)
+		}
+		if readErr != nil {
+			continue
+		}
+		r := s.Steps()
+		replayed, replayedCalls := pullSteps(&r, buf)
+		for name, got := range map[string][]Event{"Adopt": adopted, "Slab.Steps": replayed} {
+			if !slices.Equal(got, events) {
+				t.Fatalf("batches of %d from %s: %d events %v, reference %d %v", size, name, len(got), got, len(events), events)
+			}
+		}
+		for name, got := range map[string][]string{"Adopt": adoptedCalls, "Slab.Steps": replayedCalls} {
+			if !slices.Equal(got, calls) {
+				t.Fatalf("batches of %d from %s: steps %v, reference %v", size, name, got, calls)
+			}
+		}
+	}
+}
+
+// pullSteps reads every batch r has left into buf and returns their
+// events, each step's run expanded, and the steps as a runLog would log
+// the calls they make.
+func pullSteps(r *Steps, buf []Step) ([]Event, []string) {
+	var events []Event
+	var log runLog
+	for b := r.Next(buf); len(b) > 0; b = r.Next(buf) {
+		if len(b) > len(buf) {
+			panic("batch longer than its buffer")
+		}
+		for _, st := range b {
+			if st.N == 0 || !st.Run && st.N != 1 {
+				panic(fmt.Sprintf("step %+v stands for a wrong number of events", st))
+			}
+			switch {
+			case st.Switch && st.Run:
+				log.RecordSwitchRun(st.Site, st.Outcome, st.N)
+			case st.Switch:
+				log.RecordSwitch(st.Site, st.Outcome)
+			case st.Run:
+				log.RecordRun(st.Site, st.Taken, st.N)
+			default:
+				log.RecordBranch(st.Site, st.Taken)
+			}
+			for n := st.N; n > 0 && len(events) <= 1<<17; n-- {
+				events = append(events, st.Event)
+			}
+		}
+	}
+	return events, log.calls
 }
 
 // buildSlab records a deterministic pseudo-random branch stream; biased

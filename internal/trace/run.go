@@ -31,11 +31,10 @@ func (m *MaxSite) RecordSwitch(site, _ int32) { m.RecordRun(site, false, 1) }
 func (m *MaxSite) RecordSwitchRun(site, _ int32, _ uint64) { m.RecordRun(site, false, 1) }
 
 // ReplayInto decodes the slab once and fans every event out to all
-// collectors, with AdoptStream's calls: single events through
-// RecordBranch, RLE runs through RecordRun, and switch events to the
-// collectors that implement SwitchCollector. N collectors cost one pass.
-// A lone *Counts folds each step straight into its slices, with no
-// dynamic call per event.
+// collectors, with AdoptStream's calls, since both drain the same
+// batches: single events through RecordBranch, RLE runs through
+// RecordRun, and switch events to the collectors that implement
+// SwitchCollector. N collectors cost one pass.
 func (s *Slab) ReplayInto(cs ...Collector) {
 	s.mustSealed("ReplayInto")
 	var c Collector
@@ -43,44 +42,12 @@ func (s *Slab) ReplayInto(cs ...Collector) {
 	case 0:
 		return
 	case 1:
-		if counts, ok := cs[0].(*Counts); ok {
-			counts.replay(s.buf)
-			return
-		}
 		c = cs[0]
 	default:
 		c = fanout(cs)
 	}
-	if _, _, _, err := scanEvents(s.buf, Limits{}, c); err != nil {
-		panic(corrupt(err))
-	}
-}
-
-// replay is ReplayInto for a lone *Counts, the service's "profile"
-// scoring strategy and the experiment engine's per-seed count pass.
-func (c *Counts) replay(buf []byte) {
-	d := decoder{buf: buf}
-	for i := 0; ; {
-		if ev, j := d.plain(i); j != i {
-			c.RecordBranch(ev.Site, ev.Taken)
-			i = j
-			continue
-		}
-		st, j, err := d.next(i)
-		if err != nil {
-			panic(corrupt(err))
-		}
-		switch {
-		case st < stepEvent:
-			return
-		case d.ev.Switch: // Counts ignores switch events entirely
-		case st == stepRun:
-			c.RecordRun(d.ev.Site, d.ev.Taken, d.n)
-		default:
-			c.RecordBranch(d.ev.Site, d.ev.Taken)
-		}
-		i = j
-	}
+	r := s.Steps()
+	r.drain(c)
 }
 
 // fanout is the collector behind a ReplayInto of several collectors:

@@ -8,8 +8,9 @@
 // slab without copying them — the path of uploads, of the file loaders
 // (ReadSlab), of the service's disk tier and of artifacts fetched from
 // peers. One decoding step (decode.go) is the only reader of the event
-// grammar: the validating pass, every replay (ReplayInto and its
-// wrappers) and the pull-side Cursor all step through it.
+// grammar. Steps, the batch loop behind the validating pass and every
+// replay (ReplayInto and its wrappers), and the pull-side Cursor both
+// step through it.
 package trace
 
 // Collector consumes conditional-branch events keyed on the dense site
@@ -91,6 +92,22 @@ func (c *Counts) RecordRun(site int32, taken bool, n uint64) {
 		c.Taken[site] += n
 	} else {
 		c.NotTaken[site] += n
+	}
+}
+
+// addSteps adds a batch of decoded steps, a run as one addition, and
+// ignores switch events: the drain's path for a lone *Counts, with no
+// dynamic call per step.
+func (c *Counts) addSteps(b []Step) {
+	cols := [2][]uint64{c.NotTaken, c.Taken}
+	for k := range b {
+		if st := &b[k]; !st.Switch {
+			var t uint8
+			if st.Taken {
+				t = 1
+			}
+			cols[t][st.Site] += st.N
+		}
 	}
 }
 
