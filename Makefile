@@ -57,10 +57,12 @@ compare: kralld
 profile:
 	$(GO) run ./cmd/krallbench -all -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 
-# Short smoke of the BL front-end fuzzer; crashers land in
+# Short smoke of the BL front-end fuzzers (the parser, and lowering
+# against the reference evaluator); crashers land in
 # internal/lang/testdata/fuzz. Raise FUZZTIME for a real session.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/lang
+	$(GO) test -run='^$$' -fuzz=FuzzEvalMatchesInterp -fuzztime=$(FUZZTIME) ./internal/lang
 
 # Static analysis: lint the example programs and verify that replicating
 # each one preserves replication equivalence (krallcheck), then fuzz the

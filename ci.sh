@@ -94,6 +94,9 @@ stage_suites() {
     # leaves no torn entry, and a drain finishes the request in flight.
     go test -run='^TestRestartWarm$|^TestServeDrainsInFlight$' ./internal/service
     go test -run='^TestCrashMidWrite$' ./internal/diskstore
+    # The front end (lex, parse, check, lower) over the catalog and progen
+    # programs, once, so the benchmark keeps compiling and running.
+    go test -run '^$' -bench '^BenchmarkCompile$' -benchtime 1x ./internal/lang
     # The exact loop search over the catalog profiles, once, so the
     # benchmark keeps compiling and running.
     go test -run '^$' -bench 'BenchmarkSelectCatalog/n5$' -benchtime 1x ./internal/statemachine
@@ -124,6 +127,9 @@ stage_fuzz() {
     # Each target gets 10 s; -fuzzminimizetime bounds the minimizing of a
     # new input, whose 60 s default would take most of that at 0 execs/s.
     go test -run='^$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=100x ./internal/lang
+    # Lowering against the reference evaluator: every program that compiles
+    # returns, prints and traps on the interpreter as its source says.
+    go test -run='^$' -fuzz=FuzzEvalMatchesInterp -fuzztime=10s -fuzzminimizetime=100x ./internal/lang
     # Uploads against the reference decoder, and disk/peer artifact
     # payloads with recomputed CRCs: never a panic, accepted input replays
     # cleanly.

@@ -5,6 +5,9 @@ import "repro/internal/ir"
 // File is a parsed BL translation unit.
 type File struct {
 	Decls []Decl
+	// exprs is the parser's count of expression nodes, an upper bound
+	// that Check sizes its per-expression maps by.
+	exprs int
 }
 
 // Decl is a top-level declaration.

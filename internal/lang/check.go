@@ -6,12 +6,17 @@ import (
 	"repro/internal/ir"
 )
 
-// Symbol is a resolved variable reference.
+// Symbol is one declared variable: a global, a parameter or a local.
+// Check makes exactly one per declaration, and every use of the variable
+// resolves to that pointer.
 type Symbol struct {
 	Name   string
 	Type   ir.Type
 	Global *VarDecl // nil for locals and parameters
 	Slot   ir.Reg   // register slot, valid when Global == nil
+	// Init is a global's folded initialiser as value bits, valid when
+	// Global.Init != nil.
+	Init int64
 }
 
 // Builtin enumerates the BL builtin functions.
@@ -36,34 +41,32 @@ type CallTarget struct {
 }
 
 // Info carries the results of type checking, consumed by the lowering pass.
+// Name resolution is recorded once: Defs holds the symbol each declaration
+// makes and Uses the symbol each reference names, so lowering reads the
+// resolution and never redoes it.
 type Info struct {
 	// Types maps every expression to its type.
 	Types map[Expr]ir.Type
-	// Idents resolves scalar variable references.
-	Idents map[*Ident]*Symbol
-	// Assigns resolves assignment targets (scalar or array global).
-	Assigns map[*AssignStmt]*Symbol
-	// ArrayRefs resolves array accesses (IndexExpr and indexed assigns).
-	ArrayRefs map[Expr]*VarDecl
-	// AssignArrays resolves the array of indexed AssignStmts.
-	AssignArrays map[*AssignStmt]*VarDecl
+	// Defs maps each declaration, a global *VarDecl, a *Param or a
+	// *LocalDecl, to the Symbol it declares.
+	Defs map[any]*Symbol
+	// Uses maps each reference, an *Ident, an *AssignStmt's target or an
+	// *IndexExpr, to the Symbol of the declaration it names.
+	Uses map[any]*Symbol
 	// Calls resolves call targets.
 	Calls map[*CallExpr]CallTarget
 	// LocalSlots is the number of register slots (params + named locals)
 	// each function needs before temporaries.
 	LocalSlots map[*FuncDecl]int
-	// Funcs and Globals index the declarations by name.
-	Funcs   map[string]*FuncDecl
-	Globals map[string]*VarDecl
-
-	// declSlots maps each local declaration to its register slot; the
-	// lowering pass reads it to initialise the slot.
-	declSlots map[*LocalDecl]ir.Reg
+	// Funcs indexes the function declarations by name.
+	Funcs map[string]*FuncDecl
 }
 
 type checker struct {
 	info *Info
 	fn   *FuncDecl
+	// globals is the outermost scope; arrays resolve only here.
+	globals map[string]*Symbol
 	// scopes is a stack of name→symbol maps for the current function.
 	scopes []map[string]*Symbol
 	slots  int
@@ -74,22 +77,19 @@ type checker struct {
 // found.
 func Check(file *File) (*Info, error) {
 	info := &Info{
-		Types:        make(map[Expr]ir.Type),
-		Idents:       make(map[*Ident]*Symbol),
-		Assigns:      make(map[*AssignStmt]*Symbol),
-		ArrayRefs:    make(map[Expr]*VarDecl),
-		AssignArrays: make(map[*AssignStmt]*VarDecl),
-		Calls:        make(map[*CallExpr]CallTarget),
-		LocalSlots:   make(map[*FuncDecl]int),
-		Funcs:        make(map[string]*FuncDecl),
-		Globals:      make(map[string]*VarDecl),
-		declSlots:    make(map[*LocalDecl]ir.Reg),
+		Types:      make(map[Expr]ir.Type, file.exprs),
+		Defs:       make(map[any]*Symbol),
+		Uses:       make(map[any]*Symbol, file.exprs/2), // most references are operands
+		Calls:      make(map[*CallExpr]CallTarget),
+		LocalSlots: make(map[*FuncDecl]int),
+		Funcs:      make(map[string]*FuncDecl),
 	}
+	c := &checker{info: info, globals: make(map[string]*Symbol)}
 	// Pass 1: collect top-level names (so calls/uses may precede decls).
 	for _, d := range file.Decls {
 		switch d := d.(type) {
 		case *VarDecl:
-			if _, dup := info.Globals[d.Name]; dup {
+			if _, dup := c.globals[d.Name]; dup {
 				return nil, errf(d.Pos, "duplicate global %q", d.Name)
 			}
 			if _, dup := info.Funcs[d.Name]; dup {
@@ -98,12 +98,14 @@ func Check(file *File) (*Info, error) {
 			if isReservedName(d.Name) {
 				return nil, errf(d.Pos, "%q is a builtin name", d.Name)
 			}
-			info.Globals[d.Name] = d
+			sym := &Symbol{Name: d.Name, Type: d.Type, Global: d}
+			c.globals[d.Name] = sym
+			info.Defs[d] = sym
 		case *FuncDecl:
 			if _, dup := info.Funcs[d.Name]; dup {
 				return nil, errf(d.Pos, "duplicate function %q", d.Name)
 			}
-			if _, dup := info.Globals[d.Name]; dup {
+			if _, dup := c.globals[d.Name]; dup {
 				return nil, errf(d.Pos, "%q already declared as a global", d.Name)
 			}
 			if isReservedName(d.Name) {
@@ -112,20 +114,20 @@ func Check(file *File) (*Info, error) {
 			info.Funcs[d.Name] = d
 		}
 	}
-	c := &checker{info: info}
-	// Pass 2: check global initialisers (must be constant).
+	// Pass 2: fold global initialisers (must be constant).
 	for _, d := range file.Decls {
 		g, ok := d.(*VarDecl)
 		if !ok || g.Init == nil {
 			continue
 		}
-		t, _, err := constEval(g.Init)
+		t, bits, err := constEval(g.Init)
 		if err != nil {
 			return nil, err
 		}
 		if t != g.Type {
 			return nil, errf(g.Pos, "initialiser type %v does not match global %q of type %v", t, g.Name, g.Type)
 		}
+		info.Defs[g].Init = bits
 	}
 	// Pass 3: check function bodies.
 	for _, d := range file.Decls {
@@ -152,16 +154,20 @@ func (c *checker) checkFunc(fd *FuncDecl) error {
 	c.fn = fd
 	c.slots = 0
 	c.loops = 0
-	c.scopes = []map[string]*Symbol{make(map[string]*Symbol)}
-	for _, p := range fd.Params {
+	params := make(map[string]*Symbol, len(fd.Params))
+	c.scopes = append(c.scopes[:0], c.globals, params)
+	for i := range fd.Params {
+		p := &fd.Params[i]
 		if p.Type == ir.TVoid {
 			return errf(p.Pos, "parameter %q has invalid type", p.Name)
 		}
-		if _, dup := c.scopes[0][p.Name]; dup {
+		if _, dup := params[p.Name]; dup {
 			return errf(p.Pos, "duplicate parameter %q", p.Name)
 		}
-		c.scopes[0][p.Name] = &Symbol{Name: p.Name, Type: p.Type, Slot: ir.Reg(c.slots)}
+		sym := &Symbol{Name: p.Name, Type: p.Type, Slot: ir.Reg(c.slots)}
 		c.slots++
+		params[p.Name] = sym
+		c.info.Defs[p] = sym
 	}
 	if err := c.checkBlock(fd.Body); err != nil {
 		return err
@@ -173,30 +179,39 @@ func (c *checker) checkFunc(fd *FuncDecl) error {
 func (c *checker) push() { c.scopes = append(c.scopes, make(map[string]*Symbol)) }
 func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
+// lookup resolves a name through the scope stack, innermost first; the
+// globals are the outermost scope.
 func (c *checker) lookup(name string) *Symbol {
 	for i := len(c.scopes) - 1; i >= 0; i-- {
 		if s, ok := c.scopes[i][name]; ok {
 			return s
 		}
 	}
-	if g, ok := c.info.Globals[name]; ok {
-		return &Symbol{Name: name, Type: g.Type, Global: g}
-	}
 	return nil
 }
 
-func (c *checker) declareLocal(pos Pos, name string, t ir.Type) (*Symbol, error) {
+// array resolves the global array an indexed reference names.
+func (c *checker) array(pos Pos, name string) (*Symbol, error) {
+	g := c.globals[name]
+	if g == nil || g.Global.Len == 0 {
+		return nil, errf(pos, "%q is not a global array", name)
+	}
+	return g, nil
+}
+
+func (c *checker) declareLocal(d *LocalDecl) error {
 	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[name]; dup {
-		return nil, errf(pos, "%q redeclared in this scope", name)
+	if _, dup := top[d.Name]; dup {
+		return errf(d.Pos, "%q redeclared in this scope", d.Name)
 	}
-	if isReservedName(name) {
-		return nil, errf(pos, "%q is a builtin name", name)
+	if isReservedName(d.Name) {
+		return errf(d.Pos, "%q is a builtin name", d.Name)
 	}
-	s := &Symbol{Name: name, Type: t, Slot: ir.Reg(c.slots)}
+	s := &Symbol{Name: d.Name, Type: d.Type, Slot: ir.Reg(c.slots)}
 	c.slots++
-	top[name] = s
-	return s, nil
+	top[d.Name] = s
+	c.info.Defs[d] = s
+	return nil
 }
 
 func (c *checker) checkBlock(b *BlockStmt) error {
@@ -227,12 +242,7 @@ func (c *checker) checkStmt(s Stmt) error {
 				return errf(s.Pos, "cannot initialise %v local %q with %v value", s.Type, s.Name, t)
 			}
 		}
-		sym, err := c.declareLocal(s.Pos, s.Name, s.Type)
-		if err != nil {
-			return err
-		}
-		c.info.declSlots[s] = sym.Slot
-		return nil
+		return c.declareLocal(s)
 	case *AssignStmt:
 		return c.checkAssign(s)
 	case *IfStmt:
@@ -355,9 +365,9 @@ func (c *checker) checkAssign(s *AssignStmt) error {
 		return err
 	}
 	if s.Index != nil {
-		g, ok := c.info.Globals[s.Name]
-		if !ok || g.Len == 0 {
-			return errf(s.Pos, "%q is not a global array", s.Name)
+		g, err := c.array(s.Pos, s.Name)
+		if err != nil {
+			return err
 		}
 		it, err := c.checkExpr(s.Index)
 		if err != nil {
@@ -369,7 +379,7 @@ func (c *checker) checkAssign(s *AssignStmt) error {
 		if vt != g.Type {
 			return errf(s.Pos, "cannot store %v into %v array %q", vt, g.Type, s.Name)
 		}
-		c.info.AssignArrays[s] = g
+		c.info.Uses[s] = g
 		return nil
 	}
 	sym := c.lookup(s.Name)
@@ -382,7 +392,7 @@ func (c *checker) checkAssign(s *AssignStmt) error {
 	if vt != sym.Type {
 		return errf(s.Pos, "cannot assign %v to %v variable %q", vt, sym.Type, s.Name)
 	}
-	c.info.Assigns[s] = sym
+	c.info.Uses[s] = sym
 	return nil
 }
 
@@ -422,12 +432,12 @@ func (c *checker) typeOf(e Expr) (ir.Type, error) {
 		if sym.Global != nil && sym.Global.Len > 0 {
 			return ir.TVoid, errf(e.Pos, "array %q used as scalar", e.Name)
 		}
-		c.info.Idents[e] = sym
+		c.info.Uses[e] = sym
 		return sym.Type, nil
 	case *IndexExpr:
-		g, ok := c.info.Globals[e.Name]
-		if !ok || g.Len == 0 {
-			return ir.TVoid, errf(e.Pos, "%q is not a global array", e.Name)
+		g, err := c.array(e.Pos, e.Name)
+		if err != nil {
+			return ir.TVoid, err
 		}
 		it, err := c.checkExpr(e.Index)
 		if err != nil {
@@ -436,7 +446,7 @@ func (c *checker) typeOf(e Expr) (ir.Type, error) {
 		if it != ir.TInt {
 			return ir.TVoid, errf(e.Pos, "array index must be int, got %v", it)
 		}
-		c.info.ArrayRefs[e] = g
+		c.info.Uses[e] = g
 		return g.Type, nil
 	case *CallExpr:
 		return c.checkCall(e, false)
@@ -527,6 +537,8 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		}
 		return nil
 	}
+	var target CallTarget
+	var t ir.Type
 	switch e.Name {
 	case "print":
 		if err := want(1); err != nil {
@@ -535,9 +547,7 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		if argTypes[0] == ir.TVoid {
 			return ir.TVoid, errf(e.Pos, "cannot print void")
 		}
-		c.info.Calls[e] = CallTarget{Builtin: BuiltinPrint}
-		c.info.Types[e] = ir.TVoid
-		return ir.TVoid, nil
+		target.Builtin, t = BuiltinPrint, ir.TVoid
 	case "sqrt":
 		if err := want(1); err != nil {
 			return ir.TVoid, err
@@ -545,9 +555,7 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		if argTypes[0] != ir.TFloat {
 			return ir.TVoid, errf(e.Pos, "sqrt needs a float argument, got %v", argTypes[0])
 		}
-		c.info.Calls[e] = CallTarget{Builtin: BuiltinSqrt}
-		c.info.Types[e] = ir.TFloat
-		return ir.TFloat, nil
+		target.Builtin, t = BuiltinSqrt, ir.TFloat
 	case "abs":
 		if err := want(1); err != nil {
 			return ir.TVoid, err
@@ -555,9 +563,7 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		if err := numeric(0); err != nil {
 			return ir.TVoid, err
 		}
-		c.info.Calls[e] = CallTarget{Builtin: BuiltinAbs}
-		c.info.Types[e] = argTypes[0]
-		return argTypes[0], nil
+		target.Builtin, t = BuiltinAbs, argTypes[0]
 	case "min", "max":
 		if err := want(2); err != nil {
 			return ir.TVoid, err
@@ -568,13 +574,10 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		if argTypes[0] != argTypes[1] {
 			return ir.TVoid, errf(e.Pos, "%s arguments must have the same type", e.Name)
 		}
-		bi := BuiltinMin
+		target.Builtin, t = BuiltinMin, argTypes[0]
 		if e.Name == "max" {
-			bi = BuiltinMax
+			target.Builtin = BuiltinMax
 		}
-		c.info.Calls[e] = CallTarget{Builtin: bi}
-		c.info.Types[e] = argTypes[0]
-		return argTypes[0], nil
 	case "int":
 		if err := want(1); err != nil {
 			return ir.TVoid, err
@@ -582,9 +585,7 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		if argTypes[0] == ir.TVoid {
 			return ir.TVoid, errf(e.Pos, "cannot convert void to int")
 		}
-		c.info.Calls[e] = CallTarget{Builtin: BuiltinToInt}
-		c.info.Types[e] = ir.TInt
-		return ir.TInt, nil
+		target.Builtin, t = BuiltinToInt, ir.TInt
 	case "float":
 		if err := want(1); err != nil {
 			return ir.TVoid, err
@@ -592,28 +593,28 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		if argTypes[0] != ir.TInt && argTypes[0] != ir.TFloat {
 			return ir.TVoid, errf(e.Pos, "cannot convert %v to float", argTypes[0])
 		}
-		c.info.Calls[e] = CallTarget{Builtin: BuiltinToFloat}
-		c.info.Types[e] = ir.TFloat
-		return ir.TFloat, nil
-	}
-	fd, ok := c.info.Funcs[e.Name]
-	if !ok {
-		return ir.TVoid, errf(e.Pos, "undefined function %q", e.Name)
-	}
-	if len(e.Args) != len(fd.Params) {
-		return ir.TVoid, errf(e.Pos, "%s expects %d argument(s), got %d", e.Name, len(fd.Params), len(e.Args))
-	}
-	for i, pt := range fd.Params {
-		if argTypes[i] != pt.Type {
-			return ir.TVoid, errf(e.Pos, "argument %d of %s: have %v, want %v", i+1, e.Name, argTypes[i], pt.Type)
+		target.Builtin, t = BuiltinToFloat, ir.TFloat
+	default:
+		fd, ok := c.info.Funcs[e.Name]
+		if !ok {
+			return ir.TVoid, errf(e.Pos, "undefined function %q", e.Name)
 		}
+		if len(e.Args) != len(fd.Params) {
+			return ir.TVoid, errf(e.Pos, "%s expects %d argument(s), got %d", e.Name, len(fd.Params), len(e.Args))
+		}
+		for i, pt := range fd.Params {
+			if argTypes[i] != pt.Type {
+				return ir.TVoid, errf(e.Pos, "argument %d of %s: have %v, want %v", i+1, e.Name, argTypes[i], pt.Type)
+			}
+		}
+		if !stmt && fd.Ret == ir.TVoid {
+			return ir.TVoid, errf(e.Pos, "void function %q used as a value", e.Name)
+		}
+		target.Func, t = fd, fd.Ret
 	}
-	if !stmt && fd.Ret == ir.TVoid {
-		return ir.TVoid, errf(e.Pos, "void function %q used as a value", e.Name)
-	}
-	c.info.Calls[e] = CallTarget{Func: fd}
-	c.info.Types[e] = fd.Ret
-	return fd.Ret, nil
+	c.info.Calls[e] = target
+	c.info.Types[e] = t
+	return t, nil
 }
 
 // constEval evaluates a constant expression for a global initialiser.

@@ -45,13 +45,9 @@ func Lower(file *File, info *Info) (*ir.Program, error) {
 		if !ok {
 			continue
 		}
-		irg := &ir.Global{Name: g.Name, Type: g.Type, Len: maxInt(g.Len, 1), Array: g.Len > 0}
+		irg := &ir.Global{Name: g.Name, Type: g.Type, Len: max(g.Len, 1), Array: g.Len > 0}
 		if g.Init != nil {
-			_, bits, err := constEval(g.Init)
-			if err != nil {
-				return nil, err
-			}
-			irg.Init = []int64{bits}
+			irg.Init = []int64{info.Defs[g].Init}
 		}
 		if err := lw.prog.AddGlobal(irg); err != nil {
 			return nil, err
@@ -87,13 +83,6 @@ func Lower(file *File, info *Info) (*ir.Program, error) {
 	return lw.prog, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 type loopCtx struct {
 	brk, cont *ir.Block
 }
@@ -117,34 +106,32 @@ func (lw *lowerer) lowerFunc(fd *FuncDecl) error {
 	}
 	// Implicit return at fall-through: zero value for non-void functions.
 	if lw.b.Cur != nil && lw.b.Cur.Term.Op == ir.TermInvalid {
-		switch fd.Ret {
-		case ir.TVoid:
-			lw.b.Ret()
-		case ir.TFloat:
-			lw.b.RetVal(lw.b.ConstF(0))
-		default:
-			lw.b.RetVal(lw.b.ConstI(0))
-		}
+		lw.retZero(fd.Ret)
 	}
 	// Seal any other dangling blocks (e.g. unreachable join points) with a
 	// default return so the IR validates.
 	for _, blk := range f.Blocks {
 		if blk.Term.Op == ir.TermInvalid {
 			lw.b.SetBlock(blk)
-			switch fd.Ret {
-			case ir.TVoid:
-				lw.b.Ret()
-			case ir.TFloat:
-				lw.b.RetVal(lw.b.ConstF(0))
-			default:
-				lw.b.RetVal(lw.b.ConstI(0))
-			}
+			lw.retZero(fd.Ret)
 		}
 	}
 	// Blocks sealed above may be unreachable (both arms of a join returned);
 	// mark them dead so Validate's reachability invariant holds.
 	ir.MarkUnreachableDead(f)
 	return nil
+}
+
+// retZero ends the current block by returning the zero value of ret.
+func (lw *lowerer) retZero(ret ir.Type) {
+	switch ret {
+	case ir.TVoid:
+		lw.b.Ret()
+	case ir.TFloat:
+		lw.b.RetVal(lw.b.ConstF(0))
+	default:
+		lw.b.RetVal(lw.b.ConstI(0))
+	}
 }
 
 func (lw *lowerer) lowerBlock(b *BlockStmt) error {
@@ -161,17 +148,11 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 	case *BlockStmt:
 		return lw.lowerBlock(s)
 	case *LocalDecl:
-		// The checker assigned the slot when it declared the symbol; we
-		// re-resolve by walking: LocalDecl symbols are only reachable
-		// through subsequent Ident uses, so initialisation writes the slot
-		// via a fresh mini-symbol lookup. To avoid a second scope walk the
-		// checker records slots on symbols shared with Idents; here we
-		// reconstruct the slot from the declaration order bookkeeping kept
-		// by Info (see slotOf).
-		slot, ok := lw.slotOf(s)
-		if !ok {
+		sym := lw.info.Defs[s]
+		if sym == nil {
 			return errf(s.Pos, "internal error: no slot for local %q", s.Name)
 		}
+		slot := sym.Slot
 		if s.Init != nil {
 			v, err := lw.lowerExpr(s.Init)
 			if err != nil {
@@ -228,24 +209,20 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 	return fmt.Errorf("lang: cannot lower %T", s)
 }
 
-// slotOf recovers the register slot of a local declaration. The checker
-// stored slots in the symbols attached to Ident uses; declarations that are
-// never read still need their slot, so Info records them via the Assigns
-// and Idents maps. We search both; a local that is neither read nor written
-// after declaration gets a throwaway slot.
-func (lw *lowerer) slotOf(d *LocalDecl) (ir.Reg, bool) {
-	if s, ok := lw.info.declSlots[d]; ok {
-		return s, true
+// use returns the symbol a reference resolves to.
+func (lw *lowerer) use(ref any, pos Pos, name string) (*Symbol, error) {
+	if sym := lw.info.Uses[ref]; sym != nil {
+		return sym, nil
 	}
-	return 0, false
+	return nil, errf(pos, "internal error: unresolved %q", name)
 }
 
 func (lw *lowerer) lowerAssign(s *AssignStmt) error {
+	sym, err := lw.use(s, s.Pos, s.Name)
+	if err != nil {
+		return err
+	}
 	if s.Index != nil {
-		g := lw.info.AssignArrays[s]
-		if g == nil {
-			return errf(s.Pos, "internal error: unresolved array assign %q", s.Name)
-		}
 		idx, err := lw.lowerExpr(s.Index)
 		if err != nil {
 			return err
@@ -254,12 +231,8 @@ func (lw *lowerer) lowerAssign(s *AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		lw.b.StoreElem(lw.globals[g], idx, val)
+		lw.b.StoreElem(lw.globals[sym.Global], idx, val)
 		return nil
-	}
-	sym := lw.info.Assigns[s]
-	if sym == nil {
-		return errf(s.Pos, "internal error: unresolved assign %q", s.Name)
 	}
 	val, err := lw.lowerExpr(s.Value)
 	if err != nil {
@@ -460,24 +433,24 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Reg, error) {
 		}
 		return lw.b.ConstI(0), nil
 	case *Ident:
-		sym := lw.info.Idents[e]
-		if sym == nil {
-			return 0, errf(e.Pos, "internal error: unresolved %q", e.Name)
+		sym, err := lw.use(e, e.Pos, e.Name)
+		if err != nil {
+			return 0, err
 		}
 		if sym.Global != nil {
 			return lw.b.LoadG(lw.globals[sym.Global]), nil
 		}
 		return sym.Slot, nil
 	case *IndexExpr:
-		g := lw.info.ArrayRefs[e]
-		if g == nil {
-			return 0, errf(e.Pos, "internal error: unresolved array %q", e.Name)
+		sym, err := lw.use(e, e.Pos, e.Name)
+		if err != nil {
+			return 0, err
 		}
 		idx, err := lw.lowerExpr(e.Index)
 		if err != nil {
 			return 0, err
 		}
-		return lw.b.LoadElem(lw.globals[g], idx), nil
+		return lw.b.LoadElem(lw.globals[sym.Global], idx), nil
 	case *UnaryExpr:
 		x, err := lw.lowerExpr(e.X)
 		if err != nil {

@@ -13,6 +13,7 @@ type Parser struct {
 	tok   Token
 	err   error
 	depth int
+	exprs int // expression nodes parsed, see File.exprs
 }
 
 // maxNestDepth bounds statement and expression nesting so adversarial
@@ -60,6 +61,7 @@ func Parse(src string) (*File, error) {
 			return nil, errf(p.tok.Pos, "expected declaration, found %s", describe(p.tok))
 		}
 	}
+	f.exprs = p.exprs
 	return f, p.err
 }
 
@@ -404,10 +406,12 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		p.next()
 		rhs := p.parseBinary(prec + 1)
 		lhs = &BinaryExpr{Pos: op.Pos, Op: op.Kind, X: lhs, Y: rhs}
+		p.exprs++
 	}
 }
 
 func (p *Parser) parseUnary() Expr {
+	p.exprs++
 	if !p.enter(p.tok.Pos) { // deep parens re-enter via parsePrimary
 		return &IntLit{Pos: p.tok.Pos}
 	}

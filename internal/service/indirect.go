@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/runner"
 )
 
 // The indirect replication family of /v1/replicate: case clustering of hot
@@ -96,27 +97,9 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 		verified = true
 	}
 
-	// The baseline and clustered runs are only comparable when both execute
-	// the whole program: the chain tests add branch events, so a shared
-	// branch budget would cut the clustered run at an earlier program point
-	// and the checksums would diverge. Scale the workload down to fit the
-	// budget instead (programs without a wscale knob run as-is) and keep
-	// four times the budget as a generous envelope rather than the measuring
-	// cut-off. The profiled cell is not this one, so both programs run live.
-	scale := int64(budget / 50_000)
-	if scale < 1 {
-		scale = 1
-	}
-	if scale > 400 {
-		scale = 400
-	}
-	cell := core.Cell{Budget: 4 * budget, Seed: req.Seed, Scale: req.Scale}.Fill(c.prog, 0, scale)
-	var runs [2]core.Measurement
-	for i, prog := range []*ir.Program{cl.Baseline, cl.Clustered} {
-		if runs[i], err = core.Measure(ctx, prog, cell, nil); err != nil {
-			return nil, programFault(err)
-		}
-		s.eng.CountLiveRun()
+	runs, err := s.indirectRuns(ctx, c, cl, req, budget)
+	if err != nil {
+		return nil, err
 	}
 	base, clus := runs[0], runs[1]
 
@@ -142,4 +125,36 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 		resp.IR = cl.Clustered.String()
 	}
 	return resp, nil
+}
+
+// indirectRuns measures the clustering's baseline and clustered programs,
+// memoised in the store. Both are functions of the program and of the
+// (budget, seed, scale) cell, which fixes the profile the clustering came
+// from and the measuring cell below, so identical requests run them once.
+// A failed run is not stored: a trapping program answers 400 every time.
+func (s *Server) indirectRuns(ctx context.Context, c *compiled, cl *core.Clustering, req *Request, budget uint64) ([2]core.Measurement, error) {
+	key := contentKey("indirect-runs", c.key, field(budget, req.Seed, req.Scale))
+	return runner.Cached(s.store.mem, key, func() ([2]core.Measurement, error) {
+		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
+		defer cancel()
+		// The baseline and clustered runs are only comparable when both
+		// execute the whole program: the chain tests add branch events, so
+		// a shared branch budget would cut the clustered run at an earlier
+		// program point and the checksums would diverge. Scale the workload
+		// down to fit the budget instead (programs without a wscale knob run
+		// as-is) and keep four times the budget as a generous envelope
+		// rather than the measuring cut-off. The profiled cell is not this
+		// one, so both programs run live.
+		scale := min(max(int64(budget/50_000), 1), 400)
+		cell := core.Cell{Budget: 4 * budget, Seed: req.Seed, Scale: req.Scale}.Fill(c.prog, 0, scale)
+		var runs [2]core.Measurement
+		for i, prog := range []*ir.Program{cl.Baseline, cl.Clustered} {
+			var err error
+			if runs[i], err = core.Measure(rctx, prog, cell, nil); err != nil {
+				return runs, programFault(err)
+			}
+			s.eng.CountLiveRun()
+		}
+		return runs, nil
+	})
 }
