@@ -81,6 +81,9 @@ stage_suites() {
     go test -run='FullOpMatrix|ConformanceCoversEveryOp|DivisionTraps|FtoIRangeTrap' ./internal/interp
     go test -run='Conformance' ./internal/vm
     go test -run='GoldenTraces' ./internal/bench
+    # The one score of a fixed prediction vector against the interpreter's
+    # live tally: catalog, dispatch and progen programs under three vectors.
+    go test -run='^TestScoreVectorMatchesLive$' ./internal/bench
     # The CLIs' stdout: replicate on compress, krallcheck on the examples,
     # svm and the -predict catalog table.
     go test -run='^TestGoldenOutput$' ./cmd/replicate ./cmd/krallcheck
@@ -97,6 +100,8 @@ stage_suites() {
     # The front end (lex, parse, check, lower) over the catalog and progen
     # programs, once, so the benchmark keeps compiling and running.
     go test -run '^$' -bench '^BenchmarkCompile$' -benchtime 1x ./internal/lang
+    # The checker alone over progen programs, once.
+    go test -run '^$' -bench '^BenchmarkCheck$' -benchtime 1x ./internal/lang
     # The exact loop search over the catalog profiles, once, so the
     # benchmark keeps compiling and running.
     go test -run '^$' -bench 'BenchmarkSelectCatalog/n5$' -benchtime 1x ./internal/statemachine

@@ -179,16 +179,15 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	}
 	probe := probeEvents(nsites)
 	ref1 := newRefLocal(nsites, 1)
-	s.Replay(ref1.RecordBranch)
+	eachBranch(s, ref1.RecordBranch)
 
 	evC, runC := trace.NewCounts(nsites), trace.NewCounts(nsites)
-	s.Replay(evC.RecordBranch)
-	s.ReplayRuns(runC.RecordRun)
+	eachBranch(s, evC.RecordBranch)
+	s.ReplayInto(runC)
 	compareCounts(t, "counts", evC, runC)
 
 	// Small history lengths reach the absorbing state quickly, long ones
-	// stress the transient path; both must agree with per-event replay,
-	// as must the fused ReplayInto production path.
+	// stress the transient path; both must agree with per-event replay.
 	for _, opt := range []profile.Options{
 		{LocalK: 2, GlobalK: 2, PathM: 1},
 		{LocalK: 4, GlobalK: 3, PathM: 2},
@@ -198,16 +197,13 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	} {
 		ev := profile.New(nsites, opt)
 		run := profile.New(nsites, opt)
-		into := profile.New(nsites, opt)
-		s.Replay(ev.RecordBranch)
-		s.ReplayRuns(run.RecordRun)
-		s.ReplayInto(into)
+		eachBranch(s, ev.RecordBranch)
+		s.ReplayInto(run)
 		label := "profile"
 		compareProfiles(t, label, ev, run)
-		compareProfiles(t, label+"/into", ev, into)
-		ref := newRefLocal(nsites, into.Local().K)
-		s.Replay(ref.RecordBranch)
-		for _, p := range []*profile.Profile{ev, run, into} {
+		ref := newRefLocal(nsites, run.Local().K)
+		eachBranch(s, ref.RecordBranch)
+		for _, p := range []*profile.Profile{ev, run} {
 			compareLocal(t, label+"/local", ref, p.Local())
 		}
 		compareLocal(t, label+"/local1", ref1, profile.LocalFromStreams(run.Streams, 1))
@@ -233,8 +229,8 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	for i := range evPs {
 		ev := &predict.Eval{P: evPs[i]}
 		run := &predict.Eval{P: runPs[i]}
-		s.Replay(ev.RecordBranch)
-		s.ReplayRuns(run.RecordRun)
+		eachBranch(s, ev.RecordBranch)
+		s.ReplayInto(run)
 		label := "predict/" + ev.P.Name()
 		compareEvals(t, label, nsites, ev, run)
 		for _, pe := range probe {
@@ -248,13 +244,18 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	for i := range preds {
 		preds[i] = []ir.Prediction{ir.PredTaken, ir.PredNotTaken, ir.PredNone}[i%3]
 	}
-	evS := &predict.StaticScore{Preds: preds}
-	runS := &predict.StaticScore{Preds: preds}
-	s.Replay(evS.RecordBranch)
-	s.ReplayRuns(runS.RecordRun)
-	if evS.Predicted != runS.Predicted || evS.Mispredicted != runS.Mispredicted {
-		t.Fatalf("static score diverges: %d/%d vs %d/%d",
-			evS.Mispredicted, evS.Predicted, runS.Mispredicted, runS.Predicted)
+	var wantMisses, wantPredicted uint64
+	eachBranch(s, func(site int32, taken bool) {
+		if p := preds[site]; p != ir.PredNone {
+			wantPredicted++
+			if (p == ir.PredTaken) != taken {
+				wantMisses++
+			}
+		}
+	})
+	if misses, predicted := predict.ScoreVector(preds, runC); misses != wantMisses || predicted != wantPredicted {
+		t.Fatalf("static score diverges: %d/%d over the run-replayed counts, %d/%d per event",
+			misses, predicted, wantMisses, wantPredicted)
 	}
 }
 

@@ -307,18 +307,13 @@ func (p *Profiled) Preds() []ir.Prediction { return predict.ProfileStatic(p.Prof
 
 // Baseline is the measured run of the recorded program annotated with
 // preds. replicate.Annotate changes only Term.Pred, so the annotated run
-// is the recording: preds scored over the recorded outcomes, with the
-// recording's dispatches and output. StaticScore is order-insensitive, so
-// folding the profile's per-site totals scores it exactly as a replay
-// would.
+// is the recording: preds scored over the profile's per-site outcome
+// counts (predict.ScoreVector), with the recording's dispatches and
+// output.
 func (p *Profiled) Baseline(preds []ir.Prediction) Measurement {
-	score := &predict.StaticScore{Preds: preds}
-	for site := range p.Prof.Counts.Taken {
-		score.RecordRun(int32(site), true, p.Prof.Counts.Taken[site])
-		score.RecordRun(int32(site), false, p.Prof.Counts.NotTaken[site])
-	}
+	misses, predicted := predict.ScoreVector(preds, p.Prof.Counts)
 	return Measurement{
-		Predicted: score.Predicted, Mispredicted: score.Mispredicted, Dispatches: p.Rec.Dispatches,
+		Predicted: predicted, Mispredicted: misses, Dispatches: p.Rec.Dispatches,
 		Checksum: p.Rec.Checksum, Prints: p.Rec.Prints, Ret: p.Rec.Ret,
 	}
 }

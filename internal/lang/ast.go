@@ -6,7 +6,7 @@ import "repro/internal/ir"
 type File struct {
 	Decls []Decl
 	// exprs is the parser's count of expression nodes, an upper bound
-	// that Check sizes its per-expression maps by.
+	// that Check sizes its Uses map by.
 	exprs int
 }
 
@@ -183,6 +183,9 @@ type CallExpr struct {
 	Pos  Pos
 	Name string
 	Args []Expr
+	// Operand is the type of a builtin call's first argument, which picks
+	// the builtin's int or float form. Check records it for lowering.
+	Operand ir.Type
 }
 
 // UnaryExpr is -x or !x.
@@ -190,6 +193,8 @@ type UnaryExpr struct {
 	Pos Pos
 	Op  TokKind
 	X   Expr
+	// Operand is the type of X. Check records it for lowering.
+	Operand ir.Type
 }
 
 // BinaryExpr is a binary operation, including short-circuit && and ||.
@@ -197,6 +202,9 @@ type BinaryExpr struct {
 	Pos  Pos
 	Op   TokKind
 	X, Y Expr
+	// Operand is the type of X and Y, which Check requires to be equal.
+	// Check records it for lowering.
+	Operand ir.Type
 }
 
 func (*IntLit) exprNode()     {}

@@ -43,10 +43,10 @@ type CallTarget struct {
 // Info carries the results of type checking, consumed by the lowering pass.
 // Name resolution is recorded once: Defs holds the symbol each declaration
 // makes and Uses the symbol each reference names, so lowering reads the
-// resolution and never redoes it.
+// resolution and never redoes it. The only types lowering reads, the
+// operand types of unary, binary and builtin call expressions, Check
+// records on those nodes (Operand).
 type Info struct {
-	// Types maps every expression to its type.
-	Types map[Expr]ir.Type
 	// Defs maps each declaration, a global *VarDecl, a *Param or a
 	// *LocalDecl, to the Symbol it declares.
 	Defs map[any]*Symbol
@@ -74,10 +74,11 @@ type checker struct {
 }
 
 // Check resolves and type-checks a parsed file. It returns the first error
-// found.
+// found. Besides Info it records the operand types lowering reads on the
+// file's unary, binary and call nodes, so a file is checked by one
+// goroutine at a time.
 func Check(file *File) (*Info, error) {
 	info := &Info{
-		Types:      make(map[Expr]ir.Type, file.exprs),
 		Defs:       make(map[any]*Symbol),
 		Uses:       make(map[any]*Symbol, file.exprs/2), // most references are operands
 		Calls:      make(map[*CallExpr]CallTarget),
@@ -408,15 +409,6 @@ func (c *checker) checkCond(e Expr) error {
 }
 
 func (c *checker) checkExpr(e Expr) (ir.Type, error) {
-	t, err := c.typeOf(e)
-	if err != nil {
-		return ir.TVoid, err
-	}
-	c.info.Types[e] = t
-	return t, nil
-}
-
-func (c *checker) typeOf(e Expr) (ir.Type, error) {
 	switch e := e.(type) {
 	case *IntLit:
 		return ir.TInt, nil
@@ -455,6 +447,7 @@ func (c *checker) typeOf(e Expr) (ir.Type, error) {
 		if err != nil {
 			return ir.TVoid, err
 		}
+		e.Operand = t
 		switch e.Op {
 		case TokMinus:
 			if t != ir.TInt && t != ir.TFloat {
@@ -486,6 +479,7 @@ func (c *checker) checkBinary(e *BinaryExpr) (ir.Type, error) {
 	if xt != yt {
 		return ir.TVoid, errf(e.Pos, "mismatched operand types %v and %v (no implicit conversion; use int()/float())", xt, yt)
 	}
+	e.Operand = xt
 	switch e.Op {
 	case TokPlus, TokMinus, TokStar, TokSlash:
 		if xt != ir.TInt && xt != ir.TFloat {
@@ -612,8 +606,10 @@ func (c *checker) checkCall(e *CallExpr, stmt bool) (ir.Type, error) {
 		}
 		target.Func, t = fd, fd.Ret
 	}
+	if target.Func == nil {
+		e.Operand = argTypes[0]
+	}
 	c.info.Calls[e] = target
-	c.info.Types[e] = t
 	return t, nil
 }
 

@@ -458,7 +458,7 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Reg, error) {
 		}
 		switch e.Op {
 		case TokMinus:
-			if lw.info.Types[e.X] == ir.TFloat {
+			if e.Operand == ir.TFloat {
 				return lw.b.Unary(ir.OpNegF, x), nil
 			}
 			return lw.b.Unary(ir.OpNegI, x), nil
@@ -502,7 +502,7 @@ func (lw *lowerer) lowerBinary(e *BinaryExpr) (ir.Reg, error) {
 	if err != nil {
 		return 0, err
 	}
-	isF := lw.info.Types[e.X] == ir.TFloat
+	isF := e.Operand == ir.TFloat
 	var op ir.Op
 	switch e.Op {
 	case TokPlus:
@@ -566,7 +566,7 @@ func (lw *lowerer) lowerCall(e *CallExpr) (ir.Reg, error) {
 	if target.Func != nil {
 		return lw.b.Call(lw.funcs[target.Func], args...), nil
 	}
-	argT := func(i int) ir.Type { return lw.info.Types[e.Args[i]] }
+	isF := e.Operand == ir.TFloat
 	switch target.Builtin {
 	case BuiltinPrint:
 		lw.b.Print(args[0])
@@ -574,27 +574,27 @@ func (lw *lowerer) lowerCall(e *CallExpr) (ir.Reg, error) {
 	case BuiltinSqrt:
 		return lw.b.Unary(ir.OpSqrtF, args[0]), nil
 	case BuiltinAbs:
-		if argT(0) == ir.TFloat {
+		if isF {
 			return lw.b.Unary(ir.OpAbsF, args[0]), nil
 		}
 		return lw.b.Unary(ir.OpAbsI, args[0]), nil
 	case BuiltinMin:
-		if argT(0) == ir.TFloat {
+		if isF {
 			return lw.b.Binary(ir.OpMinF, args[0], args[1]), nil
 		}
 		return lw.b.Binary(ir.OpMinI, args[0], args[1]), nil
 	case BuiltinMax:
-		if argT(0) == ir.TFloat {
+		if isF {
 			return lw.b.Binary(ir.OpMaxF, args[0], args[1]), nil
 		}
 		return lw.b.Binary(ir.OpMaxI, args[0], args[1]), nil
 	case BuiltinToInt:
-		if argT(0) == ir.TFloat {
+		if isF {
 			return lw.b.Unary(ir.OpFtoI, args[0]), nil
 		}
 		return args[0], nil // int(int) and int(bool) are identity on bits
 	case BuiltinToFloat:
-		if argT(0) == ir.TFloat {
+		if isF {
 			return args[0], nil
 		}
 		return lw.b.Unary(ir.OpItoF, args[0]), nil

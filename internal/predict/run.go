@@ -44,39 +44,11 @@ func (p *LastDirection) UpdateRun(site int32, taken bool, n uint64) uint64 {
 	return m
 }
 
-// UpdateRun implements RunUpdater: a saturating two-bit counter at c
-// climbing under taken outcomes mispredicts while it is still below 2 —
-// max(0, 2-c) times — and falling under not-taken outcomes mispredicts
-// while it is at 2 or above — max(0, c-1) times — both capped at n; the
-// final counter is the start moved n steps and clamped to [0, 3].
+// UpdateRun implements RunUpdater through twoBitRun, the counter's one
+// run rule.
 func (p *TwoBit) UpdateRun(site int32, taken bool, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	c := uint64(p.ctr[site])
-	var m uint64
-	if taken {
-		if c < 2 {
-			m = 2 - c
-		}
-		c += n
-		if c > 3 {
-			c = 3
-		}
-	} else {
-		if c >= 2 {
-			m = c - 1
-		}
-		if c > n {
-			c -= n
-		} else {
-			c = 0
-		}
-	}
-	if m > n {
-		m = n
-	}
-	p.ctr[site] = uint8(c)
+	c, m := twoBitSteps(p.ctr[site], taken, n)
+	p.ctr[site] = c
 	return m
 }
 

@@ -7,37 +7,28 @@ import (
 	"repro/internal/trace"
 )
 
-// StaticScore folds a fixed per-site prediction vector over a branch
-// stream: the replay equivalent of annotating a program clone and
-// measuring it live, since annotation only sets Term.Pred and leaves the
-// branch stream untouched. Sites beyond the vector and sites predicted
-// PredNone are ignored.
-type StaticScore struct {
-	Preds []ir.Prediction
-	// Predicted counts events whose site carries a prediction;
-	// Mispredicted those where the prediction missed.
-	Predicted    uint64
-	Mispredicted uint64
-}
-
-var _ trace.Collector = (*StaticScore)(nil)
-
-// RecordBranch implements trace.Collector.
-func (s *StaticScore) RecordBranch(site int32, taken bool) { s.RecordRun(site, taken, 1) }
-
-// RecordRun implements trace.Collector.
-func (s *StaticScore) RecordRun(site int32, taken bool, n uint64) {
-	if int(site) >= len(s.Preds) {
-		return
+// ScoreVector is the one score of a fixed per-site prediction vector: the
+// profile's majority, a static heuristic's, or a replicated copy's. A
+// site predicted PredTaken misses its not-taken count, one predicted
+// PredNotTaken its taken count; sites predicted PredNone and sites past
+// the vector are not scored. It returns the misses and the events of the
+// scored sites. Annotating a clone only sets Term.Pred, so this is also
+// what the clone's live run tallies over the same outcomes.
+func ScoreVector(preds []ir.Prediction, c *trace.Counts) (misses, predicted uint64) {
+	n := min(len(preds), len(c.Taken), len(c.NotTaken))
+	for site, p := range preds[:n] {
+		tk, nt := c.Taken[site], c.NotTaken[site]
+		switch p {
+		case ir.PredTaken:
+			misses += nt
+		case ir.PredNotTaken:
+			misses += tk
+		default:
+			continue
+		}
+		predicted += tk + nt
 	}
-	p := s.Preds[site]
-	if p == ir.PredNone {
-		return
-	}
-	s.Predicted += n
-	if (p == ir.PredTaken) != taken {
-		s.Mispredicted += n
-	}
+	return misses, predicted
 }
 
 // ScoreKind names a strategy Scorer can score.
@@ -50,7 +41,7 @@ const (
 	ScoreLast
 	// ScoreTwoBit is Eval over TwoBit.
 	ScoreTwoBit
-	// ScoreStatic is StaticScore over a fixed prediction vector.
+	// ScoreStatic is ScoreVector over a fixed prediction vector.
 	ScoreStatic
 )
 
@@ -59,8 +50,9 @@ const (
 // validating pass (trace.Adopt) and a stored slab through Slab.Steps. Fold
 // pulls the trace a batch of steps at a time and folds each batch in one
 // loop for the scorer's kind, over the tables of the strategy it stands in
-// for: the profile's trace.Counts, last direction's per-site outcome,
-// TwoBit's counters through a branch-free table, and StaticScore. It so
+// for: the profile's trace.Counts, last direction's per-site outcome and
+// TwoBit's counters through a branch-free table; the static kind folds the
+// same counts as the profile kind and scores them with ScoreVector. It so
 // makes no dynamic call per event, and its verdict is theirs (pinned by
 // TestScorerMatchesCollectors). The per-site tables grow when a batch
 // names a site first, and Reset only truncates them, so a pooled Scorer
@@ -74,7 +66,9 @@ type Scorer struct {
 	counts trace.Counts
 	last   []bool
 	ctr    []uint8
-	static StaticScore
+	// preds is the static kind's vector; major holds the profile kind's
+	// majority vector, rebuilt by each Result in place.
+	preds, major []ir.Prediction
 	// misses and total accumulate the last and twobit verdicts.
 	misses, total uint64
 	batch         [trace.BatchSize]trace.Step
@@ -87,7 +81,7 @@ func (s *Scorer) Reset(kind ScoreKind, preds []ir.Prediction) {
 	s.kind, s.sites, s.misses, s.total = kind, 0, 0, 0
 	s.counts.Taken, s.counts.NotTaken = s.counts.Taken[:0], s.counts.NotTaken[:0]
 	s.last, s.ctr = s.last[:0], s.ctr[:0]
-	s.static = StaticScore{Preds: preds}
+	s.preds = preds
 }
 
 // Sites is the site bound of the trace so far: max(site)+1 over every
@@ -99,10 +93,10 @@ func (s *Scorer) Sites() int { return s.sites }
 func (s *Scorer) Result() (misses, total uint64) {
 	switch s.kind {
 	case ScoreProfile:
-		r := ProfileResult(&s.counts)
-		return r.Misses, r.Total
+		s.major = majority(s.major[:0], &s.counts)
+		return ScoreVector(s.major, &s.counts)
 	case ScoreStatic:
-		return s.static.Mispredicted, s.static.Predicted
+		return ScoreVector(s.preds, &s.counts)
 	}
 	return s.misses, s.total
 }
@@ -119,14 +113,12 @@ func (s *Scorer) Fold(r *trace.Steps) {
 		for len(b) > 0 {
 			var k int
 			switch s.kind {
-			case ScoreProfile:
+			case ScoreProfile, ScoreStatic:
 				k = s.foldProfile(b)
 			case ScoreLast:
 				k = s.foldLast(b)
 			case ScoreTwoBit:
 				k = s.foldTwoBit(b)
-			case ScoreStatic:
-				k = s.foldStatic(b)
 			default:
 				k = len(b) // an unknown kind scores nothing
 			}
@@ -182,7 +174,7 @@ func (s *Scorer) foldLast(b []trace.Step) int {
 }
 
 // foldTwoBit is TwoBit.UpdateRun over b up to its first rare step, whose
-// index it returns, through twoBitRun.
+// index it returns.
 func (s *Scorer) foldTwoBit(b []trace.Step) int {
 	ctr := s.ctr
 	misses, total := s.misses, s.total
@@ -202,28 +194,17 @@ func (s *Scorer) foldTwoBit(b []trace.Step) int {
 	return k
 }
 
-// foldStatic is StaticScore.RecordRun over b up to its first rare step,
-// whose index it returns.
-func (s *Scorer) foldStatic(b []trace.Step) int {
-	for k := range b {
-		st := &b[k]
-		if int(st.Site) >= s.sites || st.Switch {
-			return k
-		}
-		s.static.RecordRun(st.Site, st.Taken, st.N)
-	}
-	return len(b)
-}
-
-// twoBitRun[min(n, 3)<<3 | c<<1 | t] is what a run of n >= 1 outcomes t
-// does to a two-bit counter at c: the final counter in bits 0-1 and the
-// run's misses in bits 2-3. It is built from the single step — a counter
+// twoBitRun[min(n, 3)<<3 | c<<1 | t] is what a run of n outcomes t does
+// to a two-bit counter at c: the final counter in bits 0-1 and the run's
+// misses in bits 2-3. It is built from the single step — a counter
 // predicts taken from 2 up, so an outcome misses when (c>>1)^t is 1, and
 // moves to sat[c<<1|t] — because after three identical outcomes the
-// counter saturates in their direction and stops missing.
+// counter saturates in their direction and stops missing. It is the one
+// run rule of the two-bit counter: TwoBit.UpdateRun and Scorer's twobit
+// kind both step through it.
 var twoBitRun = func() (tab [32]uint8) {
 	sat := [8]uint8{0, 1, 0, 2, 1, 3, 2, 3}
-	for k := uint8(1); k <= 3; k++ {
+	for k := uint8(0); k <= 3; k++ {
 		for c0 := uint8(0); c0 < 4; c0++ {
 			for t := uint8(0); t < 2; t++ {
 				c, miss := c0, uint8(0)
@@ -238,8 +219,8 @@ var twoBitRun = func() (tab [32]uint8) {
 	return tab
 }()
 
-// twoBitSteps applies a run of n >= 1 outcomes taken to a two-bit counter
-// at c and returns the new counter and the run's misses, without a
+// twoBitSteps applies a run of n outcomes taken to a two-bit counter at c
+// and returns the new counter and the run's misses, without a
 // branch.
 func twoBitSteps(c uint8, taken bool, n uint64) (uint8, uint64) {
 	e := twoBitRun[(min(n, 3)<<3|uint64(c)<<1|uint64(b2u(taken)))&31]
@@ -265,7 +246,7 @@ func (s *Scorer) see(site int32) {
 	}
 	s.sites = n
 	switch s.kind {
-	case ScoreProfile:
+	case ScoreProfile, ScoreStatic:
 		s.counts.Taken = extend(s.counts.Taken, n, 0)
 		s.counts.NotTaken = extend(s.counts.NotTaken, n, 0)
 	case ScoreLast:

@@ -79,9 +79,9 @@ func feed(c trace.Collector, ops []scoreOp) {
 // TestScorerMatchesCollectors holds Scorer's batch fold, over random
 // streams and through both of its inputs — a stored slab's steps and an
 // upload's validating pass — to the collectors it stands in for:
-// Counts+ProfileResult, Eval over LastDirection and TwoBit, StaticScore
-// over a prediction vector shorter than the sites, and MaxSite for its
-// site bound. One Scorer is reused across streams and kinds, as the
+// Counts+ProfileResult, Eval over LastDirection and TwoBit, a per-event
+// static fold over a prediction vector shorter than the sites, and MaxSite
+// for its site bound. One Scorer is reused across streams and kinds, as the
 // service pools it.
 func TestScorerMatchesCollectors(t *testing.T) {
 	var sc Scorer
@@ -103,7 +103,7 @@ func TestScorerMatchesCollectors(t *testing.T) {
 		counts := trace.NewCounts(n)
 		last := &Eval{P: NewLastDirection(n)}
 		two := &Eval{P: NewTwoBit(n)}
-		static := &StaticScore{Preds: preds}
+		static := &staticFold{preds: preds}
 		for _, c := range []trace.Collector{counts, last, two, static} {
 			feed(c, ops)
 		}
@@ -112,7 +112,7 @@ func TestScorerMatchesCollectors(t *testing.T) {
 			ScoreProfile: {profile.Misses, profile.Total},
 			ScoreLast:    {last.Misses, last.Total},
 			ScoreTwoBit:  {two.Misses, two.Total},
-			ScoreStatic:  {static.Mispredicted, static.Predicted},
+			ScoreStatic:  {static.misses, static.predicted},
 		}
 		for kind, w := range want {
 			for _, input := range []string{"slab", "upload"} {
@@ -136,18 +136,49 @@ func TestScorerMatchesCollectors(t *testing.T) {
 	}
 }
 
-// TestTwoBitRunTable holds the scorer's two-bit table to TwoBit.UpdateRun
-// for every counter value, both directions and runs of 1, 2, 3, 4 and
-// 2^40 outcomes.
+// staticFold scores a fixed prediction vector event by event, as an
+// annotated program's live run tallies it: the static kind's reference.
+type staticFold struct {
+	preds             []ir.Prediction
+	misses, predicted uint64
+}
+
+func (f *staticFold) RecordBranch(site int32, taken bool) { f.RecordRun(site, taken, 1) }
+
+func (f *staticFold) RecordRun(site int32, taken bool, n uint64) {
+	if int(site) >= len(f.preds) || f.preds[site] == ir.PredNone {
+		return
+	}
+	f.predicted += n
+	if (f.preds[site] == ir.PredTaken) != taken {
+		f.misses += n
+	}
+}
+
+// TestTwoBitRunTable holds the two-bit run table to TwoBit's Predict and
+// Update applied once per outcome, for every counter value, both
+// directions and runs of 0 to 4 and of 2^40 outcomes. The long run stops
+// stepping once the counter saturates in the run's direction: from there
+// an outcome neither misses nor moves it.
 func TestTwoBitRunTable(t *testing.T) {
 	for c := uint8(0); c < 4; c++ {
 		for _, taken := range []bool{false, true} {
-			for _, n := range []uint64{1, 2, 3, 4, 1 << 40} {
+			for _, n := range []uint64{0, 1, 2, 3, 4, 1 << 40} {
 				p := &TwoBit{ctr: []uint8{c}}
-				wantMisses := p.UpdateRun(0, taken, n)
+				var wantMisses uint64
+				sat := uint8(0)
+				if taken {
+					sat = 3
+				}
+				for i := uint64(0); i < n && p.ctr[0] != sat; i++ {
+					if p.Predict(0) != taken {
+						wantMisses++
+					}
+					p.Update(0, taken)
+				}
 				got, misses := twoBitSteps(c, taken, n)
 				if got != p.ctr[0] || misses != wantMisses {
-					t.Errorf("counter %d, taken %v, run of %d: table gives %d with %d misses, UpdateRun %d with %d",
+					t.Errorf("counter %d, taken %v, run of %d: table gives %d with %d misses, Predict+Update %d with %d",
 						c, taken, n, got, misses, p.ctr[0], wantMisses)
 				}
 			}

@@ -25,28 +25,26 @@ func (r Result) String() string {
 // ProfileResult scores the plain profile strategy (predict each branch's
 // majority direction, trained and evaluated on the same trace, exactly as
 // the paper's Table 1 does).
-func ProfileResult(c *trace.Counts) Result {
-	r := Result{Name: "profile"}
-	for s := range c.Taken {
-		p := profile.Pair{Taken: c.Taken[s], NotTaken: c.NotTaken[s]}
-		r.Misses += p.Misses()
-		r.Total += p.Total()
-	}
-	return r
-}
+func ProfileResult(c *trace.Counts) Result { return ProfileStatic(c).Score(c) }
 
 // ProfileStatic converts trace counts into the per-site majority prediction
 // vector (the input the replicator starts from).
 func ProfileStatic(c *trace.Counts) *Static {
-	s := &Static{Strategy: "profile", Preds: make([]ir.Prediction, len(c.Taken))}
+	return &Static{Strategy: "profile", Preds: majority(make([]ir.Prediction, 0, len(c.Taken)), c)}
+}
+
+// majority appends each site's majority direction over c to dst: taken
+// only when taken outcomes outnumber not-taken ones (the repository-wide
+// tie convention).
+func majority(dst []ir.Prediction, c *trace.Counts) []ir.Prediction {
 	for site := range c.Taken {
+		p := ir.PredNotTaken
 		if c.Taken[site] > c.NotTaken[site] {
-			s.Preds[site] = ir.PredTaken
-		} else {
-			s.Preds[site] = ir.PredNotTaken
+			p = ir.PredTaken
 		}
+		dst = append(dst, p)
 	}
-	return s
+	return dst
 }
 
 // LoopResult scores the k-bit loop (local history) strategy: each branch's

@@ -282,20 +282,11 @@ type Static struct {
 	Preds    []ir.Prediction
 }
 
-// Score evaluates the vector against observed outcome counts: a site
-// predicted taken contributes its not-taken count to the misses, and vice
-// versa. Sites without a prediction default to not-taken.
+// Score evaluates the vector against observed outcome counts
+// (ScoreVector).
 func (s *Static) Score(c *trace.Counts) Result {
 	r := Result{Name: s.Strategy}
-	for site := range c.Taken {
-		taken := site < len(s.Preds) && s.Preds[site] == ir.PredTaken
-		if taken {
-			r.Misses += c.NotTaken[site]
-		} else {
-			r.Misses += c.Taken[site]
-		}
-		r.Total += c.Taken[site] + c.NotTaken[site]
-	}
+	r.Misses, r.Total = ScoreVector(s.Preds, c)
 	return r
 }
 

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"repro/internal/ir"
+	"repro/internal/predict"
 	"repro/internal/trace"
 )
 
@@ -310,27 +311,19 @@ func (w *walker) mismatch(b int32, branches uint64, ev trace.Event, ok bool) err
 }
 
 // result packages the counters: it splits the per-outcome counts into
-// taken and not-taken, scores each Br site's prediction over them (a
-// switch site has no outcome counts, so adds nothing here), and splits
-// the flat block counts per function.
+// taken and not-taken, scores each Br site's prediction over them with
+// predict.ScoreVector (a switch site has no outcome counts, so adds
+// nothing there), and splits the flat block counts per function.
 func (w *walker) result(steps, branches, dispatches, swPredicted, swMispredicted uint64, outcomes, bc []uint64) *WalkResult {
 	r := &WalkResult{
 		Steps: steps, Branches: branches, Dispatches: dispatches,
-		Predicted: swPredicted, Mispredicted: swMispredicted,
 		Counts: trace.NewCounts(len(w.preds)),
 	}
-	for site, p := range w.preds {
-		nt, tk := outcomes[2*site], outcomes[2*site+1]
-		r.Counts.Taken[site], r.Counts.NotTaken[site] = tk, nt
-		switch p {
-		case ir.PredTaken:
-			r.Predicted += tk + nt
-			r.Mispredicted += nt
-		case ir.PredNotTaken:
-			r.Predicted += tk + nt
-			r.Mispredicted += tk
-		}
+	for site := range w.preds {
+		r.Counts.NotTaken[site], r.Counts.Taken[site] = outcomes[2*site], outcomes[2*site+1]
 	}
+	misses, predicted := predict.ScoreVector(w.preds, r.Counts)
+	r.Predicted, r.Mispredicted = swPredicted+predicted, swMispredicted+misses
 	r.BlockCounts = make([][]uint64, len(w.base))
 	for fi, lo := range w.base {
 		hi := int32(len(bc))

@@ -264,17 +264,17 @@ func (r *Steps) step(out *Step) bool {
 // calls every collector gets: a plain code or a switch escape is one
 // RecordBranch or RecordSwitch, a run marker one RecordRun or
 // RecordSwitchRun even when it repeats once, switch events go only to a
-// SwitchCollector, and a nil c gets nothing.
+// SwitchCollector, and a nil c gets nothing. A lone *Counts is counted
+// without batches (countInto).
 func (r *Steps) drain(c Collector) {
+	if counts, ok := c.(*Counts); ok {
+		r.countInto(counts)
+		return
+	}
 	var buf [BatchSize]Step
 	sw, _ := c.(SwitchCollector)
-	counts, _ := c.(*Counts)
 	for b := r.Next(buf[:]); len(b) > 0; b = r.Next(buf[:]) {
-		switch {
-		case counts != nil:
-			counts.addSteps(b)
-			continue
-		case c == nil:
+		if c == nil {
 			continue
 		}
 		for k := range b {
@@ -291,5 +291,40 @@ func (r *Steps) drain(c Collector) {
 				c.RecordBranch(st.Site, st.Taken)
 			}
 		}
+	}
+}
+
+// countInto adds the rest of the pass to c, a run as one addition, and
+// ignores switch events. It is Next with the batch left out: plain codes
+// are added as countPlain decodes them, and every other form goes through
+// step, so the pass holds the stream to the same limits.
+func (r *Steps) countInto(c *Counts) {
+	var st Step
+	for !r.done {
+		r.countPlain(c)
+		if r.step(&st) && !st.Switch {
+			c.RecordRun(st.Site, st.Taken, st.N)
+		}
+	}
+}
+
+// countPlain is takePlain adding each plain code to c instead of writing
+// a step: it stops at the first code that is not a plain one under the
+// site cap, and stores the offset, the count and the last event it
+// decoded in r, which a run marker after it repeats.
+func (r *Steps) countPlain(c *Counts) {
+	data, i, n, codes := r.d.buf, r.i, r.n, min(plainCodes, 2*uint(r.maxSites))
+	cols := [2][]uint64{c.NotTaken, c.Taken}
+	var last uint
+	for i+1 < len(data) {
+		code, j := plain(data, i)
+		if code-2 >= codes {
+			break
+		}
+		cols[code&1][code>>1-1]++
+		i, n, last = j, n+1, code
+	}
+	if last != 0 {
+		r.i, r.n, r.d.ev = i, n, codeEvent(last)
 	}
 }

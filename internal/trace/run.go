@@ -81,9 +81,3 @@ func (f fanout) RecordSwitchRun(site, outcome int32, n uint64) {
 		}
 	}
 }
-
-// runFunc adapts ReplayRuns' callback to a branch-only Collector.
-type runFunc func(site int32, taken bool, n uint64)
-
-func (f runFunc) RecordBranch(site int32, taken bool)        { f(site, taken, 1) }
-func (f runFunc) RecordRun(site int32, taken bool, n uint64) { f(site, taken, n) }

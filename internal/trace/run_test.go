@@ -8,8 +8,9 @@ import (
 )
 
 // TestRunCollectorsMatchEventAtATime drives every trace-package collector
-// both event-at-a-time (RecordBranch) and run-at-a-time (RecordRun from
-// ReplayRuns) and requires identical final state — including the Slab as a
+// both event-at-a-time (RecordBranch) and run-at-a-time (ReplayInto, which
+// delivers each run marker as one RecordRun) and requires identical final
+// state — including the Slab as a
 // collector, whose two paths must produce byte-identical encodings, equal
 // to the recorded slab's own.
 func TestRunCollectorsMatchEventAtATime(t *testing.T) {
@@ -27,9 +28,9 @@ func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 			evLog.RecordBranch(ev.Site, ev.Taken)
 			evSlab.RecordBranch(ev.Site, ev.Taken)
 		}
-		s.ReplayRuns(runCounts.RecordRun)
-		s.ReplayRuns(runLog.RecordRun)
-		s.ReplayRuns(runSlab.RecordRun)
+		s.ReplayInto(runCounts)
+		s.ReplayInto(runLog)
+		s.ReplayInto(runSlab)
 
 		for i := range evCounts.Taken {
 			if evCounts.Taken[i] != runCounts.Taken[i] || evCounts.NotTaken[i] != runCounts.NotTaken[i] {

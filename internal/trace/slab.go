@@ -116,25 +116,6 @@ func (s *Slab) Len() uint64 { return s.n }
 // EncodedBytes is the size of the encoded event stream.
 func (s *Slab) EncodedBytes() int { return len(s.buf) }
 
-// Replay feeds every recorded conditional-branch event, in order, to fn;
-// switch events are skipped.
-func (s *Slab) Replay(fn func(site int32, taken bool)) {
-	c := s.Cursor()
-	for ev, ok := c.Next(); ok; ev, ok = c.Next() {
-		if !ev.Switch {
-			fn(ev.Site, ev.Taken)
-		}
-	}
-}
-
-// ReplayRuns feeds the branch events as (site, taken, count) runs — the
-// run-length fast path for order-insensitive consumers such as Counts.
-// Consecutive calls may repeat the same (site, taken) pair. Switch events
-// are skipped.
-func (s *Slab) ReplayRuns(fn func(site int32, taken bool, n uint64)) {
-	s.ReplayInto(runFunc(fn))
-}
-
 // Events decodes the whole slab (tests and small consumers).
 func (s *Slab) Events() []Event {
 	s.mustSealed("Events")

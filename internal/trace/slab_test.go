@@ -57,22 +57,27 @@ func TestSlabRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSlabReplayRunsMatchesReplay: the runs ReplayInto delivers, expanded,
+// are the events the Cursor pulls one at a time, and both are the recorded
+// stream.
 func TestSlabReplayRunsMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	events := genEvents(rng, 5000)
 	s := recordSlab(events)
-	var flat []Event
-	s.ReplayRuns(func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			flat = append(flat, Event{Site: site, Taken: taken})
-		}
-	})
-	if len(flat) != len(events) {
-		t.Fatalf("ReplayRuns expanded to %d events, want %d", len(flat), len(events))
+	var runs Log
+	s.ReplayInto(&runs)
+	var pulled []Event
+	cur := s.Cursor()
+	for ev, ok := cur.Next(); ok; ev, ok = cur.Next() {
+		pulled = append(pulled, ev)
+	}
+	if len(runs.Events) != len(events) || len(pulled) != len(events) {
+		t.Fatalf("runs expanded to %d events and the cursor pulled %d, want %d",
+			len(runs.Events), len(pulled), len(events))
 	}
 	for i := range events {
-		if flat[i] != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, flat[i], events[i])
+		if runs.Events[i] != events[i] || pulled[i] != events[i] {
+			t.Fatalf("event %d = %+v expanded, %+v pulled, want %+v", i, runs.Events[i], pulled[i], events[i])
 		}
 	}
 }
@@ -154,7 +159,7 @@ func TestSlabReplayBeforeSealPanics(t *testing.T) {
 	}()
 	s := NewSlab(0)
 	s.Record(0, true)
-	s.Replay(func(int32, bool) {})
+	s.Cursor()
 }
 
 func TestSlabReplayInto(t *testing.T) {

@@ -95,22 +95,6 @@ func (c *Counts) RecordRun(site int32, taken bool, n uint64) {
 	}
 }
 
-// addSteps adds a batch of decoded steps, a run as one addition, and
-// ignores switch events: the drain's path for a lone *Counts, with no
-// dynamic call per step.
-func (c *Counts) addSteps(b []Step) {
-	cols := [2][]uint64{c.NotTaken, c.Taken}
-	for k := range b {
-		if st := &b[k]; !st.Switch {
-			var t uint8
-			if st.Taken {
-				t = 1
-			}
-			cols[t][st.Site] += st.N
-		}
-	}
-}
-
 // NewCounts sizes the tables for nSites branch sites.
 func NewCounts(nSites int) *Counts {
 	return &Counts{Taken: make([]uint64, nSites), NotTaken: make([]uint64, nSites)}
